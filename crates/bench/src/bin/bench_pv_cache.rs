@@ -8,9 +8,13 @@
 //! 1. the one-off table build cost,
 //! 2. the measured worst relative current error against the exact
 //!    solver (must sit inside the documented 1e-3 bound),
-//! 3. the closed-loop circuit speedup (`FocvMpptSystem`, exact vs
+//! 3. the measured worst `Vmpp` error and power loss of the `Vmpp(lux)`
+//!    table against the exact golden-section solve, for the AM-1815 and
+//!    the crystalline preset (must sit inside their documented bounds),
+//!    and the per-call cost of a cached vs an exact MPP,
+//! 4. the closed-loop circuit speedup (`FocvMpptSystem`, exact vs
 //!    cached) with pulse/k/energy agreement,
-//! 4. the node-day speedup (`NodeSimulation` over a seeded office day)
+//! 5. the node-day speedup (`NodeSimulation` over a seeded office day)
 //!    with gross-energy agreement,
 //!
 //! and writes the numbers to `BENCH_pv_cache.json` at the repo root.
@@ -34,6 +38,8 @@ use eh_units::{Lux, Seconds, Volts};
 const LUX_PROBES: usize = 64;
 /// Voltage probes per lux probe in the validation sweep.
 const V_PROBES: usize = 129;
+/// Illuminance probes of the `Vmpp` table validation sweep.
+const MPP_PROBES: usize = 960;
 /// Timed repetitions; the minimum wall-clock is reported.
 const REPS: usize = 3;
 
@@ -93,10 +99,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = smoke_mode();
     // The smoke profile (CI) keeps every assertion but shrinks the
     // timed work; its timings are not comparable to full-profile runs.
-    let (reps, lux_probes, v_probes) = if smoke {
-        (1, 16, 33)
+    let (reps, lux_probes, v_probes, mpp_probes) = if smoke {
+        (1, 16, 33, 60)
     } else {
-        (REPS, LUX_PROBES, V_PROBES)
+        (REPS, LUX_PROBES, V_PROBES, MPP_PROBES)
     };
     let sys_duration = Seconds::new(if smoke { 120.0 } else { 600.0 });
     let node_decimate = if smoke { 60 } else { 5 };
@@ -117,6 +123,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(
         max_rel_err < 1e-3,
         "measured error {max_rel_err:.3e} breaks the documented bound"
+    );
+
+    // The Vmpp table: worst case over both presets' surfaces (the
+    // crystalline cell's sharper power peak is the binding one).
+    let csi = presets::crystalline_outdoor();
+    let csi_surface = CachedPvSurface::build(csi.model(), csi.temperature())?;
+    let (mut vmpp_err, mut mpp_loss) = (0.0_f64, 0.0_f64);
+    for (name, s) in [(cell.name(), &surface), (csi.name(), &csi_surface)] {
+        let (dv, loss) = s.validate_mpp_against_exact(mpp_probes)?;
+        println!(
+            "{name}: worst |dVmpp| over {mpp_probes} off-grid probes = {dv:.3e} V, \
+             worst power loss at the cached Vmpp = {loss:.3e}"
+        );
+        vmpp_err = vmpp_err.max(dv);
+        mpp_loss = mpp_loss.max(loss);
+    }
+    assert!(
+        vmpp_err < CachedPvSurface::VMPP_ERROR_BOUND_VOLTS,
+        "measured Vmpp error {vmpp_err:.3e} V breaks the documented bound"
+    );
+    assert!(
+        mpp_loss < CachedPvSurface::MPP_REL_POWER_LOSS_BOUND,
+        "measured MPP power loss {mpp_loss:.3e} breaks the documented bound"
+    );
+    let mpp_luxes: Vec<Lux> = (0..mpp_probes)
+        .map(|a| Lux::new(10f64.powf(-1.0 + 6.0 * a as f64 / mpp_probes as f64)))
+        .collect();
+    let per_call = |elapsed: Duration| elapsed.as_secs_f64() / mpp_probes as f64;
+    let (mpp_exact_t, _) = best_of(reps, || {
+        for &lux in &mpp_luxes {
+            std::hint::black_box(cell.mpp(lux).expect("exact MPP"));
+        }
+    });
+    let (mpp_cached_t, _) = best_of(reps, || {
+        for &lux in &mpp_luxes {
+            std::hint::black_box(surface.mpp(lux).expect("cached MPP"));
+        }
+    });
+    let (mpp_exact_us, mpp_cached_ns) = (1e6 * per_call(mpp_exact_t), 1e9 * per_call(mpp_cached_t));
+    println!(
+        "MPP per call: exact golden-section {mpp_exact_us:.1} µs vs cached table {mpp_cached_ns:.0} ns \
+         (bounds {:.0e} V, {:.0e} power loss)",
+        CachedPvSurface::VMPP_ERROR_BOUND_VOLTS,
+        CachedPvSurface::MPP_REL_POWER_LOSS_BOUND
     );
 
     banner(&format!(
@@ -188,6 +238,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "max_rel_current_error": {max_rel_err:.6e},
     "documented_error_bound": 1e-3
   }},
+  "mpp_table": {{
+    "cells": ["{am_name}", "{csi_name}"],
+    "validation_probes": {mpp_probes},
+    "max_vmpp_error_v": {vmpp_err:.6e},
+    "documented_vmpp_bound_v": {vmpp_bound:e},
+    "max_rel_power_loss": {mpp_loss:.6e},
+    "documented_power_loss_bound": {loss_bound:e},
+    "exact_mpp_us_per_call": {mpp_exact_us:.3},
+    "cached_mpp_ns_per_call": {mpp_cached_ns:.1}
+  }},
   "closed_loop_system": {{
     "scenario": "FocvMpptSystem run_constant, 1000 lux, {sys_secs} s, dt 0.05 s",
     "exact_ms": {se_ms:.3},
@@ -219,6 +279,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 "#,
         lo = lux_lo.value(),
         hi = lux_hi.value(),
+        am_name = cell.name(),
+        csi_name = csi.name(),
+        vmpp_bound = CachedPvSurface::VMPP_ERROR_BOUND_VOLTS,
+        loss_bound = CachedPvSurface::MPP_REL_POWER_LOSS_BOUND,
         sys_secs = sys_duration.value(),
         build_ms = build_time.as_secs_f64() * 1e3,
         se_ms = exact_t.as_secs_f64() * 1e3,

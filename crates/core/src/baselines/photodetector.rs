@@ -105,7 +105,10 @@ impl MpptController for Photodetector {
         let lux = obs.ambient_lux.unwrap_or_default();
         let voc = self.estimate_voc(lux);
         if voc.value() <= 0.0 {
-            return TrackerCommand::measure();
+            // Too dark for the photodiode law: idle the converter with
+            // the module connected. The technique never disconnects the
+            // main module, so there is nothing to measure.
+            return TrackerCommand::connect_at(Volts::ZERO);
         }
         TrackerCommand::connect_at(voc * self.k)
     }
@@ -166,9 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn dark_gives_no_target_and_overhead_is_heavy() {
+    fn dark_idles_and_overhead_is_heavy() {
         let mut t = Photodetector::literature_default().unwrap();
-        assert!(!t.step(&obs(0.5), Seconds::new(1.0)).is_connect());
+        assert_eq!(
+            t.step(&obs(0.5), Seconds::new(1.0)),
+            TrackerCommand::connect_at(Volts::ZERO)
+        );
         assert!((t.overhead_power().as_milli() - 1.65).abs() < 0.01);
         assert!(t.requires_light_sensor());
     }

@@ -65,7 +65,10 @@ impl MpptController for PilotCell {
         let lux = obs.ambient_lux.unwrap_or_default();
         let voc = self.pilot.open_circuit_voltage(lux).unwrap_or(Volts::ZERO);
         if voc.value() <= 0.0 {
-            return TrackerCommand::measure();
+            // A dark pilot has nothing to steer toward: the converter
+            // idles with the module still connected. The technique never
+            // disconnects the main module, so there is nothing to measure.
+            return TrackerCommand::connect_at(Volts::ZERO);
         }
         TrackerCommand::connect_at(voc * self.k)
     }
@@ -130,10 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn dark_pilot_gives_no_target() {
+    fn dark_pilot_idles_at_zero_volts() {
+        // A dark pilot idles the converter without disconnecting the
+        // main module: one engine step per control step, no measurement.
         let mut t = PilotCell::literature_default(presets::sanyo_am1815()).unwrap();
         let c = t.step(&obs(0.0), Seconds::new(1.0));
-        assert!(!c.is_connect());
+        assert_eq!(c, TrackerCommand::connect_at(Volts::ZERO));
     }
 
     #[test]
@@ -146,12 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_light_sensor_data_degrades_to_a_measure() {
+    fn missing_light_sensor_data_degrades_to_idle() {
         // Audit pin: with no ambient-lux sample at all (engine quirk or
         // sensor fault) the `unwrap_or` chain must bottom out in a
-        // harmless measure command, never a divide or a bogus target.
+        // harmless idle at 0 V, never a divide or a bogus target.
         let mut t = PilotCell::literature_default(presets::sanyo_am1815()).unwrap();
         let c = t.step(&Observation::at(Seconds::ZERO), Seconds::new(1.0));
-        assert!(!c.is_connect());
+        assert_eq!(c, TrackerCommand::connect_at(Volts::ZERO));
     }
 }

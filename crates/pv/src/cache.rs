@@ -12,7 +12,11 @@
 //! * a 1-D table `Isc(lux)`, linear in lux within each log-spaced cell
 //!   (`Isc` is near-linear in illuminance);
 //! * a 2-D shape table `s(lux, u) = I(u·Voc(lux), lux) / Isc(lux)` over
-//!   a log-lux × normalized-voltage grid, interpolated bilinearly.
+//!   a log-lux × normalized-voltage grid, interpolated bilinearly;
+//! * a 1-D table `Vmpp(lux)`, linear in log-lux, derived from the shape
+//!   rows at no extra solver cost: each row's sampled power `u·s(u)` is
+//!   maximised over the voltage grid and the argmax refined by the
+//!   vertex of the parabola through it and its two neighbours.
 //!
 //! Normalizing the voltage axis by `Voc(lux)` and the current by
 //! `Isc(lux)` keeps the interpolated quantity slowly varying in both
@@ -27,7 +31,14 @@
 //! and `|Voc_cached − Voc_exact| <` [`CachedPvSurface::VOC_ERROR_BOUND_VOLTS`];
 //! both are validated against the exact solver by the property tests in
 //! `crates/pv/tests/cache_surface.rs` and measurable at runtime via
-//! [`CachedPvSurface::validate_against_exact`]. Outside the domain
+//! [`CachedPvSurface::validate_against_exact`]. The cached MPP voltage
+//! keeps `|Vmpp_cached − Vmpp_exact| <`
+//! [`CachedPvSurface::VMPP_ERROR_BOUND_VOLTS`], and operating there
+//! loses less than [`CachedPvSurface::MPP_REL_POWER_LOSS_BOUND`] of the
+//! exact maximum power (the power curve is flat at its peak, so the
+//! loss is quadratic in the voltage error); both are checked against
+//! the exact golden-section solve by the same suite and measurable via
+//! [`CachedPvSurface::validate_mpp_against_exact`]. Outside the domain
 //! (dark, dimmer than 0.05 lux, brighter than 200 klux, or beyond Voc)
 //! every query **falls back to the exact solver**, so out-of-domain
 //! answers are bit-identical to the uncached path.
@@ -36,6 +47,7 @@ use eh_units::{Amps, Kelvin, Lux, Volts, Watts};
 
 use crate::error::PvError;
 use crate::model::SingleDiodeModel;
+use crate::mpp::{solve_mpp, MppPoint};
 
 /// Log-spaced illuminance grid lines.
 const N_LUX: usize = 121;
@@ -143,6 +155,27 @@ fn solve_current(iph: f64, i0: f64, b: f64, rs: f64, rsh: f64, v: f64) -> f64 {
     (w - v) / rs
 }
 
+/// The normalized MPP voltage `u* = Vmpp/Voc` of one shape row: the
+/// grid argmax of the sampled power `u·s(u)`, refined by the vertex of
+/// the parabola through it and its two neighbours. The row's ends carry
+/// zero power (`u = 0`, and `s = 0` at open circuit), so the argmax is
+/// interior and the vertex stays within half a grid step of it.
+fn mpp_fraction(row: &[f64]) -> f64 {
+    let h = 1.0 / (N_V - 1) as f64;
+    let p = |k: usize| k as f64 * h * row[k];
+    let k = (1..N_V - 1)
+        .max_by(|&a, &b| p(a).total_cmp(&p(b)))
+        .expect("the voltage grid has interior points");
+    let (left, mid, right) = (p(k - 1), p(k), p(k + 1));
+    let curvature = left - 2.0 * mid + right;
+    let offset = if curvature < 0.0 {
+        0.5 * (left - right) / curvature
+    } else {
+        0.0
+    };
+    (k as f64 + offset) * h
+}
+
 /// A memoized bilinear interpolation table over one cell's I-V surface,
 /// built per `(model, temperature)` and exposing the same
 /// `current_at` / `open_circuit_voltage` / `short_circuit_current` /
@@ -177,6 +210,8 @@ pub struct CachedPvSurface {
     isc: Vec<f64>,
     /// Row-major `N_LUX × N_V`: `I(u_k·Voc_j, lux_j) / Isc_j`.
     shape: Vec<f64>,
+    /// `Vmpp(lux_j)` in volts, from each shape row's power peak.
+    vmpp: Vec<f64>,
 }
 
 impl std::fmt::Debug for CachedPvSurface {
@@ -199,11 +234,23 @@ impl CachedPvSurface {
     /// cached illuminance domain.
     pub const VOC_ERROR_BOUND_VOLTS: f64 = 1e-3;
 
+    /// Documented bound on `|Vmpp_cached − Vmpp_exact|` in volts inside
+    /// the cached illuminance domain, against the exact golden-section
+    /// solve (validated by the cache property tests over the presets at
+    /// the fleet's placement temperatures).
+    pub const VMPP_ERROR_BOUND_VOLTS: f64 = 3e-3;
+
+    /// Documented bound on the relative power lost by operating at the
+    /// cached MPP voltage, `1 − P_exact(Vmpp_cached) / P_exact(Vmpp_exact)`,
+    /// inside the cached illuminance domain.
+    pub const MPP_REL_POWER_LOSS_BOUND: f64 = 2e-6;
+
     /// Builds the table for one `(model, temperature)` pair.
     ///
     /// Construction performs `N_LUX` exact Voc solves plus
     /// `N_LUX × N_V` fast Newton current solves — a few milliseconds,
-    /// amortized over the millions of lookups of a closed-loop run.
+    /// amortized over the millions of lookups of a closed-loop run. The
+    /// `Vmpp` table is read off the shape rows without further solves.
     ///
     /// # Errors
     ///
@@ -221,6 +268,7 @@ impl CachedPvSurface {
         let mut voc = Vec::with_capacity(N_LUX);
         let mut isc = Vec::with_capacity(N_LUX);
         let mut shape = Vec::with_capacity(N_LUX * N_V);
+        let mut vmpp = Vec::with_capacity(N_LUX);
         for j in 0..N_LUX {
             let lux = (ln_min + ln_step * j as f64).exp();
             let l = Lux::new(lux);
@@ -243,6 +291,7 @@ impl CachedPvSurface {
                 }
                 shape.push(i / isc_j);
             }
+            vmpp.push(mpp_fraction(&shape[j * N_V..]) * voc_j);
             lux_grid.push(lux);
             voc.push(voc_j);
             isc.push(isc_j);
@@ -257,6 +306,7 @@ impl CachedPvSurface {
             voc,
             isc,
             shape,
+            vmpp,
         })
     }
 
@@ -640,6 +690,35 @@ impl CachedPvSurface {
         Ok(Amps::new(self.isc_interp(j, l)))
     }
 
+    /// The maximum power point from the 1-D `Vmpp(lux)` table (linear in
+    /// log-lux, within [`CachedPvSurface::VMPP_ERROR_BOUND_VOLTS`]), with
+    /// the current read off the shape table and `Voc` off its own table.
+    /// Outside the cached domain — including dark and invalid
+    /// illuminances — it is the exact golden-section solve, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates exact-solver errors outside the domain.
+    pub fn mpp(&self, lux: Lux) -> Result<MppPoint, PvError> {
+        let l = lux.value();
+        if !Self::in_domain(l) {
+            return solve_mpp(&self.model, lux, self.temperature);
+        }
+        let (j, tx) = self.lux_cell(l);
+        let voc_q = self.voc_interp(j, tx);
+        // Both rows' Vmpp sit below their Voc, so the interpolated
+        // voltage sits below the interpolated Voc: a shape-table read.
+        let v = lerp(self.vmpp[j], self.vmpp[j + 1], tx);
+        let voltage = Volts::new(v);
+        let current = Amps::new(self.shape_current(v, j, tx, voc_q, l));
+        Ok(MppPoint {
+            voltage,
+            current,
+            power: voltage * current,
+            open_circuit_voltage: Volts::new(voc_q),
+        })
+    }
+
     /// Probes the table against the exact solver on a grid of
     /// `lux_probes × v_probes` off-node points (log-spaced illuminances,
     /// uniform normalized voltages) and returns the worst observed
@@ -683,5 +762,38 @@ impl CachedPvSurface {
             }
         }
         Ok(worst)
+    }
+
+    /// Probes the `Vmpp` table against the exact golden-section solve at
+    /// `lux_probes` log-spaced illuminances across the cached domain and
+    /// returns `(worst |ΔVmpp| in volts, worst relative power loss)` —
+    /// the measured counterparts of
+    /// [`CachedPvSurface::VMPP_ERROR_BOUND_VOLTS`] and
+    /// [`CachedPvSurface::MPP_REL_POWER_LOSS_BOUND`]. The loss is
+    /// `1 − P(Vmpp_cached) / P(Vmpp_exact)` with both powers from the
+    /// exact model.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a zero probe count as [`PvError::InvalidParameter`];
+    /// propagates exact-solver errors.
+    pub fn validate_mpp_against_exact(&self, lux_probes: usize) -> Result<(f64, f64), PvError> {
+        if lux_probes == 0 {
+            return Err(PvError::InvalidParameter {
+                name: "probes",
+                value: 0.0,
+            });
+        }
+        let (mut worst_dv, mut worst_loss) = (0.0_f64, 0.0_f64);
+        for a in 0..lux_probes {
+            let frac = (a as f64 + 0.5) / lux_probes as f64;
+            let lux = Lux::new((self.ln_min + (LUX_MAX / LUX_MIN).ln() * frac).exp());
+            let exact = solve_mpp(&self.model, lux, self.temperature)?;
+            let cached = self.mpp(lux)?.voltage;
+            let p_cached = cached * self.model.current_at(cached, lux, self.temperature)?;
+            worst_dv = worst_dv.max((cached - exact.voltage).value().abs());
+            worst_loss = worst_loss.max(1.0 - p_cached / exact.power);
+        }
+        Ok((worst_dv, worst_loss))
     }
 }

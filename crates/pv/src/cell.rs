@@ -27,15 +27,16 @@ use crate::mpp::{solve_mpp, MppPoint};
 /// # Operating-point cache
 ///
 /// With [`PvCell::with_cache`] the hot-path queries — `current_at`,
-/// `power_at`, `open_circuit_voltage`, `short_circuit_current` — are
-/// answered from a lazily built [`CachedPvSurface`] instead of the
-/// implicit solver, accurate to
-/// [`CachedPvSurface::REL_CURRENT_ERROR_BOUND`] and falling back to the
+/// `power_at`, `open_circuit_voltage`, `short_circuit_current` and
+/// `mpp` — are answered from a lazily built [`CachedPvSurface`] instead
+/// of the implicit solver, accurate to
+/// [`CachedPvSurface::REL_CURRENT_ERROR_BOUND`] (and, for `mpp`,
+/// [`CachedPvSurface::VMPP_ERROR_BOUND_VOLTS`]) and falling back to the
 /// exact solver outside the cached domain. The table is built once per
 /// `(model, temperature)` on first use and **shared across clones** of
 /// the cell, so sweep jobs that clone a warmed cell pay no rebuild.
-/// `voltage_at_current`, `mpp`, and `iv_curve` always use the exact
-/// solver (the cache stores no inverse).
+/// `voltage_at_current` and `iv_curve` always use the exact solver (the
+/// cache stores no inverse).
 pub struct PvCell {
     model: SingleDiodeModel,
     temperature: Kelvin,
@@ -225,14 +226,20 @@ impl PvCell {
         }
     }
 
-    /// Solves the maximum power point at the given illuminance. Always
-    /// solved exactly.
+    /// The maximum power point at the given illuminance. With the cache
+    /// enabled it is read from the surface's `Vmpp` table
+    /// ([`CachedPvSurface::mpp`]); with the cache off, or outside the
+    /// cached domain, it is the exact golden-section solve.
     ///
     /// # Errors
     ///
-    /// Propagates solver errors.
+    /// Propagates solver errors and table-construction failures.
     pub fn mpp(&self, lux: Lux) -> Result<MppPoint, PvError> {
-        solve_mpp(&self.model, lux, self.temperature)
+        if self.cache_enabled {
+            self.cached()?.mpp(lux)
+        } else {
+            solve_mpp(&self.model, lux, self.temperature)
+        }
     }
 
     /// Samples the I-V curve with `points` equally spaced voltage steps
@@ -320,6 +327,24 @@ mod tests {
         let truth = exact.current_at(v, lux).unwrap();
         let isc = exact.short_circuit_current(lux).unwrap();
         assert!((via_cell - truth).value().abs() / isc.value() < 1e-3);
+    }
+
+    #[test]
+    fn mpp_dispatches_on_the_cache_policy() {
+        let exact = presets::sanyo_am1815();
+        let cached = exact.clone().with_cache(true);
+        let lux = Lux::new(430.0);
+        // Cache off: the exact golden-section solve.
+        let solved = solve_mpp(exact.model(), lux, exact.temperature()).unwrap();
+        assert_eq!(exact.mpp(lux).unwrap(), solved);
+        // Cache on: the surface's table read, within its bound.
+        let via_cell = cached.mpp(lux).unwrap();
+        assert_eq!(via_cell, cached.cached().unwrap().mpp(lux).unwrap());
+        let dv = (via_cell.voltage - solved.voltage).value().abs();
+        assert!(
+            dv < CachedPvSurface::VMPP_ERROR_BOUND_VOLTS,
+            "dV = {dv:.2e}"
+        );
     }
 
     #[test]

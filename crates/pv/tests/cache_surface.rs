@@ -178,8 +178,116 @@ fn warm_cell_surface_respects_its_temperature() {
     }
 }
 
+/// Every field of an MPP answer, as bits.
+fn mpp_bits(m: eh_pv::MppPoint) -> [u64; 4] {
+    [
+        m.voltage.value().to_bits(),
+        m.current.value().to_bits(),
+        m.power.value().to_bits(),
+        m.open_circuit_voltage.value().to_bits(),
+    ]
+}
+
+/// A dense log-spaced sweep keeps the cached MPP within its documented
+/// bounds for both presets at every placement temperature.
+#[test]
+fn mpp_validation_probe_stays_under_bounds() {
+    for (cell, surf) in mpp_surfaces() {
+        let (dv, loss) = surf
+            .validate_mpp_against_exact(240)
+            .expect("validation probe succeeds");
+        assert!(
+            dv < CachedPvSurface::VMPP_ERROR_BOUND_VOLTS,
+            "|dVmpp| {dv:.2e} V on {} at {}",
+            cell.name(),
+            cell.temperature()
+        );
+        assert!(
+            loss < CachedPvSurface::MPP_REL_POWER_LOSS_BOUND,
+            "power loss {loss:.2e} on {} at {}",
+            cell.name(),
+            cell.temperature()
+        );
+    }
+}
+
+/// Out of the cached domain the surface's MPP, and a cached cell's, is
+/// the exact solve bit for bit; with the cache off a cell's MPP is the
+/// exact solve everywhere, even when it shares an already-built table.
+#[test]
+fn mpp_falls_back_bitwise_out_of_domain() {
+    let (lo, hi) = CachedPvSurface::lux_domain();
+    for (cell, surf) in mpp_surfaces() {
+        let cached_cell = cell.clone().with_cache(true);
+        let uncached_cell = cached_cell.clone().with_cache(false);
+        for l in [0.0, 0.01, lo.value() / 3.0, hi.value() * 2.0] {
+            let lux = Lux::new(l);
+            let exact = mpp_bits(cell.mpp(lux).unwrap());
+            assert_eq!(mpp_bits(surf.mpp(lux).unwrap()), exact, "lux {l}");
+            assert_eq!(mpp_bits(cached_cell.mpp(lux).unwrap()), exact, "lux {l}");
+        }
+        for l in [0.05, 200.0, 1.0e4, 2.0e5] {
+            let lux = Lux::new(l);
+            assert_eq!(
+                mpp_bits(uncached_cell.mpp(lux).unwrap()),
+                mpp_bits(cell.mpp(lux).unwrap()),
+                "lux {l}"
+            );
+        }
+        assert!(surf.mpp(Lux::new(-1.0)).is_err());
+        assert!(surf.mpp(Lux::new(f64::NAN)).is_err());
+    }
+}
+
+/// The fleet's placement temperatures (desk 25 °C, window 30 °C,
+/// outdoor 35 °C): one warmed surface per temperature in a fleet run.
+const PLACEMENT_TEMPERATURES_C: [f64; 3] = [25.0, 30.0, 35.0];
+
+/// One surface per preset × placement temperature, built once, paired
+/// with the exact (uncached) cell it mirrors.
+fn mpp_surfaces() -> &'static [(PvCell, CachedPvSurface)] {
+    static SURFS: std::sync::OnceLock<Vec<(PvCell, CachedPvSurface)>> = std::sync::OnceLock::new();
+    SURFS.get_or_init(|| {
+        [presets::sanyo_am1815(), presets::crystalline_outdoor()]
+            .into_iter()
+            .flat_map(|cell| {
+                PLACEMENT_TEMPERATURES_C.map(|c| {
+                    let cell = cell.clone().with_temperature(Celsius::new(c));
+                    let surf = CachedPvSurface::build(cell.model(), cell.temperature())
+                        .expect("build succeeds");
+                    (cell, surf)
+                })
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The cached MPP stays within its documented voltage and power-loss
+    /// bounds of the exact golden-section solve, for both presets at
+    /// every placement temperature, over the whole cached domain.
+    #[test]
+    fn cached_mpp_stays_within_its_bounds(
+        log_lux in -1.3f64..5.3,
+        which in 0usize..6,
+    ) {
+        let (cell, surf) = &mpp_surfaces()[which];
+        let lux = Lux::new(10f64.powf(log_lux).clamp(0.05, 2.0e5));
+        let exact = cell.mpp(lux).unwrap();
+        let cached = surf.mpp(lux).unwrap();
+        let dv = (cached.voltage - exact.voltage).value().abs();
+        prop_assert!(
+            dv < CachedPvSurface::VMPP_ERROR_BOUND_VOLTS,
+            "|dVmpp| {} V at lux={}, {}", dv, lux, cell.name()
+        );
+        let loss = 1.0 - cell.power_at(cached.voltage, lux).unwrap() / exact.power;
+        prop_assert!(
+            loss < CachedPvSurface::MPP_REL_POWER_LOSS_BOUND,
+            "power loss {} at lux={}, {}", loss, lux, cell.name()
+        );
+    }
 
     /// Random in-domain probes respect the documented bound; lux is
     /// sampled log-uniformly over the full cached domain.
