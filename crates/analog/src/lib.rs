@@ -43,7 +43,6 @@ pub mod components;
 mod error;
 mod ledger;
 pub mod netlist;
-pub mod phase;
 pub mod rc;
 pub mod sample_hold;
 mod trace;

@@ -6,17 +6,15 @@
 //! applies against the scalar form the per-node engine pays per step:
 //!
 //! - **load walk** — `energy_demand` (absolute clock, one `rem_euclid`
-//!   per step) vs `energy_demand_with_cursor` (incremental
-//!   [`PhaseAccumulator`]) vs `energy_profile` (prefix-sum
-//!   [`LoadEnergyProfile`], the vectorized engine's form).
+//!   per step) vs `energy_profile` (prefix-sum [`LoadEnergyProfile`],
+//!   the vectorized engine's form).
 //! - **supercap round-trip** — voltage-domain [`Supercapacitor`]
 //!   (deposit + withdraw + leak, √ per op) vs the energy-domain
 //!   [`EnergyDomainSupercap`] (√ only in `leak`'s voltage observation).
 //! - **surface lookup** — scalar [`CachedPvSurface::connect_point`]
 //!   (`ln`-derived cell index per query) vs the cursored
-//!   [`CachedPvSurface::connect_point_lane`] / 8-wide
-//!   [`CachedPvSurface::eval_lanes`] (cell index reused while the
-//!   illuminance stays in cell).
+//!   [`CachedPvSurface::connect_point_lane`] (cell index reused while
+//!   the illuminance stays in cell).
 //!
 //! The drives mimic the reference fleet scenario: `dt = 60 s` steps, a
 //! duty-cycled sensor load, and slowly varying daylight so the cursors
@@ -24,7 +22,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eh_node::{DutyCycledLoad, EnergyDomainSupercap, EnergyStore, StoreSpec};
-use eh_pv::{presets, ConnectPoint, LuxCursor};
+use eh_pv::{presets, LuxCursor};
 use eh_units::{Joules, Lux, Seconds, Volts};
 
 const DT: f64 = 60.0;
@@ -57,18 +55,6 @@ fn bench_load_walk(c: &mut Criterion) {
                     .energy_demand(Seconds::new(black_box(t)), Seconds::new(DT))
                     .value();
                 t += DT;
-            }
-            total
-        })
-    });
-    group.bench_function("phase_cursor_1024_steps", |b| {
-        let mut cursor = load.phase_cursor(Seconds::ZERO);
-        b.iter(|| {
-            let mut total = 0.0;
-            for _ in 0..STEPS {
-                total += load
-                    .energy_demand_with_cursor(black_box(&mut cursor), Seconds::new(DT))
-                    .value();
             }
             total
         })
@@ -158,33 +144,6 @@ fn bench_surface_lookup(c: &mut Criterion) {
                 i_sum += p.current.map_or(0.0, |i| i.value());
             }
             i_sum
-        })
-    });
-    group.bench_function("eval_lanes8_1024_steps", |b| {
-        // 8 lanes × 128 rounds = the same 1024 queries, pack-shaped.
-        let mut cursors = [LuxCursor::default(); 8];
-        let targets = [target; 8];
-        let mut out = [ConnectPoint {
-            voc: Volts::ZERO,
-            v_op: Volts::ZERO,
-            current: None,
-        }; 8];
-        let active = [true; 8];
-        b.iter(|| {
-            let mut i_sum = 0.0;
-            for round in luxes.chunks_exact(8) {
-                let mut pack = [Lux::ZERO; 8];
-                for (slot, &l) in pack.iter_mut().zip(round) {
-                    *slot = Lux::new(l);
-                }
-                surface
-                    .eval_lanes(&targets, &pack, &active, &mut cursors, &mut out)
-                    .expect("in-domain queries");
-                for p in &out {
-                    i_sum += p.current.map_or(0.0, |i| i.value());
-                }
-            }
-            black_box(i_sum)
         })
     });
     group.finish();

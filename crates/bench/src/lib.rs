@@ -99,7 +99,7 @@ pub fn smoke_mode() -> bool {
 pub enum EngineChoice {
     /// Only the per-node reference engine.
     PerNode,
-    /// Only the wide-lane vectorized engine.
+    /// Only the fast (`vectorized`) engine.
     Vectorized,
     /// Both engines (the default): the per-node oracle plus the
     /// vectorized engine under its bounded-divergence contract.

@@ -1,6 +1,5 @@
 //! The input-regulated buck-boost converter.
 
-use eh_obs::{EnergyBucket, Recorder};
 use eh_units::{Joules, Ratio, Seconds, Volts, Watts};
 
 use crate::efficiency::EfficiencyModel;
@@ -28,16 +27,6 @@ impl HarvestResult {
             output_energy: Joules::ZERO,
             losses: Watts::ZERO,
         }
-    }
-
-    /// Charges this step's conversion losses (`losses · dt`) to the
-    /// recorder's converter-switching energy bucket and counts the step
-    /// when the converter actually transferred power.
-    pub fn observe<R: Recorder + ?Sized>(&self, dt: Seconds, recorder: &mut R) {
-        if self.output_power.value() > 0.0 {
-            recorder.add_counter("converter.transfer_steps", 1);
-        }
-        recorder.charge(EnergyBucket::ConverterSwitching, self.losses * dt);
     }
 }
 
@@ -191,19 +180,6 @@ mod tests {
         let r = c.harvest(Volts::new(1.0), Amps::from_micro(1.0), Seconds::new(1.0));
         assert_eq!(r.output_power, Watts::ZERO);
         assert!((r.losses.value() - r.input_power.value()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn observe_charges_losses_to_the_switching_bucket() {
-        let c = conv();
-        let dt = Seconds::new(10.0);
-        let r = c.harvest(Volts::new(3.0), Amps::from_micro(100.0), dt);
-        let mut m = eh_obs::Metrics::new();
-        r.observe(dt, &mut m);
-        HarvestResult::idle().observe(dt, &mut m);
-        assert_eq!(m.counter("converter.transfer_steps"), 1);
-        let charged = m.ledger().energy(EnergyBucket::ConverterSwitching);
-        assert!((charged.value() - r.losses.value() * 10.0).abs() < 1e-18);
     }
 
     #[test]

@@ -24,13 +24,9 @@ use crate::error::CoreError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FocvSampleHold {
-    k: f64,
-    sample_period: Seconds,
+    kernel: FocvKernel,
+    lane: FocvLane,
     pulse_width: Seconds,
-    overhead: Watts,
-    held_voc: Option<Volts>,
-    since_sample: Seconds,
-    measuring: bool,
 }
 
 impl FocvSampleHold {
@@ -71,14 +67,18 @@ impl FocvSampleHold {
             });
         }
         Ok(Self {
-            k,
-            sample_period,
+            kernel: FocvKernel {
+                k,
+                sample_period,
+                overhead,
+            },
+            lane: FocvLane {
+                held_voc: None,
+                // Fire the first measurement immediately (the power-up PULSE).
+                since_sample: sample_period,
+                measuring: false,
+            },
             pulse_width,
-            overhead,
-            held_voc: None,
-            // Fire the first measurement immediately (the power-up PULSE).
-            since_sample: sample_period,
-            measuring: false,
         })
     }
 
@@ -110,29 +110,30 @@ impl FocvSampleHold {
     ///
     /// Rejects an offset outside `[0, sample_period)`.
     pub fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, CoreError> {
-        if !(offset.value().is_finite() && offset.value() >= 0.0 && offset < self.sample_period) {
+        let period = self.kernel.sample_period;
+        if !(offset.value().is_finite() && offset.value() >= 0.0 && offset < period) {
             return Err(CoreError::InvalidParameter {
                 name: "initial_phase",
                 value: offset.value(),
             });
         }
-        self.since_sample = self.sample_period - offset;
+        self.lane.since_sample = period - offset;
         if offset.value() > 0.0 {
             // Discharged hold capacitor: tracks 0 V (converter off)
             // until the delayed first PULSE takes a real sample.
-            self.held_voc = Some(Volts::ZERO);
+            self.lane.held_voc = Some(Volts::ZERO);
         }
         Ok(self)
     }
 
     /// The trimmed FOCV factor.
     pub fn k(&self) -> f64 {
-        self.k
+        self.kernel.k
     }
 
     /// The hold (sampling) period.
     pub fn sample_period(&self) -> Seconds {
-        self.sample_period
+        self.kernel.sample_period
     }
 
     /// The measurement pulse width (how long the module is disconnected
@@ -143,43 +144,32 @@ impl FocvSampleHold {
 
     /// The currently held open-circuit voltage, if a sample exists.
     pub fn held_voc(&self) -> Option<Volts> {
-        self.held_voc
+        self.lane.held_voc
     }
 
-    /// The lane-invariant part of this tracker, for lane stepping.
+    /// The tracker's immutable parameters.
     ///
-    /// A [`FocvKernel`] plus a [`FocvLane`] snapshot replays the exact
-    /// decision sequence of [`MpptController::step`] without dynamic
-    /// dispatch, so a lane engine can sweep thousands of lanes through
-    /// one monomorphic loop.
+    /// A [`FocvKernel`] stepping a [`FocvLane`] is this tracker's state
+    /// machine without dynamic dispatch: the fast fleet engine runs one
+    /// pair per node in a monomorphic step.
     pub fn kernel(&self) -> FocvKernel {
-        FocvKernel {
-            k: self.k,
-            sample_period: self.sample_period,
-            overhead: self.overhead,
-        }
+        self.kernel
     }
 
     /// A snapshot of this tracker's mutable per-node state (including
     /// the effect of [`FocvSampleHold::with_initial_phase`]), to pair
     /// with [`FocvSampleHold::kernel`].
     pub fn lane(&self) -> FocvLane {
-        FocvLane {
-            held_voc: self.held_voc,
-            since_sample: self.since_sample,
-            measuring: self.measuring,
-        }
+        self.lane
     }
 }
 
-/// The immutable parameters of a [`FocvSampleHold`] tracker, shared by
-/// every lane of a pack: the trimmed FOCV factor, the hold period, and
-/// the metrology overhead.
+/// The immutable parameters of a [`FocvSampleHold`] tracker: the
+/// trimmed FOCV factor, the hold period, and the metrology overhead.
 ///
-/// [`FocvKernel::step`] is an exact transcription of the tracker's
-/// [`MpptController::step`] state machine over an external [`FocvLane`],
-/// so lane engines stepping many lanes through one kernel produce
-/// bit-identical commands to the per-node tracker objects.
+/// [`FocvKernel::step`] is the tracker's state machine over an external
+/// [`FocvLane`]; [`FocvSampleHold`]'s [`MpptController::step`] is that
+/// same call on the tracker's own lane.
 ///
 /// ```
 /// use eh_core::baselines::{FocvDecision, FocvSampleHold};
@@ -223,8 +213,8 @@ impl FocvLane {
     }
 }
 
-/// What one kernel step decided for a lane — the batched counterpart of
-/// [`TrackerCommand`] restricted to what the FOCV tracker can emit.
+/// What one kernel step decided for a lane: the part of
+/// [`TrackerCommand`] the FOCV tracker can emit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FocvDecision {
     /// Hold the module at the given operating voltage.
@@ -250,8 +240,7 @@ impl FocvKernel {
     }
 
     /// Advances one lane by `dt`, given the `Voc` measured during the
-    /// previous step's disconnect (if any). Exact transcription of
-    /// [`FocvSampleHold`]'s [`MpptController::step`].
+    /// previous step's disconnect (if any).
     #[inline]
     pub fn step(
         &self,
@@ -289,31 +278,14 @@ impl MpptController for FocvSampleHold {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        // Capture the measurement made during a disconnect step.
-        if self.measuring {
-            if let Some(voc) = obs.voc_measurement {
-                self.held_voc = Some(voc);
-            }
-            self.measuring = false;
-            self.since_sample = Seconds::ZERO;
-        } else {
-            self.since_sample += dt;
-        }
-
-        if self.since_sample >= self.sample_period {
-            self.measuring = true;
-            return TrackerCommand::measure();
-        }
-
-        match self.held_voc {
-            Some(voc) => TrackerCommand::connect_at(voc * self.k),
-            // No valid sample yet (ACTIVE low): converter stays off.
-            None => TrackerCommand::measure(),
+        match self.kernel.step(&mut self.lane, obs.voc_measurement, dt) {
+            FocvDecision::Connect(target) => TrackerCommand::connect_at(target),
+            FocvDecision::Measure => TrackerCommand::measure(),
         }
     }
 
     fn overhead_power(&self) -> Watts {
-        self.overhead
+        self.kernel.overhead
     }
 
     fn can_cold_start(&self) -> bool {
@@ -415,73 +387,6 @@ mod tests {
         assert!(t().with_initial_phase(Seconds::new(f64::NAN)).is_err());
         assert!(t().with_initial_phase(Seconds::ZERO).is_ok());
         assert!(t().with_initial_phase(Seconds::new(68.9)).is_ok());
-    }
-
-    /// Drives the dyn tracker and the kernel+lane pair through the same
-    /// (voc, dt) sequence and asserts every decision matches bitwise.
-    fn assert_kernel_tracks_the_tracker(mut t: FocvSampleHold, seq: &[(Option<f64>, f64)]) {
-        let kernel = t.kernel();
-        let mut lane = t.lane();
-        for (i, &(voc, dt)) in seq.iter().enumerate() {
-            let cmd = t.step(&obs(voc), Seconds::new(dt));
-            let decision = kernel.step(&mut lane, voc.map(Volts::new), Seconds::new(dt));
-            match decision {
-                FocvDecision::Connect(target) => {
-                    assert!(cmd.is_connect(), "step {i}: kernel connects, tracker not");
-                    assert_eq!(
-                        cmd.target_voltage().map(|v| v.value().to_bits()),
-                        Some(target.value().to_bits()),
-                        "step {i}: targets diverge"
-                    );
-                }
-                FocvDecision::Measure => {
-                    assert!(!cmd.is_connect(), "step {i}: kernel measures, tracker not");
-                }
-            }
-            assert_eq!(
-                lane.held_voc(),
-                t.held_voc(),
-                "step {i}: held samples diverge"
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_replays_the_tracker_bitwise() {
-        // Mixed dts (incl. the 39 ms dwell clamp and exact period hits),
-        // captures, a dropped capture (None while measuring), and long
-        // idle holds.
-        let seq: Vec<(Option<f64>, f64)> = vec![
-            (None, 1.0),
-            (Some(5.44), 0.039),
-            (None, 68.0),
-            (None, 0.961),
-            (None, 0.039), // measuring, but the capture is dropped
-            (Some(5.21), 10.0),
-            (None, 69.0),
-            (Some(4.9), 0.039),
-            (None, 600.0),
-            (Some(0.0), 0.039),
-            (None, 33.3),
-        ];
-        assert_kernel_tracks_the_tracker(FocvSampleHold::paper_prototype().unwrap(), &seq);
-    }
-
-    #[test]
-    fn kernel_replays_initial_phase_lanes() {
-        for offset in [0.0, 10.0, 68.9] {
-            let t = FocvSampleHold::paper_prototype()
-                .unwrap()
-                .with_initial_phase(Seconds::new(offset))
-                .unwrap();
-            let seq: Vec<(Option<f64>, f64)> = (0..160)
-                .map(|i| {
-                    let voc = (i % 7 == 3).then_some(5.0 + f64::from(i) * 0.01);
-                    (voc, if i % 5 == 0 { 0.039 } else { 1.0 })
-                })
-                .collect();
-            assert_kernel_tracks_the_tracker(t, &seq);
-        }
     }
 
     #[test]

@@ -5,14 +5,17 @@
 //! supervisor constants — costs hundreds of milliseconds, which used to
 //! be paid on every [`crate::FleetRunner::run`] call. A [`FleetContext`]
 //! hoists that setup so repeated runs (tracker comparisons, benchmarks,
-//! engine cross-checks) pay it once; both the per-node and the
-//! vectorized engine execute against the same prepared context, which
-//! is also what makes their outputs directly comparable.
+//! engine cross-checks) pay it once. Both engines execute against the
+//! same prepared context, screen cold starts with the same
+//! [`FleetContext`] check, and fold node reports through the same
+//! fleet-order fold, which is also what makes their outputs directly
+//! comparable.
 
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::{week, TimeSeries};
 use eh_node::{NodeSimulation, SimConfig};
 use eh_pv::PvCell;
+use eh_sim::Mergeable as _;
 use eh_units::{Lux, Volts};
 
 use crate::compare::TrackerKind;
@@ -22,6 +25,7 @@ use crate::population::NodeSpec;
 use crate::report::{FleetReport, NodeOutcome};
 use crate::run::Engine;
 use crate::spec::{FleetSpec, Placement};
+use crate::vectorized;
 
 /// The shared, immutable inputs of a fleet run, prepared once: the
 /// validated spec, its seeded population, one base day trace per
@@ -152,7 +156,9 @@ impl FleetContext {
     /// Simulates one shard of nodes through the chosen engine and folds
     /// their reports in fleet order — the public per-shard entry point
     /// long-running callers (the serving layer's streaming and
-    /// checkpoint/resume paths) drive directly.
+    /// checkpoint/resume paths) drive directly. Both engines run each
+    /// node on its own [`eh_sim::drive`] loop; they differ only in the
+    /// stepper.
     ///
     /// Folding the returned shard reports in shard index order
     /// reproduces [`crate::FleetRunner`]'s output **bit for bit** at
@@ -169,24 +175,15 @@ impl FleetContext {
         engine: Engine,
         nodes: Vec<NodeSpec>,
     ) -> Result<FleetReport, FleetError> {
-        match engine {
-            Engine::Vectorized => crate::vectorized::simulate_shard(self, kind, nodes),
-            Engine::PerNode => {
-                // The one per-node shard fold: an oracle simulation per
-                // node, folded in fleet order. The vectorized engine
-                // hands every shard it has no wide lane for to it.
-                use eh_sim::Mergeable as _;
-                let mut merged: Option<Result<FleetReport, FleetError>> = None;
-                for node in nodes {
-                    let single = self.simulate_node(kind, node);
-                    match merged.as_mut() {
-                        None => merged = Some(single),
-                        Some(m) => m.merge(single),
-                    }
-                }
-                crate::run::merged_or_empty(merged)
-            }
+        // The fast engine has a stepper for FOCV on cached surfaces
+        // only; every other shard takes the per-node oracle.
+        if engine == Engine::Vectorized && kind == TrackerKind::Focv && self.spec.pv_cache {
+            let shared = vectorized::Shared::new(&self.spec)?;
+            return fold_in_fleet_order(nodes, |node| {
+                vectorized::simulate_node(self, &shared, node)
+            });
         }
+        fold_in_fleet_order(nodes, |node| self.simulate_node(kind, node))
     }
 
     /// The shared base trace of a placement in use.
@@ -203,14 +200,19 @@ impl FleetContext {
             .expect("every placement in use has a warmed cell")
     }
 
-    /// The cold-start supervisor model.
-    pub(crate) fn cold(&self) -> &ColdStart {
-        &self.cold
-    }
-
-    /// The supervisor knee: enable threshold plus steering-diode drop.
-    pub(crate) fn knee(&self) -> Volts {
-        self.knee
+    /// Analytic cold-start feasibility of a node whose light peaks at
+    /// `peak`, the screening both engines apply: the module must push
+    /// the supervisor's C1 past the enable threshold through the
+    /// steering diode (Voc above the knee) while out-supplying the
+    /// supervisor's quiescent draw (current at the knee).
+    pub(crate) fn cold_start_ok(
+        &self,
+        placement: Placement,
+        peak: Lux,
+    ) -> Result<bool, FleetError> {
+        let cell = self.cell(placement);
+        Ok(cell.open_circuit_voltage(peak)? > self.knee
+            && cell.current_at(self.knee, peak)? > self.cold.supervisor_current())
     }
 
     /// Simulates one node with the per-node oracle engine — the body
@@ -222,18 +224,9 @@ impl FleetContext {
         node: NodeSpec,
     ) -> Result<FleetReport, FleetError> {
         let spec = &self.spec;
-        let base = self.base_trace(node.placement);
-        let trace = node.perturbation.apply(base);
+        let trace = node.perturbation.apply(self.base_trace(node.placement));
+        let cold_start_ok = self.cold_start_ok(node.placement, Lux::new(trace.max()))?;
         let cell = self.cell(node.placement).clone();
-
-        // Analytic cold-start feasibility: at this node's own peak
-        // illuminance, the module must push the supervisor's C1
-        // past the enable threshold through the steering diode
-        // while out-supplying the supervisor's quiescent draw.
-        let peak = Lux::new(trace.max());
-        let cold_start_ok = cell.open_circuit_voltage(peak)? > self.knee
-            && cell.current_at(self.knee, peak)? > self.cold.supervisor_current();
-
         let mut tracker = kind.build(&node, &cell)?;
         let config = SimConfig {
             cell,
@@ -257,6 +250,24 @@ impl FleetContext {
     }
 }
 
+/// Folds per-node reports in fleet order, the one shard fold of both
+/// engines: the first error in fleet order wins, and an empty shard is
+/// [`FleetError::EmptyFleet`].
+fn fold_in_fleet_order(
+    nodes: Vec<NodeSpec>,
+    mut simulate: impl FnMut(NodeSpec) -> Result<FleetReport, FleetError>,
+) -> Result<FleetReport, FleetError> {
+    let mut merged: Option<Result<FleetReport, FleetError>> = None;
+    for node in nodes {
+        let single = simulate(node);
+        match merged.as_mut() {
+            None => merged = Some(single),
+            Some(m) => m.merge(single),
+        }
+    }
+    crate::run::merged_or_empty(merged)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +286,7 @@ mod tests {
             assert!(ctx.base_trace(node.placement).len() > 1);
             let _ = ctx.cell(node.placement);
         }
-        assert!(ctx.knee().value() > 0.0);
+        assert!(ctx.knee.value() > 0.0);
     }
 
     #[test]

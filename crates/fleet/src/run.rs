@@ -5,7 +5,7 @@
 //!     │                                        │
 //!     │              ┌─ per-node engine ───────┤ shards ──▶ SweepRunner
 //!     └─ Engine ─────┤                         │               │ fold
-//!                    └─ vectorized (SoA) ──────┘               ▼
+//!                    └─ vectorized ────────────┘               ▼
 //!                       FleetReport ◀──merge in shard index order
 //! ```
 //!
@@ -15,11 +15,12 @@
 //! per-shard aggregates merge in shard index order. The result is
 //! bit-for-bit identical at any worker count.
 //!
-//! Two engines execute a shard: the per-node oracle (one boxed tracker
-//! and store per node, the reference semantics) and the wide-lane
-//! vectorized engine in [`crate::vectorized`], which steps the FOCV
-//! tracker about twice as fast under a bounded-divergence contract and
-//! hands every other shard to the per-node fold.
+//! Two engines execute a shard, both stepping each node through
+//! [`eh_sim::drive`] and folding the reports in fleet order: the
+//! per-node oracle (one boxed tracker and store per node, the reference
+//! semantics) and the fast engine in [`crate::vectorized`], which steps
+//! the FOCV tracker about twice as fast under a bounded-divergence
+//! contract and hands every other shard to the per-node fold.
 
 use eh_sim::SweepRunner;
 
@@ -36,13 +37,16 @@ pub enum Engine {
     /// per node. Slow but maximally simple — the oracle the vectorized
     /// engine is equivalence-tested against.
     PerNode,
-    /// The wide-lane vectorized engine ([`crate::vectorized`]), and the
-    /// default: lane packs step in lockstep with strength-reduced
-    /// physics (prefix-sum load profile, energy-domain supercap,
-    /// cursored PV reads). Not bit-identical to the oracle — counts and
-    /// classifications are exact, energies agree to rel 1e-9, and the
-    /// engine is bit-identical to itself at any worker count and shard
-    /// size.
+    /// The fast engine (this crate's `vectorized` module), and the
+    /// default: one monomorphic FOCV stepper per node on the oracle's
+    /// time loop, with strength-reduced physics (prefix-sum load
+    /// profile, energy-domain supercap, cursored PV reads). Not
+    /// bit-identical to the oracle — counts and classifications are
+    /// exact, energies agree to rel 1e-9, and the engine is
+    /// bit-identical to itself at any worker count and shard size. The
+    /// name predates the per-node stepper (the engine once stepped lane
+    /// packs in lockstep) and is kept because it is the engine's wire
+    /// label and part of every cache key.
     #[default]
     Vectorized,
 }

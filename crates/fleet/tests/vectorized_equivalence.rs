@@ -1,4 +1,4 @@
-//! Bounded-divergence contract of the wide-lane vectorized engine.
+//! Bounded-divergence contract of the fast (`vectorized`) engine.
 //!
 //! The vectorized engine is **not** bit-identical to the per-node
 //! oracle — its strength reductions (cursored PV reads, energy-domain
@@ -12,17 +12,20 @@
 //! 2. Per-node energy totals agree to **rel 1e-9**.
 //! 3. The engine is **bit-identical to itself** across seeds × worker
 //!    counts {1, 2, 4} × shard sizes {1, 32, 257}.
-//! 4. Everything without a wide lane (other trackers, `pv_cache:
+//! 4. Everything without a fast stepper (other trackers, `pv_cache:
 //!    false`) goes to the per-node shard fold and stays bit-identical
 //!    across the same seed × worker × shard matrix.
 //! 5. Growing the fleet leaves the outcomes of the existing prefix
 //!    unchanged.
+//! 6. The engine's own output is pinned bit for bit by recorded golden
+//!    digests, so a refactor of the fast path can show it moved no bit.
 
 use eh_fleet::{
     compare_trackers_over_fleet_with, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
     TrackerKind,
 };
-use eh_units::Seconds;
+use eh_node::StoreSpec;
+use eh_units::{Joules, Seconds};
 
 /// A fast, fully heterogeneous spec: every placement, 10-minute light
 /// grid, 10-minute step.
@@ -335,4 +338,121 @@ fn engine_aware_comparison_matrix_honours_the_contract() {
             assert_eq!(report_a, report_b, "{}: delegation lane", kind_a.label());
         }
     }
+}
+
+/// FNV-1a over a canonical rendering of `report`: every per-node
+/// field's bit pattern, the integer counts, and the merged metric store
+/// (whose JSON export renders each `f64` in shortest round-trip form,
+/// so equal digests mean equal bits).
+fn digest(report: &FleetReport) -> u64 {
+    use std::fmt::Write as _;
+    let mut text = format!("{}|{}\n", report.name, report.tracker);
+    for o in &report.outcomes {
+        let r = &o.report;
+        let _ = write!(
+            text,
+            "{} {} {} {} {} {}",
+            o.id,
+            o.placement.index(),
+            o.cold_start_ok,
+            r.tracker,
+            r.measurements,
+            r.decisions
+        );
+        for x in [
+            r.duration.value(),
+            r.gross_energy.value(),
+            r.overhead_energy.value(),
+            r.load_demand.value(),
+            r.load_served.value(),
+            r.final_store_energy.value(),
+            r.loss_energy.value(),
+            r.compute_energy.value(),
+        ] {
+            let _ = write!(text, " {:016x}", x.to_bits());
+        }
+        let node_metrics = r.metrics.as_ref().map(eh_obs::Metrics::to_json);
+        let _ = writeln!(text, " {node_metrics:?}");
+    }
+    let merged = report.metrics.as_ref().map(eh_obs::Metrics::to_json);
+    let _ = write!(text, "{merged:?}");
+    text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Golden values of the fast engine, recorded from the lane-pack
+/// implementation this engine replaced: any refactor of the FOCV fast
+/// path must reproduce them bit for bit. Each row is `(fleet, dt, obs,
+/// shard size, total measurements, total decisions, digest)`. The bits
+/// are those of an x86-64 glibc build; a libm that rounds `ln`/`exp`
+/// differently moves the digests, not the counts.
+#[test]
+fn vectorized_output_matches_its_recorded_golden_bits() {
+    // Three small day-long fleets: five nodes at dt 1 s on a 10-minute
+    // light grid; nine at dt 60 s on the reference 1-minute grid; and
+    // the same nine on a battery with no load (`bat`), which takes the
+    // exact store arithmetic instead of the energy-domain supercap.
+    let fleet = |which: &str, dt: f64, obs: bool| {
+        let (nodes, seed, decimate) = if which == "dt1" {
+            (5, 2011, 600)
+        } else {
+            (9, 7, 60)
+        };
+        let mut spec = FleetSpec::mixed_indoor_outdoor(nodes, seed).unwrap();
+        spec.trace_decimate = decimate;
+        spec.dt = Seconds::new(dt);
+        spec.obs = obs;
+        if which == "bat" {
+            spec.store = StoreSpec::Battery {
+                capacity: Joules::new(20.0),
+                charge_efficiency: 0.9,
+                self_discharge_per_month: 0.03,
+                initial_soc: 0.5,
+            };
+            spec.load = None;
+        }
+        spec
+    };
+    let expected: &[(&str, f64, bool, usize, u64, u64, u64)] = &[
+        ("dt1", 1.0, false, 1, 6341, 438104, 0x387e_0c8b_6a82_f8a8),
+        ("dt1", 1.0, false, 7, 6341, 438104, 0x387e_0c8b_6a82_f8a8),
+        ("dt1", 1.0, true, 1, 6341, 438104, 0xcb1e_4c7b_266b_c0ca),
+        ("dt1", 1.0, true, 7, 6341, 438104, 0xcb1e_4c7b_266b_c0ca),
+        ("dt60", 60.0, false, 1, 6480, 19440, 0x7cc9_a4c1_81f4_4f54),
+        ("dt60", 60.0, false, 7, 6480, 19440, 0x7cc9_a4c1_81f4_4f54),
+        ("dt60", 60.0, true, 1, 6480, 19440, 0x2fe9_5849_4b37_8d61),
+        ("dt60", 60.0, true, 7, 6480, 19440, 0x058d_5e5b_22b2_dfc7),
+        ("bat", 60.0, false, 1, 6480, 19440, 0x14b7_2aa0_baef_196a),
+        ("bat", 60.0, false, 7, 6480, 19440, 0x14b7_2aa0_baef_196a),
+        ("bat", 60.0, true, 1, 6480, 19440, 0x5235_d279_cc86_cf21),
+        ("bat", 60.0, true, 7, 6480, 19440, 0x5235_d279_cc86_cf21),
+    ];
+    let mut got = Vec::new();
+    for (which, dt) in [("dt1", 1.0), ("dt60", 60.0), ("bat", 60.0)] {
+        for obs in [false, true] {
+            for shard in [1, 7] {
+                let runner = FleetRunner::new(2).with_shard_size(shard);
+                let report = runner
+                    .run_engine(
+                        &fleet(which, dt, obs),
+                        TrackerKind::Focv,
+                        Engine::Vectorized,
+                    )
+                    .unwrap();
+                let measurements = report.outcomes.iter().map(|o| o.report.measurements);
+                let decisions = report.outcomes.iter().map(|o| o.report.decisions);
+                got.push((
+                    which,
+                    dt,
+                    obs,
+                    shard,
+                    measurements.sum::<u64>(),
+                    decisions.sum::<u64>(),
+                    digest(&report),
+                ));
+            }
+        }
+    }
+    assert_eq!(got, expected);
 }

@@ -217,76 +217,6 @@ impl DutyCycledLoad {
         Joules::new(energy)
     }
 
-    /// [`energy_demand`] driven by an incremental phase cursor instead
-    /// of the absolute clock: the cursor carries the intra-period
-    /// position across calls, so the per-call `rem_euclid` (an `fmod`,
-    /// the hottest scalar op in the fleet step profile) disappears from
-    /// the hot path. The walk itself is the same exact phase-folded
-    /// integration; within a call the wrap uses a conditional
-    /// subtraction that is bit-identical to the `%` in
-    /// [`energy_demand`].
-    ///
-    /// Across calls the cursor position drifts from
-    /// `t.rem_euclid(period)` only by the rounding of its running
-    /// addition — bounded (and in practice smaller than the drift of
-    /// accumulating `t` itself) and property-tested over multi-year
-    /// step counts in `tests/properties.rs`.
-    ///
-    /// The cursor must have been created with this load's period (see
-    /// [`DutyCycledLoad::phase_cursor`]); a mismatched period walks the
-    /// wrong schedule.
-    ///
-    /// [`energy_demand`]: Self::energy_demand
-    #[inline]
-    pub fn energy_demand_with_cursor(
-        &self,
-        cursor: &mut eh_analog::phase::PhaseAccumulator,
-        dt: Seconds,
-    ) -> Joules {
-        if dt.value() <= 0.0 {
-            return Joules::ZERO;
-        }
-        let period = self.period.value();
-        // Whole cycles return the position to where it started, so only
-        // the partial remainder walks the cursor.
-        let cycles = (dt.value() / period).floor();
-        let mut energy = cycles * self.average_power().value() * period;
-        let mut rem = dt.value() - cycles * period;
-        let mut pos = cursor.position();
-        while rem > 1e-15 {
-            let mut acc = 0.0;
-            let mut advanced = false;
-            for p in &self.phases {
-                if pos < acc + p.duration.value() {
-                    let span = (acc + p.duration.value() - pos).min(rem);
-                    energy += p.power.value() * span;
-                    // `pos + span <= period + rounding`, so one
-                    // conditional subtraction matches `%` bit-for-bit.
-                    pos += span;
-                    if pos >= period {
-                        pos -= period;
-                    }
-                    rem -= span;
-                    advanced = true;
-                    break;
-                }
-                acc += p.duration.value();
-            }
-            if !advanced {
-                pos = 0.0;
-            }
-        }
-        cursor.set_position(pos);
-        Joules::new(energy)
-    }
-
-    /// Creates a phase cursor for this load positioned at absolute time
-    /// `t` (pays the one-off `rem_euclid`).
-    pub fn phase_cursor(&self, t: Seconds) -> eh_analog::phase::PhaseAccumulator {
-        eh_analog::phase::PhaseAccumulator::new(self.period.value(), t.value())
-            .expect("load periods are validated positive and finite")
-    }
-
     /// Precomputes the cumulative-energy form of this load for
     /// [`LoadEnergyProfile::energy_over`] — the fleet step path that
     /// replaces the per-step phase *walk* with two prefix-sum lookups.
@@ -465,42 +395,6 @@ mod tests {
         let e = motor.energy_demand(Seconds::ZERO, motor.period());
         let expect = motor.average_power().value() * motor.period().value();
         assert!((e.value() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cursor_demand_matches_absolute_demand_cumulatively() {
-        // Per-step energies may differ at the rounding level when a
-        // window straddles a phase boundary (the cursor and the
-        // re-derived clock position disagree by ~ulp, shifting a sliver
-        // of span between phases), but the cumulative integral — the
-        // quantity the net-energy contract bounds — must agree tightly.
-        let l = load();
-        let mut cursor = l.phase_cursor(Seconds::new(5.0));
-        let mut t = 5.0f64;
-        let (mut sum_clock, mut sum_cursor) = (0.0f64, 0.0f64);
-        // Alternate fleet-like steps: 60 s connects and 39 ms dwells.
-        for i in 0..10_000 {
-            let dt = if i % 3 == 0 { 0.039 } else { 60.0 };
-            sum_clock += l.energy_demand(Seconds::new(t), Seconds::new(dt)).value();
-            sum_cursor += l
-                .energy_demand_with_cursor(&mut cursor, Seconds::new(dt))
-                .value();
-            t += dt;
-        }
-        let rel = (sum_clock - sum_cursor).abs() / sum_clock;
-        assert!(rel < 1e-9, "cumulative divergence {rel}");
-    }
-
-    #[test]
-    fn cursor_zero_dt_demand_leaves_cursor_unchanged() {
-        let l = load();
-        let mut cursor = l.phase_cursor(Seconds::new(3.0));
-        let before = cursor.position();
-        assert_eq!(
-            l.energy_demand_with_cursor(&mut cursor, Seconds::ZERO),
-            Joules::ZERO
-        );
-        assert_eq!(cursor.position(), before);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Run reports.
 
-use eh_obs::Metrics;
+use eh_obs::{Metrics, Recorder as _};
+use eh_sim::Accumulator;
 use eh_units::{Joules, Ratio, Seconds};
+
+use crate::error::NodeError;
+use crate::sim::ObsLocals;
 
 /// Result of a closed-loop node run with one tracker.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +40,57 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
+    /// Assembles a finished run's report from its ledgers — the one
+    /// assembly every node engine shares.
+    ///
+    /// With observability on, `metrics` already holds the drive loop's
+    /// statistics; this flushes the per-step `obs` locals into it, adds
+    /// the run's counters (`tracker.ops` is `decisions ×
+    /// ops_per_decision`), and checks conservation: the per-bucket
+    /// ledger (overhead split by phase, converter losses, load served,
+    /// compute) must re-sum to the lump closed-loop accumulators. The
+    /// two group the same per-step additions differently, so this
+    /// catches a forgotten or double-charged bucket, not just rounding.
+    ///
+    /// # Errors
+    ///
+    /// Returns the ledger's conservation error when the two sums differ
+    /// by more than 1e-9 relative.
+    pub fn assemble(
+        tracker: String,
+        duration: Seconds,
+        acc: &Accumulator,
+        final_store_energy: Joules,
+        ops_per_decision: u64,
+        obs: &ObsLocals,
+        mut metrics: Option<Metrics>,
+    ) -> Result<Self, NodeError> {
+        if let Some(m) = metrics.as_mut() {
+            // The ledger is incomplete until the locals land.
+            obs.flush(m);
+            m.add_counter("node.measurements", acc.measurements);
+            m.add_counter("tracker.decisions", acc.decisions);
+            m.add_counter("tracker.ops", acc.decisions * ops_per_decision);
+            let closed_loop =
+                acc.overhead_energy + acc.loss_energy + acc.load_served + acc.compute_energy;
+            m.ledger().check_conservation(closed_loop, 1e-9)?;
+        }
+        Ok(Self {
+            tracker,
+            duration,
+            gross_energy: acc.gross_energy,
+            overhead_energy: acc.overhead_energy,
+            load_demand: acc.load_demand,
+            load_served: acc.load_served,
+            final_store_energy,
+            loss_energy: acc.loss_energy,
+            compute_energy: acc.compute_energy,
+            measurements: acc.measurements,
+            decisions: acc.decisions,
+            metrics,
+        })
+    }
+
     /// `gross − overhead − compute`: the tracker's net contribution.
     pub fn net_energy(&self) -> Joules {
         Joules::new(

@@ -136,10 +136,8 @@ impl ObsLocals {
         }
     }
 
-    /// The local counterpart of
-    /// [`eh_converter::HarvestResult::observe`]: counts the step when
-    /// power actually transferred and accrues `losses · dt` toward the
-    /// converter-switching bucket.
+    /// Counts the step when the converter actually transferred power
+    /// and accrues `losses · dt` toward the converter-switching bucket.
     #[inline]
     pub fn observe_harvest(&mut self, harvest: &eh_converter::HarvestResult, dt: Seconds) {
         if harvest.output_power.value() > 0.0 {
@@ -250,7 +248,7 @@ impl NodeSimulation {
         let light = Light::trace(trace);
         let has_sensor = tracker.requires_light_sensor();
         let compute_cost = tracker.compute_cost();
-        let metrics = self.config.obs.then(Box::default);
+        let metrics = self.config.obs.then(Metrics::new);
         let mut stepper = NodeStepper {
             config: &mut self.config,
             tracker: &mut *tracker,
@@ -266,40 +264,18 @@ impl NodeSimulation {
             metrics,
         };
         drive(&mut stepper, &light, dt)?;
-        let acc = stepper.acc;
-
-        let mut metrics = stepper.metrics.take().map(|b| *b);
-        if let Some(m) = metrics.as_mut() {
-            // Flush the per-step locals before the conservation check —
-            // the ledger is incomplete until they land.
-            stepper.obs.flush(m);
-            m.add_counter("node.measurements", acc.measurements);
-            m.add_counter("tracker.decisions", acc.decisions);
-            m.add_counter("tracker.ops", acc.decisions * compute_cost.ops_per_decision);
-            // Conservation: the per-bucket ledger (overhead split by
-            // phase, converter losses, load served, compute) must re-sum
-            // to the lump closed-loop accumulators. The two paths group
-            // the same per-step additions differently, so this catches a
-            // forgotten or double-charged bucket, not just rounding.
-            let closed_loop =
-                acc.overhead_energy + acc.loss_energy + acc.load_served + acc.compute_energy;
-            m.ledger().check_conservation(closed_loop, 1e-9)?;
-        }
-
-        Ok(NodeReport {
-            tracker: tracker.name().to_owned(),
-            duration: trace.duration(),
-            gross_energy: acc.gross_energy,
-            overhead_energy: acc.overhead_energy,
-            load_demand: acc.load_demand,
-            load_served: acc.load_served,
-            final_store_energy: self.config.store.stored_energy(),
-            loss_energy: acc.loss_energy,
-            compute_energy: acc.compute_energy,
-            measurements: acc.measurements,
-            decisions: acc.decisions,
+        let NodeStepper {
+            acc, obs, metrics, ..
+        } = stepper;
+        NodeReport::assemble(
+            tracker.name().to_owned(),
+            trace.duration(),
+            &acc,
+            self.config.store.stored_energy(),
+            compute_cost.ops_per_decision,
+            &obs,
             metrics,
-        })
+        )
     }
 }
 
@@ -318,7 +294,7 @@ struct NodeStepper<'a> {
     last_voc: Option<Volts>,
     last_isc: Option<Amps>,
     obs: ObsLocals,
-    metrics: Option<Box<Metrics>>,
+    metrics: Option<Metrics>,
 }
 
 impl Stepper for NodeStepper<'_> {
@@ -435,7 +411,7 @@ impl Stepper for NodeStepper<'_> {
     }
 
     fn recorder(&mut self) -> Option<&mut Metrics> {
-        self.metrics.as_deref_mut()
+        self.metrics.as_mut()
     }
 }
 

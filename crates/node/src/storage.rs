@@ -573,8 +573,8 @@ impl StoreSpec {
 ///
 /// `Box<dyn EnergyStore>` costs a virtual call per deposit / withdraw /
 /// leak — three per simulated step. A `ConcreteStore` dispatches with a
-/// three-way match the optimiser can inline, which is what the
-/// struct-of-arrays vectorized engine keeps per lane. Both forms are built
+/// three-way match the optimiser can inline, which is what the fast
+/// fleet engine's per-node stepper keeps. Both forms are built
 /// from the same constructors ([`StoreSpec::build`] delegates to
 /// [`StoreSpec::build_concrete`]), so their state sequences are
 /// bit-identical.

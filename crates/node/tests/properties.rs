@@ -188,29 +188,6 @@ proptest! {
         }
     }
 
-    /// The load's phase-cursor walk stays within the net-energy
-    /// divergence budget against the absolute-clock walk over random
-    /// step sequences.
-    #[test]
-    fn cursor_demand_tracks_clock_demand(
-        start in 0.0..100.0f64,
-        dts in proptest::collection::vec(0.001..120.0f64, 1..500),
-    ) {
-        let load = DutyCycledLoad::typical_sensor_node().expect("valid load");
-        let mut cursor = load.phase_cursor(Seconds::new(start));
-        let mut t = start;
-        let (mut sum_clock, mut sum_cursor) = (0.0f64, 0.0f64);
-        for dt in dts {
-            sum_clock += load.energy_demand(Seconds::new(t), Seconds::new(dt)).value();
-            sum_cursor += load
-                .energy_demand_with_cursor(&mut cursor, Seconds::new(dt))
-                .value();
-            t += dt;
-        }
-        prop_assert!(rel_err(sum_clock, sum_cursor) < 1e-9,
-            "cumulative load divergence: {sum_clock} vs {sum_cursor}");
-    }
-
     /// The prefix-sum [`eh_node::LoadEnergyProfile`] tracks the
     /// absolute-clock walk per step and cumulatively over random step
     /// sequences — the load half of the vectorized engine's
@@ -240,62 +217,29 @@ proptest! {
     }
 }
 
-/// The prefix-sum profile agrees with the phase-cursor walk over a
+/// The prefix-sum profile agrees with the absolute-clock walk over a
 /// multi-year step count at the fleet's FOCV cadence — the long-horizon
 /// guarantee `LoadEnergyProfile`'s docs promise.
 #[test]
-fn energy_profile_matches_cursor_walk_over_two_years() {
+fn energy_profile_matches_clock_walk_over_two_years() {
     let load = DutyCycledLoad::typical_sensor_node().expect("valid load");
     let profile = load.energy_profile();
-    let mut cursor = load.phase_cursor(Seconds::ZERO);
     let mut pos = 0.0f64;
-    let (mut sum_cursor, mut sum_profile) = (0.0f64, 0.0f64);
+    let mut t = 0.0f64;
+    let (mut sum_clock, mut sum_profile) = (0.0f64, 0.0f64);
     let steps = 2 * 365 * 1440; // two years of 60 s steps
     for i in 0..steps {
         // Every third step is a 39 ms measurement dwell, like FOCV.
         let dt = Seconds::new(if i % 3 == 0 { 0.039 } else { 60.0 });
-        sum_cursor += load.energy_demand_with_cursor(&mut cursor, dt).value();
+        sum_clock += load.energy_demand(Seconds::new(t), dt).value();
         sum_profile += profile.energy_over(&mut pos, dt).value();
+        t += dt.value();
     }
-    let rel = (sum_cursor - sum_profile).abs() / sum_cursor.abs();
+    let rel = (sum_clock - sum_profile).abs() / sum_clock.abs();
     assert!(
         rel < 1e-9,
-        "two-year load divergence: {sum_cursor} vs {sum_profile} (rel {rel:e})"
+        "two-year load divergence: {sum_clock} vs {sum_profile} (rel {rel:e})"
     );
     let period = profile.period();
     assert!((0.0..period).contains(&pos), "position stays in cycle");
-}
-
-/// The incremental phase accumulator agrees with per-step `rem_euclid`
-/// over a multi-year step count — two simulated years of the fleet's
-/// 60 s cadence plus measurement dwells.
-#[test]
-fn phase_accumulator_matches_rem_euclid_over_two_years() {
-    let period = DutyCycledLoad::typical_sensor_node()
-        .expect("valid load")
-        .period()
-        .value();
-    let mut acc = eh_analog::phase::PhaseAccumulator::new(period, 0.0).expect("valid period");
-    let mut t = 0.0f64;
-    let steps = 2 * 365 * 1440; // two years of 60 s steps
-    for i in 0..steps {
-        // Every third step is a 39 ms measurement dwell, like FOCV.
-        let dt = if i % 3 == 0 { 0.039 } else { 60.0 };
-        acc.advance(dt);
-        t += dt;
-    }
-    let reference = t.rem_euclid(period);
-    // Wrap-aware distance: positions a hair on either side of the period
-    // boundary are close.
-    let d = (acc.position() - reference).abs();
-    let d = d.min(period - d);
-    // The accumulator's own drift is ~1e-11 over 1M steps; the dominant
-    // term here is the rounding of accumulating `t` itself.
-    assert!(
-        d < 1e-4,
-        "accumulator {} vs rem_euclid {}",
-        acc.position(),
-        reference
-    );
-    assert!(acc.position() >= 0.0 && acc.position() < period);
 }

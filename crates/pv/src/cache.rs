@@ -76,9 +76,9 @@ pub struct ConnectPoint {
     pub current: Option<Amps>,
 }
 
-/// A per-lane memo of the last resolved log-lux cell, for
-/// [`CachedPvSurface::connect_point_lane`] /
-/// [`CachedPvSurface::eval_lanes`].
+/// A per-node memo of the last resolved log-lux cell, for
+/// [`CachedPvSurface::connect_point_lane`] and
+/// [`CachedPvSurface::open_circuit_voltage_lane`].
 ///
 /// The `ln` in [`CachedPvSurface`]'s cell index is one of the three
 /// hottest scalar ops in the fleet step profile (DESIGN.md §10), yet
@@ -93,7 +93,7 @@ pub struct ConnectPoint {
 /// own documented 1e-3 interpolation bound and the fleet's rel-1e-9
 /// net-energy contract.
 ///
-/// One cursor per (lane, surface): pointing a cursor at a different
+/// One cursor per (node, surface): pointing a cursor at a different
 /// [`CachedPvSurface`] without resetting it reads the wrong cell.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LuxCursor {
@@ -403,10 +403,9 @@ impl CachedPvSurface {
     }
 
     /// The bilinear shape-table read behind every in-domain current
-    /// query, shared so the scalar, batched, and connect-point entry
-    /// points are bit-identical by construction. Requires `0 ≤ vv ≤
-    /// voc_q` and an in-domain `l` with `(j, tx)` from
-    /// [`CachedPvSurface::lux_cell`].
+    /// query, shared so the scalar and connect-point entry points are
+    /// bit-identical by construction. Requires `0 ≤ vv ≤ voc_q` and an
+    /// in-domain `l` with `(j, tx)` from [`CachedPvSurface::lux_cell`].
     #[inline]
     fn shape_current(&self, vv: f64, j: usize, tx: f64, voc_q: f64, l: f64) -> f64 {
         self.shape_factor(vv, j, tx, voc_q) * self.isc_interp(j, l)
@@ -507,7 +506,7 @@ impl CachedPvSurface {
         (j, tx, lo, inv_w)
     }
 
-    /// [`CachedPvSurface::open_circuit_voltage`] through a per-lane
+    /// [`CachedPvSurface::open_circuit_voltage`] through a per-node
     /// [`LuxCursor`]. Out-of-domain and invalid illuminances invalidate
     /// the cursor and delegate to the scalar path, so those answers stay
     /// bit-identical to the uncached fallback; in-domain answers diverge
@@ -533,7 +532,7 @@ impl CachedPvSurface {
         Ok(Volts::new(self.voc_interp(j, tx)))
     }
 
-    /// [`CachedPvSurface::connect_point`] through a per-lane
+    /// [`CachedPvSurface::connect_point`] through a per-node
     /// [`LuxCursor`] — the vectorized fleet engine's per-step surface
     /// read. Same fused semantics as the scalar query; the cursor only
     /// replaces the `ln`-derived cell index while the illuminance stays
@@ -572,78 +571,6 @@ impl CachedPvSurface {
             None
         };
         Ok(ConnectPoint { voc, v_op, current })
-    }
-
-    /// Evaluates one connect point per active lane through per-lane
-    /// cursors: `out[i] = connect_point_lane(cursors[i], targets[i],
-    /// luxes[i])` for every `i` with `active[i]`; inactive lanes are
-    /// left untouched. All slices must share one length (the engine's
-    /// lane width).
-    ///
-    /// # Errors
-    ///
-    /// Rejects mismatched slice lengths as [`PvError::InvalidParameter`];
-    /// lane errors abort at the first failing lane (lowest index),
-    /// matching a scalar loop's error order.
-    pub fn eval_lanes(
-        &self,
-        targets: &[Volts],
-        luxes: &[Lux],
-        active: &[bool],
-        cursors: &mut [LuxCursor],
-        out: &mut [ConnectPoint],
-    ) -> Result<(), PvError> {
-        let n = targets.len();
-        if luxes.len() != n || active.len() != n || cursors.len() != n || out.len() != n {
-            return Err(PvError::InvalidParameter {
-                name: "eval_lanes slice lengths (must all equal the lane width)",
-                value: n as f64,
-            });
-        }
-        for i in 0..n {
-            if active[i] {
-                out[i] = self.connect_point_lane(&mut cursors[i], targets[i], luxes[i])?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Evaluates terminal currents for a batch of interleaved
-    /// `(voltage, lux)` pairs: `v_lux = [v0, l0, v1, l1, …]`,
-    /// `out[i] = I(vᵢ, lᵢ)` in amps.
-    ///
-    /// Each element goes through exactly the scalar
-    /// [`CachedPvSurface::current_at`] path — same validation, same
-    /// exact-solver fallback — so the outputs are bit-identical to a
-    /// scalar loop; the slice orientation is what lets batch engines
-    /// evaluate a whole shard (e.g. every node's cold-start feasibility
-    /// current) without per-call dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an odd `v_lux` length or a mismatched `out` length as
-    /// [`PvError::InvalidParameter`]; element errors abort at the first
-    /// failing pair (lowest index), matching a scalar loop's error
-    /// order.
-    pub fn eval_many(&self, v_lux: &[f64], out: &mut [f64]) -> Result<(), PvError> {
-        if !v_lux.len().is_multiple_of(2) {
-            return Err(PvError::InvalidParameter {
-                name: "v_lux length (must be even: interleaved v, lux pairs)",
-                value: v_lux.len() as f64,
-            });
-        }
-        if out.len() * 2 != v_lux.len() {
-            return Err(PvError::InvalidParameter {
-                name: "out length (must be v_lux length / 2)",
-                value: out.len() as f64,
-            });
-        }
-        for (slot, pair) in out.iter_mut().zip(v_lux.chunks_exact(2)) {
-            *slot = self
-                .current_at(Volts::new(pair[0]), Lux::new(pair[1]))?
-                .value();
-        }
-        Ok(())
     }
 
     /// Output power at terminal voltage `v`.

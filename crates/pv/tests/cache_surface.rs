@@ -357,57 +357,6 @@ fn connect_point_in_the_dark_has_no_current() {
     assert!(p.current.is_none());
 }
 
-/// `eval_many` over interleaved `(v, lux)` pairs must equal a scalar
-/// `current_at` loop bit-for-bit, including out-of-domain fallbacks.
-#[test]
-fn eval_many_matches_the_scalar_loop_bitwise() {
-    let surf = surface();
-    let probes: Vec<(f64, f64)> = vec![
-        (0.0, 0.05),
-        (0.3, 1.0),
-        (1.2, 250.0),
-        (2.0, 1.0e4),
-        (1.9, 2.0e5),
-        (0.5, 0.01),  // below the domain: exact fallback
-        (0.5, 3.0e5), // above the domain: exact fallback
-        (0.0, 0.0),   // dark
-    ];
-    let v_lux: Vec<f64> = probes.iter().flat_map(|&(v, l)| [v, l]).collect();
-    let mut out = vec![0.0; probes.len()];
-    surf.eval_many(&v_lux, &mut out).expect("batch eval");
-    for (i, &(v, l)) in probes.iter().enumerate() {
-        let scalar = surf
-            .current_at(Volts::new(v), Lux::new(l))
-            .expect("scalar eval");
-        assert_eq!(
-            out[i].to_bits(),
-            scalar.value().to_bits(),
-            "probe {i}: v={v} lux={l}"
-        );
-    }
-}
-
-/// Shape errors are typed, not panics, and element errors surface the
-/// lowest failing index (scalar-loop error order).
-#[test]
-fn eval_many_rejects_bad_shapes_and_bad_elements() {
-    let surf = surface();
-    let mut out = vec![0.0; 1];
-    assert!(matches!(
-        surf.eval_many(&[1.0, 2.0, 3.0], &mut out),
-        Err(eh_pv::PvError::InvalidParameter { .. })
-    ));
-    assert!(matches!(
-        surf.eval_many(&[1.0, 2.0, 3.0, 4.0], &mut out),
-        Err(eh_pv::PvError::InvalidParameter { .. })
-    ));
-    // Element 1 has a negative voltage; element 0 is fine.
-    let err = surf
-        .eval_many(&[0.5, 100.0, -1.0, 100.0], &mut [0.0; 2])
-        .unwrap_err();
-    assert!(matches!(err, eh_pv::PvError::OutOfRange { .. }));
-}
-
 /// A walking illuminance drives the cursor through cursor hits and cell
 /// crossings; at every point the lane read must agree with the scalar
 /// `connect_point` to the documented < 3e-11 fractional-cell bound
@@ -473,43 +422,4 @@ fn lane_queries_fall_back_bitwise_out_of_domain() {
     assert!(surf
         .open_circuit_voltage_lane(&mut cursor, Lux::new(-1.0))
         .is_err());
-}
-
-/// `eval_lanes` runs exactly the per-lane query for active lanes,
-/// leaves inactive lanes untouched, and rejects mismatched widths.
-#[test]
-fn eval_lanes_matches_per_lane_queries() {
-    let surf = surface();
-    let targets = [Volts::new(2.0); 4];
-    let luxes = [
-        Lux::new(50.0),
-        Lux::new(1.0e4),
-        Lux::new(0.0),
-        Lux::new(700.0),
-    ];
-    let active = [true, true, true, false];
-    let mut cursors = [eh_pv::LuxCursor::new(); 4];
-    let sentinel = eh_pv::ConnectPoint {
-        voc: Volts::new(-7.0),
-        v_op: Volts::new(-7.0),
-        current: None,
-    };
-    let mut out = [sentinel; 4];
-    surf.eval_lanes(&targets, &luxes, &active, &mut cursors, &mut out)
-        .expect("lane batch");
-    for i in 0..3 {
-        let mut solo = eh_pv::LuxCursor::new();
-        let reference = surf
-            .connect_point_lane(&mut solo, targets[i], luxes[i])
-            .expect("solo query");
-        assert_eq!(
-            out[i].voc.value().to_bits(),
-            reference.voc.value().to_bits()
-        );
-    }
-    assert_eq!(out[3].voc, sentinel.voc, "inactive lane must be untouched");
-    assert!(matches!(
-        surf.eval_lanes(&targets, &luxes[..3], &active, &mut cursors, &mut out),
-        Err(eh_pv::PvError::InvalidParameter { .. })
-    ));
 }

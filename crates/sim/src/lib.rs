@@ -11,16 +11,15 @@
 //! - [`drive`] is the time-stepping engine with adaptive-dwell clamping;
 //! - [`split_windows`]/[`run_windowed`] are the shared windowed-endurance
 //!   core;
-//! - [`Scenario`] binds a stepper to a light profile and a `dt`;
-//! - [`SweepRunner`] fans scenarios across scoped threads with stable,
-//!   input-order collection, so sweeps are bit-for-bit deterministic
-//!   regardless of worker count;
+//! - [`SweepRunner`] fans independent jobs across scoped threads with
+//!   stable, input-order collection, so sweeps are bit-for-bit
+//!   deterministic regardless of worker count;
 //! - [`Mergeable`] + [`SweepRunner::run_shards`] are the sharded
 //!   map-reduce used by fleet-scale aggregation: the worker closure
-//!   receives a whole contiguous shard (for struct-of-arrays lane
-//!   stepping), shard reports fold in shard index order, and the result
-//!   is bit-identical at any worker count; [`SweepRunner::run_merged`]
-//!   is the per-item spelling of the same contract;
+//!   receives a whole contiguous shard (so shard-wide setup is paid
+//!   once), shard reports fold in shard index order, and the result is
+//!   bit-identical at any worker count; [`SweepRunner::run_merged`] is
+//!   the per-item spelling of the same contract;
 //! - [`Accumulator`] is the common energy ledger behind reports.
 //!
 //! The crate is std-only by design: the build environment has no crate
@@ -32,7 +31,6 @@ mod engine;
 mod error;
 mod light;
 mod merge;
-mod scenario;
 mod stepper;
 mod sweep;
 
@@ -41,6 +39,5 @@ pub use engine::{drive, run_windowed, split_windows};
 pub use error::SimError;
 pub use light::Light;
 pub use merge::Mergeable;
-pub use scenario::Scenario;
 pub use stepper::{StepInput, StepOutput, Stepper};
 pub use sweep::SweepRunner;

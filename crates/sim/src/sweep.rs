@@ -1,4 +1,4 @@
-//! Deterministic parallel sweeps over scenarios.
+//! Deterministic parallel sweeps.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -6,8 +6,6 @@ use std::thread;
 
 use crate::error::SimError;
 use crate::merge::Mergeable;
-use crate::scenario::Scenario;
-use crate::stepper::Stepper;
 
 /// Chunks `items` into `(first_global_index, shard_items)` pairs of at
 /// most `shard_size` items each. `shard_size` must be non-zero (callers
@@ -128,8 +126,8 @@ impl SweepRunner {
     /// the shard reports **in shard index order**, returning `Ok(None)`
     /// for empty input.
     ///
-    /// The closure sees the whole shard at once, so it may lay the
-    /// shard out as struct-of-arrays lane state. Shard boundaries and
+    /// The closure sees the whole shard at once, so it may hoist
+    /// shard-wide setup out of its per-item loop. Shard boundaries and
     /// the fold order are fixed by the input, never by the scheduler,
     /// so the result is bit-for-bit identical at any worker count.
     ///
@@ -202,21 +200,6 @@ impl SweepRunner {
                 }
             }
             report.expect("shards are non-empty by construction")
-        })
-    }
-
-    /// Runs every scenario to completion, returning `(label, result)`
-    /// pairs in input order.
-    pub fn sweep<'a, S>(
-        &self,
-        scenarios: Vec<Scenario<'a, S>>,
-    ) -> Vec<(String, Result<S, S::Error>)>
-    where
-        S: Stepper + Send,
-        S::Error: Send,
-    {
-        self.run(scenarios, |_, scenario| {
-            (scenario.label().to_owned(), scenario.run())
         })
     }
 }

@@ -15,11 +15,11 @@
 //!   baseline trackers it is compared against.
 //! * [`sim`] — the shared simulation engine: [`sim::Stepper`] steppers,
 //!   [`sim::drive`] time-stepping with adaptive dwell, and the
-//!   deterministic [`sim::SweepRunner`] scenario fan-out.
+//!   deterministic [`sim::SweepRunner`] job and shard fan-out.
 //! * [`node`] — closed-loop wireless-sensor-node simulations.
 //! * [`obs`] — opt-in deterministic observability: the
 //!   [`obs::Recorder`] metric sink, simulated-time spans, and the
-//!   four-bucket [`obs::EnergyLedger`] with its conservation
+//!   five-bucket [`obs::EnergyLedger`] with its conservation
 //!   invariant.
 //! * [`fleet`] — deterministic fleet-scale simulation of heterogeneous
 //!   node populations: seeded [`fleet::FleetSpec`] instantiation,
