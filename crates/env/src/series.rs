@@ -112,12 +112,15 @@ impl TimeSeries {
     }
 
     /// Linear interpolation at time `t`; `None` outside the series span.
+    #[inline]
     pub fn value_at(&self, t: Seconds) -> Option<f64> {
         let rel = (t - self.start).value() / self.dt.value();
         if rel < 0.0 || rel > (self.values.len() - 1) as f64 {
             return None;
         }
-        let i = rel.floor() as usize;
+        // `rel` is not negative here, so truncation is its floor, without
+        // a libm call on targets lacking a rounding instruction.
+        let i = rel as usize;
         if i + 1 >= self.values.len() {
             return Some(self.values[i]);
         }

@@ -252,6 +252,25 @@ mod tests {
     }
 
     #[test]
+    fn every_node_simulates_the_whole_day() {
+        let mut spec = FleetSpec::mixed_indoor_outdoor(2, 2011).unwrap();
+        spec.trace_decimate = 3600;
+        spec.dt = Seconds::new(3600.0);
+        let report = FleetRunner::new(1).run(&spec).unwrap();
+        for node in &report.outcomes {
+            assert_eq!(node.report.duration, Seconds::new(86_400.0));
+        }
+        spec.trace_decimate = 7;
+        assert!(matches!(
+            FleetRunner::new(1).run(&spec),
+            Err(FleetError::InvalidSpec {
+                name: "trace_decimate",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn empty_merge_is_an_error_not_a_panic() {
         // Regression: both engine paths used to `.expect` on the merged
         // shard fold, so a fleet that produced no outcomes panicked

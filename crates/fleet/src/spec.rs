@@ -268,7 +268,10 @@ pub struct FleetSpec {
     /// Simulation step.
     pub dt: Seconds,
     /// Decimation factor applied to the 1 Hz day profiles before
-    /// simulation (60 puts the trace on a 1-minute grid).
+    /// simulation (60 puts the trace on a 1-minute grid). It must divide
+    /// 86 400: a day profile spans both midnights, and only a divisor
+    /// keeps the closing midnight sample, so any other factor would
+    /// silently shorten the simulated day.
     pub trace_decimate: usize,
     /// Whether node simulations answer PV queries from the shared
     /// memoized surface.
@@ -277,6 +280,9 @@ pub struct FleetSpec {
     /// folded into the aggregate [`crate::FleetReport`]'s store.
     pub obs: bool,
 }
+
+/// Seconds in the 1 Hz day profiles a fleet's traces are decimated from.
+const DAY_SECONDS: usize = 86_400;
 
 impl FleetSpec {
     /// The reference deployment: `nodes` AM-1815 nodes in the
@@ -307,7 +313,7 @@ impl FleetSpec {
     }
 
     /// Validates the spec's scalar parameters (the tolerance budget, the
-    /// node count, the step and decimation).
+    /// node count, the step, and a decimation that divides the day).
     ///
     /// # Errors
     ///
@@ -325,10 +331,11 @@ impl FleetSpec {
                 value: self.dt.value(),
             });
         }
-        if self.trace_decimate == 0 {
+        // `is_multiple_of(0)` is false for a non-zero day: 0 is rejected.
+        if !DAY_SECONDS.is_multiple_of(self.trace_decimate) {
             return Err(FleetError::InvalidSpec {
                 name: "trace_decimate",
-                value: 0.0,
+                value: self.trace_decimate as f64,
             });
         }
         self.tolerances.validate()
@@ -385,6 +392,27 @@ mod tests {
         let mut spec = FleetSpec::mixed_indoor_outdoor(10, 1).unwrap();
         spec.dt = Seconds::ZERO;
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn trace_decimate_must_divide_the_day() {
+        // A non-divisor used to pass and drop the day's tail: factor 7
+        // simulated 86 394 s, factor 50 000 only 50 000 s.
+        let mut spec = FleetSpec::mixed_indoor_outdoor(2, 1).unwrap();
+        for factor in [7, 50_000, 86_401] {
+            spec.trace_decimate = factor;
+            assert_eq!(
+                spec.validate(),
+                Err(FleetError::InvalidSpec {
+                    name: "trace_decimate",
+                    value: factor as f64,
+                })
+            );
+        }
+        for factor in [1, 60, 600, 3600, 86_400] {
+            spec.trace_decimate = factor;
+            assert!(spec.validate().is_ok(), "factor {factor}");
+        }
     }
 
     #[test]

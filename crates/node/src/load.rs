@@ -302,7 +302,15 @@ impl LoadEnergyProfile {
         if dt.value() <= 0.0 {
             return Joules::ZERO;
         }
-        let cycles = (dt.value() / self.period).floor();
+        // The floor of a non-negative quotient, by integer truncation
+        // (no libm call on baseline x86-64); from 2^53 up every double is
+        // an integer already.
+        let q = dt.value() / self.period;
+        let cycles = if q < 9_007_199_254_740_992.0 {
+            q as i64 as f64
+        } else {
+            q
+        };
         let mut energy = cycles * self.average * self.period;
         let rem = dt.value() - cycles * self.period;
         let p = *pos;

@@ -132,9 +132,10 @@ impl PvCell {
     }
 
     /// The memoized I-V surface for this `(model, temperature)`,
-    /// building it on first call (a few milliseconds). Useful to warm
-    /// the table before cloning the cell into sweep jobs, or to probe
-    /// the cache directly regardless of [`PvCell::cache_enabled`].
+    /// building it on first call (about 85 ms of solves, spread over
+    /// every available core; see [`CachedPvSurface::build`]). Useful to
+    /// warm the table before cloning the cell into sweep jobs, or to
+    /// probe the cache directly regardless of [`PvCell::cache_enabled`].
     ///
     /// # Errors
     ///

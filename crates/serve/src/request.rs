@@ -112,7 +112,7 @@ pub struct WhatIfRequest {
     pub tolerances: TolerancePreset,
     /// Simulation step, seconds.
     pub dt_s: f64,
-    /// Trace decimation factor.
+    /// Trace decimation factor; must divide 86 400, the day's seconds.
     pub trace_decimate: usize,
     /// Whether nodes answer PV queries from the shared memoized
     /// surface.
@@ -266,9 +266,11 @@ impl WhatIfRequest {
         }
 
         let trace_decimate = u64_field("trace_decimate", DEFAULT_TRACE_DECIMATE)?;
-        if trace_decimate == 0 || trace_decimate > 86_400 {
+        // A day profile spans both midnights; only a divisor of its
+        // 86 400 s keeps the closing sample (see `FleetSpec`).
+        if !86_400_u64.is_multiple_of(trace_decimate) {
             return Err(bad(format!(
-                "trace_decimate must be in 1..=86400, got {trace_decimate}"
+                "trace_decimate must divide 86400, got {trace_decimate}"
             )));
         }
         let shard_size = u64_field("shard_size", 32)?;
@@ -731,7 +733,13 @@ mod tests {
         assert!(parse(Op::WhatIf, r#"{"tolerances":"loose"}"#).is_err());
         assert!(parse(Op::WhatIf, r#"{"dt_s":0}"#).is_err());
         assert!(parse(Op::WhatIf, r#"{"dt_s":"fast"}"#).is_err());
-        assert!(parse(Op::WhatIf, r#"{"trace_decimate":0}"#).is_err());
+        for factor in [0, 7, 50_000, 86_401] {
+            let body = format!(r#"{{"trace_decimate":{factor}}}"#);
+            let err = parse(Op::WhatIf, &body).unwrap_err();
+            assert_eq!(err.status(), 400, "{err}");
+            assert!(err.to_string().contains("trace_decimate"), "{err}");
+        }
+        assert!(parse(Op::WhatIf, r#"{"trace_decimate":86400}"#).is_ok());
         assert!(parse(Op::WhatIf, r#"{"shard_size":0}"#).is_err());
         assert!(parse(Op::WhatIf, r#"{"placements":{"roof":1}}"#).is_err());
         assert!(parse(

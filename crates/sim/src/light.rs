@@ -52,6 +52,7 @@ impl Light<'_> {
     ///
     /// Trace lookups clamp negatives to zero and treat out-of-range
     /// times as dark, matching the prior per-layer loops.
+    #[inline]
     pub fn lux_at(&self, rel: Seconds) -> Lux {
         match self {
             Light::Constant { lux, .. } => *lux,
