@@ -1,16 +1,14 @@
-//! Criterion microbenches for the per-step components of the fleet
-//! engines — the reproducible form of the profiling table in
-//! `DESIGN.md` §10/§14.
-//!
-//! Each pair benches one strength reduction the vectorized engine
-//! applies against the scalar form the per-node engine pays per step:
+//! Criterion microbenches for the per-step components of the node
+//! simulation — the reproducible form of the profiling table in
+//! `DESIGN.md` §10/§14, which motivated moving three strength
+//! reductions into the shared components.
 //!
 //! - **load walk** — `energy_demand` (absolute clock, one `rem_euclid`
-//!   per step) vs `energy_profile` (prefix-sum [`LoadEnergyProfile`],
-//!   the vectorized engine's form).
-//! - **supercap round-trip** — voltage-domain [`Supercapacitor`]
-//!   (deposit + withdraw + leak, √ per op) vs the energy-domain
-//!   [`EnergyDomainSupercap`] (√ only in `leak`'s voltage observation).
+//!   and a phase walk per step, kept as the tests' reference) vs
+//!   `energy_over` (prefix-sum difference at a carried cycle position,
+//!   the stepper's form).
+//! - **supercap round trip** — the energy-domain [`Supercapacitor`]
+//!   (deposit + withdraw + leak, √ only in `leak`).
 //! - **surface lookup** — scalar [`CachedPvSurface::connect_point`]
 //!   (`ln`-derived cell index per query) vs the cursored
 //!   [`CachedPvSurface::connect_point_lane`] (cell index reused while
@@ -19,9 +17,13 @@
 //! The drives mimic the reference fleet scenario: `dt = 60 s` steps, a
 //! duty-cycled sensor load, and slowly varying daylight so the cursors
 //! hit their fast paths at realistic rates.
+//!
+//! [`Supercapacitor`]: eh_node::Supercapacitor
+//! [`CachedPvSurface::connect_point`]: eh_pv::CachedPvSurface::connect_point
+//! [`CachedPvSurface::connect_point_lane`]: eh_pv::CachedPvSurface::connect_point_lane
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use eh_node::{DutyCycledLoad, EnergyDomainSupercap, EnergyStore, StoreSpec};
+use eh_node::{DutyCycledLoad, EnergyStore, StoreSpec};
 use eh_pv::{presets, LuxCursor};
 use eh_units::{Joules, Lux, Seconds, Volts};
 
@@ -59,13 +61,12 @@ fn bench_load_walk(c: &mut Criterion) {
             total
         })
     });
-    group.bench_function("energy_profile_1024_steps", |b| {
-        let profile = load.energy_profile();
+    group.bench_function("energy_over_1024_steps", |b| {
         let mut pos = 0.0_f64;
         b.iter(|| {
             let mut total = 0.0;
             for _ in 0..STEPS {
-                total += profile
+                total += load
                     .energy_over(black_box(&mut pos), Seconds::new(DT))
                     .value();
             }
@@ -83,24 +84,8 @@ fn bench_supercap_round_trip(c: &mut Criterion) {
     // harvest, withdraw the load, integrate the leak.
     let deposit = Joules::new(2e-4);
     let withdraw = Joules::new(1.9e-4);
-    group.bench_function("voltage_domain_1024_steps", |b| {
-        let mut store = spec.build_concrete().expect("valid store");
-        b.iter(|| {
-            let mut served = 0.0;
-            for _ in 0..STEPS {
-                store.deposit(black_box(deposit));
-                served += store.withdraw(black_box(withdraw)).value();
-                store.leak(Seconds::new(DT));
-            }
-            served
-        })
-    });
     group.bench_function("energy_domain_1024_steps", |b| {
-        let concrete = spec.build_concrete().expect("valid store");
-        let eh_node::ConcreteStore::Supercapacitor(sc) = &concrete else {
-            panic!("spec builds a supercapacitor");
-        };
-        let mut store = EnergyDomainSupercap::from_supercapacitor(sc);
+        let mut store = spec.build().expect("valid store");
         b.iter(|| {
             let mut served = 0.0;
             for _ in 0..STEPS {

@@ -1,23 +1,17 @@
 //! Benchmark — fleet-scale simulation throughput and determinism.
 //!
 //! Runs the reference mixed indoor/outdoor fleet (day-scale light,
-//! 1-minute grid) at several sizes and worker counts through the
-//! selected execution engines, recording nodes/sec into
-//! `BENCH_fleet.json`, and asserts the eh-fleet engine contracts on
-//! the way: the 1000-node fleet must produce **bit-identical**
-//! [`FleetReport`]s at every worker count per engine, and the
-//! vectorized engine must hold its bounded-divergence contract against
-//! the per-node reference (exact counts and classifications, energies
-//! within rel 1e-9). A compact tracker comparison over a smaller
-//! replayed population closes the report.
+//! 1-minute grid) at several sizes and worker counts, recording
+//! nodes/sec into `BENCH_fleet.json`, and asserts the eh-fleet
+//! determinism contract on the way: the reference fleet must produce
+//! **bit-identical** [`FleetReport`]s at every worker count. A compact
+//! tracker comparison over a smaller replayed population closes the
+//! report.
 //!
-//! Timings are **engine-only**: the shared fleet inputs (population,
-//! base traces, warmed PV surfaces) are prepared once per size via
-//! [`FleetContext`] outside the timed region, so the nodes/sec column
-//! measures the simulation engines rather than setup. The vectorized
-//! engine additionally runs a 100k-node fleet (full profile only) to
-//! demonstrate fleet scale beyond what the per-node engine can sweep in
-//! bench time.
+//! Timings cover the simulation only: the shared fleet inputs
+//! (population, base traces, warmed PV surfaces) are prepared once per
+//! size via [`FleetContext`] outside the timed region. The full profile
+//! includes a 100k-node fleet to show fleet scale.
 //!
 //! The worker sweep is clamped to the host's `available_parallelism`
 //! (recorded as `workers_clamped` in the JSON): oversubscribed counts
@@ -27,39 +21,27 @@
 //!
 //! A metrics pass re-runs the reference fleet with
 //! [`FleetSpec::obs`] enabled: the merged metric store must be
-//! bit-identical at 1/2/4 workers per engine, with counters equal across
-//! engines, its
-//! energy ledger must balance the summed closed-loop node accounting
-//! within 1e-9 relative, and the wall-clock overhead of metrics-on vs
-//! metrics-off is recorded (never gated) in the JSON.
-//!
-//! Worker counts beyond the machine's `available_parallelism` cannot
-//! speed anything up; the JSON records the host parallelism so scaling
-//! numbers from a single-core container are read for what they are.
+//! bit-identical at 1/2/4 workers, its energy ledger must balance the
+//! summed closed-loop node accounting within 1e-9 relative, and the
+//! wall-clock overhead of metrics-on vs metrics-off is recorded (never
+//! gated) in the JSON.
 //!
 //! Run with `cargo run -q --release -p eh-bench --bin bench_fleet`
 //! (accepts `--workers N` / `EH_WORKERS` to set the top worker count,
-//! `--engine per-node|vectorized|all` / `EH_ENGINE` to pick
-//! the engines, and `--smoke` for the fast CI profile: one small fleet
-//! size on a coarse grid, every engine, same code paths and assertions,
-//! no timing claims).
+//! and `--smoke` for the fast CI profile: one small fleet size on a
+//! coarse grid, same code paths and assertions, no timing claims).
 
 use std::time::Instant;
 
-use eh_bench::{
-    banner, clamp_worker_counts, engine_choice, fmt, render_table, smoke_mode, sweep_runner,
-};
+use eh_bench::{banner, clamp_worker_counts, fmt, render_table, smoke_mode, sweep_runner};
 use eh_fleet::{
-    compare_trackers_over_fleet, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
-    PlacementMix, TrackerKind,
+    compare_trackers_over_fleet, FleetContext, FleetReport, FleetRunner, FleetSpec, PlacementMix,
+    TrackerKind,
 };
 use eh_units::{Joules, Seconds};
 
-/// Fleet sizes for the scaling sweep (every selected engine).
-const SIZES: [u32; 3] = [100, 1000, 10_000];
-/// Extra fleet size only the vectorized engine sweeps — the per-node
-/// oracle cannot cover it in bench time (full profile only).
-const BIG_SIZE: u32 = 100_000;
+/// Fleet sizes for the scaling sweep (full profile).
+const SIZES: [u32; 4] = [100, 1000, 10_000, 100_000];
 /// The fleet size the determinism assertion and drill-down use.
 const REFERENCE_SIZE: u32 = 1000;
 /// Smoke-profile fleet size (also the smoke reference size).
@@ -93,56 +75,9 @@ fn energy_columns(report: &FleetReport) -> (f64, f64, f64) {
     )
 }
 
-/// The vectorized engine's bounded-divergence contract (DESIGN.md §14):
-/// counts and classifications exactly equal to the per-node oracle's,
-/// per-node energies within rel 1e-9. The full eight-field check lives
-/// in `tests/vectorized_equivalence.rs`; the bench pins the headline
-/// clauses on the reference fleet.
-fn assert_bounded_divergence(reference: &FleetReport, candidate: &FleetReport) {
-    assert_eq!(reference.outcomes.len(), candidate.outcomes.len());
-    let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-12);
-    for (a, b) in reference.outcomes.iter().zip(&candidate.outcomes) {
-        assert_eq!(a.id, b.id, "fleet order diverged");
-        assert_eq!(a.cold_start_ok, b.cold_start_ok, "node {}", a.id);
-        assert_eq!(
-            a.report.measurements, b.report.measurements,
-            "node {}",
-            a.id
-        );
-        assert_eq!(a.report.decisions, b.report.decisions, "node {}", a.id);
-        assert_eq!(a.browned_out(), b.browned_out(), "node {}", a.id);
-        assert_eq!(
-            a.report.is_net_positive(),
-            b.report.is_net_positive(),
-            "node {}",
-            a.id
-        );
-        for (label, x, y) in [
-            ("net", a.net_energy().value(), b.net_energy().value()),
-            (
-                "gross",
-                a.report.gross_energy.value(),
-                b.report.gross_energy.value(),
-            ),
-            (
-                "final_store",
-                a.report.final_store_energy.value(),
-                b.report.final_store_energy.value(),
-            ),
-        ] {
-            assert!(
-                rel(x, y) <= 1e-9,
-                "node {} {label} energy diverged: {x} vs {y}",
-                a.id
-            );
-        }
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     let smoke = smoke_mode();
-    let engines = engine_choice().engines();
     let max_workers = sweep_runner().workers();
     let mut worker_counts = vec![1usize, 2, 4, max_workers];
     let workers_clamped = clamp_worker_counts(&mut worker_counts, host);
@@ -151,19 +86,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         (SIZES.to_vec(), REFERENCE_SIZE)
     };
-    // Only the vectorized engine can afford the 100k-node row in bench
-    // time; the per-node oracle sweeps only `SIZES`.
-    let run_big = !smoke && engines.contains(&Engine::Vectorized);
 
     if smoke {
         banner("Fleet scaling — SMOKE profile, 10-minute grid (no timing claims)");
     } else {
         banner("Fleet scaling — mixed indoor/outdoor day, 1-minute grid");
     }
-    let engine_labels: Vec<&str> = engines.iter().map(|e| e.label()).collect();
     println!(
-        "host parallelism {host}, worker counts {worker_counts:?}{}, shard size {}, engines {engine_labels:?}\n\
-         timings are engine-only: shared inputs are prepared once per size outside the timed region",
+        "host parallelism {host}, worker counts {worker_counts:?}{}, shard size {}\n\
+         timings cover the simulation only: shared inputs are prepared once per size outside the timed region",
         if workers_clamped {
             " (clamped to host parallelism)"
         } else {
@@ -172,118 +103,58 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FleetRunner::DEFAULT_SHARD_SIZE
     );
 
-    let mut scaling: Vec<(Engine, u32, usize, f64, f64)> = Vec::new();
-    let mut reference_reports: Vec<(Engine, usize, FleetReport)> = Vec::new();
+    let mut scaling: Vec<(u32, usize, f64, f64)> = Vec::new();
+    let mut reference_reports: Vec<(usize, FleetReport)> = Vec::new();
     let mut rows = Vec::new();
-    let mut all_sizes = sizes.clone();
-    if run_big {
-        all_sizes.push(BIG_SIZE);
-    }
-    for &nodes in &all_sizes {
-        let big_only = !sizes.contains(&nodes);
+    for &nodes in &sizes {
         let spec = day_spec(nodes, smoke);
         let ctx = FleetContext::prepare(&spec)?;
-        for &engine in &engines {
-            if big_only && engine == Engine::PerNode {
-                continue;
-            }
-            for &workers in &worker_counts {
-                let runner = FleetRunner::new(workers);
-                let t0 = Instant::now();
-                let report = runner.run_engine_prepared(&ctx, TrackerKind::Focv, engine)?;
-                let elapsed = t0.elapsed().as_secs_f64();
-                assert_eq!(report.nodes(), nodes as usize);
-                let rate = f64::from(nodes) / elapsed.max(1e-12);
-                scaling.push((engine, nodes, workers, elapsed, rate));
-                rows.push(vec![
-                    engine.label().to_owned(),
-                    nodes.to_string(),
-                    workers.to_string(),
-                    fmt(elapsed, 3),
-                    fmt(rate, 1),
-                ]);
-                if nodes == reference_size {
-                    reference_reports.push((engine, workers, report));
-                }
+        for &workers in &worker_counts {
+            let runner = FleetRunner::new(workers);
+            let t0 = Instant::now();
+            let report = runner.run_prepared(&ctx)?;
+            let elapsed = t0.elapsed().as_secs_f64();
+            assert_eq!(report.nodes(), nodes as usize);
+            let rate = f64::from(nodes) / elapsed.max(1e-12);
+            scaling.push((nodes, workers, elapsed, rate));
+            rows.push(vec![
+                nodes.to_string(),
+                workers.to_string(),
+                fmt(elapsed, 3),
+                fmt(rate, 1),
+            ]);
+            if nodes == reference_size {
+                reference_reports.push((workers, report));
             }
         }
     }
     println!(
         "{}",
-        render_table(
-            &["engine", "nodes", "workers", "seconds", "nodes/sec"],
-            &rows
-        )
+        render_table(&["nodes", "workers", "seconds", "nodes/sec"], &rows)
     );
 
     banner(&format!(
-        "Determinism — {reference_size} nodes, engine contracts at every worker count"
+        "Determinism — {reference_size} nodes at every worker count"
     ));
-    // Every engine must be bit-identical to itself across worker counts.
-    for &engine in &engines {
-        let mut group = reference_reports.iter().filter(|(e, _, _)| *e == engine);
-        let (_, _, first) = group.next().expect("reference size measured per engine");
-        for (_, workers, report) in group {
-            assert_eq!(
-                report,
-                first,
-                "{workers}-worker {} fleet diverged from itself",
-                engine.label()
-            );
-        }
-    }
-    // Across engines, the vectorized engine holds its bounded-divergence
-    // contract against the per-node oracle.
-    let first_of = |engine: Engine| {
-        reference_reports
-            .iter()
-            .find(|(e, _, _)| *e == engine)
-            .map(|(_, _, report)| report)
-    };
-    let vectorized_contract = match (first_of(Engine::PerNode), first_of(Engine::Vectorized)) {
-        (Some(oracle), Some(vectorized)) => {
-            assert_bounded_divergence(oracle, vectorized);
-            true
-        }
-        _ => false,
-    };
-    let checked: Vec<String> = reference_reports
-        .iter()
-        .map(|(e, w, _)| format!("{}:{w}", e.label()))
-        .collect();
-    println!("engine:workers {checked:?}: every engine bit-identical to itself across workers");
-    if vectorized_contract {
-        println!(
-            "vectorized: counts/classifications exact vs the per-node oracle, energies within rel 1e-9"
+    let (_, reference) = &reference_reports[0];
+    for (workers, report) in &reference_reports[1..] {
+        assert_eq!(
+            report, reference,
+            "{workers}-worker fleet diverged from the 1-worker run"
         );
     }
+    let checked: Vec<usize> = reference_reports.iter().map(|(w, _)| *w).collect();
+    println!("workers {checked:?}: bit-identical across worker counts");
 
-    let (_, _, reference) = &reference_reports[0];
     let (p5, p50, p95) = percentile_row(reference);
     let worst = reference.worst_node().expect("non-empty fleet");
     println!("{reference}");
 
-    // Engine-vs-engine headline at 1 worker on the reference fleet —
-    // recorded, never gated.
-    let rate_of = |engine: Engine, workers: usize| {
+    let rate_of = |workers: usize| {
         scaling
             .iter()
-            .find(|(e, n, w, _, _)| *e == engine && *n == reference_size && *w == workers)
-            .map(|(_, _, _, _, r)| *r)
-    };
-    let vectorized_vs_per_node = match (rate_of(Engine::PerNode, 1), rate_of(Engine::Vectorized, 1))
-    {
-        (Some(slow_rate), Some(fast_rate)) => {
-            let speedup = fast_rate / slow_rate.max(1e-12);
-            println!(
-                "vectorized engine speedup over per-node at 1 worker: x{} ({} vs {} nodes/sec)",
-                fmt(speedup, 2),
-                fmt(fast_rate, 1),
-                fmt(slow_rate, 1)
-            );
-            Some(speedup)
-        }
-        _ => None,
+            .find(|(n, w, _, _)| *n == reference_size && *w == workers)
+            .map(|(_, _, _, r)| *r)
     };
 
     banner(&format!(
@@ -294,60 +165,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs_ctx = FleetContext::prepare(&obs_spec)?;
     let mut obs_worker_counts = vec![1usize, 2, 4];
     obs_worker_counts.retain(|w| worker_counts.contains(w));
-    let mut obs_reports: Vec<(Engine, usize, f64, FleetReport)> = Vec::new();
-    for &engine in &engines {
-        for &workers in &obs_worker_counts {
-            let t0 = Instant::now();
-            let report = FleetRunner::new(workers).run_engine_prepared(
-                &obs_ctx,
-                TrackerKind::Focv,
-                engine,
-            )?;
-            obs_reports.push((engine, workers, t0.elapsed().as_secs_f64(), report));
-        }
+    let mut obs_reports: Vec<(usize, f64, FleetReport)> = Vec::new();
+    for &workers in &obs_worker_counts {
+        let t0 = Instant::now();
+        let report = FleetRunner::new(workers).run_prepared(&obs_ctx)?;
+        obs_reports.push((workers, t0.elapsed().as_secs_f64(), report));
     }
-    let (_, _, obs_secs_1w, obs_ref) = &obs_reports[0];
-    // Per engine: the merged store is worker-invariant.
-    for &engine in &engines {
-        let mut group = obs_reports.iter().filter(|(e, _, _, _)| *e == engine);
-        let (_, _, _, first) = group.next().expect("obs pass covers every engine");
-        for (_, workers, _, report) in group {
-            assert_eq!(
-                report.metrics,
-                first.metrics,
-                "{workers}-worker {} merged metrics diverged across workers",
-                engine.label()
-            );
-        }
-    }
-    // Across engines: the vectorized store matches the oracle's
-    // counter-for-counter (its span times are rel-1e-9 quantities,
-    // pinned in tests/vectorized_equivalence.rs).
-    let obs_first_of = |engine: Engine| {
-        obs_reports
-            .iter()
-            .find(|(e, _, _, _)| *e == engine)
-            .and_then(|(_, _, _, report)| report.metrics.as_ref())
-    };
-    if let (Some(a), Some(b)) = (
-        obs_first_of(Engine::PerNode),
-        obs_first_of(Engine::Vectorized),
-    ) {
-        for name in [
-            "engine.steps",
-            "engine.dwell_steps",
-            "node.measurements",
-            "tracker.decisions",
-            "tracker.ops",
-            "converter.transfer_steps",
-            "fleet.nodes",
-        ] {
-            assert_eq!(
-                a.counter(name),
-                b.counter(name),
-                "fleet counter {name} diverged between per-node and vectorized"
-            );
-        }
+    let (_, obs_secs_1w, obs_ref) = &obs_reports[0];
+    for (workers, _, report) in &obs_reports[1..] {
+        assert_eq!(
+            report.metrics, obs_ref.metrics,
+            "{workers}-worker merged metrics diverged across workers"
+        );
     }
     let metrics = obs_ref
         .metrics
@@ -371,33 +200,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ledger_rel_err < 1e-9,
         "fleet ledger drifts from closed-loop totals: {ledger_rel_err:.3e}"
     );
-    // Overhead is measured against the metrics-off run at 1 worker (same
-    // engine) and recorded, never gated: CI containers make timing gates
-    // flaky.
+    // Overhead is measured against the metrics-off run at 1 worker and
+    // recorded, never gated: CI containers make timing gates flaky.
     let plain_secs_1w = scaling
         .iter()
-        .find(|(e, n, w, _, _)| *e == engines[0] && *n == reference_size && *w == 1)
-        .map(|(_, _, _, s, _)| *s)
+        .find(|(n, w, _, _)| *n == reference_size && *w == 1)
+        .map(|(_, _, s, _)| *s)
         .expect("reference size measured at 1 worker");
     let obs_overhead_pct = (obs_secs_1w / plain_secs_1w.max(1e-12) - 1.0) * 100.0;
-    let obs_checked: Vec<String> = obs_reports
-        .iter()
-        .map(|(e, w, _, _)| format!("{}:{w}", e.label()))
-        .collect();
+    let obs_checked: Vec<usize> = obs_reports.iter().map(|(w, _, _)| *w).collect();
     println!(
-        "engine:workers {obs_checked:?}: merged metric stores worker-invariant per engine\n\
+        "workers {obs_checked:?}: merged metric stores worker-invariant\n\
          ledger vs closed-loop rel error {ledger_rel_err:.3e} (bound 1e-9)\n\
-         wall overhead vs metrics-off at 1 worker ({}): {} % (recorded, not gated)",
-        engines[0].label(),
+         wall overhead vs metrics-off at 1 worker: {} % (recorded, not gated)",
         fmt(obs_overhead_pct, 1)
     );
     println!("{}", metrics.to_table());
 
-    // Tracker-vs-tracker rows come from the per-node oracle, so every
-    // tracker is measured under the same exact semantics.
+    // Every tracker steps on the same node simulation, so the rows
+    // compare trackers, not engines.
     let cmp_size = if smoke { 50 } else { 200 };
     banner(&format!(
-        "Tracker comparison over one replayed {cmp_size}-node population (per-node engine)"
+        "Tracker comparison over one replayed {cmp_size}-node population"
     ));
     let mut cmp_spec = day_spec(cmp_size, false);
     cmp_spec.trace_decimate = 600; // 10-minute grid keeps 8 trackers tractable
@@ -488,21 +312,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Scaling headline: 1 worker vs the top worker count at the
     // reference size (honest numbers; ~1.0 expected on a 1-core host).
     let top_workers = *worker_counts.last().expect("non-empty");
-    let worker_speedup = rate_of(engines[0], top_workers)
+    let worker_speedup = rate_of(top_workers)
         .expect("reference size measured at every worker count")
-        / rate_of(engines[0], 1).expect("reference size measured at 1 worker");
+        / rate_of(1).expect("reference size measured at 1 worker");
     println!(
-        "\n{reference_size}-node speedup x{} from 1 to {top_workers} workers ({} engine) on a {host}-core host",
+        "\n{reference_size}-node speedup x{} from 1 to {top_workers} workers on a {host}-core host",
         fmt(worker_speedup, 2),
-        engines[0].label()
     );
 
     let scaling_json: Vec<String> = scaling
         .iter()
-        .map(|(engine, nodes, workers, secs, rate)| {
+        .map(|(nodes, workers, secs, rate)| {
             format!(
-                r#"    {{ "engine": "{}", "nodes": {nodes}, "workers": {workers}, "seconds": {secs:.3}, "nodes_per_sec": {rate:.1} }}"#,
-                engine.label()
+                r#"    {{ "nodes": {nodes}, "workers": {workers}, "seconds": {secs:.3}, "nodes_per_sec": {rate:.1} }}"#
             )
         })
         .collect();
@@ -527,29 +349,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
   "smoke": {smoke},
   "host_parallelism": {host},
   "host_note": "worker counts beyond host_parallelism cannot add speed; on a 1-core host speedups of ~1.0 are the honest expectation",
-  "timing_note": "nodes_per_sec is engine-only: population, base traces and PV surfaces are prepared once per size outside the timed region",
-  "engines": {engine_labels:?},
+  "timing_note": "nodes_per_sec covers the simulation only: population, base traces and PV surfaces are prepared once per size outside the timed region",
   "worker_counts": {workers:?},
   "workers_clamped": {workers_clamped},
   "workers_clamped_note": "requested counts above host_parallelism are dropped: oversubscription cannot add speed and reads as a phantom slowdown",
   "scaling": [
 {scaling_rows}
   ],
-  "vectorized_speedup_vs_per_node_at_1_worker_reference_size": {vectorized_vs_per_node},
-  "speedup_note": "engine-vs-engine speedups are recorded only, never gated",
   "speedup_1_to_max_workers_at_reference_size": {worker_speedup:.3},
   "determinism": {{
     "nodes": {ref_size},
-    "engine_worker_pairs_checked": {checked:?},
-    "bit_identical_per_engine": true,
-    "vectorized_contract_checked": {vectorized_contract},
-    "vectorized_contract": "counts and classifications exact, per-node energies within rel 1e-9, bit-identical to itself"
+    "worker_counts_checked": {checked:?},
+    "bit_identical_across_workers": true
   }},
   "observability": {{
     "nodes": {ref_size},
-    "engine_worker_pairs_checked": {obs_checked:?},
-    "merged_metrics_worker_invariant_per_engine": true,
-    "vectorized_counters_match_per_node": true,
+    "worker_counts_checked": {obs_checked:?},
+    "merged_metrics_worker_invariant": true,
     "ledger_rel_error_vs_closed_loop": {ledger_rel_err:.6e},
     "ledger_rel_error_bound": 1e-9,
     "wall_overhead_pct_vs_metrics_off_1_worker": {obs_overhead_pct:.2},
@@ -568,7 +384,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
   }},
   "tracker_comparison": {{
     "nodes": {cmp_size},
-    "engine": "per-node",
     "rows": [
 {cmp_rows}
     ]
@@ -577,7 +392,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "nodes": {vol_size},
     "placement_mix": "window 0.05 / interior 0.05 / outdoor 0.90",
     "grid": "1-minute trace grid, dt 60 s (even in smoke)",
-    "engine": "per-node",
     "fixed_focv_net_total_j": {vol_fixed_total:.6},
     "variable_hold_net_total_j": {vol_adaptive_total:.6},
     "variable_hold_margin_pct": {vol_margin_pct:.4},
@@ -595,9 +409,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shard = FleetRunner::DEFAULT_SHARD_SIZE,
         workers = worker_counts,
         scaling_rows = scaling_json.join(",\n"),
-        vectorized_vs_per_node = vectorized_vs_per_node
-            .map(|s| format!("{s:.3}"))
-            .unwrap_or_else(|| "null".to_owned()),
         ref_size = reference_size,
         metrics_json = metrics.to_json(),
         brown = reference.brown_out_count(),

@@ -13,7 +13,7 @@ use eh_core::baselines::{FixedVoltage, FocvSampleHold};
 use eh_core::MpptController;
 use eh_env::week;
 use eh_node::{
-    Battery, DutyCycledLoad, EnergyStore, NodeError, NodeSimulation, SimConfig, Supercapacitor,
+    Battery, ConcreteStore, DutyCycledLoad, NodeError, NodeSimulation, SimConfig, Supercapacitor,
 };
 use eh_pv::{presets, PvCell};
 use eh_units::{Farads, Joules, Seconds, Volts};
@@ -31,7 +31,7 @@ const TRACKERS: [Tracker; 2] = [Tracker::Focv, Tracker::Fixed];
 fn run(
     kind: Tracker,
     cell: &PvCell,
-    store: Box<dyn EnergyStore + Send>,
+    store: ConcreteStore,
     trace: &eh_env::TimeSeries,
 ) -> Result<Vec<String>, NodeError> {
     let mut tracker: Box<dyn MpptController> = match kind {
@@ -69,11 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("0.22 F supercapacitor (deployed charged to 4 V)");
     let sc = || {
-        Box::new(
+        ConcreteStore::Supercapacitor(
             Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8))
                 .expect("valid supercap")
                 .with_initial_voltage(Volts::new(4.0)),
-        ) as Box<dyn EnergyStore + Send>
+        )
     };
     let rows = sweep_runner()
         .run(TRACKERS.to_vec(), |_, kind| run(kind, &cell, sc(), &trace))
@@ -96,11 +96,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("200 J thin-film battery (deployed at 50 %)");
     let bat = || {
-        Box::new(
+        ConcreteStore::Battery(
             Battery::new(Joules::new(200.0), 0.9, 0.03)
                 .expect("valid battery")
                 .with_state_of_charge(0.5),
-        ) as Box<dyn EnergyStore + Send>
+        )
     };
     let rows = sweep_runner()
         .run(TRACKERS.to_vec(), |_, kind| run(kind, &cell, bat(), &trace))

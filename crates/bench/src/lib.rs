@@ -34,26 +34,6 @@ where
     None
 }
 
-/// Resolves an override from `flag` on the command line, else the
-/// `env_name` environment value, and parses it strictly; the command
-/// line wins.
-fn resolve_override<I, S, T>(
-    args: I,
-    flag: &str,
-    env_name: &str,
-    env_value: Option<&str>,
-    parse: impl Fn(&str, &str) -> Result<T, EnvError>,
-) -> Result<Option<T>, EnvError>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    match flag_value(args, flag) {
-        Some(raw) => parse(flag, &raw).map(Some),
-        None => env_value.map(|raw| parse(env_name, raw)).transpose(),
-    }
-}
-
 /// Parses a worker-count override from command-line arguments
 /// (`--workers N` or `--workers=N`) and the `EH_WORKERS` environment
 /// variable; the command line wins.
@@ -73,7 +53,12 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    resolve_override(args, "--workers", "EH_WORKERS", env_value, positive_usize)
+    match flag_value(args, "--workers") {
+        Some(raw) => positive_usize("--workers", &raw).map(Some),
+        None => env_value
+            .map(|raw| positive_usize("EH_WORKERS", raw))
+            .transpose(),
+    }
 }
 
 /// Returns whether a bare long flag (e.g. `--smoke`) is present in the
@@ -92,89 +77,6 @@ where
 /// wall-clock. Smoke runs never gate on timing.
 pub fn smoke_mode() -> bool {
     parse_flag(std::env::args().skip(1), "--smoke")
-}
-
-/// Which fleet engines an experiment binary should exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Only the per-node reference engine.
-    PerNode,
-    /// Only the fast (`vectorized`) engine.
-    Vectorized,
-    /// Both engines (the default): the per-node oracle plus the
-    /// vectorized engine under its bounded-divergence contract.
-    All,
-}
-
-impl EngineChoice {
-    /// The fleet engines this choice selects, reference engine first.
-    pub fn engines(self) -> Vec<eh_fleet::Engine> {
-        match self {
-            EngineChoice::PerNode => vec![eh_fleet::Engine::PerNode],
-            EngineChoice::Vectorized => vec![eh_fleet::Engine::Vectorized],
-            EngineChoice::All => eh_fleet::Engine::ALL.to_vec(),
-        }
-    }
-
-    fn parse(source: &str, raw: &str) -> Result<Self, EnvError> {
-        if raw.trim().eq_ignore_ascii_case("all") {
-            return Ok(EngineChoice::All);
-        }
-        match eh_fleet::Engine::parse(raw) {
-            Some(eh_fleet::Engine::PerNode) => Ok(EngineChoice::PerNode),
-            Some(eh_fleet::Engine::Vectorized) => Ok(EngineChoice::Vectorized),
-            None => Err(EnvError {
-                source: source.to_owned(),
-                raw: raw.to_owned(),
-                expected: "per-node, vectorized or all",
-            }),
-        }
-    }
-}
-
-/// Parses an engine selection from command-line arguments
-/// (`--engine per-node|vectorized|all` or `--engine=...`) and the
-/// `EH_ENGINE` environment variable; the command line wins.
-///
-/// Parsing is strict, like [`parse_workers`]: an unknown engine is a
-/// hard [`EnvError`] naming the knob, so a typo cannot quietly run
-/// every engine instead.
-///
-/// # Errors
-///
-/// [`EnvError`] when an override is present but names no engine.
-pub fn parse_engine<I, S>(
-    args: I,
-    env_value: Option<&str>,
-) -> Result<Option<EngineChoice>, EnvError>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    resolve_override(
-        args,
-        "--engine",
-        "EH_ENGINE",
-        env_value,
-        EngineChoice::parse,
-    )
-}
-
-/// The engine selection for this invocation: `--engine` on the command
-/// line, else the `EH_ENGINE` environment variable, else every engine.
-/// A present-but-invalid override terminates the process with exit
-/// code 2 and a message naming the knob.
-pub fn engine_choice() -> EngineChoice {
-    match parse_engine(
-        std::env::args().skip(1),
-        std::env::var("EH_ENGINE").ok().as_deref(),
-    ) {
-        Ok(choice) => choice.unwrap_or(EngineChoice::All),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Clamps a worker-count sweep to the host's available parallelism,
@@ -357,49 +259,6 @@ mod tests {
         let err = parse_workers(Vec::<String>::new(), Some("lots")).unwrap_err();
         assert_eq!(err.source, "EH_WORKERS");
         assert!(err.to_string().contains("positive integer"));
-    }
-
-    #[test]
-    fn engine_override_resolution() {
-        // Command line beats the environment.
-        assert_eq!(
-            parse_engine(["--engine", "vectorized"], Some("per-node")),
-            Ok(Some(EngineChoice::Vectorized))
-        );
-        assert_eq!(
-            parse_engine(["--engine=per-node"], Some("vectorized")),
-            Ok(Some(EngineChoice::PerNode))
-        );
-        // Environment fallback.
-        assert_eq!(
-            parse_engine(Vec::<String>::new(), Some("PER_NODE")),
-            Ok(Some(EngineChoice::PerNode))
-        );
-        assert_eq!(
-            parse_engine(["--engine", "All"], None),
-            Ok(Some(EngineChoice::All))
-        );
-        assert_eq!(parse_engine(Vec::<String>::new(), None), Ok(None));
-        // Selected engine lists are reference-first.
-        assert_eq!(
-            EngineChoice::Vectorized.engines(),
-            vec![eh_fleet::Engine::Vectorized]
-        );
-        assert_eq!(EngineChoice::All.engines(), eh_fleet::Engine::ALL.to_vec());
-    }
-
-    #[test]
-    fn engine_garbage_is_a_hard_error() {
-        // The removed batch engine and plain typos must fail loudly,
-        // naming the knob — never degrade to running every engine.
-        let err = parse_engine(Vec::<String>::new(), Some("batch")).unwrap_err();
-        assert_eq!(err.source, "EH_ENGINE");
-        assert_eq!(err.raw, "batch");
-        assert!(err.to_string().contains("per-node, vectorized or all"));
-        let err = parse_engine(["--engine", "warp"], Some("all")).unwrap_err();
-        assert_eq!(err.source, "--engine");
-        assert!(parse_engine(["--engine=both"], None).is_err());
-        assert!(parse_engine(["--engine"], None).is_err());
     }
 
     #[test]

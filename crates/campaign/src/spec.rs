@@ -245,7 +245,7 @@ pub struct CampaignSpec {
     pub faults: FaultPlan,
     /// Tracker under test.
     pub tracker: TrackerKind,
-    /// Fleet engine.
+    /// Engine label; both labels run the one node stepper.
     pub engine: Engine,
     /// Simulation step.
     pub dt: Seconds,
@@ -255,7 +255,7 @@ impl CampaignSpec {
     /// The reference endurance question: `nodes` nodes for two simulated
     /// years (730 days, 73-day epochs) at 52° N temperate, duty-cycled
     /// radio load, reference drift and fault plan, FOCV on the default
-    /// ([`Engine::Vectorized`]) engine, 600 s step.
+    /// ([`Engine::Vectorized`]) engine label, 600 s step.
     pub fn reference(nodes: u32, seed: u64) -> Self {
         Self {
             name: format!("endurance x{nodes} 730d temperate"),

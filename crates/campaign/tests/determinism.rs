@@ -1,9 +1,9 @@
 //! Campaign determinism contract: a [`CampaignReport`] is a pure
 //! function of the spec — bit-identical across worker counts and shard
 //! sizes — and prefix-stable in fleet size, because every per-node
-//! input stream (population, schedules, weather) is order-pinned. Its
-//! survival classifications are engine-invariant too: the vectorized
-//! engine's counts match the per-node oracle's exactly.
+//! input stream (population, schedules, weather) is order-pinned. It
+//! is engine-invariant too: both engine labels run the one node
+//! stepper.
 
 use eh_campaign::{CampaignContext, CampaignReport, CampaignRunner, CampaignSpec};
 use eh_fleet::Engine;
@@ -63,19 +63,23 @@ fn report_is_prefix_stable_in_fleet_size() {
 
 #[test]
 fn smoke_survival_counts_are_engine_invariant() {
-    // The vectorized engine's contract keeps counts and classifications
-    // exact, so the smoke campaign's golden survival counts come out the
-    // same on the default engine and on the per-node oracle.
-    let counts = |engine: Engine| {
+    // Both engine labels run the one node stepper, so the smoke
+    // campaign's whole report, golden survival counts included, comes
+    // out the same on either.
+    let report = |engine: Engine| {
         let mut spec = CampaignSpec::smoke(2011);
         spec.engine = engine;
-        let r = CampaignRunner::new(2).run(&spec).unwrap();
-        (r.survivors(), r.browned_out(), r.faulted())
+        CampaignRunner::new(2).run(&spec).unwrap()
     };
     assert_eq!(CampaignSpec::smoke(2011).engine, Engine::Vectorized);
-    let vectorized = counts(Engine::Vectorized);
-    assert_eq!(vectorized, counts(Engine::PerNode));
-    assert_eq!(vectorized, (6, 42, 6), "ci/campaign_smoke_golden.json");
+    let vectorized = report(Engine::Vectorized);
+    assert_reports_identical(&vectorized, &report(Engine::PerNode), "engine labels");
+    let counts = (
+        vectorized.survivors(),
+        vectorized.browned_out(),
+        vectorized.faulted(),
+    );
+    assert_eq!(counts, (6, 42, 6), "ci/campaign_smoke_golden.json");
 }
 
 #[test]

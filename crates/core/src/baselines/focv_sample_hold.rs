@@ -24,9 +24,13 @@ use crate::error::CoreError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FocvSampleHold {
-    kernel: FocvKernel,
-    lane: FocvLane,
+    k: f64,
+    sample_period: Seconds,
     pulse_width: Seconds,
+    overhead: Watts,
+    held_voc: Option<Volts>,
+    since_sample: Seconds,
+    measuring: bool,
 }
 
 impl FocvSampleHold {
@@ -67,18 +71,14 @@ impl FocvSampleHold {
             });
         }
         Ok(Self {
-            kernel: FocvKernel {
-                k,
-                sample_period,
-                overhead,
-            },
-            lane: FocvLane {
-                held_voc: None,
-                // Fire the first measurement immediately (the power-up PULSE).
-                since_sample: sample_period,
-                measuring: false,
-            },
+            k,
+            sample_period,
             pulse_width,
+            overhead,
+            held_voc: None,
+            // Fire the first measurement immediately (the power-up PULSE).
+            since_sample: sample_period,
+            measuring: false,
         })
     }
 
@@ -110,120 +110,22 @@ impl FocvSampleHold {
     ///
     /// Rejects an offset outside `[0, sample_period)`.
     pub fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, CoreError> {
-        let period = self.kernel.sample_period;
+        let period = self.sample_period;
         if !(offset.value().is_finite() && offset.value() >= 0.0 && offset < period) {
             return Err(CoreError::InvalidParameter {
                 name: "initial_phase",
                 value: offset.value(),
             });
         }
-        self.lane.since_sample = period - offset;
+        self.since_sample = period - offset;
         if offset.value() > 0.0 {
             // Discharged hold capacitor: tracks 0 V (converter off)
             // until the delayed first PULSE takes a real sample.
-            self.lane.held_voc = Some(Volts::ZERO);
+            self.held_voc = Some(Volts::ZERO);
         }
         Ok(self)
     }
 
-    /// The trimmed FOCV factor.
-    pub fn k(&self) -> f64 {
-        self.kernel.k
-    }
-
-    /// The hold (sampling) period.
-    pub fn sample_period(&self) -> Seconds {
-        self.kernel.sample_period
-    }
-
-    /// The measurement pulse width (how long the module is disconnected
-    /// per sample).
-    pub fn pulse_width(&self) -> Seconds {
-        self.pulse_width
-    }
-
-    /// The currently held open-circuit voltage, if a sample exists.
-    pub fn held_voc(&self) -> Option<Volts> {
-        self.lane.held_voc
-    }
-
-    /// The tracker's immutable parameters.
-    ///
-    /// A [`FocvKernel`] stepping a [`FocvLane`] is this tracker's state
-    /// machine without dynamic dispatch: the fast fleet engine runs one
-    /// pair per node in a monomorphic step.
-    pub fn kernel(&self) -> FocvKernel {
-        self.kernel
-    }
-
-    /// A snapshot of this tracker's mutable per-node state (including
-    /// the effect of [`FocvSampleHold::with_initial_phase`]), to pair
-    /// with [`FocvSampleHold::kernel`].
-    pub fn lane(&self) -> FocvLane {
-        self.lane
-    }
-}
-
-/// The immutable parameters of a [`FocvSampleHold`] tracker: the
-/// trimmed FOCV factor, the hold period, and the metrology overhead.
-///
-/// [`FocvKernel::step`] is the tracker's state machine over an external
-/// [`FocvLane`]; [`FocvSampleHold`]'s [`MpptController::step`] is that
-/// same call on the tracker's own lane.
-///
-/// ```
-/// use eh_core::baselines::{FocvDecision, FocvSampleHold};
-/// use eh_units::{Seconds, Volts};
-///
-/// let tracker = FocvSampleHold::paper_prototype()?;
-/// let (kernel, mut lane) = (tracker.kernel(), tracker.lane());
-/// // The power-up PULSE fires on the first step, exactly as the
-/// // stateful tracker does.
-/// assert_eq!(kernel.step(&mut lane, None, Seconds::new(1.0)), FocvDecision::Measure);
-/// let d = kernel.step(&mut lane, Some(Volts::new(5.44)), Seconds::new(1.0));
-/// assert_eq!(d, FocvDecision::Connect(Volts::new(5.44) * kernel.k()));
-/// # Ok::<(), eh_core::CoreError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FocvKernel {
-    k: f64,
-    sample_period: Seconds,
-    overhead: Watts,
-}
-
-/// The mutable per-node state of one FOCV lane: the held `Voc` sample,
-/// the time since the last PULSE, and whether the module is currently
-/// disconnected for a measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FocvLane {
-    held_voc: Option<Volts>,
-    since_sample: Seconds,
-    measuring: bool,
-}
-
-impl FocvLane {
-    /// The currently held open-circuit voltage, if a sample exists.
-    pub fn held_voc(&self) -> Option<Volts> {
-        self.held_voc
-    }
-
-    /// Whether the lane is mid-measurement (module disconnected).
-    pub fn measuring(&self) -> bool {
-        self.measuring
-    }
-}
-
-/// What one kernel step decided for a lane: the part of
-/// [`TrackerCommand`] the FOCV tracker can emit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FocvDecision {
-    /// Hold the module at the given operating voltage.
-    Connect(Volts),
-    /// Disconnect the module and measure `Voc`.
-    Measure,
-}
-
-impl FocvKernel {
     /// The trimmed FOCV factor.
     pub fn k(&self) -> f64 {
         self.k
@@ -234,41 +136,15 @@ impl FocvKernel {
         self.sample_period
     }
 
-    /// The tracker's quiescent metrology overhead.
-    pub fn overhead_power(&self) -> Watts {
-        self.overhead
+    /// The measurement pulse width (how long the module is disconnected
+    /// per sample).
+    pub fn pulse_width(&self) -> Seconds {
+        self.pulse_width
     }
 
-    /// Advances one lane by `dt`, given the `Voc` measured during the
-    /// previous step's disconnect (if any).
-    #[inline]
-    pub fn step(
-        &self,
-        lane: &mut FocvLane,
-        voc_measurement: Option<Volts>,
-        dt: Seconds,
-    ) -> FocvDecision {
-        // Capture the measurement made during a disconnect step.
-        if lane.measuring {
-            if let Some(voc) = voc_measurement {
-                lane.held_voc = Some(voc);
-            }
-            lane.measuring = false;
-            lane.since_sample = Seconds::ZERO;
-        } else {
-            lane.since_sample += dt;
-        }
-
-        if lane.since_sample >= self.sample_period {
-            lane.measuring = true;
-            return FocvDecision::Measure;
-        }
-
-        match lane.held_voc {
-            Some(voc) => FocvDecision::Connect(voc * self.k),
-            // No valid sample yet (ACTIVE low): converter stays off.
-            None => FocvDecision::Measure,
-        }
+    /// The currently held open-circuit voltage, if a sample exists.
+    pub fn held_voc(&self) -> Option<Volts> {
+        self.held_voc
     }
 }
 
@@ -277,15 +153,33 @@ impl MpptController for FocvSampleHold {
         "FOCV sample-and-hold (this paper)"
     }
 
+    #[inline]
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        match self.kernel.step(&mut self.lane, obs.voc_measurement, dt) {
-            FocvDecision::Connect(target) => TrackerCommand::connect_at(target),
-            FocvDecision::Measure => TrackerCommand::measure(),
+        // Capture the measurement made during a disconnect step.
+        if self.measuring {
+            if let Some(voc) = obs.voc_measurement {
+                self.held_voc = Some(voc);
+            }
+            self.measuring = false;
+            self.since_sample = Seconds::ZERO;
+        } else {
+            self.since_sample += dt;
+        }
+
+        if self.since_sample >= self.sample_period {
+            self.measuring = true;
+            return TrackerCommand::measure();
+        }
+
+        match self.held_voc {
+            Some(voc) => TrackerCommand::connect_at(voc * self.k),
+            // No valid sample yet (ACTIVE low): converter stays off.
+            None => TrackerCommand::measure(),
         }
     }
 
     fn overhead_power(&self) -> Watts {
-        self.kernel.overhead
+        self.overhead
     }
 
     fn can_cold_start(&self) -> bool {
@@ -387,16 +281,6 @@ mod tests {
         assert!(t().with_initial_phase(Seconds::new(f64::NAN)).is_err());
         assert!(t().with_initial_phase(Seconds::ZERO).is_ok());
         assert!(t().with_initial_phase(Seconds::new(68.9)).is_ok());
-    }
-
-    #[test]
-    fn kernel_exposes_the_tracker_parameters() {
-        let t = FocvSampleHold::paper_prototype().unwrap();
-        let kernel = t.kernel();
-        assert_eq!(kernel.k(), t.k());
-        assert_eq!(kernel.sample_period(), t.sample_period());
-        assert_eq!(kernel.overhead_power(), t.overhead_power());
-        assert!(!t.lane().measuring());
     }
 
     #[test]

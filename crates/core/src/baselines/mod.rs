@@ -29,7 +29,7 @@ mod variable_hold_focv;
 
 pub use adaptive_k_focv::AdaptiveKFocv;
 pub use fixed_voltage::FixedVoltage;
-pub use focv_sample_hold::{FocvDecision, FocvKernel, FocvLane, FocvSampleHold};
+pub use focv_sample_hold::FocvSampleHold;
 pub use fractional_isc::FractionalIsc;
 pub use gradient_descent::GradientDescentMppt;
 pub use incremental_conductance::IncrementalConductance;

@@ -170,9 +170,10 @@ pub fn compare_trackers_over_fleet(
     compare_trackers_over_fleet_with(spec, runner, crate::Engine::PerNode)
 }
 
-/// [`compare_trackers_over_fleet`] through an explicit execution
-/// engine. The shared fleet inputs (population, traces, warmed
-/// surfaces) are prepared once and reused across all tracker kinds.
+/// [`compare_trackers_over_fleet`] under an explicit [`crate::Engine`]
+/// label (both labels run the one node stepper). The shared fleet
+/// inputs (population, traces, warmed surfaces) are prepared once and
+/// reused across all tracker kinds.
 ///
 /// # Errors
 ///

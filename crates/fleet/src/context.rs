@@ -5,11 +5,7 @@
 //! supervisor constants — costs hundreds of milliseconds, which used to
 //! be paid on every [`crate::FleetRunner::run`] call. A [`FleetContext`]
 //! hoists that setup so repeated runs (tracker comparisons, benchmarks,
-//! engine cross-checks) pay it once. Both engines execute against the
-//! same prepared context, screen cold starts with the same
-//! [`FleetContext`] check, and fold node reports through the same
-//! fleet-order fold, which is also what makes their outputs directly
-//! comparable.
+//! campaign epochs) pay it once.
 
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::{week, TimeSeries};
@@ -25,7 +21,6 @@ use crate::population::NodeSpec;
 use crate::report::{FleetReport, NodeOutcome};
 use crate::run::Engine;
 use crate::spec::{FleetSpec, Placement};
-use crate::vectorized;
 
 /// The shared, immutable inputs of a fleet run, prepared once: the
 /// validated spec, its seeded population, one base day trace per
@@ -153,12 +148,14 @@ impl FleetContext {
         &self.pool
     }
 
-    /// Simulates one shard of nodes through the chosen engine and folds
-    /// their reports in fleet order — the public per-shard entry point
-    /// long-running callers (the serving layer's streaming and
-    /// checkpoint/resume paths) drive directly. Both engines run each
-    /// node on its own [`eh_sim::drive`] loop; they differ only in the
-    /// stepper.
+    /// Simulates one shard of nodes and folds their reports in fleet
+    /// order — the public per-shard entry point long-running callers
+    /// (the serving layer's streaming and checkpoint/resume paths, the
+    /// campaign's epochs) drive directly. Each node runs on its own
+    /// [`eh_sim::drive`] loop; the first error in fleet order wins.
+    ///
+    /// The [`Engine`] argument selects nothing: both labels run the one
+    /// node stepper. It stays so existing callers compile.
     ///
     /// Folding the returned shard reports in shard index order
     /// reproduces [`crate::FleetRunner`]'s output **bit for bit** at
@@ -172,18 +169,18 @@ impl FleetContext {
     pub fn simulate_shard(
         &self,
         kind: TrackerKind,
-        engine: Engine,
+        _engine: Engine,
         nodes: Vec<NodeSpec>,
     ) -> Result<FleetReport, FleetError> {
-        // The fast engine has a stepper for FOCV on cached surfaces
-        // only; every other shard takes the per-node oracle.
-        if engine == Engine::Vectorized && kind == TrackerKind::Focv && self.spec.pv_cache {
-            let shared = vectorized::Shared::new(&self.spec)?;
-            return fold_in_fleet_order(nodes, |node| {
-                vectorized::simulate_node(self, &shared, node)
-            });
+        let mut merged: Option<Result<FleetReport, FleetError>> = None;
+        for node in nodes {
+            let single = self.simulate_node(kind, node);
+            match merged.as_mut() {
+                None => merged = Some(single),
+                Some(m) => m.merge(single),
+            }
         }
-        fold_in_fleet_order(nodes, |node| self.simulate_node(kind, node))
+        crate::run::merged_or_empty(merged)
     }
 
     /// The shared base trace of a placement in use.
@@ -201,10 +198,10 @@ impl FleetContext {
     }
 
     /// Analytic cold-start feasibility of a node whose light peaks at
-    /// `peak`, the screening both engines apply: the module must push
-    /// the supervisor's C1 past the enable threshold through the
-    /// steering diode (Voc above the knee) while out-supplying the
-    /// supervisor's quiescent draw (current at the knee).
+    /// `peak`: the module must push the supervisor's C1 past the enable
+    /// threshold through the steering diode (Voc above the knee) while
+    /// out-supplying the supervisor's quiescent draw (current at the
+    /// knee).
     pub(crate) fn cold_start_ok(
         &self,
         placement: Placement,
@@ -215,9 +212,8 @@ impl FleetContext {
             && cell.current_at(self.knee, peak)? > self.cold.supervisor_current())
     }
 
-    /// Simulates one node with the per-node oracle engine — the body
-    /// every per-node shard fold runs, and the reference the vectorized
-    /// engine is equivalence-tested against.
+    /// Simulates one node: cold-start screening, then the node
+    /// simulation under its tracker.
     pub(crate) fn simulate_node(
         &self,
         kind: TrackerKind,
@@ -248,24 +244,6 @@ impl FleetContext {
             },
         ))
     }
-}
-
-/// Folds per-node reports in fleet order, the one shard fold of both
-/// engines: the first error in fleet order wins, and an empty shard is
-/// [`FleetError::EmptyFleet`].
-fn fold_in_fleet_order(
-    nodes: Vec<NodeSpec>,
-    mut simulate: impl FnMut(NodeSpec) -> Result<FleetReport, FleetError>,
-) -> Result<FleetReport, FleetError> {
-    let mut merged: Option<Result<FleetReport, FleetError>> = None;
-    for node in nodes {
-        let single = simulate(node);
-        match merged.as_mut() {
-            None => merged = Some(single),
-            Some(m) => m.merge(single),
-        }
-    }
-    crate::run::merged_or_empty(merged)
 }
 
 #[cfg(test)]

@@ -51,7 +51,6 @@ mod population;
 mod report;
 mod run;
 mod spec;
-mod vectorized;
 
 pub use compare::{compare_trackers_over_fleet, compare_trackers_over_fleet_with, TrackerKind};
 pub use context::FleetContext;

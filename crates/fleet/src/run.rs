@@ -3,24 +3,17 @@
 //! ```text
 //! FleetSpec ──FleetContext::prepare──▶ population + traces + pool
 //!     │                                        │
-//!     │              ┌─ per-node engine ───────┤ shards ──▶ SweepRunner
-//!     └─ Engine ─────┤                         │               │ fold
-//!                    └─ vectorized ────────────┘               ▼
-//!                       FleetReport ◀──merge in shard index order
+//!     └──────── shards ──▶ SweepRunner ◀───────┘
+//!                              │ per node: NodeSimulation on eh_sim::drive
+//!                              ▼ fold
+//!               FleetReport ◀──merge in shard index order
 //! ```
 //!
 //! Each worker claims shards of nodes, simulates them against its
 //! placement's shared base trace (perturbed per node) and the shared
 //! warmed PV surface, and folds the single-node reports locally; the
 //! per-shard aggregates merge in shard index order. The result is
-//! bit-for-bit identical at any worker count.
-//!
-//! Two engines execute a shard, both stepping each node through
-//! [`eh_sim::drive`] and folding the reports in fleet order: the
-//! per-node oracle (one boxed tracker and store per node, the reference
-//! semantics) and the fast engine in [`crate::vectorized`], which steps
-//! the FOCV tracker about twice as fast under a bounded-divergence
-//! contract and hands every other shard to the per-node fold.
+//! bit-for-bit identical at any worker count and shard size.
 
 use eh_sim::SweepRunner;
 
@@ -30,29 +23,22 @@ use crate::error::FleetError;
 use crate::report::FleetReport;
 use crate::spec::FleetSpec;
 
-/// Which shard-execution engine a fleet run uses.
+/// The engine label of a fleet run.
+///
+/// Both labels run the same node stepper and give the same bits. The
+/// type stays because its labels are part of the serving layer's wire
+/// format and cache keys, and because callers name it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// The reference engine: one boxed tracker, store and simulation
-    /// per node. Slow but maximally simple — the oracle the vectorized
-    /// engine is equivalence-tested against.
+    /// The `per-node` label.
     PerNode,
-    /// The fast engine (this crate's `vectorized` module), and the
-    /// default: one monomorphic FOCV stepper per node on the oracle's
-    /// time loop, with strength-reduced physics (prefix-sum load
-    /// profile, energy-domain supercap, cursored PV reads). Not
-    /// bit-identical to the oracle — counts and classifications are
-    /// exact, energies agree to rel 1e-9, and the engine is
-    /// bit-identical to itself at any worker count and shard size. The
-    /// name predates the per-node stepper (the engine once stepped lane
-    /// packs in lockstep) and is kept because it is the engine's wire
-    /// label and part of every cache key.
+    /// The `vectorized` label, and the default.
     #[default]
     Vectorized,
 }
 
 impl Engine {
-    /// Every engine, reference first.
+    /// Every engine label.
     pub const ALL: [Engine; 2] = [Engine::PerNode, Engine::Vectorized];
 
     /// Stable label for reports and CLI flags.
@@ -405,18 +391,12 @@ mod tests {
         }
         let spec = small_spec();
         let runner = FleetRunner::new(1);
-        assert_eq!(
-            runner
-                .run_engine(&spec, TrackerKind::Focv, Engine::PerNode)
-                .unwrap(),
-            runner.run(&spec).unwrap()
-        );
-        // The vectorized engine is not bit-identical (bounded-divergence
-        // contract, pinned by the vectorized_equivalence suite), but it
-        // must dispatch and cover the same fleet.
-        let vectorized = runner
-            .run_engine(&spec, TrackerKind::Focv, Engine::Vectorized)
-            .unwrap();
-        assert_eq!(vectorized.nodes(), 24);
+        for engine in Engine::ALL {
+            assert_eq!(
+                runner.run_engine(&spec, TrackerKind::Focv, engine).unwrap(),
+                runner.run(&spec).unwrap(),
+                "{engine}"
+            );
+        }
     }
 }

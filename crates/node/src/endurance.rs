@@ -35,7 +35,7 @@ pub fn run_windowed(
 mod tests {
     use super::*;
     use crate::sim::SimConfig;
-    use crate::storage::Supercapacitor;
+    use crate::storage::{ConcreteStore, Supercapacitor};
     use eh_core::baselines::FocvSampleHold;
     use eh_env::week::{self, DayKind};
     use eh_pv::presets;
@@ -75,7 +75,7 @@ mod tests {
             .with_initial_voltage(Volts::new(4.0));
         let cfg = SimConfig::default_for(presets::sanyo_am1815())
             .unwrap()
-            .with_store(Box::new(store));
+            .with_store(ConcreteStore::Supercapacitor(store));
         let mut sim = NodeSimulation::new(cfg).unwrap();
         let mut tracker = FocvSampleHold::paper_prototype().unwrap();
         let reports = run_windowed(

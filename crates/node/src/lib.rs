@@ -46,10 +46,7 @@ mod storage;
 
 pub use compare::{compare_trackers, TrackerComparison};
 pub use error::NodeError;
-pub use load::{DutyCycledLoad, LoadEnergyProfile, LoadPhase};
+pub use load::{DutyCycledLoad, LoadPhase};
 pub use report::NodeReport;
-pub use sim::{NodeSimulation, ObsLocals, SimConfig};
-pub use storage::{
-    Battery, ConcreteStore, EnergyDomainSupercap, EnergyStore, IdealStore, StoreSpec,
-    Supercapacitor,
-};
+pub use sim::{NodeSimulation, SimConfig};
+pub use storage::{Battery, ConcreteStore, EnergyStore, IdealStore, StoreSpec, Supercapacitor};

@@ -63,6 +63,12 @@ pub struct DutyCycledLoad {
     phases: Vec<LoadPhase>,
     period: Seconds,
     average: Watts,
+    /// Energy of one whole cycle, in joules.
+    cycle_energy: f64,
+    /// Phase start offsets plus the period, ascending: `len = phases+1`.
+    bounds: Vec<f64>,
+    /// Cumulative energy at each bound: `cum[i] = F(bounds[i])`.
+    cum: Vec<f64>,
 }
 
 impl DutyCycledLoad {
@@ -78,16 +84,24 @@ impl DutyCycledLoad {
                 value: 0.0,
             });
         }
-        let period = Seconds::new(phases.iter().map(|p| p.duration.value()).sum());
-        let energy: f64 = phases
-            .iter()
-            .map(|p| p.power.value() * p.duration.value())
-            .sum();
-        let average = Watts::new(energy / period.value());
+        // The phase bounds and the cumulative energy at each: the prefix
+        // sums behind `energy_over`, and the period and cycle energy.
+        let mut bounds = vec![0.0];
+        let mut cum = vec![0.0];
+        let (mut b, mut e) = (0.0, 0.0);
+        for p in &phases {
+            b += p.duration.value();
+            e += p.power.value() * p.duration.value();
+            bounds.push(b);
+            cum.push(e);
+        }
         Ok(Self {
             phases,
-            period,
-            average,
+            period: Seconds::new(b),
+            average: Watts::new(e / b),
+            cycle_energy: e,
+            bounds,
+            cum,
         })
     }
 
@@ -177,14 +191,16 @@ impl DutyCycledLoad {
     }
 
     /// Time-averaged power over a full cycle (precomputed at
-    /// construction; `energy_demand` reads it every step).
+    /// construction).
     #[inline]
     pub fn average_power(&self) -> Watts {
         self.average
     }
 
-    /// Energy demanded over the interval `[t, t+dt)` (exact phase-folded
-    /// integration).
+    /// Energy demanded over the interval `[t, t+dt)` at absolute time
+    /// `t` (exact phase-folded integration, walking the phases segment by
+    /// segment): the reference [`energy_over`](Self::energy_over) is
+    /// tested against.
     #[inline]
     pub fn energy_demand(&self, t: Seconds, dt: Seconds) -> Joules {
         if dt.value() <= 0.0 {
@@ -217,65 +233,6 @@ impl DutyCycledLoad {
         Joules::new(energy)
     }
 
-    /// Precomputes the cumulative-energy form of this load for
-    /// [`LoadEnergyProfile::energy_over`] — the fleet step path that
-    /// replaces the per-step phase *walk* with two prefix-sum lookups.
-    pub fn energy_profile(&self) -> LoadEnergyProfile {
-        let mut bounds = Vec::with_capacity(self.phases.len() + 1);
-        let mut cum = Vec::with_capacity(self.phases.len() + 1);
-        let mut powers = Vec::with_capacity(self.phases.len());
-        let mut b = 0.0;
-        let mut e = 0.0;
-        bounds.push(0.0);
-        cum.push(0.0);
-        for p in &self.phases {
-            b += p.duration.value();
-            e += p.power.value() * p.duration.value();
-            bounds.push(b);
-            cum.push(e);
-            powers.push(p.power.value());
-        }
-        LoadEnergyProfile {
-            period: self.period.value(),
-            average: self.average.value(),
-            cycle_energy: e,
-            bounds,
-            powers,
-            cum,
-        }
-    }
-}
-
-/// The cumulative-energy form of a [`DutyCycledLoad`]: the energy drawn
-/// over `[pos, pos + dt)` evaluates as a *difference of prefix sums*,
-/// `F(pos + rem) − F(pos)`, instead of iterating phase segments — two
-/// short lookups per step in place of the phase walk that tops the
-/// fleet step profile (DESIGN.md §10/§14).
-///
-/// Divergence vs [`DutyCycledLoad::energy_demand`] is the cancellation
-/// of the prefix-sum difference — on the order of `ε·E_cycle` per step,
-/// many orders inside the fleet's rel-1e-9 contract (property-tested at
-/// rel 1e-9 over multi-year walks in `tests/properties.rs`). Engines
-/// needing the oracle's bit-identity must keep the walking forms.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadEnergyProfile {
-    period: f64,
-    average: f64,
-    cycle_energy: f64,
-    /// Phase start offsets plus the period, ascending: `len = phases+1`.
-    bounds: Vec<f64>,
-    /// Power per phase: `len = phases`.
-    powers: Vec<f64>,
-    /// Cumulative energy at each bound: `cum[i] = F(bounds[i])`.
-    cum: Vec<f64>,
-}
-
-impl LoadEnergyProfile {
-    /// The full cycle period in seconds.
-    pub fn period(&self) -> f64 {
-        self.period
-    }
-
     /// Cumulative energy from the cycle start to intra-period position
     /// `x` (clamped linear extrapolation beyond the last bound absorbs
     /// ulp-scale overshoot of a wrapped position).
@@ -283,43 +240,53 @@ impl LoadEnergyProfile {
     fn cumulative(&self, x: f64) -> f64 {
         // Loads have a handful of phases; a linear scan beats a binary
         // search and stays branch-predictable (early phases are long).
-        let mut i = self.powers.len() - 1;
-        for k in 0..self.powers.len() - 1 {
+        let n = self.phases.len();
+        let mut i = n - 1;
+        for k in 0..n - 1 {
             if x < self.bounds[k + 1] {
                 i = k;
                 break;
             }
         }
-        self.cum[i] + self.powers[i] * (x - self.bounds[i])
+        self.cum[i] + self.phases[i].power.value() * (x - self.bounds[i])
     }
 
     /// Energy demanded over `[*pos, *pos + dt)`, advancing `pos` (an
-    /// intra-period position in `[0, period)`, e.g. starting at `0.0`)
-    /// by `dt` modulo the period. Whole cycles contribute
-    /// `average · period` exactly as the walking forms do.
-    #[inline]
+    /// intra-period position in `[0, period)`, starting at `0.0` at the
+    /// start of a run) by `dt` modulo the period: the node simulation's
+    /// per-step load draw.
+    ///
+    /// Whole cycles contribute `average · period` as in
+    /// [`energy_demand`](Self::energy_demand); the partial cycle is a
+    /// difference of prefix sums, `F(pos + rem) − F(pos)`, instead of a
+    /// walk over the phase segments. It differs from `energy_demand` at
+    /// the same instant only by the cancellation of that difference, on
+    /// the order of `ε·E_cycle` per step (property-tested per step and
+    /// over a two-year walk in `tests/properties.rs`).
+    #[inline(always)]
     pub fn energy_over(&self, pos: &mut f64, dt: Seconds) -> Joules {
         if dt.value() <= 0.0 {
             return Joules::ZERO;
         }
+        let period = self.period.value();
         // The floor of a non-negative quotient, by integer truncation
         // (no libm call on baseline x86-64); from 2^53 up every double is
         // an integer already.
-        let q = dt.value() / self.period;
+        let q = dt.value() / period;
         let cycles = if q < 9_007_199_254_740_992.0 {
             q as i64 as f64
         } else {
             q
         };
-        let mut energy = cycles * self.average * self.period;
-        let rem = dt.value() - cycles * self.period;
+        let mut energy = cycles * self.average.value() * period;
+        let rem = dt.value() - cycles * period;
         let p = *pos;
         let end = p + rem;
-        if end < self.period {
+        if end < period {
             energy += self.cumulative(end) - self.cumulative(p);
             *pos = end;
         } else {
-            let wrapped = end - self.period;
+            let wrapped = end - period;
             energy += (self.cycle_energy - self.cumulative(p)) + self.cumulative(wrapped);
             *pos = wrapped;
         }

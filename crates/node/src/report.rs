@@ -40,8 +40,7 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
-    /// Assembles a finished run's report from its ledgers — the one
-    /// assembly every node engine shares.
+    /// Assembles a finished run's report from its ledgers.
     ///
     /// With observability on, `metrics` already holds the drive loop's
     /// statistics; this flushes the per-step `obs` locals into it, adds
@@ -56,7 +55,7 @@ impl NodeReport {
     ///
     /// Returns the ledger's conservation error when the two sums differ
     /// by more than 1e-9 relative.
-    pub fn assemble(
+    pub(crate) fn assemble(
         tracker: String,
         duration: Seconds,
         acc: &Accumulator,

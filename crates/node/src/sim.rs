@@ -4,14 +4,14 @@ use eh_converter::InputRegulatedConverter;
 use eh_core::{CoreError, MpptController, Observation, TrackerCommand};
 use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics, Recorder};
-use eh_pv::PvCell;
+use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell, PvError};
 use eh_sim::{drive, Accumulator, Light, StepInput, StepOutput, Stepper};
-use eh_units::{Amps, Joules, Seconds, Volts, Watts};
+use eh_units::{Amps, Joules, Lux, Seconds, Volts, Watts};
 
 use crate::error::NodeError;
 use crate::load::DutyCycledLoad;
 use crate::report::NodeReport;
-use crate::storage::{EnergyStore, IdealStore};
+use crate::storage::{ConcreteStore, EnergyStore, IdealStore};
 
 /// Configuration of a closed-loop run.
 pub struct SimConfig {
@@ -25,7 +25,7 @@ pub struct SimConfig {
     /// Optional node load drawing from the store.
     pub load: Option<DutyCycledLoad>,
     /// The energy store.
-    pub store: Box<dyn EnergyStore + Send>,
+    pub store: ConcreteStore,
     /// Whether the cell answers hot-path queries from the memoized
     /// [`eh_pv::CachedPvSurface`] instead of the exact implicit solver
     /// (accurate to the documented error bound; `false` keeps the exact
@@ -52,7 +52,7 @@ impl SimConfig {
             converter: InputRegulatedConverter::paper_prototype().map_err(CoreError::from)?,
             measurement_dwell: Seconds::from_milli(39.0),
             load: None,
-            store: Box::new(IdealStore::new()),
+            store: ConcreteStore::Ideal(IdealStore::new()),
             pv_cache: false,
             obs: false,
         })
@@ -60,7 +60,7 @@ impl SimConfig {
 
     /// Replaces the store (builder style).
     #[must_use]
-    pub fn with_store(mut self, store: Box<dyn EnergyStore + Send>) -> Self {
+    pub fn with_store(mut self, store: ConcreteStore) -> Self {
         self.store = store;
         self
     }
@@ -101,7 +101,7 @@ impl std::fmt::Debug for SimConfig {
 }
 
 /// Per-step observability accumulated in plain locals and flushed once
-/// per node/lane into the [`Recorder`].
+/// per run into the [`Recorder`].
 ///
 /// The per-step recording path costs a `BTreeMap` probe per counter and
 /// span on every simulated step; batching into locals cuts that to one
@@ -113,7 +113,7 @@ impl std::fmt::Debug for SimConfig {
 /// skipped so no map entry appears that per-step recording would not
 /// have created.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ObsLocals {
+pub(crate) struct ObsLocals {
     transfer_steps: u64,
     switching_j: f64,
     astable_j: f64,
@@ -236,6 +236,9 @@ impl NodeSimulation {
     /// of `dt`, so the cost of a 39 ms PULSE is charged honestly rather
     /// than rounded up to a full step.
     ///
+    /// The store carries over from run to run, while the load's cycle
+    /// position restarts at 0 with each run's clock.
+    ///
     /// # Errors
     ///
     /// Rejects a non-positive `dt`; propagates PV solver failures.
@@ -249,8 +252,24 @@ impl NodeSimulation {
         let has_sensor = tracker.requires_light_sensor();
         let compute_cost = tracker.compute_cost();
         let metrics = self.config.obs.then(Metrics::new);
+        let config = &self.config;
+        let surface = if config.pv_cache {
+            Some(config.cell.cached().map_err(CoreError::from)?)
+        } else {
+            None
+        };
         let mut stepper = NodeStepper {
-            config: &mut self.config,
+            cell: &config.cell,
+            surface,
+            cursor: LuxCursor::new(),
+            converter: &config.converter,
+            dwell: config.measurement_dwell,
+            load: config.load.as_ref(),
+            load_pos: 0.0,
+            // The stepper owns a copy of the store for the run, so the
+            // hot loop touches it by value; the copy goes back into the
+            // config afterwards, on the error path too.
+            store: config.store.clone(),
             tracker: &mut *tracker,
             has_sensor,
             compute_per_decision: compute_cost.energy_per_decision(),
@@ -263,15 +282,22 @@ impl NodeSimulation {
             obs: ObsLocals::default(),
             metrics,
         };
-        drive(&mut stepper, &light, dt)?;
+        let driven = drive(&mut stepper, &light, dt);
         let NodeStepper {
-            acc, obs, metrics, ..
+            store,
+            acc,
+            obs,
+            metrics,
+            ..
         } = stepper;
+        let final_store = store.stored_energy();
+        self.config.store = store;
+        driven?;
         NodeReport::assemble(
             tracker.name().to_owned(),
             trace.duration(),
             &acc,
-            self.config.store.stored_energy(),
+            final_store,
             compute_cost.ops_per_decision,
             &obs,
             metrics,
@@ -282,8 +308,25 @@ impl NodeSimulation {
 /// One node-simulation time slice as a steppable system: observe, ask
 /// the tracker for a command, execute it, and report the adaptive dwell
 /// back to the engine.
+///
+/// Three strength reductions keep the step cheap, each exact or within
+/// the cache's own error bound: the supercapacitor store carries energy
+/// (no `sqrt` round trip per deposit or withdraw), the load draw is a
+/// prefix-sum difference at a cycle position the stepper carries, and a
+/// cached cell's surface is read through a [`LuxCursor`] that reuses the
+/// log-lux cell between steps.
 struct NodeStepper<'a> {
-    config: &'a mut SimConfig,
+    cell: &'a PvCell,
+    /// The cell's warmed surface, resolved once per run; `None` keeps
+    /// the exact solver.
+    surface: Option<&'a CachedPvSurface>,
+    cursor: LuxCursor,
+    converter: &'a InputRegulatedConverter,
+    dwell: Seconds,
+    load: Option<&'a DutyCycledLoad>,
+    /// Position in the load's duty cycle, from 0 at the run's start.
+    load_pos: f64,
+    store: ConcreteStore,
     tracker: &'a mut dyn MpptController,
     has_sensor: bool,
     compute_per_decision: Joules,
@@ -297,9 +340,48 @@ struct NodeStepper<'a> {
     metrics: Option<Metrics>,
 }
 
+impl NodeStepper<'_> {
+    /// The regulated operating voltage `min(target, Voc)` and, when it
+    /// is positive, the current the cell sources there.
+    #[inline(always)]
+    fn connect_point(&mut self, target: Volts, lux: Lux) -> Result<ConnectPoint, NodeError> {
+        Ok(match self.surface {
+            Some(surface) => surface.connect_point_lane(&mut self.cursor, target, lux)?,
+            None => self.connect_point_exact(target, lux)?,
+        })
+    }
+
+    /// [`NodeStepper::connect_point`] on the exact solver. Kept out of
+    /// line: its solves dwarf a call, and inlined it crowds the cached
+    /// step loop.
+    #[inline(never)]
+    fn connect_point_exact(&self, target: Volts, lux: Lux) -> Result<ConnectPoint, PvError> {
+        self.cell
+            .model()
+            .connect_point(target, lux, self.cell.temperature())
+    }
+
+    /// Open-circuit voltage at `lux`, through the cursor when cached.
+    #[inline(always)]
+    fn open_circuit_voltage(&mut self, lux: Lux) -> Result<Volts, NodeError> {
+        Ok(match self.surface {
+            Some(surface) => surface.open_circuit_voltage_lane(&mut self.cursor, lux)?,
+            None => self.cell.open_circuit_voltage(lux)?,
+        })
+    }
+
+    #[inline(always)]
+    fn disconnect(&mut self) {
+        self.last_voltage = Volts::ZERO;
+        self.last_current = Amps::ZERO;
+        self.last_power = Watts::ZERO;
+    }
+}
+
 impl Stepper for NodeStepper<'_> {
     type Error = NodeError;
 
+    #[inline]
     fn step(
         &mut self,
         t: Seconds,
@@ -324,38 +406,32 @@ impl Stepper for NodeStepper<'_> {
         let actual = if is_connect {
             planned
         } else {
-            self.config.measurement_dwell.min(planned)
+            self.dwell.min(planned)
         };
 
         match cmd {
             TrackerCommand::Connect(target) if target.value() > 0.0 => {
-                let voc = self.config.cell.open_circuit_voltage(lux)?;
-                let v_op = target.min(voc);
-                if v_op.value() > 0.0 {
-                    let i = self.config.cell.current_at(v_op, lux)?.max(Amps::ZERO);
-                    let harvest = self.config.converter.harvest(v_op, i, actual);
+                let point = self.connect_point(target, lux)?;
+                if let Some(i) = point.current {
+                    let v_op = point.v_op;
+                    let i = i.max(Amps::ZERO);
+                    let harvest = self.converter.harvest(v_op, i, actual);
                     self.acc.add_harvest(harvest.output_energy);
                     self.acc.add_loss(harvest.losses * actual);
                     if self.metrics.is_some() {
                         self.obs.observe_harvest(&harvest, actual);
                     }
-                    self.config.store.deposit(harvest.output_energy);
+                    self.store.deposit(harvest.output_energy);
                     self.last_voltage = v_op;
                     self.last_current = i;
                     self.last_power = harvest.input_power;
                 } else {
-                    self.last_voltage = Volts::ZERO;
-                    self.last_current = Amps::ZERO;
-                    self.last_power = Watts::ZERO;
+                    self.disconnect();
                 }
             }
-            TrackerCommand::Connect(_) => {
-                self.last_voltage = Volts::ZERO;
-                self.last_current = Amps::ZERO;
-                self.last_power = Watts::ZERO;
-            }
+            TrackerCommand::Connect(_) => self.disconnect(),
             TrackerCommand::MeasureVoc => {
-                let voc = self.config.cell.open_circuit_voltage(lux)?;
+                let voc = self.open_circuit_voltage(lux)?;
                 self.last_voc = Some(voc);
                 self.last_voltage = voc;
                 self.last_current = Amps::ZERO;
@@ -363,7 +439,7 @@ impl Stepper for NodeStepper<'_> {
                 self.acc.count_measurement();
             }
             TrackerCommand::MeasureIsc => {
-                let isc = self.config.cell.short_circuit_current(lux)?;
+                let isc = self.cell.short_circuit_current(lux)?;
                 self.last_isc = Some(isc);
                 self.last_voltage = Volts::ZERO;
                 self.last_current = isc;
@@ -375,7 +451,7 @@ impl Stepper for NodeStepper<'_> {
         // Tracker overhead comes out of the store, harvested or not.
         let oh = self.tracker.overhead_power() * actual;
         self.acc.add_overhead(oh);
-        self.config.store.withdraw(oh);
+        self.store.withdraw(oh);
 
         // Control-law compute energy: one decision per tracker step,
         // charged at the tracker's declared ops × energy/op. Zero (and
@@ -383,19 +459,19 @@ impl Stepper for NodeStepper<'_> {
         let compute = self.compute_per_decision;
         self.acc.add_compute(compute);
         self.acc.count_decision();
-        self.config.store.withdraw(compute);
+        self.store.withdraw(compute);
 
         // Node load.
         let mut served = Joules::ZERO;
-        if let Some(load) = &self.config.load {
-            let demand = load.energy_demand(t, actual);
-            served = self.config.store.withdraw(demand);
+        if let Some(load) = self.load {
+            let demand = load.energy_over(&mut self.load_pos, actual);
+            served = self.store.withdraw(demand);
             self.acc.add_load(demand, served);
         }
 
-        self.config.store.leak(actual);
+        self.store.leak(actual);
 
-        // Metric attribution, accumulated in per-node locals (flushed
+        // Metric attribution, accumulated in per-run locals (flushed
         // once after the drive loop). The tracker's lump overhead is
         // split by phase: during a measurement dwell the sample-and-hold
         // chain is what burns it; between measurements the astable timer
@@ -497,7 +573,7 @@ mod tests {
         let cfg = SimConfig::default_for(presets::sanyo_am1815())
             .unwrap()
             .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
-            .with_store(Box::new(
+            .with_store(ConcreteStore::Supercapacitor(
                 Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8)).unwrap(),
             ));
         let mut sim = NodeSimulation::new(cfg).unwrap();
@@ -532,7 +608,7 @@ mod tests {
         let cfg = SimConfig::default_for(presets::sanyo_am1815())
             .unwrap()
             .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
-            .with_store(Box::new(
+            .with_store(ConcreteStore::Supercapacitor(
                 Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8)).unwrap(),
             ))
             .with_obs(true);

@@ -27,6 +27,15 @@ pub trait EnergyStore {
 /// usable voltage and a maximum rated voltage, with a constant leakage
 /// current (the dominant supercap loss at these scales).
 ///
+/// The state is carried as stored energy `E = ½CV²`, not as terminal
+/// voltage, so deposits and withdrawals are adds and clamps with no
+/// energy→voltage `sqrt` round trip. Only [`EnergyStore::leak`] (a
+/// constant current, so linear in voltage) and the
+/// [`voltage`](Self::voltage) observation pay a `sqrt`, with `√(2/C)`
+/// and `1/C` hoisted to construction. The property tests in
+/// `tests/properties.rs` pin this arithmetic within rel 1e-12 of the
+/// `½CV²` / `I·t/C` voltage-domain closed forms.
+///
 /// ```
 /// use eh_node::{EnergyStore, Supercapacitor};
 /// use eh_units::{Farads, Joules, Volts};
@@ -42,7 +51,17 @@ pub struct Supercapacitor {
     v_max: Volts,
     v_min: Volts,
     leakage: Amps,
-    voltage: Volts,
+    /// Stored energy `½CV²`, in joules.
+    energy: f64,
+    /// `½C·v_max²`.
+    e_max: f64,
+    /// `½C·v_min²`.
+    e_floor: f64,
+    /// `√(2/C)`, so `V(E) = √(2/C)·√E` costs one `sqrt` and one
+    /// multiply.
+    sqrt_2_over_c: f64,
+    /// `1/C`, hoisting the leak update's division.
+    inv_c: f64,
 }
 
 impl Supercapacitor {
@@ -64,12 +83,18 @@ impl Supercapacitor {
                 value: v_min.value(),
             });
         }
+        let c = capacitance.value();
+        let e_floor = Self::energy_at(c, v_min);
         Ok(Self {
             capacitance,
             v_max,
             v_min,
             leakage: Amps::from_micro(2.0),
-            voltage: v_min,
+            energy: e_floor,
+            e_max: Self::energy_at(c, v_max),
+            e_floor,
+            sqrt_2_over_c: (2.0 / c).sqrt(),
+            inv_c: 1.0 / c,
         })
     }
 
@@ -84,13 +109,14 @@ impl Supercapacitor {
     /// usable window) — e.g. a node deployed with a charged store.
     #[must_use]
     pub fn with_initial_voltage(mut self, v: Volts) -> Self {
-        self.voltage = v.clamp(self.v_min, self.v_max);
+        let v = v.clamp(self.v_min, self.v_max);
+        self.energy = Self::energy_at(self.capacitance.value(), v);
         self
     }
 
     /// The terminal voltage.
     pub fn voltage(&self) -> Volts {
-        self.voltage
+        Volts::new(self.sqrt_2_over_c * self.energy.max(0.0).sqrt())
     }
 
     /// The capacitance.
@@ -115,20 +141,12 @@ impl Supercapacitor {
 
     /// Usable capacity: `½C(v_max² − v_min²)`.
     pub fn usable_capacity(&self) -> Joules {
-        Joules::new(
-            0.5 * self.capacitance.value()
-                * (self.v_max.value().powi(2) - self.v_min.value().powi(2)),
-        )
+        Joules::new(self.e_max - self.e_floor)
     }
 
     #[inline]
-    fn energy_at(&self, v: Volts) -> f64 {
-        0.5 * self.capacitance.value() * v.value().powi(2)
-    }
-
-    #[inline]
-    fn voltage_for_energy(&self, e: f64) -> Volts {
-        Volts::new((2.0 * e / self.capacitance.value()).max(0.0).sqrt())
+    fn energy_at(c: f64, v: Volts) -> f64 {
+        0.5 * c * v.value().powi(2)
     }
 }
 
@@ -138,129 +156,6 @@ impl EnergyStore for Supercapacitor {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
-        let now = self.energy_at(self.voltage);
-        let cap = self.energy_at(self.v_max);
-        let absorbed = energy.value().min(cap - now);
-        self.voltage = self.voltage_for_energy(now + absorbed);
-        Joules::new(absorbed)
-    }
-
-    #[inline]
-    fn withdraw(&mut self, energy: Joules) -> Joules {
-        if energy.value() <= 0.0 {
-            return Joules::ZERO;
-        }
-        let now = self.energy_at(self.voltage);
-        let floor = self.energy_at(self.v_min);
-        // Bit-identity note: the withdraw path always runs the
-        // energy→voltage round trip, even for a zero-supplied result —
-        // skipping it would move the terminal voltage by one ULP.
-        let supplied = energy.value().min((now - floor).max(0.0));
-        self.voltage = self.voltage_for_energy(now - supplied);
-        Joules::new(supplied)
-    }
-
-    #[inline]
-    fn leak(&mut self, dt: Seconds) {
-        if dt.value() <= 0.0 {
-            return;
-        }
-        let dv = (self.leakage * dt) / self.capacitance;
-        self.voltage = (self.voltage - dv).max(Volts::ZERO);
-    }
-
-    #[inline]
-    fn stored_energy(&self) -> Joules {
-        Joules::new((self.energy_at(self.voltage) - self.energy_at(self.v_min)).max(0.0))
-    }
-
-    fn state_of_charge(&self) -> Ratio {
-        let usable = self.usable_capacity().value();
-        if usable <= 0.0 {
-            return Ratio::ZERO;
-        }
-        Ratio::new((self.stored_energy().value() / usable).clamp(0.0, 1.0))
-    }
-}
-
-/// A [`Supercapacitor`] with its state carried in the *energy* domain.
-///
-/// The voltage-domain store pays an energy→voltage `sqrt` round trip on
-/// every deposit and withdraw — three per simulated step on the fleet
-/// hot path, the second-largest entry in the DESIGN.md §10 step profile.
-/// Carrying `E = ½CV²` directly makes deposit and withdraw pure
-/// add/clamp operations; only `leak` (whose physics is linear in
-/// voltage) and the explicit [`voltage`](Self::voltage) observation pay
-/// a `sqrt`, cutting the per-step count from three to one.
-///
-/// The reordering changes float rounding, so the state is *not*
-/// bit-identical to the voltage-domain store — it tracks it within
-/// rel 1e-12 over arbitrary deposit/withdraw/leak sequences (including
-/// the campaign's worn-store `v₀ = √(v_min² + 2E/C_worn)` deployment
-/// path), property-tested in `tests/properties.rs`. Engines that use it
-/// therefore run under the fleet's bounded-divergence contract, not the
-/// oracle's bit-identity.
-///
-/// ```
-/// use eh_node::{EnergyDomainSupercap, EnergyStore, Supercapacitor};
-/// use eh_units::{Farads, Joules, Volts};
-///
-/// let mut sc = Supercapacitor::new(Farads::new(0.1), Volts::new(5.0), Volts::new(1.8))?;
-/// sc.deposit(Joules::new(0.4));
-/// let mut fast = EnergyDomainSupercap::from_supercapacitor(&sc);
-/// let rel = (fast.stored_energy().value() - sc.stored_energy().value()).abs()
-///     / sc.stored_energy().value();
-/// assert!(rel < 1e-12);
-/// # Ok::<(), eh_node::NodeError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyDomainSupercap {
-    capacitance: f64,
-    leakage: f64,
-    e_max: f64,
-    e_floor: f64,
-    energy: f64,
-    /// `√(2/C)`, so `V(E) = √(2/C)·√E` costs one `sqrt` and one
-    /// multiply instead of a divide-then-`sqrt` round trip per step.
-    sqrt_2_over_c: f64,
-    /// `1/C`, hoisting the leak update's division out of the hot loop.
-    inv_c: f64,
-}
-
-impl EnergyDomainSupercap {
-    /// Captures a voltage-domain supercapacitor's parameters and current
-    /// state.
-    pub fn from_supercapacitor(sc: &Supercapacitor) -> Self {
-        let c = sc.capacitance().value();
-        Self {
-            capacitance: c,
-            leakage: sc.leakage().value(),
-            e_max: 0.5 * c * sc.v_max().value().powi(2),
-            e_floor: 0.5 * c * sc.v_min().value().powi(2),
-            energy: 0.5 * c * sc.voltage().value().powi(2),
-            sqrt_2_over_c: (2.0 / c).sqrt(),
-            inv_c: 1.0 / c,
-        }
-    }
-
-    /// The terminal voltage — the one observation that pays a `sqrt`.
-    pub fn voltage(&self) -> Volts {
-        Volts::new(self.sqrt_2_over_c * self.energy.max(0.0).sqrt())
-    }
-
-    /// Usable capacity: `½C(v_max² − v_min²)`.
-    pub fn usable_capacity(&self) -> Joules {
-        Joules::new(self.e_max - self.e_floor)
-    }
-}
-
-impl EnergyStore for EnergyDomainSupercap {
-    #[inline]
-    fn deposit(&mut self, energy: Joules) -> Joules {
-        if energy.value() <= 0.0 {
-            return Joules::ZERO;
-        }
-        // Mirrors the voltage-domain clamp without the √ round trip.
         let absorbed = energy.value().min(self.e_max - self.energy);
         self.energy += absorbed;
         Joules::new(absorbed)
@@ -281,13 +176,12 @@ impl EnergyStore for EnergyDomainSupercap {
         if dt.value() <= 0.0 {
             return;
         }
-        // Leakage is a constant current, i.e. linear in *voltage*, so
-        // this is where the remaining per-step sqrt lives; the two
-        // divisions are hoisted into `sqrt_2_over_c` / `inv_c`.
+        // A constant leakage current is linear in voltage: step the
+        // voltage down by `I·t/C` and square back into energy.
         let v = self.sqrt_2_over_c * self.energy.max(0.0).sqrt();
-        let dv = self.leakage * dt.value() * self.inv_c;
+        let dv = self.leakage.value() * dt.value() * self.inv_c;
         let after = (v - dv).max(0.0);
-        self.energy = 0.5 * self.capacitance * after * after;
+        self.energy = 0.5 * self.capacitance.value() * after * after;
     }
 
     #[inline]
@@ -296,7 +190,7 @@ impl EnergyStore for EnergyDomainSupercap {
     }
 
     fn state_of_charge(&self) -> Ratio {
-        let usable = self.e_max - self.e_floor;
+        let usable = self.usable_capacity().value();
         if usable <= 0.0 {
             return Ratio::ZERO;
         }
@@ -466,13 +360,11 @@ impl EnergyStore for IdealStore {
     }
 }
 
-/// A declarative, cloneable description of an energy store.
+/// A declarative, `Copy` description of an energy store.
 ///
-/// `Box<dyn EnergyStore>` is neither `Clone` nor comparable, which makes
-/// it awkward for specifications that must stamp out one fresh store per
-/// simulated node (a fleet) or per sweep job. `StoreSpec` is the
-/// value-type counterpart: describe the store once, [`StoreSpec::build`]
-/// a fresh instance wherever one is needed.
+/// Specifications that stamp out one fresh store per simulated node (a
+/// fleet) or per sweep job describe the store once and
+/// [`StoreSpec::build`] a fresh instance wherever one is needed.
 ///
 /// ```
 /// use eh_node::{EnergyStore, StoreSpec};
@@ -529,22 +421,7 @@ impl StoreSpec {
     /// # Errors
     ///
     /// Propagates the underlying constructors' parameter validation.
-    pub fn build(&self) -> Result<Box<dyn EnergyStore + Send>, NodeError> {
-        Ok(match self.build_concrete()? {
-            ConcreteStore::Ideal(s) => Box::new(s),
-            ConcreteStore::Supercapacitor(s) => Box::new(s),
-            ConcreteStore::Battery(s) => Box::new(s),
-        })
-    }
-
-    /// Builds the same fresh store as [`StoreSpec::build`], but as a
-    /// closed [`ConcreteStore`] enum instead of a boxed trait object, so
-    /// lane engines get static dispatch on the step hot path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying constructors' parameter validation.
-    pub fn build_concrete(&self) -> Result<ConcreteStore, NodeError> {
+    pub fn build(&self) -> Result<ConcreteStore, NodeError> {
         Ok(match *self {
             StoreSpec::Ideal => ConcreteStore::Ideal(IdealStore::new()),
             StoreSpec::Supercapacitor {
@@ -569,15 +446,11 @@ impl StoreSpec {
     }
 }
 
-/// An energy store as a closed enum over the concrete store types.
-///
-/// `Box<dyn EnergyStore>` costs a virtual call per deposit / withdraw /
-/// leak — three per simulated step. A `ConcreteStore` dispatches with a
-/// three-way match the optimiser can inline, which is what the fast
-/// fleet engine's per-node stepper keeps. Both forms are built
-/// from the same constructors ([`StoreSpec::build`] delegates to
-/// [`StoreSpec::build_concrete`]), so their state sequences are
-/// bit-identical.
+/// An energy store as a closed enum over the concrete store types: the
+/// store a node simulation steps. It dispatches deposit / withdraw /
+/// leak — several per simulated step — with a three-way match the
+/// optimiser can inline, where a trait object would pay a virtual call
+/// each.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ConcreteStore {
@@ -683,7 +556,8 @@ mod tests {
         let before = s.voltage();
         s.leak(Seconds::from_hours(1.0));
         // 2 µA for 1 h on 0.1 F: ΔV = 72 mV.
-        assert!((before - s.voltage()).value() - 0.072 < 1e-6);
+        let dv = (before - s.voltage()).value();
+        assert!((dv - 0.072).abs() < 1e-6, "ΔV = {dv}");
     }
 
     #[test]
@@ -781,60 +655,6 @@ mod tests {
             initial_soc: 0.5,
         };
         assert!(bad.build().is_err());
-    }
-
-    #[test]
-    fn concrete_store_matches_the_boxed_store_bitwise() {
-        let specs = [
-            StoreSpec::Ideal,
-            StoreSpec::supercapacitor_022f_at(4.0),
-            StoreSpec::Battery {
-                capacity: Joules::new(200.0),
-                charge_efficiency: 0.9,
-                self_discharge_per_month: 0.03,
-                initial_soc: 0.5,
-            },
-        ];
-        for spec in specs {
-            let mut boxed = spec.build().unwrap();
-            let mut concrete = spec.build_concrete().unwrap();
-            // A mixed op sequence with no-op withdraws and overfills.
-            let ops: [(u8, f64); 9] = [
-                (0, 0.3),
-                (1, 0.1),
-                (2, 3600.0),
-                (1, 1e6),
-                (0, 1e6),
-                (1, 0.0),
-                (2, 86_400.0),
-                (0, -1.0),
-                (1, 0.25),
-            ];
-            for (op, x) in ops {
-                let (a, b) = match op {
-                    0 => (
-                        boxed.deposit(Joules::new(x)),
-                        concrete.deposit(Joules::new(x)),
-                    ),
-                    1 => (
-                        boxed.withdraw(Joules::new(x)),
-                        concrete.withdraw(Joules::new(x)),
-                    ),
-                    _ => {
-                        boxed.leak(Seconds::new(x));
-                        concrete.leak(Seconds::new(x));
-                        (Joules::ZERO, Joules::ZERO)
-                    }
-                };
-                assert_eq!(a.value().to_bits(), b.value().to_bits(), "{spec:?} op {op}");
-                assert_eq!(
-                    boxed.stored_energy().value().to_bits(),
-                    concrete.stored_energy().value().to_bits(),
-                    "{spec:?} diverged after op {op}"
-                );
-                assert_eq!(boxed.state_of_charge(), concrete.state_of_charge());
-            }
-        }
     }
 
     #[test]

@@ -67,7 +67,8 @@ fn lerp(a: f64, b: f64, t: f64) -> f64 {
 }
 
 /// A connect step's fused operating point, from
-/// [`CachedPvSurface::connect_point`].
+/// [`CachedPvSurface::connect_point`] or, solved exactly,
+/// [`SingleDiodeModel::connect_point`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnectPoint {
     /// Open-circuit voltage at the queried illuminance.
@@ -79,12 +80,13 @@ pub struct ConnectPoint {
     pub current: Option<Amps>,
 }
 
-/// A per-node memo of the last resolved log-lux cell, for
+/// A per-run memo of the last resolved log-lux cell, for
 /// [`CachedPvSurface::connect_point_lane`] and
-/// [`CachedPvSurface::open_circuit_voltage_lane`].
+/// [`CachedPvSurface::open_circuit_voltage_lane`] — the node
+/// simulation's per-step surface reads.
 ///
 /// The `ln` in [`CachedPvSurface`]'s cell index is one of the three
-/// hottest scalar ops in the fleet step profile (DESIGN.md §10), yet
+/// hottest scalar ops in the step profile (DESIGN.md §10), yet
 /// consecutive steps of one node almost always land in the *same*
 /// log-lux cell (cells are ~13 % wide in lux; illuminance moves slowly
 /// on the simulation grid). A cursor remembers the cell's `[lo, hi)`
@@ -93,10 +95,9 @@ pub struct ConnectPoint {
 /// series instead of a full `ln`, and only a cell crossing pays the
 /// real thing. Divergence vs the scalar path is bounded by the series
 /// truncation — |Δtx| < 3e-11, orders of magnitude inside the cache's
-/// own documented 1e-3 interpolation bound and the fleet's rel-1e-9
-/// net-energy contract.
+/// own documented 1e-3 interpolation bound.
 ///
-/// One cursor per (node, surface): pointing a cursor at a different
+/// One cursor per (run, surface): pointing a cursor at a different
 /// [`CachedPvSurface`] without resetting it reads the wrong cell.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LuxCursor {
@@ -518,10 +519,11 @@ impl CachedPvSurface {
     /// [`CachedPvSurface::current_at`] resolves `lux_cell` (one `ln`)
     /// twice per step; this fused query resolves it once and returns
     /// **bit-identical** values, in and out of the cached domain (the
-    /// fallback path calls the same exact-solver methods in the same
-    /// order). `current` is `None` when the regulated voltage is not
-    /// positive — a dark module or a zero hold-cap target — exactly the
-    /// case where the engine skips the harvest.
+    /// fallback is [`SingleDiodeModel::connect_point`], which calls the
+    /// same exact-solver methods in the same order). `current` is `None`
+    /// when the regulated voltage is not positive — a dark module or a
+    /// zero hold-cap target — exactly the case where the engine skips
+    /// the harvest.
     ///
     /// `target` must be finite; the engine only issues connect commands
     /// with positive finite targets.
@@ -535,14 +537,7 @@ impl CachedPvSurface {
         Self::validate_lux(lux)?;
         let l = lux.value();
         if !Self::in_domain(l) {
-            let voc = self.model.open_circuit_voltage(lux, self.temperature)?;
-            let v_op = target.min(voc);
-            let current = if v_op.value() > 0.0 {
-                Some(self.model.current_at(v_op, lux, self.temperature)?)
-            } else {
-                None
-            };
-            return Ok(ConnectPoint { voc, v_op, current });
+            return self.model.connect_point(target, lux, self.temperature);
         }
         let (j, tx) = self.lux_cell(l);
         let voc_q = self.voc_interp(j, tx);
@@ -568,7 +563,7 @@ impl CachedPvSurface {
     ///
     /// Returns `(j, tx, lo, 1/(hi − lo))` so callers can reuse the
     /// cell's lower edge and inverse width for division-free `Isc`
-    /// interpolation. Always inlined: it sits on the fast engine's
+    /// interpolation. Always inlined: it sits on the node simulation's
     /// per-step path, and left to the heuristics it stays out of line.
     #[inline(always)]
     fn lux_cell_cursor(&self, cursor: &mut LuxCursor, l: f64) -> (usize, f64, f64, f64) {
@@ -590,7 +585,7 @@ impl CachedPvSurface {
         (j, tx, lo, inv_w)
     }
 
-    /// [`CachedPvSurface::open_circuit_voltage`] through a per-node
+    /// [`CachedPvSurface::open_circuit_voltage`] through a per-run
     /// [`LuxCursor`]. Out-of-domain and invalid illuminances invalidate
     /// the cursor and delegate to the scalar path, so those answers stay
     /// bit-identical to the uncached fallback; in-domain answers diverge
@@ -601,7 +596,7 @@ impl CachedPvSurface {
     ///
     /// Rejects negative/non-finite illuminance; propagates fallback
     /// solver errors outside the domain.
-    #[inline]
+    #[inline(always)]
     pub fn open_circuit_voltage_lane(
         &self,
         cursor: &mut LuxCursor,
@@ -616,9 +611,9 @@ impl CachedPvSurface {
         Ok(Volts::new(self.voc_interp(j, tx)))
     }
 
-    /// [`CachedPvSurface::connect_point`] through a per-node
-    /// [`LuxCursor`] — the vectorized fleet engine's per-step surface
-    /// read. Same fused semantics as the scalar query; the cursor only
+    /// [`CachedPvSurface::connect_point`] through a per-run
+    /// [`LuxCursor`] — the node simulation's per-step surface read.
+    /// Same fused semantics as the scalar query; the cursor only
     /// replaces the `ln`-derived cell index while the illuminance stays
     /// within the current cell (divergence < 3e-11 in the fractional
     /// cell position), and any out-of-domain or invalid query resets the
@@ -628,7 +623,7 @@ impl CachedPvSurface {
     ///
     /// Rejects negative/non-finite illuminance; propagates fallback
     /// solver errors outside the domain.
-    #[inline]
+    #[inline(always)]
     pub fn connect_point_lane(
         &self,
         cursor: &mut LuxCursor,

@@ -3,6 +3,7 @@
 
 use eh_units::{thermal_voltage, Amps, Kelvin, Lux, Ohms, Volts, K_OVER_Q};
 
+use crate::cache::ConnectPoint;
 use crate::error::PvError;
 
 /// Single-diode PV model:
@@ -486,6 +487,34 @@ impl SingleDiodeModel {
     /// Propagates solver errors from [`SingleDiodeModel::current_at`].
     pub fn short_circuit_current(&self, lux: Lux, t: Kelvin) -> Result<Amps, PvError> {
         self.current_at(Volts::ZERO, lux, t)
+    }
+
+    /// One connect step's operating point, solved exactly: `Voc(lux)`,
+    /// the regulated voltage `min(target, Voc)`, and the current drawn
+    /// there, which is `None` when the regulated voltage is not
+    /// positive. The exact counterpart of
+    /// [`crate::CachedPvSurface::connect_point`], which falls back to it
+    /// outside its cached domain.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver errors from
+    /// [`SingleDiodeModel::open_circuit_voltage`] and
+    /// [`SingleDiodeModel::current_at`].
+    pub fn connect_point(
+        &self,
+        target: Volts,
+        lux: Lux,
+        t: Kelvin,
+    ) -> Result<ConnectPoint, PvError> {
+        let voc = self.open_circuit_voltage(lux, t)?;
+        let v_op = target.min(voc);
+        let current = if v_op.value() > 0.0 {
+            Some(self.current_at(v_op, lux, t)?)
+        } else {
+            None
+        };
+        Ok(ConnectPoint { voc, v_op, current })
     }
 }
 

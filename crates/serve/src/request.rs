@@ -104,7 +104,8 @@ pub struct WhatIfRequest {
     /// The tracker to run (`/compare` ignores it when executing but it
     /// stays in the hash — it is part of what the client asked).
     pub tracker: TrackerKind,
-    /// Shard-execution engine.
+    /// Engine label: both labels run the one node stepper, and the label
+    /// stays a member of the canonical request.
     pub engine: Engine,
     /// Placement weights `[window, interior, outdoor]` (any scale).
     pub weights: [f64; 3],
@@ -403,7 +404,7 @@ pub struct CampaignRequest {
     pub load: LoadClass,
     /// Tracker under test.
     pub tracker: TrackerKind,
-    /// Fleet engine.
+    /// Engine label (see [`WhatIfRequest::engine`]).
     pub engine: Engine,
     /// Whether the reference drift rates apply (false = no drift).
     pub drift: bool,

@@ -5,35 +5,10 @@
 //! the worst-node drill-down, and then replays the *same* population
 //! against every baseline tracker.
 //!
-//! Run with `cargo run --example fleet_comparison`. Pass
-//! `--engine per-node|vectorized` (default `vectorized`) to pick the
-//! execution engine — the vectorized engine matches the per-node
-//! oracle under its bounded-divergence contract (exact
-//! counts/classifications, energies within rel 1e-9).
+//! Run with `cargo run --example fleet_comparison`.
 
-use pv_mppt_repro::fleet::{
-    compare_trackers_over_fleet_with, Engine, FleetRunner, FleetSpec, Placement, TrackerKind,
-};
+use pv_mppt_repro::fleet::{compare_trackers_over_fleet, FleetRunner, FleetSpec, Placement};
 use pv_mppt_repro::units::Seconds;
-
-/// Parses `--engine X` / `--engine=X` from the arguments; defaults to
-/// [`Engine::default`] and rejects an unknown spelling.
-fn engine_from_args() -> Result<Engine, String> {
-    let mut args = std::env::args().skip(1);
-    let raw = loop {
-        match args.next() {
-            None => return Ok(Engine::default()),
-            Some(arg) if arg == "--engine" => break args.next().unwrap_or_default(),
-            Some(arg) => {
-                if let Some(v) = arg.strip_prefix("--engine=") {
-                    break v.to_owned();
-                }
-            }
-        }
-    };
-    Engine::parse(&raw)
-        .ok_or_else(|| format!("unknown engine {raw:?}; known: per-node, vectorized"))
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 60 nodes from one seed: production-batch tolerances, mixed
@@ -44,11 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     spec.trace_decimate = 600;
     spec.dt = Seconds::new(600.0);
 
-    let engine = engine_from_args()?;
     let runner = FleetRunner::auto();
-    let report = runner.run_engine(&spec, TrackerKind::Focv, engine)?;
+    let report = runner.run(&spec)?;
 
-    println!("engine: {engine}\n");
     println!("{report}");
     for p in [
         Placement::WindowDesk,
@@ -75,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "net<0",
         "br-outs"
     );
-    let comparison = compare_trackers_over_fleet_with(&spec, &runner, engine)?;
+    let comparison = compare_trackers_over_fleet(&spec, &runner)?;
     for (kind, fleet) in &comparison {
         let p50 = |p: Option<pv_mppt_repro::fleet::Percentiles>| p.expect("non-empty fleet").p50;
         let p = fleet.net_energy_percentiles().expect("non-empty fleet");

@@ -45,7 +45,7 @@ fn table1_rows_within_bands() {
 }
 
 /// E5: the Eq. (2) headline numbers stay in their recorded bands
-/// (desk ≈ 15 mV, semi-mobile ≈ 24 mV at a 60 s period, seed 2011).
+/// (desk ≈ 15 mV, semi-mobile ≈ 23 mV at a 60 s period, seed 2011).
 #[test]
 fn eq2_headlines_stable() {
     let cell = presets::schott_asi_1116929();
@@ -57,11 +57,11 @@ fn eq2_headlines_stable() {
         sampling_error::worst_case_mean_error(&mobile, Seconds::new(60.0)).expect("analysis");
     assert!(
         (0.010..0.020).contains(&e_desk),
-        "desk Ē drifted: {e_desk} V (recorded 15.2 mV)"
+        "desk Ē drifted: {e_desk} V (recorded 14.8 mV)"
     );
     assert!(
         (0.019..0.030).contains(&e_mobile),
-        "mobile Ē drifted: {e_mobile} V (recorded 24.2 mV)"
+        "mobile Ē drifted: {e_mobile} V (recorded 23.3 mV)"
     );
 }
 
