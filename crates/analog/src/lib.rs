@@ -50,4 +50,4 @@ pub mod transient;
 
 pub use error::AnalogError;
 pub use ledger::{CurrentLedger, LedgerEntry};
-pub use trace::{Trace, TracePolicy};
+pub use trace::Trace;

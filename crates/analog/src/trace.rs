@@ -2,25 +2,6 @@
 
 use eh_units::Seconds;
 
-/// Memory policy for a recorded [`Trace`].
-///
-/// Day- and week-scale runs at millisecond steps would otherwise grow
-/// traces into the hundreds of millions of samples; the policy lets the
-/// recorder thin the stream at capture time instead of post-processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TracePolicy {
-    /// Keep every recorded sample.
-    #[default]
-    Full,
-    /// Keep one sample out of every `n` (values below 1 behave as 1).
-    Decimate(usize),
-    /// Bound the trace at roughly `capacity` stored samples: whenever the
-    /// bound is reached, every second stored sample is dropped and the
-    /// capture stride doubles, so the trace always spans the whole run at
-    /// progressively coarser resolution (values below 2 behave as 2).
-    Capacity(usize),
-}
-
 /// A recorded waveform: a named, time-ordered series of samples, with the
 /// measurement helpers an engineer would use on a scope (edges, periods,
 /// ripple, averages). Fig. 4 of the paper is two of these: `PULSE` and
@@ -44,9 +25,6 @@ pub struct Trace {
     name: String,
     times: Vec<f64>,
     values: Vec<f64>,
-    policy: TracePolicy,
-    stride: usize,
-    skip: usize,
 }
 
 impl Default for Trace {
@@ -56,24 +34,12 @@ impl Default for Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace with a signal name, keeping every sample.
+    /// Creates an empty trace with a signal name.
     pub fn new(name: impl Into<String>) -> Self {
-        Self::with_policy(name, TracePolicy::Full)
-    }
-
-    /// Creates an empty trace with a signal name and a memory policy.
-    pub fn with_policy(name: impl Into<String>, policy: TracePolicy) -> Self {
-        let stride = match policy {
-            TracePolicy::Full | TracePolicy::Capacity(_) => 1,
-            TracePolicy::Decimate(n) => n.max(1),
-        };
         Self {
             name: name.into(),
             times: Vec::new(),
             values: Vec::new(),
-            policy,
-            stride,
-            skip: 0,
         }
     }
 
@@ -82,14 +48,8 @@ impl Trace {
         &self.name
     }
 
-    /// The memory policy this trace records under.
-    pub fn policy(&self) -> TracePolicy {
-        self.policy
-    }
-
-    /// Appends a sample, subject to the trace's [`TracePolicy`]. Samples
-    /// must be recorded in non-decreasing time order; out-of-order
-    /// samples are ignored (with debug assertion).
+    /// Appends a sample. Samples must be recorded in non-decreasing time
+    /// order; out-of-order samples are ignored (with debug assertion).
     pub fn record(&mut self, t: Seconds, value: f64) {
         if let Some(&last) = self.times.last() {
             debug_assert!(t.value() >= last, "trace samples must be time-ordered");
@@ -97,34 +57,8 @@ impl Trace {
                 return;
             }
         }
-        if self.skip > 0 {
-            self.skip -= 1;
-            return;
-        }
-        self.skip = self.stride - 1;
         self.times.push(t.value());
         self.values.push(value);
-        if let TracePolicy::Capacity(cap) = self.policy {
-            let cap = cap.max(2);
-            if self.times.len() >= cap {
-                self.thin();
-            }
-        }
-    }
-
-    /// Drops every second stored sample and doubles the capture stride —
-    /// the [`TracePolicy::Capacity`] overflow response.
-    fn thin(&mut self) {
-        let mut keep = 0;
-        for i in (0..self.times.len()).step_by(2) {
-            self.times[keep] = self.times[i];
-            self.values[keep] = self.values[i];
-            keep += 1;
-        }
-        self.times.truncate(keep);
-        self.values.truncate(keep);
-        self.stride *= 2;
-        self.skip = self.stride - 1;
     }
 
     /// Number of samples.
@@ -357,48 +291,5 @@ mod tests {
         let t = square_wave();
         assert_eq!(t.start_time(), Some(Seconds::ZERO));
         assert!(t.end_time().unwrap().value() > 0.015);
-    }
-
-    #[test]
-    fn decimation_keeps_one_in_n() {
-        let mut t = Trace::with_policy("d", TracePolicy::Decimate(10));
-        for n in 0..1000 {
-            t.record(Seconds::new(n as f64), n as f64);
-        }
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.value_at(Seconds::ZERO), Some(0.0));
-        assert_eq!(t.value_at(Seconds::new(999.0)), Some(990.0));
-    }
-
-    #[test]
-    fn degenerate_decimation_keeps_everything() {
-        let mut t = Trace::with_policy("d0", TracePolicy::Decimate(0));
-        for n in 0..50 {
-            t.record(Seconds::new(n as f64), n as f64);
-        }
-        assert_eq!(t.len(), 50);
-    }
-
-    #[test]
-    fn capacity_bounds_memory_but_spans_the_run() {
-        let cap = 64;
-        let mut t = Trace::with_policy("c", TracePolicy::Capacity(cap));
-        for n in 0..100_000 {
-            t.record(Seconds::new(n as f64), n as f64);
-        }
-        assert!(t.len() <= cap, "len {} exceeds capacity {cap}", t.len());
-        assert!(t.len() >= cap / 4, "over-thinned to {} samples", t.len());
-        assert_eq!(t.start_time(), Some(Seconds::ZERO));
-        // The last kept sample is within one (doubled) stride of the end.
-        assert!(t.end_time().unwrap().value() > 90_000.0);
-        // Times must remain strictly ordered after in-place thinning.
-        let times: Vec<f64> = t.iter().map(|(s, _)| s.value()).collect();
-        assert!(times.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn full_policy_is_the_default() {
-        assert_eq!(Trace::new("x").policy(), TracePolicy::Full);
-        assert_eq!(Trace::default().policy(), TracePolicy::Full);
     }
 }

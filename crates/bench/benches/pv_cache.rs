@@ -13,7 +13,6 @@ use eh_units::{Lux, Seconds, Volts};
 
 fn run_system(warmed: &PvCell, cache: bool) {
     let mut cfg = SystemConfig::paper_prototype().expect("valid config");
-    cfg.pv_cache = cache;
     if cache {
         cfg.cell = warmed.clone();
     }

@@ -68,8 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One pre-warmed operating-point cache shared by every simulation
     // sweep (clones of a warmed cell share the table); the exact `cell`
     // stays in use for the MPP/Voc reference numbers.
-    let cached_cell = cell.clone().with_cache(true);
-    cached_cell.cached()?;
+    let cached_cell = cell.clone().warmed()?;
 
     // ------------------------------------------------------------------
     banner("Ablation 1 — hold period: tracking error vs metrology energy");
@@ -87,8 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Seconds::from_milli(39.0),
             Volts::new(3.3) * Amps::from_micro(8.0),
         )?;
-        let mut sim =
-            NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?.with_pv_cache(true))?;
+        let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
         let report = sim.run(&mut tracker, &mobile, Seconds::new(5.0))?;
         Ok(vec![
             fmt(period_s, 0),
@@ -139,9 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Volts::new(3.3) * Amps::from_micro(8.0),
             )?;
             let trace = profiles::constant(Lux::new(1000.0), Seconds::from_minutes(30.0));
-            let mut sim = NodeSimulation::new(
-                SimConfig::default_for(cached_cell.clone())?.with_pv_cache(true),
-            )?;
+            let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
             let report = sim.run(&mut tracker, &trace, Seconds::new(1.0))?;
             let mpp = cell.mpp(Lux::new(1000.0))?;
             let ideal = mpp.power.value() * trace.duration().value();
@@ -257,9 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Seconds::from_milli(39.0),
                     Watts::new(3.3 * overhead_ua * 1e-6),
                 )?;
-                let mut sim = NodeSimulation::new(
-                    SimConfig::default_for(cached_cell.clone())?.with_pv_cache(true),
-                )?;
+                let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
                 let report = sim.run(&mut tracker, &trace, Seconds::new(1.0))?;
                 Ok(vec![
                     fmt(overhead_ua, 0),

@@ -66,7 +66,6 @@ fn system_run(
     duration: Seconds,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::paper_prototype()?;
-    cfg.pv_cache = cache;
     if cache {
         cfg.cell = warmed.clone();
     }
@@ -86,7 +85,7 @@ fn node_run(
     } else {
         presets::sanyo_am1815()
     };
-    let cfg = SimConfig::default_for(cell)?.with_pv_cache(cache);
+    let cfg = SimConfig::default_for(cell)?;
     let mut sim = NodeSimulation::new(cfg)?;
     let mut tracker = FocvSampleHold::paper_prototype()?;
     Ok(sim.run(&mut tracker, &trace, Seconds::new(decimate as f64))?)

@@ -39,7 +39,6 @@ fn run(
         Tracker::Fixed => Box::new(FixedVoltage::indoor_tuned()?),
     };
     let cfg = SimConfig::default_for(cell.clone())?
-        .with_pv_cache(true)
         .with_store(store)
         .with_load(DutyCycledLoad::typical_sensor_node()?);
     let mut sim = NodeSimulation::new(cfg)?;
@@ -61,11 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.duration().as_hours() / 24.0
     );
     // One pre-warmed operating-point cache, shared by every sweep job
-    // (clones of a warmed cell share the table). Re-run with
-    // `with_pv_cache(false)` in `run` to cross-check against the exact
+    // (clones of a warmed cell share the table). Re-run with an
+    // uncached `presets::sanyo_am1815()` to cross-check against the exact
     // solver — see BENCH_pv_cache.json for the measured agreement.
-    let cell = presets::sanyo_am1815().with_cache(true);
-    cell.cached()?;
+    let cell = presets::sanyo_am1815().warmed()?;
 
     banner("0.22 F supercapacitor (deployed charged to 4 V)");
     let sc = || {
@@ -128,7 +126,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // uninstrumented row above (eh-node tests assert this).
     let mut tracker = FocvSampleHold::paper_prototype()?;
     let cfg = SimConfig::default_for(cell.clone())?
-        .with_pv_cache(true)
         .with_store(sc())
         .with_load(DutyCycledLoad::typical_sensor_node()?)
         .with_obs(true);

@@ -2,6 +2,9 @@
 
 use eh_units::{Seconds, Volts, Watts};
 
+use super::sample_hold::{check_pulse, SampleHold};
+use super::shared::{check_overhead, ensure};
+use super::FocvSampleHold;
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
@@ -26,16 +29,13 @@ pub struct AdaptiveKFocv {
     k_min: f64,
     k_max: f64,
     k_step: f64,
-    sample_period: Seconds,
     pulse_width: Seconds,
     overhead: Watts,
-    held_voc: Option<Volts>,
-    since_sample: Seconds,
-    measuring: bool,
     direction: f64,
     window_energy: f64,
     window_time: f64,
     prev_window_power: Option<f64>,
+    hold: SampleHold<Volts>,
 }
 
 impl AdaptiveKFocv {
@@ -58,59 +58,31 @@ impl AdaptiveKFocv {
         pulse_width: Seconds,
         overhead: Watts,
     ) -> Result<Self, CoreError> {
-        if !(k_min.is_finite() && k_max.is_finite() && 0.0 < k_min && k_min < k_max && k_max < 1.0)
-        {
-            return Err(CoreError::InvalidParameter {
-                name: "k_band",
-                value: k_min,
-            });
-        }
-        if !(k.is_finite() && (k_min..=k_max).contains(&k)) {
-            return Err(CoreError::InvalidParameter {
-                name: "k",
-                value: k,
-            });
-        }
-        if !(k_step.is_finite() && k_step > 0.0 && k_step < k_max - k_min) {
-            return Err(CoreError::InvalidParameter {
-                name: "k_step",
-                value: k_step,
-            });
-        }
-        if !(sample_period.value() > 0.0 && pulse_width.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "periods",
-                value: sample_period.value().min(pulse_width.value()),
-            });
-        }
-        if pulse_width.value() >= sample_period.value() {
-            return Err(CoreError::InvalidParameter {
-                name: "pulse_width",
-                value: pulse_width.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        ensure(
+            k_min.is_finite() && k_max.is_finite() && 0.0 < k_min && k_min < k_max && k_max < 1.0,
+            "k_band",
+            k_min,
+        )?;
+        ensure(k.is_finite() && (k_min..=k_max).contains(&k), "k", k)?;
+        ensure(
+            k_step.is_finite() && k_step > 0.0 && k_step < k_max - k_min,
+            "k_step",
+            k_step,
+        )?;
+        check_pulse(sample_period, pulse_width)?;
+        check_overhead(overhead)?;
         Ok(Self {
             k,
             k_min,
             k_max,
             k_step,
-            sample_period,
             pulse_width,
             overhead,
-            held_voc: None,
-            // Fire the first measurement immediately (the power-up PULSE).
-            since_sample: sample_period,
-            measuring: false,
             direction: 1.0,
             window_energy: 0.0,
             window_time: 0.0,
             prev_window_power: None,
+            hold: SampleHold::new(sample_period),
         })
     }
 
@@ -123,15 +95,34 @@ impl AdaptiveKFocv {
     ///
     /// Never fails for these constants; mirrors [`AdaptiveKFocv::new`].
     pub fn paper_tuned() -> Result<Self, CoreError> {
-        Self::new(
-            0.596,
-            0.50,
-            0.70,
+        Self::paper_tuned_on(FocvSampleHold::paper_prototype()?)
+    }
+
+    /// [`AdaptiveKFocv::paper_tuned`] on a given FOCV chain: it starts
+    /// from the chain's `k`, clamped into the `[0.50, 0.70]` band, and
+    /// takes over the chain's hold period, PULSE width and schedule as
+    /// it stands, power-up phase included. The band, the dither step and
+    /// the 9.5 µA × 3.3 V overhead stay the tuned ones. Fleets build each
+    /// node's tracker this way from the node's drawn hardware.
+    ///
+    /// # Errors
+    ///
+    /// Never fails for a valid chain; mirrors [`AdaptiveKFocv::new`].
+    pub fn paper_tuned_on(chain: FocvSampleHold) -> Result<Self, CoreError> {
+        let (k_min, k_max) = (0.50, 0.70);
+        let tuned = Self::new(
+            chain.k().clamp(k_min, k_max),
+            k_min,
+            k_max,
             0.004,
-            Seconds::new(69.0),
-            Seconds::from_milli(39.0),
+            chain.sample_period(),
+            chain.pulse_width(),
             Volts::new(3.3) * eh_units::Amps::from_micro(9.5),
-        )
+        )?;
+        Ok(Self {
+            hold: chain.hold,
+            ..tuned
+        })
     }
 
     /// The current (learned) FOCV fraction.
@@ -146,12 +137,12 @@ impl AdaptiveKFocv {
 
     /// The hold (sampling) period.
     pub fn sample_period(&self) -> Seconds {
-        self.sample_period
+        self.hold.period()
     }
 
     /// The currently held open-circuit voltage, if a sample exists.
     pub fn held_voc(&self) -> Option<Volts> {
-        self.held_voc
+        self.hold.held()
     }
 }
 
@@ -161,12 +152,7 @@ impl MpptController for AdaptiveKFocv {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        if self.measuring {
-            if let Some(voc) = obs.voc_measurement {
-                self.held_voc = Some(voc);
-            }
-            self.measuring = false;
-            self.since_sample = Seconds::ZERO;
+        if self.hold.advance(obs.voc_measurement, dt) {
             // Judge the harvest window that just closed: did the last k
             // move pay off in mean extracted power?
             if self.window_time > 0.0 {
@@ -182,21 +168,10 @@ impl MpptController for AdaptiveKFocv {
                 self.window_time = 0.0;
             }
         } else {
-            self.since_sample += dt;
             self.window_energy += obs.pv_power.value() * dt.value();
             self.window_time += dt.value();
         }
-
-        if self.since_sample >= self.sample_period {
-            self.measuring = true;
-            return TrackerCommand::measure();
-        }
-
-        match self.held_voc {
-            Some(voc) => TrackerCommand::connect_at(voc * self.k),
-            // No valid sample yet (ACTIVE low): converter stays off.
-            None => TrackerCommand::measure(),
-        }
+        self.hold.focv_command(self.k)
     }
 
     fn overhead_power(&self) -> Watts {

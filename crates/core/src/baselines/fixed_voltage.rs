@@ -2,6 +2,7 @@
 
 use eh_units::{Seconds, Volts, Watts};
 
+use super::shared::{check_overhead, check_positive};
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
 
@@ -28,18 +29,8 @@ impl FixedVoltage {
     ///
     /// Rejects a non-positive reference or negative overhead.
     pub fn new(reference: Volts, overhead: Watts) -> Result<Self, CoreError> {
-        if !(reference.value().is_finite() && reference.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "reference",
-                value: reference.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_positive("reference", reference.value())?;
+        check_overhead(overhead)?;
         Ok(Self {
             reference,
             overhead,

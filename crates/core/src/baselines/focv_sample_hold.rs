@@ -2,6 +2,8 @@
 
 use eh_units::{Seconds, Volts, Watts};
 
+use super::sample_hold::{check_pulse, SampleHold};
+use super::shared::{check_fraction, check_overhead};
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
 
@@ -25,12 +27,11 @@ use crate::error::CoreError;
 #[derive(Debug, Clone)]
 pub struct FocvSampleHold {
     k: f64,
-    sample_period: Seconds,
     pulse_width: Seconds,
     overhead: Watts,
-    held_voc: Option<Volts>,
-    since_sample: Seconds,
-    measuring: bool,
+    /// The astable schedule and the held `Voc`; the FOCV variants take
+    /// it over from a node's FOCV chain.
+    pub(super) hold: SampleHold<Volts>,
 }
 
 impl FocvSampleHold {
@@ -46,39 +47,14 @@ impl FocvSampleHold {
         pulse_width: Seconds,
         overhead: Watts,
     ) -> Result<Self, CoreError> {
-        if !(k.is_finite() && k > 0.0 && k < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "k",
-                value: k,
-            });
-        }
-        if !(sample_period.value() > 0.0 && pulse_width.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "periods",
-                value: sample_period.value().min(pulse_width.value()),
-            });
-        }
-        if pulse_width.value() >= sample_period.value() {
-            return Err(CoreError::InvalidParameter {
-                name: "pulse_width",
-                value: pulse_width.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_fraction("k", k)?;
+        check_pulse(sample_period, pulse_width)?;
+        check_overhead(overhead)?;
         Ok(Self {
             k,
-            sample_period,
             pulse_width,
             overhead,
-            held_voc: None,
-            // Fire the first measurement immediately (the power-up PULSE).
-            since_sample: sample_period,
-            measuring: false,
+            hold: SampleHold::new(sample_period),
         })
     }
 
@@ -110,19 +86,7 @@ impl FocvSampleHold {
     ///
     /// Rejects an offset outside `[0, sample_period)`.
     pub fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, CoreError> {
-        let period = self.sample_period;
-        if !(offset.value().is_finite() && offset.value() >= 0.0 && offset < period) {
-            return Err(CoreError::InvalidParameter {
-                name: "initial_phase",
-                value: offset.value(),
-            });
-        }
-        self.since_sample = period - offset;
-        if offset.value() > 0.0 {
-            // Discharged hold capacitor: tracks 0 V (converter off)
-            // until the delayed first PULSE takes a real sample.
-            self.held_voc = Some(Volts::ZERO);
-        }
+        self.hold = self.hold.with_initial_phase(offset)?;
         Ok(self)
     }
 
@@ -133,7 +97,7 @@ impl FocvSampleHold {
 
     /// The hold (sampling) period.
     pub fn sample_period(&self) -> Seconds {
-        self.sample_period
+        self.hold.period()
     }
 
     /// The measurement pulse width (how long the module is disconnected
@@ -144,7 +108,7 @@ impl FocvSampleHold {
 
     /// The currently held open-circuit voltage, if a sample exists.
     pub fn held_voc(&self) -> Option<Volts> {
-        self.held_voc
+        self.hold.held()
     }
 }
 
@@ -155,27 +119,8 @@ impl MpptController for FocvSampleHold {
 
     #[inline]
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        // Capture the measurement made during a disconnect step.
-        if self.measuring {
-            if let Some(voc) = obs.voc_measurement {
-                self.held_voc = Some(voc);
-            }
-            self.measuring = false;
-            self.since_sample = Seconds::ZERO;
-        } else {
-            self.since_sample += dt;
-        }
-
-        if self.since_sample >= self.sample_period {
-            self.measuring = true;
-            return TrackerCommand::measure();
-        }
-
-        match self.held_voc {
-            Some(voc) => TrackerCommand::connect_at(voc * self.k),
-            // No valid sample yet (ACTIVE low): converter stays off.
-            None => TrackerCommand::measure(),
-        }
+        self.hold.advance(obs.voc_measurement, dt);
+        self.hold.focv_command(self.k)
     }
 
     fn overhead_power(&self) -> Watts {

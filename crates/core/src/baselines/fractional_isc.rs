@@ -3,6 +3,8 @@
 
 use eh_units::{Amps, Seconds, Volts, Watts};
 
+use super::sample_hold::SampleHold;
+use super::shared::{check_fraction, check_overhead, check_positive, clamp_target};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
@@ -21,12 +23,9 @@ use crate::error::CoreError;
 #[derive(Debug, Clone)]
 pub struct FractionalIsc {
     k_i: f64,
-    sample_period: Seconds,
     overhead: Watts,
-    held_isc: Option<Amps>,
     target: Volts,
-    since_sample: Seconds,
-    measuring: bool,
+    hold: SampleHold<Amps>,
 }
 
 impl FractionalIsc {
@@ -38,32 +37,14 @@ impl FractionalIsc {
     /// Rejects `k_i` outside `(0, 1)`, a non-positive period or negative
     /// overhead.
     pub fn new(k_i: f64, sample_period: Seconds, overhead: Watts) -> Result<Self, CoreError> {
-        if !(k_i.is_finite() && k_i > 0.0 && k_i < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "k_i",
-                value: k_i,
-            });
-        }
-        if !(sample_period.value().is_finite() && sample_period.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "sample_period",
-                value: sample_period.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_fraction("k_i", k_i)?;
+        check_positive("sample_period", sample_period.value())?;
+        check_overhead(overhead)?;
         Ok(Self {
             k_i,
-            sample_period,
             overhead,
-            held_isc: None,
             target: Volts::new(2.5),
-            since_sample: sample_period,
-            measuring: false,
+            hold: SampleHold::new(sample_period),
         })
     }
 
@@ -83,7 +64,7 @@ impl FractionalIsc {
 
     /// The held short-circuit current, if measured.
     pub fn held_isc(&self) -> Option<Amps> {
-        self.held_isc
+        self.hold.held()
     }
 
     /// The present voltage target.
@@ -98,23 +79,8 @@ impl MpptController for FractionalIsc {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        let capturing = self.measuring;
-        if self.measuring {
-            if let Some(isc) = obs.isc_measurement {
-                self.held_isc = Some(isc);
-            }
-            self.measuring = false;
-            self.since_sample = Seconds::ZERO;
-        } else {
-            self.since_sample += dt;
-        }
-
-        if self.since_sample >= self.sample_period {
-            self.measuring = true;
-            return TrackerCommand::MeasureIsc;
-        }
-
-        let Some(isc) = self.held_isc else {
+        let capturing = self.hold.advance(obs.isc_measurement, dt);
+        let Some(isc) = self.hold.decide() else {
             return TrackerCommand::MeasureIsc;
         };
         // Current-loop emulation: nudge the voltage to steer the sensed
@@ -134,7 +100,7 @@ impl MpptController for FractionalIsc {
             } else if obs.pv_current.value() < target_current * 0.98 {
                 self.target -= Volts::from_milli(50.0);
             }
-            self.target = self.target.clamp(Volts::from_milli(100.0), Volts::new(8.0));
+            self.target = clamp_target(self.target);
         }
         TrackerCommand::connect_at(self.target)
     }

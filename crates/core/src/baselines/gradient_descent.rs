@@ -3,6 +3,7 @@
 
 use eh_units::{Seconds, Volts, Watts};
 
+use super::shared::{check_overhead, check_positive, clamp_target, ensure, ControlTick};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
@@ -23,14 +24,12 @@ pub struct GradientDescentMppt {
     learning_rate: f64,
     max_step: Volts,
     min_step: Volts,
-    control_period: Seconds,
     overhead: Watts,
     target: Volts,
     last_voltage: Volts,
     last_power: Watts,
     last_direction: f64,
-    since_control: Seconds,
-    primed: bool,
+    tick: ControlTick,
 }
 
 impl GradientDescentMppt {
@@ -50,42 +49,21 @@ impl GradientDescentMppt {
         initial_target: Volts,
         overhead: Watts,
     ) -> Result<Self, CoreError> {
-        if !(learning_rate.is_finite() && learning_rate > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "learning_rate",
-                value: learning_rate,
-            });
-        }
-        if !(min_step.value() > 0.0 && max_step.value() >= min_step.value()) {
-            return Err(CoreError::InvalidParameter {
-                name: "step_band",
-                value: min_step.value(),
-            });
-        }
-        if !(control_period.value().is_finite() && control_period.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "control_period",
-                value: control_period.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_positive("learning_rate", learning_rate)?;
+        let (min, max) = (min_step.value(), max_step.value());
+        ensure(min > 0.0 && max >= min, "step_band", min)?;
+        let tick = ControlTick::new(control_period)?;
+        check_overhead(overhead)?;
         Ok(Self {
             learning_rate,
             max_step,
             min_step,
-            control_period,
             overhead,
             target: initial_target,
             last_voltage: Volts::ZERO,
             last_power: Watts::ZERO,
             last_direction: 1.0,
-            since_control: Seconds::ZERO,
-            primed: false,
+            tick,
         })
     }
 
@@ -121,15 +99,12 @@ impl MpptController for GradientDescentMppt {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        self.since_control += dt;
-        if self.since_control >= self.control_period {
-            self.since_control = Seconds::ZERO;
+        if let Some(first) = self.tick.advance(dt) {
             let dv = (obs.pv_voltage - self.last_voltage).value();
             let dp = (obs.pv_power - self.last_power).value();
-            let delta = if !self.primed {
+            let delta = if first {
                 // First decision: seed the finite differences and probe
                 // upward (the same first-sample discipline as P&O).
-                self.primed = true;
                 self.min_step.value()
             } else if obs.pv_voltage.value() <= 0.0 {
                 // Dark module: hold position instead of running away.
@@ -151,8 +126,7 @@ impl MpptController for GradientDescentMppt {
             }
             self.last_voltage = obs.pv_voltage;
             self.last_power = obs.pv_power;
-            self.target =
-                (self.target + Volts::new(delta)).clamp(Volts::from_milli(100.0), Volts::new(8.0));
+            self.target = clamp_target(self.target + Volts::new(delta));
         }
         TrackerCommand::connect_at(self.target)
     }

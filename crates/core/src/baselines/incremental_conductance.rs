@@ -3,6 +3,7 @@
 
 use eh_units::{Amps, Seconds, Volts, Watts};
 
+use super::shared::{check_overhead, check_positive, clamp_target, ControlTick};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
@@ -19,13 +20,11 @@ use crate::error::CoreError;
 #[derive(Debug, Clone)]
 pub struct IncrementalConductance {
     step_size: Volts,
-    control_period: Seconds,
     overhead: Watts,
     target: Volts,
     last_voltage: Volts,
     last_current: Amps,
-    since_control: Seconds,
-    primed: bool,
+    tick: ControlTick,
 }
 
 impl IncrementalConductance {
@@ -40,33 +39,16 @@ impl IncrementalConductance {
         initial_target: Volts,
         overhead: Watts,
     ) -> Result<Self, CoreError> {
-        if !(step_size.value().is_finite() && step_size.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "step_size",
-                value: step_size.value(),
-            });
-        }
-        if !(control_period.value().is_finite() && control_period.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "control_period",
-                value: control_period.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_positive("step_size", step_size.value())?;
+        let tick = ControlTick::new(control_period)?;
+        check_overhead(overhead)?;
         Ok(Self {
             step_size,
-            control_period,
             overhead,
             target: initial_target,
             last_voltage: Volts::ZERO,
             last_current: Amps::ZERO,
-            since_control: Seconds::ZERO,
-            primed: false,
+            tick,
         })
     }
 
@@ -98,14 +80,12 @@ impl MpptController for IncrementalConductance {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        self.since_control += dt;
-        if self.since_control >= self.control_period {
-            self.since_control = Seconds::ZERO;
+        if let Some(first) = self.tick.advance(dt) {
             let dv = (obs.pv_voltage - self.last_voltage).value();
             let di = (obs.pv_current - self.last_current).value();
             let v = obs.pv_voltage.value();
             let i = obs.pv_current.value();
-            let direction = if !self.primed {
+            let direction = if first {
                 // Nothing sensed yet: probe upward.
                 1.0
             } else if v <= 0.0 {
@@ -137,9 +117,7 @@ impl MpptController for IncrementalConductance {
             };
             self.last_voltage = obs.pv_voltage;
             self.last_current = obs.pv_current;
-            self.primed = true;
-            self.target = (self.target + self.step_size * direction)
-                .clamp(Volts::from_milli(100.0), Volts::new(8.0));
+            self.target = clamp_target(self.target + self.step_size * direction);
         }
         TrackerCommand::connect_at(self.target)
     }
@@ -257,10 +235,10 @@ mod tests {
 
     #[test]
     fn first_decision_probes_upward_even_in_the_dark() {
-        // Audit pin (sibling of the P&O first-sample bug): `primed`
-        // guards the uninitialized conductance terms, so a dark start
-        // (all-zero observation) must still probe upward rather than
-        // dividing by a zero Δv or judging the zero initializers.
+        // Audit pin (sibling of the P&O first-sample bug): the first
+        // decision guards the uninitialized conductance terms, so a dark
+        // start (all-zero observation) must still probe upward rather
+        // than dividing by a zero Δv or judging the zero initializers.
         let mut t = IncrementalConductance::literature_default().unwrap();
         let start = t.target();
         let cmd = t.step(&Observation::at(Seconds::ZERO), Seconds::from_milli(100.0));

@@ -25,6 +25,8 @@ mod oracle;
 mod perturb_observe;
 mod photodetector;
 mod pilot_cell;
+mod sample_hold;
+mod shared;
 mod variable_hold_focv;
 
 pub use adaptive_k_focv::AdaptiveKFocv;

@@ -2,6 +2,7 @@
 
 use eh_units::{Seconds, Volts, Watts};
 
+use super::shared::{check_overhead, check_positive, clamp_target, ControlTick};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
@@ -19,13 +20,11 @@ use crate::error::CoreError;
 #[derive(Debug, Clone)]
 pub struct PerturbObserve {
     step_size: Volts,
-    control_period: Seconds,
     overhead: Watts,
     target: Volts,
     direction: f64,
     last_power: Watts,
-    since_control: Seconds,
-    primed: bool,
+    tick: ControlTick,
 }
 
 impl PerturbObserve {
@@ -40,33 +39,16 @@ impl PerturbObserve {
         initial_target: Volts,
         overhead: Watts,
     ) -> Result<Self, CoreError> {
-        if !(step_size.value().is_finite() && step_size.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "step_size",
-                value: step_size.value(),
-            });
-        }
-        if !(control_period.value().is_finite() && control_period.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "control_period",
-                value: control_period.value(),
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_positive("step_size", step_size.value())?;
+        let tick = ControlTick::new(control_period)?;
+        check_overhead(overhead)?;
         Ok(Self {
             step_size,
-            control_period,
             overhead,
             target: initial_target,
             direction: 1.0,
             last_power: Watts::ZERO,
-            since_control: Seconds::ZERO,
-            primed: false,
+            tick,
         })
     }
 
@@ -98,30 +80,21 @@ impl MpptController for PerturbObserve {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        self.since_control += dt;
-        if self.since_control >= self.control_period {
-            self.since_control = Seconds::ZERO;
-            if !self.primed {
-                // First control boundary: no previous perturbation exists
-                // to judge, so seed the comparison from this observation
-                // and probe in the initial direction. Comparing against
-                // the Watts::ZERO initializer instead would read a dark
-                // start as "power dropped" and lock in a downhill walk.
-                self.primed = true;
-                self.last_power = obs.pv_power;
-            } else {
-                // Compare powers; keep direction on strict improvement,
-                // flip otherwise. Treating "no better" as "worse" is the
-                // standard guard that stops the climber running away when
-                // the module is dark or pinned at open circuit (zero
-                // power everywhere).
-                if obs.pv_power <= self.last_power {
-                    self.direction = -self.direction;
-                }
-                self.last_power = obs.pv_power;
+        if let Some(first) = self.tick.advance(dt) {
+            // Compare powers; keep direction on strict improvement, flip
+            // otherwise. Treating "no better" as "worse" is the standard
+            // guard that stops the climber running away when the module
+            // is dark or pinned at open circuit (zero power everywhere).
+            // The first decision has no previous perturbation to judge:
+            // it seeds the comparison from this observation and probes
+            // in the initial direction. Comparing against the
+            // Watts::ZERO initializer instead would read a dark start as
+            // "power dropped" and lock in a downhill walk.
+            if !first && obs.pv_power <= self.last_power {
+                self.direction = -self.direction;
             }
-            self.target = (self.target + self.step_size * self.direction)
-                .clamp(Volts::from_milli(100.0), Volts::new(8.0));
+            self.last_power = obs.pv_power;
+            self.target = clamp_target(self.target + self.step_size * self.direction);
         }
         TrackerCommand::connect_at(self.target)
     }

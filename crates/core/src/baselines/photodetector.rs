@@ -2,6 +2,7 @@
 
 use eh_units::{Lux, Seconds, Volts, Watts};
 
+use super::shared::{check_fraction, check_overhead, check_positive};
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
 
@@ -37,30 +38,10 @@ impl Photodetector {
         calibration_gain: f64,
         overhead: Watts,
     ) -> Result<Self, CoreError> {
-        if !(k.is_finite() && k > 0.0 && k < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "k",
-                value: k,
-            });
-        }
-        if !(slope.value().is_finite() && slope.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "slope",
-                value: slope.value(),
-            });
-        }
-        if !(calibration_gain.is_finite() && calibration_gain > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "calibration_gain",
-                value: calibration_gain,
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_fraction("k", k)?;
+        check_positive("slope", slope.value())?;
+        check_positive("calibration_gain", calibration_gain)?;
+        check_overhead(overhead)?;
         Ok(Self {
             intercept,
             slope,

@@ -3,6 +3,7 @@
 use eh_pv::PvCell;
 use eh_units::{Seconds, Volts, Watts};
 
+use super::shared::{check_fraction, check_overhead};
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
 
@@ -28,18 +29,8 @@ impl PilotCell {
     ///
     /// Rejects `k` outside `(0, 1)` or negative overhead.
     pub fn new(pilot: PvCell, k: f64, overhead: Watts) -> Result<Self, CoreError> {
-        if !(k.is_finite() && k > 0.0 && k < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "k",
-                value: k,
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_fraction("k", k)?;
+        check_overhead(overhead)?;
         Ok(Self { pilot, k, overhead })
     }
 

@@ -3,6 +3,9 @@
 
 use eh_units::{Seconds, Volts, Watts};
 
+use super::sample_hold::SampleHold;
+use super::shared::{check_fraction, check_overhead, check_positive, ensure};
+use super::FocvSampleHold;
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
 use crate::error::CoreError;
@@ -38,11 +41,9 @@ pub struct VariableHoldFocv {
     overhead: Watts,
     sensitivity: f64,
     alpha: f64,
-    held_voc: Option<Volts>,
     volatility: f64,
-    current_period: Seconds,
-    since_sample: Seconds,
-    measuring: bool,
+    /// The schedule, whose period is the current (adapted) one.
+    hold: SampleHold<Volts>,
 }
 
 impl VariableHoldFocv {
@@ -67,42 +68,18 @@ impl VariableHoldFocv {
         sensitivity: f64,
         alpha: f64,
     ) -> Result<Self, CoreError> {
-        if !(k.is_finite() && k > 0.0 && k < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "k",
-                value: k,
-            });
-        }
-        if !(min_period.value() > 0.0 && base_period.value() >= min_period.value()) {
-            return Err(CoreError::InvalidParameter {
-                name: "period_band",
-                value: min_period.value(),
-            });
-        }
-        if !(pulse_width.value() > 0.0 && pulse_width.value() < min_period.value()) {
-            return Err(CoreError::InvalidParameter {
-                name: "pulse_width",
-                value: pulse_width.value(),
-            });
-        }
-        if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "sensitivity",
-                value: sensitivity,
-            });
-        }
-        if !(alpha.is_finite() && alpha > 0.0 && alpha <= 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "alpha",
-                value: alpha,
-            });
-        }
-        if !(overhead.value().is_finite() && overhead.value() >= 0.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "overhead",
-                value: overhead.value(),
-            });
-        }
+        check_fraction("k", k)?;
+        let (min, base) = (min_period.value(), base_period.value());
+        ensure(min > 0.0 && base >= min, "period_band", min)?;
+        let pulse = pulse_width.value();
+        ensure(pulse > 0.0 && pulse < min, "pulse_width", pulse)?;
+        check_positive("sensitivity", sensitivity)?;
+        ensure(
+            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
+            "alpha",
+            alpha,
+        )?;
+        check_overhead(overhead)?;
         Ok(Self {
             k,
             base_period,
@@ -111,12 +88,8 @@ impl VariableHoldFocv {
             overhead,
             sensitivity,
             alpha,
-            held_voc: None,
             volatility: 0.0,
-            current_period: base_period,
-            // Fire the first measurement immediately (the power-up PULSE).
-            since_sample: base_period,
-            measuring: false,
+            hold: SampleHold::new(base_period),
         })
     }
 
@@ -129,15 +102,34 @@ impl VariableHoldFocv {
     ///
     /// Never fails for these constants; mirrors [`VariableHoldFocv::new`].
     pub fn eq2_tuned() -> Result<Self, CoreError> {
-        Self::new(
-            0.596,
-            Seconds::new(69.0),
+        Self::eq2_tuned_on(FocvSampleHold::paper_prototype()?)
+    }
+
+    /// [`VariableHoldFocv::eq2_tuned`] on a given FOCV chain: its `k`,
+    /// hold period (as the base period) and PULSE width, and its
+    /// schedule as it stands, power-up phase included. The 15 s floor,
+    /// ε₀, the EWMA gain and the 8 µA × 3.3 V overhead stay the tuned
+    /// ones. Fleets build each node's tracker this way from the node's
+    /// drawn hardware.
+    ///
+    /// # Errors
+    ///
+    /// Mirrors [`VariableHoldFocv::new`]: rejects a chain whose hold
+    /// period is below the 15 s floor.
+    pub fn eq2_tuned_on(chain: FocvSampleHold) -> Result<Self, CoreError> {
+        let tuned = Self::new(
+            chain.k(),
+            chain.sample_period(),
             Seconds::new(15.0),
-            Seconds::from_milli(39.0),
+            chain.pulse_width(),
             Volts::new(3.3) * eh_units::Amps::from_micro(8.0),
             0.02,
             0.5,
-        )
+        )?;
+        Ok(Self {
+            hold: chain.hold,
+            ..tuned
+        })
     }
 
     /// The trimmed FOCV factor.
@@ -147,7 +139,7 @@ impl VariableHoldFocv {
 
     /// The current (adapted) hold period.
     pub fn current_period(&self) -> Seconds {
-        self.current_period
+        self.hold.period()
     }
 
     /// The base (maximum) hold period.
@@ -167,7 +159,7 @@ impl VariableHoldFocv {
 
     /// The currently held open-circuit voltage, if a sample exists.
     pub fn held_voc(&self) -> Option<Volts> {
-        self.held_voc
+        self.hold.held()
     }
 }
 
@@ -177,17 +169,17 @@ impl MpptController for VariableHoldFocv {
     }
 
     fn step(&mut self, obs: &Observation, dt: Seconds) -> TrackerCommand {
-        // Capture the measurement made during a disconnect step.
-        if self.measuring {
+        // The sample a capture replaces: the excursion is measured from it.
+        let previous = self.hold.held();
+        if self.hold.advance(obs.voc_measurement, dt) {
             if let Some(voc) = obs.voc_measurement {
-                if let Some(prev) = self.held_voc {
+                if let Some(prev) = previous {
                     if prev.value() > 0.0 {
                         let excursion = (voc - prev).value().abs() / prev.value();
                         self.volatility =
                             (1.0 - self.alpha) * self.volatility + self.alpha * excursion;
                     }
                 }
-                self.held_voc = Some(voc);
                 // Eq. 2 adaptation: the staleness error grows with the
                 // within-period excursion, so shrink the period as the
                 // observed excursion grows. volatility == 0 maps to
@@ -195,24 +187,10 @@ impl MpptController for VariableHoldFocv {
                 let shrink = self.sensitivity / (self.sensitivity + self.volatility);
                 let period = (self.base_period.value() * shrink)
                     .clamp(self.min_period.value(), self.base_period.value());
-                self.current_period = Seconds::new(period);
+                self.hold.set_period(Seconds::new(period));
             }
-            self.measuring = false;
-            self.since_sample = Seconds::ZERO;
-        } else {
-            self.since_sample += dt;
         }
-
-        if self.since_sample >= self.current_period {
-            self.measuring = true;
-            return TrackerCommand::measure();
-        }
-
-        match self.held_voc {
-            Some(voc) => TrackerCommand::connect_at(voc * self.k),
-            // No valid sample yet (ACTIVE low): converter stays off.
-            None => TrackerCommand::measure(),
-        }
+        self.hold.focv_command(self.k)
     }
 
     fn overhead_power(&self) -> Watts {
@@ -235,7 +213,6 @@ impl MpptController for VariableHoldFocv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::FocvSampleHold;
     use eh_units::Lux;
 
     fn obs(voc: Option<f64>) -> Observation {

@@ -3,7 +3,7 @@
 use eh_analog::astable::{AstableConfig, AstableMultivibrator};
 use eh_analog::components::MosfetSwitch;
 use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
-use eh_analog::{CurrentLedger, Trace, TracePolicy};
+use eh_analog::{CurrentLedger, Trace};
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics, Recorder};
@@ -38,14 +38,6 @@ pub struct SystemConfig {
     /// Whether to record PULSE / HELD_SAMPLE / PV waveform traces
     /// (memory-heavy on day-scale runs).
     pub record_traces: bool,
-    /// Whether the cell answers hot-path queries from the memoized
-    /// [`eh_pv::CachedPvSurface`] instead of the exact implicit solver
-    /// (accurate to the documented error bound; `false` keeps the exact
-    /// reference path for validation runs).
-    pub pv_cache: bool,
-    /// Memory policy applied to recorded traces: full fidelity, fixed
-    /// decimation, or a hard sample-count capacity for day-scale runs.
-    pub trace_policy: TracePolicy,
     /// Whether to collect deterministic metrics (counters, spans, the
     /// per-bucket energy ledger) into an [`eh_obs::Metrics`] store. Off
     /// by default: uninstrumented runs pay only a branch per segment.
@@ -76,8 +68,6 @@ impl SystemConfig {
             alpha: 0.5,
             series_switch: MosfetSwitch::logic_level_nmos(),
             record_traces: false,
-            trace_policy: TracePolicy::Full,
-            pv_cache: false,
             obs: false,
         })
     }
@@ -214,14 +204,15 @@ impl FocvMpptSystem {
             });
         }
         let traces = config.record_traces.then(|| SystemTraces {
-            pulse: Trace::with_policy("PULSE", config.trace_policy),
-            held_sample: Trace::with_policy("HELD_SAMPLE", config.trace_policy),
-            pv_voltage: Trace::with_policy("PV_IN", config.trace_policy),
-            active: Trace::with_policy("ACTIVE", config.trace_policy),
+            pulse: Trace::new("PULSE"),
+            held_sample: Trace::new("HELD_SAMPLE"),
+            pv_voltage: Trace::new("PV_IN"),
+            active: Trace::new("ACTIVE"),
         });
-        let cell = config.cell.clone().with_cache(config.pv_cache);
-        if config.pv_cache {
-            // Build the surface now so step timing is pure lookups.
+        let cell = config.cell.clone();
+        if cell.cache_enabled() {
+            // Build the surface now so step timing is pure lookups (a
+            // no-op for a warmed cell).
             cell.cached()?;
         }
         Ok(Self {
@@ -1095,12 +1086,14 @@ mod tests {
 
     #[test]
     fn cached_system_matches_exact_tracking() {
-        // The cache toggle must not move the paper's headline numbers:
-        // same pulse count, measured k within the documented error bound's
+        // A warmed cell must not move the paper's headline numbers: same
+        // pulse count, measured k within the documented error bound's
         // effect, energies within a fraction of a percent.
         let run = |cached: bool| {
             let mut cfg = SystemConfig::paper_prototype().unwrap();
-            cfg.pv_cache = cached;
+            if cached {
+                cfg.cell = cfg.cell.warmed().unwrap();
+            }
             cfg.cold_start.set_rail_voltage(Volts::new(3.3));
             let mut sys = FocvMpptSystem::new(cfg).unwrap();
             sys.run_constant(Lux::new(1000.0), Seconds::new(150.0), Seconds::new(0.05))

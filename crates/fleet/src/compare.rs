@@ -103,10 +103,12 @@ impl TrackerKind {
         }
     }
 
-    /// Builds the tracker instance for one node. Only the FOCV kind
-    /// uses the node's drawn divider/astable values — the baselines
-    /// have no astable to jitter — but every kind sees the node's
-    /// perturbed light and placement temperature through `cell`.
+    /// Builds the tracker instance for one node. The three FOCV kinds
+    /// run on the node's drawn divider, astable timing and power-up
+    /// phase, each adding its own policy and overhead; the other kinds
+    /// have no divider or astable, so they take their literature
+    /// constants. Every kind sees the node's perturbed light and
+    /// placement temperature through `cell`.
     ///
     /// # Errors
     ///
@@ -118,8 +120,10 @@ impl TrackerKind {
     ) -> Result<Box<dyn MpptController>, FleetError> {
         Ok(match self {
             TrackerKind::Focv => Box::new(node.tracker()?),
-            TrackerKind::VariableHoldFocv => Box::new(VariableHoldFocv::eq2_tuned()?),
-            TrackerKind::AdaptiveKFocv => Box::new(AdaptiveKFocv::paper_tuned()?),
+            TrackerKind::VariableHoldFocv => {
+                Box::new(VariableHoldFocv::eq2_tuned_on(node.tracker()?)?)
+            }
+            TrackerKind::AdaptiveKFocv => Box::new(AdaptiveKFocv::paper_tuned_on(node.tracker()?)?),
             TrackerKind::GradientDescent => Box::new(GradientDescentMppt::literature_default()?),
             TrackerKind::FixedVoltage => Box::new(FixedVoltage::indoor_tuned()?),
             TrackerKind::PerturbObserve => Box::new(PerturbObserve::literature_default()?),
@@ -194,7 +198,8 @@ pub fn compare_trackers_over_fleet_with(
 mod tests {
     use super::*;
     use crate::spec::Tolerances;
-    use eh_units::Seconds;
+    use eh_core::Observation;
+    use eh_units::{Seconds, Volts};
 
     #[test]
     fn labels_and_names_are_distinct() {
@@ -272,6 +277,40 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn focv_variants_run_on_the_nodes_drawn_hardware() {
+        // A node whose astable powered up well into its hold period and
+        // whose divider is off the prototype's trim.
+        let node = FleetSpec::mixed_indoor_outdoor(40, 2011)
+            .unwrap()
+            .population()
+            .unwrap()
+            .into_iter()
+            .find(|n| n.phase_offset > Seconds::new(20.0) && n.k != 0.596)
+            .expect("a 40-node production batch has such a node");
+        let cell = eh_pv::presets::sanyo_am1815();
+        let first_pulse = |kind: TrackerKind| {
+            let mut t = kind.build(&node, &cell).unwrap();
+            let dark = Observation::at(Seconds::ZERO);
+            let pulse = (1..200)
+                .find(|_| !t.step(&dark, Seconds::new(1.0)).is_connect())
+                .expect("a PULSE within 200 s");
+            let lit = Observation {
+                voc_measurement: Some(Volts::new(5.0)),
+                ..dark
+            };
+            (pulse, t.step(&lit, Seconds::new(1.0)).target_voltage())
+        };
+        let (focv_pulse, focv_target) = first_pulse(TrackerKind::Focv);
+        assert!(focv_pulse > 20, "FOCV waits for its drawn phase");
+        assert_eq!(focv_target, Some(Volts::new(5.0) * node.k));
+        let (pulse, target) = first_pulse(TrackerKind::VariableHoldFocv);
+        assert_eq!(pulse, focv_pulse, "variable hold takes the drawn phase");
+        assert_eq!(target, focv_target, "variable hold holds the drawn k");
+        let (pulse, _) = first_pulse(TrackerKind::AdaptiveKFocv);
+        assert_eq!(pulse, focv_pulse, "adaptive-k takes the drawn phase");
     }
 
     #[test]

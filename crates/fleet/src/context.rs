@@ -230,7 +230,6 @@ impl FleetContext {
             measurement_dwell: node.pulse_width,
             load: spec.load.clone(),
             store: node.store.unwrap_or(spec.store).build()?,
-            pv_cache: spec.pv_cache,
             obs: spec.obs,
         };
         let report = NodeSimulation::new(config)?.run(tracker.as_mut(), &trace, spec.dt)?;

@@ -36,8 +36,9 @@ impl SurfacePool {
     /// Builds the pool for the placements that actually occur in a
     /// population, re-binding `base` to each placement's temperature.
     /// With `cache` set, each cell's surface is built eagerly here so
-    /// worker threads only ever do lookups. The capacity covers every
-    /// placement, so this constructor never evicts.
+    /// worker threads only ever do lookups; without it every cell runs
+    /// the exact solver. The node engine follows each cell's policy. The
+    /// capacity covers every placement, so this constructor never evicts.
     ///
     /// # Errors
     ///
@@ -87,7 +88,11 @@ impl SurfacePool {
             return Ok(());
         }
         let cell = base.clone().with_temperature(p.cell_temperature());
-        let cell = if cache { cell.warmed()? } else { cell };
+        let cell = if cache {
+            cell.warmed()?
+        } else {
+            cell.with_cache(false)
+        };
         if self.entries.len() >= self.capacity {
             self.entries.remove(0);
             self.evictions += 1;

@@ -274,7 +274,8 @@ pub struct FleetSpec {
     /// silently shorten the simulated day.
     pub trace_decimate: usize,
     /// Whether node simulations answer PV queries from the shared
-    /// memoized surface.
+    /// memoized surface: the surface pool warms each placement's cell
+    /// under this policy, and the node engine follows the cell's.
     pub pv_cache: bool,
     /// Whether every node simulation collects deterministic metrics,
     /// folded into the aggregate [`crate::FleetReport`]'s store.

@@ -26,11 +26,6 @@ pub struct SimConfig {
     pub load: Option<DutyCycledLoad>,
     /// The energy store.
     pub store: ConcreteStore,
-    /// Whether the cell answers hot-path queries from the memoized
-    /// [`eh_pv::CachedPvSurface`] instead of the exact implicit solver
-    /// (accurate to the documented error bound; `false` keeps the exact
-    /// reference path for validation runs).
-    pub pv_cache: bool,
     /// Whether to collect deterministic metrics (counters, spans, the
     /// per-bucket energy ledger) into the report's
     /// [`eh_obs::Metrics`]. Off by default: uninstrumented runs pay
@@ -53,7 +48,6 @@ impl SimConfig {
             measurement_dwell: Seconds::from_milli(39.0),
             load: None,
             store: ConcreteStore::Ideal(IdealStore::new()),
-            pv_cache: false,
             obs: false,
         })
     }
@@ -72,13 +66,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables the PV operating-point cache (builder style).
-    #[must_use]
-    pub fn with_pv_cache(mut self, enabled: bool) -> Self {
-        self.pv_cache = enabled;
-        self
-    }
-
     /// Enables or disables metric collection (builder style).
     #[must_use]
     pub fn with_obs(mut self, enabled: bool) -> Self {
@@ -94,7 +81,6 @@ impl std::fmt::Debug for SimConfig {
             .field("measurement_dwell", &self.measurement_dwell)
             .field("has_load", &self.load.is_some())
             .field("store", &self.store.stored_energy())
-            .field("pv_cache", &self.pv_cache)
             .field("obs", &self.obs)
             .finish()
     }
@@ -208,7 +194,7 @@ impl NodeSimulation {
     /// # Errors
     ///
     /// Rejects a non-positive measurement dwell.
-    pub fn new(mut config: SimConfig) -> Result<Self, NodeError> {
+    pub fn new(config: SimConfig) -> Result<Self, NodeError> {
         if !(config.measurement_dwell.value().is_finite() && config.measurement_dwell.value() > 0.0)
         {
             return Err(NodeError::InvalidParameter {
@@ -216,8 +202,7 @@ impl NodeSimulation {
                 value: config.measurement_dwell.value(),
             });
         }
-        config.cell = config.cell.clone().with_cache(config.pv_cache);
-        if config.pv_cache {
+        if config.cell.cache_enabled() {
             // Build the surface now so run timing is pure lookups (a
             // no-op when a warmed cell was cloned into this config).
             config.cell.cached().map_err(CoreError::from)?;
@@ -253,7 +238,7 @@ impl NodeSimulation {
         let compute_cost = tracker.compute_cost();
         let metrics = self.config.obs.then(Metrics::new);
         let config = &self.config;
-        let surface = if config.pv_cache {
+        let surface = if config.cell.cache_enabled() {
             Some(config.cell.cached().map_err(CoreError::from)?)
         } else {
             None
@@ -659,20 +644,24 @@ mod tests {
 
     #[test]
     fn cached_run_matches_exact_report() {
-        // The pv_cache toggle must not move the closed-loop report beyond
-        // the cache's documented error bound: same measurement count,
-        // energies within a fraction of a percent.
-        let run = |cached: bool| {
-            let cfg = SimConfig::default_for(presets::sanyo_am1815())
-                .unwrap()
-                .with_pv_cache(cached);
+        // The cell owns the cache policy: under the default config a
+        // warmed cell's run reads its surface, so it differs from the
+        // exact run, but by no more than the cache's documented error
+        // bound: same measurement count, energies within a fraction of
+        // a percent.
+        let run = |cell: PvCell| {
+            let cfg = SimConfig::default_for(cell).unwrap();
             let mut sim = NodeSimulation::new(cfg).unwrap();
             let mut tracker = FocvSampleHold::paper_prototype().unwrap();
             sim.run(&mut tracker, &minute_trace(), Seconds::new(1.0))
                 .unwrap()
         };
-        let exact = run(false);
-        let cached = run(true);
+        let exact = run(presets::sanyo_am1815());
+        let cached = run(presets::sanyo_am1815().warmed().unwrap());
+        assert_ne!(
+            exact.gross_energy, cached.gross_energy,
+            "a warmed cell must step on its surface, not the exact solver"
+        );
         assert_eq!(exact.measurements, cached.measurements);
         let gross_rel = (exact.gross_energy.value() - cached.gross_energy.value()).abs()
             / exact.gross_energy.value();

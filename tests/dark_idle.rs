@@ -3,7 +3,6 @@
 //! Engine-step and measurement counts are deterministic, so these pins
 //! are exact gates on simulated work.
 
-use pv_mppt_repro::core::baselines::{AdaptiveKFocv, VariableHoldFocv};
 use pv_mppt_repro::env::profiles;
 use pv_mppt_repro::fleet::{
     compare_trackers_over_fleet_with, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
@@ -79,15 +78,6 @@ fn every_tracker_steps_within_twice_fixed_voltage_at_service_defaults() {
 fn focv_family_powers_up_in_the_dark_measuring_once_per_hold_period() {
     let night = Seconds::from_hours(12.0);
     let dark = profiles::constant(Lux::ZERO, night);
-    let hold = |kind: TrackerKind, node: &NodeSpec| match kind {
-        TrackerKind::Focv => node.sample_period,
-        TrackerKind::VariableHoldFocv => VariableHoldFocv::eq2_tuned()
-            .expect("tuned constants")
-            .base_period(),
-        _ => AdaptiveKFocv::paper_tuned()
-            .expect("tuned constants")
-            .sample_period(),
-    };
     for dt in [1.0, 600.0] {
         let mut spec = FleetSpec::mixed_indoor_outdoor(3, 2011).expect("valid spec");
         // No tolerances: no placement lux offset lifts the dark trace.
@@ -127,7 +117,8 @@ fn focv_family_powers_up_in_the_dark_measuring_once_per_hold_period() {
             assert_eq!(engine_steps(&per_node), engine_steps(&vectorized));
             let mut measured = 0;
             for (node, m) in nodes.iter().zip(measurements(&per_node)) {
-                let period = hold(kind, node).value().max(dt);
+                // All three kinds run on the node's drawn astable.
+                let period = node.sample_period.value().max(dt);
                 let bound = (night.value() / period).ceil() as u64 + 1;
                 assert!(
                     (1..=bound).contains(&m),

@@ -106,9 +106,7 @@ fn cached_sweep_identical_at_any_worker_count() {
     cell.cached().expect("surface builds");
     let intensities: Vec<f64> = (1..=8).map(|i| 200.0 * i as f64).collect();
     let job = move |_: usize, lux: f64| {
-        let cfg = SimConfig::default_for(cell.clone())
-            .expect("valid config")
-            .with_pv_cache(true);
+        let cfg = SimConfig::default_for(cell.clone()).expect("valid config");
         let mut sim = NodeSimulation::new(cfg).expect("valid sim");
         let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
         let trace = profiles::constant(Lux::new(lux), Seconds::from_minutes(10.0));
