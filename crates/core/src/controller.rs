@@ -102,6 +102,11 @@ pub trait MpptController {
 
     /// The tracker's own quiescent power draw (the quantity the whole
     /// paper is about minimising).
+    ///
+    /// The value is constant for the tracker's lifetime: it describes
+    /// the hardware, not the tracker's state, so no
+    /// [`MpptController::step`] changes it. The closed-loop engine in
+    /// `eh-node` relies on this and reads it once per run.
     fn overhead_power(&self) -> Watts;
 
     /// Whether the technique can bootstrap from a completely dead system.

@@ -1,9 +1,30 @@
 //! Property-based tests on the full-system invariants.
 
-use eh_core::baselines::{FocvSampleHold, Oracle, PerturbObserve, VariableHoldFocv};
+use eh_core::baselines::{
+    AdaptiveKFocv, FixedVoltage, FocvSampleHold, FractionalIsc, GradientDescentMppt,
+    IncrementalConductance, Oracle, PerturbObserve, Photodetector, PilotCell, VariableHoldFocv,
+};
 use eh_core::{FocvMpptSystem, MpptController, Observation, SystemConfig, TrackerCommand};
 use eh_units::{Amps, Lux, Seconds, Volts, Watts};
 use proptest::prelude::*;
+
+/// One tracker of each of the 11 kinds, at its default configuration.
+fn every_tracker() -> Vec<Box<dyn MpptController>> {
+    let cell = eh_pv::presets::sanyo_am1815();
+    vec![
+        Box::new(FocvSampleHold::paper_prototype().expect("valid tracker")),
+        Box::new(VariableHoldFocv::eq2_tuned().expect("valid tracker")),
+        Box::new(AdaptiveKFocv::paper_tuned().expect("valid tracker")),
+        Box::new(FixedVoltage::indoor_tuned().expect("valid tracker")),
+        Box::new(PerturbObserve::literature_default().expect("valid tracker")),
+        Box::new(GradientDescentMppt::literature_default().expect("valid tracker")),
+        Box::new(IncrementalConductance::literature_default().expect("valid tracker")),
+        Box::new(FractionalIsc::literature_default().expect("valid tracker")),
+        Box::new(PilotCell::literature_default(cell.clone()).expect("valid tracker")),
+        Box::new(Photodetector::literature_default().expect("valid tracker")),
+        Box::new(Oracle::new(cell)),
+    ]
+}
 
 fn charged_system() -> FocvMpptSystem {
     let mut cfg = SystemConfig::paper_prototype().expect("valid prototype");
@@ -117,6 +138,46 @@ proptest! {
             adaptive.current_period().value().to_bits(),
             adaptive.base_period().value().to_bits()
         );
+    }
+
+    /// Every tracker's overhead power is constant for its lifetime,
+    /// as [`MpptController::overhead_power`] documents and the node
+    /// engine relies on when it reads the value once per run: random
+    /// observations and step sizes never change it. Each command's
+    /// reading comes back in the next observation, as the engine
+    /// delivers it, so the sampling trackers walk their whole schedule.
+    #[test]
+    fn overhead_power_is_constant_for_the_trackers_lifetime(
+        draws in proptest::collection::vec(0.0..1.0f64, 4..400),
+    ) {
+        for mut tracker in every_tracker() {
+            let overhead = tracker.overhead_power().value().to_bits();
+            let mut last = None;
+            let mut time = Seconds::ZERO;
+            for (i, d) in draws.chunks_exact(4).enumerate() {
+                let v = Volts::new(8.0 * d[0]);
+                let current = Amps::from_micro(500.0 * d[1]);
+                let obs = Observation {
+                    time,
+                    pv_voltage: v,
+                    pv_current: current,
+                    pv_power: v * current,
+                    voc_measurement: (last == Some(TrackerCommand::MeasureVoc)).then_some(v),
+                    isc_measurement: (last == Some(TrackerCommand::MeasureIsc)).then_some(current),
+                    ambient_lux: tracker
+                        .requires_light_sensor()
+                        .then(|| Lux::new(20_000.0 * d[2])),
+                };
+                let dt = Seconds::new(0.01 + 600.0 * d[3]);
+                last = Some(tracker.step(&obs, dt));
+                time += dt;
+                prop_assert_eq!(
+                    tracker.overhead_power().value().to_bits(),
+                    overhead,
+                    "{} after step {}", tracker.name(), i
+                );
+            }
+        }
     }
 
     /// The oracle never commands above the cell's open-circuit voltage.

@@ -132,26 +132,28 @@ impl ObsLocals {
         Self::add(&mut self.switching_j, (harvest.losses * dt).value());
     }
 
-    /// Accrues one step's phase attribution: tracker overhead split by
-    /// phase, compute and served-load energy, and the step's span.
+    /// Accrues a slice's measurements: `pulses` PULSEs lasting
+    /// `measured` in all, during which the sample-and-hold chain burns
+    /// the tracker overhead `sample_hold`.
     #[inline]
-    pub fn observe_step(
-        &mut self,
-        is_connect: bool,
-        overhead: Joules,
-        compute: Joules,
-        served: Joules,
-        actual: Seconds,
-    ) {
-        if is_connect {
-            Self::add(&mut self.astable_j, overhead.value());
-            self.harvest_count += 1;
-            Self::add(&mut self.harvest_time, actual.value());
-        } else {
-            Self::add(&mut self.sample_hold_j, overhead.value());
-            self.measure_count += 1;
-            Self::add(&mut self.measure_time, actual.value());
-        }
+    pub fn observe_measuring(&mut self, pulses: u64, measured: Seconds, sample_hold: Joules) {
+        Self::add(&mut self.sample_hold_j, sample_hold.value());
+        self.measure_count += pulses;
+        Self::add(&mut self.measure_time, measured.value());
+    }
+
+    /// Accrues a slice's connected rest, lasting `connected`, during
+    /// which the astable timer burns the tracker overhead `astable`.
+    #[inline]
+    pub fn observe_harvesting(&mut self, connected: Seconds, astable: Joules) {
+        Self::add(&mut self.astable_j, astable.value());
+        self.harvest_count += 1;
+        Self::add(&mut self.harvest_time, connected.value());
+    }
+
+    /// Accrues a slice's compute and served-load energy.
+    #[inline]
+    pub fn observe_draws(&mut self, compute: Joules, served: Joules) {
         Self::add(&mut self.compute_j, compute.value());
         Self::add(&mut self.load_j, served.value());
     }
@@ -216,10 +218,16 @@ impl NodeSimulation {
     }
 
     /// Runs `tracker` over `trace` with nominal step `dt` and returns the
-    /// report, driven by the shared engine in [`eh_sim`]. Measurement
-    /// interruptions advance by the (shorter) measurement dwell instead
-    /// of `dt`, so the cost of a 39 ms PULSE is charged honestly rather
-    /// than rounded up to a full step.
+    /// report, driven by the shared engine in [`eh_sim`]. The clock stays
+    /// on the `dt` grid: a measurement takes the module off the converter
+    /// for the measurement dwell (the 39 ms PULSE) inside the slice it
+    /// interrupts, the tracker sees the reading at the dwell's end and
+    /// decides the rest of the slice, and the slice then settles its
+    /// store once. So a PULSE costs a second tracker decision, not a
+    /// second engine step, and harvesting stops for the dwell only.
+    ///
+    /// The tracker's overhead power is read once per run, as the
+    /// [`MpptController::overhead_power`] contract allows.
     ///
     /// The store carries over from run to run, while the load's cycle
     /// position restarts at 0 with each run's clock.
@@ -255,6 +263,7 @@ impl NodeSimulation {
             // hot loop touches it by value; the copy goes back into the
             // config afterwards, on the error path too.
             store: config.store.clone(),
+            overhead: tracker.overhead_power(),
             tracker: &mut *tracker,
             has_sensor,
             compute_per_decision: compute_cost.energy_per_decision(),
@@ -291,8 +300,7 @@ impl NodeSimulation {
 }
 
 /// One node-simulation time slice as a steppable system: observe, ask
-/// the tracker for a command, execute it, and report the adaptive dwell
-/// back to the engine.
+/// the tracker for a command, execute it, and settle the store.
 ///
 /// Three strength reductions keep the step cheap, each exact or within
 /// the cache's own error bound: the supercapacitor store carries energy
@@ -313,6 +321,8 @@ struct NodeStepper<'a> {
     load_pos: f64,
     store: ConcreteStore,
     tracker: &'a mut dyn MpptController,
+    /// The tracker's overhead power, constant for its lifetime.
+    overhead: Watts,
     has_sensor: bool,
     compute_per_decision: Joules,
     acc: Accumulator,
@@ -361,6 +371,71 @@ impl NodeStepper<'_> {
         self.last_current = Amps::ZERO;
         self.last_power = Watts::ZERO;
     }
+
+    /// Asks the tracker for its command over the coming `dt`, from what
+    /// the module did since its last decision.
+    #[inline(always)]
+    fn decide(&mut self, t: Seconds, dt: Seconds, lux: Lux) -> TrackerCommand {
+        let obs = Observation {
+            time: t,
+            pv_voltage: self.last_voltage,
+            pv_current: self.last_current,
+            pv_power: self.last_power,
+            voc_measurement: self.last_voc.take(),
+            isc_measurement: self.last_isc.take(),
+            ambient_lux: self.has_sensor.then_some(lux),
+        };
+        self.acc.count_decision();
+        self.tracker.step(&obs, dt)
+    }
+
+    /// Takes the reading a measurement command asks for, with the
+    /// module off the converter: `Voc` at open circuit, or `Isc`
+    /// shorted.
+    #[inline(always)]
+    fn measure(&mut self, cmd: TrackerCommand, lux: Lux) -> Result<(), NodeError> {
+        if cmd == TrackerCommand::MeasureIsc {
+            let isc = self.cell.short_circuit_current(lux)?;
+            self.last_isc = Some(isc);
+            self.last_voltage = Volts::ZERO;
+            self.last_current = isc;
+        } else {
+            let voc = self.open_circuit_voltage(lux)?;
+            self.last_voc = Some(voc);
+            self.last_voltage = voc;
+            self.last_current = Amps::ZERO;
+        }
+        self.last_power = Watts::ZERO;
+        self.acc.count_measurement();
+        Ok(())
+    }
+
+    /// Holds the module at `target` for `dt` and deposits what the
+    /// converter delivers; a non-positive target, or a cell with no
+    /// positive operating voltage, leaves it idle.
+    #[inline(always)]
+    fn connect(&mut self, target: Volts, lux: Lux, dt: Seconds) -> Result<(), NodeError> {
+        if target.value() > 0.0 {
+            let point = self.connect_point(target, lux)?;
+            if let Some(i) = point.current {
+                let v_op = point.v_op;
+                let i = i.max(Amps::ZERO);
+                let harvest = self.converter.harvest(v_op, i, dt);
+                self.acc.add_harvest(harvest.output_energy);
+                self.acc.add_loss(harvest.losses * dt);
+                if self.metrics.is_some() {
+                    self.obs.observe_harvest(&harvest, dt);
+                }
+                self.store.deposit(harvest.output_energy);
+                self.last_voltage = v_op;
+                self.last_current = i;
+                self.last_power = harvest.input_power;
+                return Ok(());
+            }
+        }
+        self.disconnect();
+        Ok(())
+    }
 }
 
 impl Stepper for NodeStepper<'_> {
@@ -374,101 +449,74 @@ impl Stepper for NodeStepper<'_> {
         input: &StepInput,
     ) -> Result<StepOutput, NodeError> {
         let lux = input.lux;
-        let obs = Observation {
-            time: t,
-            pv_voltage: self.last_voltage,
-            pv_current: self.last_current,
-            pv_power: self.last_power,
-            voc_measurement: self.last_voc.take(),
-            isc_measurement: self.last_isc.take(),
-            ambient_lux: self.has_sensor.then_some(lux),
-        };
-        let cmd: TrackerCommand = self.tracker.step(&obs, planned);
-        let is_connect = cmd.is_connect();
+        let mut cmd = self.decide(t, planned, lux);
+        let mut decisions = 1.0;
 
-        // Adaptive dwell: a measurement interrupts harvesting for the
-        // PULSE width only, not the caller's whole step.
-        let actual = if is_connect {
-            planned
-        } else {
-            self.dwell.min(planned)
-        };
-
-        match cmd {
-            TrackerCommand::Connect(target) if target.value() > 0.0 => {
-                let point = self.connect_point(target, lux)?;
-                if let Some(i) = point.current {
-                    let v_op = point.v_op;
-                    let i = i.max(Amps::ZERO);
-                    let harvest = self.converter.harvest(v_op, i, actual);
-                    self.acc.add_harvest(harvest.output_energy);
-                    self.acc.add_loss(harvest.losses * actual);
-                    if self.metrics.is_some() {
-                        self.obs.observe_harvest(&harvest, actual);
-                    }
-                    self.store.deposit(harvest.output_energy);
-                    self.last_voltage = v_op;
-                    self.last_current = i;
-                    self.last_power = harvest.input_power;
-                } else {
-                    self.disconnect();
-                }
+        // A PULSE takes the module off the converter for the dwell only:
+        // the tracker sees the reading at the dwell's end and decides
+        // the rest of the slice. A slice no longer than the dwell is all
+        // measurement, and the reading waits for the next slice.
+        let mut pulses = 0;
+        let mut measured = Seconds::ZERO;
+        while !cmd.is_connect() {
+            self.measure(cmd, lux)?;
+            pulses += 1;
+            if planned - measured <= self.dwell {
+                measured = planned;
+                break;
             }
-            TrackerCommand::Connect(_) => self.disconnect(),
-            TrackerCommand::MeasureVoc => {
-                let voc = self.open_circuit_voltage(lux)?;
-                self.last_voc = Some(voc);
-                self.last_voltage = voc;
-                self.last_current = Amps::ZERO;
-                self.last_power = Watts::ZERO;
-                self.acc.count_measurement();
-            }
-            TrackerCommand::MeasureIsc => {
-                let isc = self.cell.short_circuit_current(lux)?;
-                self.last_isc = Some(isc);
-                self.last_voltage = Volts::ZERO;
-                self.last_current = isc;
-                self.last_power = Watts::ZERO;
-                self.acc.count_measurement();
-            }
+            measured += self.dwell;
+            cmd = self.decide(t + measured, planned - measured, lux);
+            decisions += 1.0;
+        }
+        if let TrackerCommand::Connect(target) = cmd {
+            self.connect(target, lux, planned - measured)?;
         }
 
-        // Tracker overhead comes out of the store, harvested or not.
-        let oh = self.tracker.overhead_power() * actual;
+        // The slice settles once. Tracker overhead comes out of the
+        // store, harvested or not.
+        let oh = self.overhead * planned;
         self.acc.add_overhead(oh);
         self.store.withdraw(oh);
 
-        // Control-law compute energy: one decision per tracker step,
-        // charged at the tracker's declared ops × energy/op. Zero (and
-        // a guaranteed store no-op) for analog trackers.
-        let compute = self.compute_per_decision;
+        // Control-law compute energy, charged at the tracker's declared
+        // ops × energy/op per decision. Zero (and a guaranteed store
+        // no-op) for analog trackers.
+        let compute = self.compute_per_decision * decisions;
         self.acc.add_compute(compute);
-        self.acc.count_decision();
         self.store.withdraw(compute);
 
         // Node load.
         let mut served = Joules::ZERO;
         if let Some(load) = self.load {
-            let demand = load.energy_over(&mut self.load_pos, actual);
+            let demand = load.energy_over(&mut self.load_pos, planned);
             served = self.store.withdraw(demand);
             self.acc.add_load(demand, served);
         }
 
-        self.store.leak(actual);
+        self.store.leak(planned);
 
         // Metric attribution, accumulated in per-run locals (flushed
         // once after the drive loop). The tracker's lump overhead is
-        // split by phase: during a measurement dwell the sample-and-hold
-        // chain is what burns it; between measurements the astable timer
-        // is the consumer. Conversion losses were already accrued by
+        // split by phase: during the PULSE the sample-and-hold chain is
+        // what burns it; for the rest of the slice the astable timer is
+        // the consumer. Conversion losses were already accrued by
         // `observe_harvest`; the load bucket takes what the store
         // actually delivered.
         if self.metrics.is_some() {
-            self.obs
-                .observe_step(is_connect, oh, compute, served, actual);
+            let mut astable = oh;
+            if pulses > 0 {
+                let sample_hold = self.overhead * measured;
+                self.obs.observe_measuring(pulses, measured, sample_hold);
+                astable -= sample_hold;
+            }
+            if cmd.is_connect() {
+                self.obs.observe_harvesting(planned - measured, astable);
+            }
+            self.obs.observe_draws(compute, served);
         }
 
-        Ok(StepOutput::dwell(actual))
+        Ok(StepOutput::full(planned))
     }
 
     fn recorder(&mut self) -> Option<&mut Metrics> {
@@ -609,9 +657,20 @@ mod tests {
         let closed = report.overhead_energy + report.loss_energy + report.load_served;
         assert!(m.ledger().relative_error(closed) < 1e-9);
         assert_eq!(m.counter("node.measurements"), report.measurements);
-        // Engine hooks saw the same run: one dwell per measurement.
-        assert_eq!(m.counter("engine.dwell_steps"), report.measurements);
-        assert!(m.span_stats("node.measuring").is_some());
+        // Each PULSE folds into the slice it interrupts: the engine
+        // takes no dwell step, the measuring span counts one PULSE-wide
+        // entry per measurement, and each PULSE costs one extra
+        // decision.
+        assert!(report.measurements > 0);
+        assert_eq!(m.counter("engine.dwell_steps"), 0);
+        let measuring = m.span_stats("node.measuring").expect("measuring span");
+        assert_eq!(measuring.count, report.measurements);
+        let dwell = Seconds::from_milli(39.0).value() * report.measurements as f64;
+        assert!((measuring.sim_time().value() - dwell).abs() < 1e-9);
+        assert_eq!(
+            m.counter("tracker.decisions"),
+            m.counter("engine.steps") + report.measurements
+        );
         assert!(m.span_stats("node.harvesting").is_some());
         assert!(m.counter("converter.transfer_steps") > 0);
 

@@ -24,7 +24,16 @@ use eh_units::{Joules, Seconds};
 
 use crate::error::ServeError;
 
-const MAGIC: &str = "eh-serve shard checkpoint v1";
+/// How every spill's header line starts: the format name, then the
+/// version after the `v`.
+const MAGIC_NAME: &str = "eh-serve shard checkpoint v";
+
+/// The checkpoint version, bumped whenever the node stepper's output
+/// bits change, since spills are keyed by the request hash alone. A
+/// spill written under another version holds shards stepped the old
+/// way, so a resume treats it as absent: the shard is recomputed and
+/// its spill overwritten.
+const MAGIC: &str = "eh-serve shard checkpoint v2";
 
 /// A directory of spilled shard checkpoints, one subdirectory per
 /// request hash.
@@ -146,7 +155,7 @@ impl SpillStore {
     }
 
     /// Loads a previously spilled shard; `Ok(None)` when it was never
-    /// saved.
+    /// saved, or was saved under another checkpoint version.
     ///
     /// # Errors
     ///
@@ -163,6 +172,10 @@ impl SpillStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
+        let header = text.lines().next().unwrap_or_default();
+        if header != MAGIC && header.starts_with(MAGIC_NAME) {
+            return Ok(None);
+        }
         Self::decode(&text).map(Some)
     }
 
@@ -320,6 +333,29 @@ mod tests {
         assert!(store.load_shard("eeee", 3).is_err());
         std::fs::write(&path, "not a checkpoint\n").unwrap();
         assert!(store.load_shard("eeee", 3).is_err());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn spills_of_another_version_are_not_resumed() {
+        let store = SpillStore::new(scratch_dir());
+        let report = shard_report(false);
+        store.save_shard("dddd", 2, &report).unwrap();
+        let path = store.campaign_dir("dddd").join("shard-000002.ckpt");
+        let current = std::fs::read_to_string(&path).unwrap();
+        // A shard spilled by the previous stepper: same request hash,
+        // well-formed, but a v1 header.
+        let v1 = current.replacen(MAGIC, "eh-serve shard checkpoint v1", 1);
+        assert_ne!(v1, current);
+        std::fs::write(&path, &v1).unwrap();
+        assert!(store.load_shard("dddd", 2).unwrap().is_none());
+        // The recomputed shard overwrites it and resumes from then on.
+        store.save_shard("dddd", 2, &report).unwrap();
+        assert_eq!(store.load_shard("dddd", 2).unwrap(), Some(report));
+        // A header that names no version stays corrupt.
+        let unversioned = current.replacen(MAGIC, "eh-serve shard checkpoint", 1);
+        std::fs::write(&path, unversioned).unwrap();
+        assert!(store.load_shard("dddd", 2).is_err());
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -8,9 +8,10 @@ use crate::light::Light;
 use crate::stepper::{StepInput, Stepper};
 
 /// Drives `stepper` across the whole of `light` in slices of at most
-/// `dt`, honouring adaptive dwells: a step that reports it consumed less
-/// than the planned slice (e.g. a 39 ms Voc measurement pulse) advances
-/// the clock by that dwell only. Returns the total simulated time.
+/// `dt`, honouring variable advances: a step that reports it consumed
+/// less than the planned slice (e.g. an event-driven stepper stopping at
+/// a timer edge) advances the clock by that much only, and counts as a
+/// dwell step. Returns the total simulated time.
 ///
 /// The reported advance is clamped into `(0, planned]`; non-positive or
 /// non-finite advances fall back to the planned slice so a misbehaving

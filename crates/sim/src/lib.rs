@@ -2,13 +2,14 @@
 //!
 //! Every experiment layer in this workspace used to own a private copy
 //! of the same loop: advance a clock through a light profile, hand each
-//! slice to the system under test, honour the short measurement dwell
-//! when the FOCV tracker fires its 39 ms `PULSE`, and accumulate energy
-//! ledgers into a report. This crate owns that loop once:
+//! slice to the system under test, let it stop short of the slice when
+//! it must, and accumulate energy ledgers into a report. This crate
+//! owns that loop once:
 //!
 //! - [`Stepper`] is the contract a simulated system implements;
 //! - [`Light`] unifies constant-level and trace-driven illumination;
-//! - [`drive`] is the time-stepping engine with adaptive-dwell clamping;
+//! - [`drive`] is the time-stepping engine, which clamps a short
+//!   advance into the planned slice;
 //! - [`split_windows`]/[`run_windowed`] are the shared windowed-endurance
 //!   core;
 //! - [`SweepRunner`] fans independent jobs across scoped threads with

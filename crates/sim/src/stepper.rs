@@ -23,9 +23,9 @@ impl StepInput {
 
 /// What a stepper reports back after one step.
 ///
-/// The key field is [`advanced`](Self::advanced): a stepper that spent a
-/// short measurement dwell (e.g. the 39 ms FOCV `PULSE`) advances
-/// simulated time by the dwell only, not the full planned `dt`. The
+/// The key field is [`advanced`](Self::advanced): a stepper that stops
+/// short of the planned `dt` (e.g. an event-driven stepper that stops at
+/// the next timer edge) advances simulated time by that much only. The
 /// engine clamps the value into `(0, dt]` so a buggy stepper can never
 /// stall or overshoot the clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,8 +40,8 @@ impl StepOutput {
         Self { advanced: dt }
     }
 
-    /// The step consumed only `actual` of the planned `dt` (an adaptive
-    /// dwell, such as a Voc measurement pulse).
+    /// The step consumed only `actual` of the planned `dt` (a dwell,
+    /// such as the stretch up to an event-driven stepper's next edge).
     pub fn dwell(actual: Seconds) -> Self {
         Self { advanced: actual }
     }

@@ -14,7 +14,7 @@
 //! * [`core`] — the paper's FOCV sample-and-hold MPPT system plus the
 //!   baseline trackers it is compared against.
 //! * [`sim`] — the shared simulation engine: [`sim::Stepper`] steppers,
-//!   [`sim::drive`] time-stepping with adaptive dwell, and the
+//!   [`sim::drive`] time-stepping, and the
 //!   deterministic [`sim::SweepRunner`] job and shard fan-out.
 //! * [`node`] — closed-loop wireless-sensor-node simulations.
 //! * [`obs`] — opt-in deterministic observability: the

@@ -137,3 +137,29 @@ fn focv_family_powers_up_in_the_dark_measuring_once_per_hold_period() {
         }
     }
 }
+
+/// A PULSE folds into the slice it interrupts, so a FOCV fleet takes
+/// exactly one engine step per control slice however often it
+/// measures: 144 per node-day at dt 600 s, where every slice outlasts
+/// the ~69 s hold and measures once, and 1,440 at dt 60 s on the 60 s
+/// light grid, where every second slice measures (each node's drawn
+/// hold period lies between one and two slices). Each PULSE costs one
+/// extra tracker decision instead of an engine step.
+#[test]
+fn focv_takes_one_engine_step_per_control_slice() {
+    for (dt, slices, measured_per_node) in [(600_u32, 144_u64, 144_u64), (60, 1440, 720)] {
+        let mut spec = FleetSpec::mixed_indoor_outdoor(8, 2011).expect("valid spec");
+        spec.trace_decimate = dt as usize;
+        spec.dt = Seconds::new(f64::from(dt));
+        spec.obs = true;
+        let report = FleetRunner::new(2).run(&spec).expect("fleet runs");
+        let nodes = report.outcomes.len() as u64;
+        assert_eq!(engine_steps(&report), slices * nodes, "dt {dt}");
+        let m = report.metrics.as_ref().expect("obs store");
+        assert_eq!(m.counter("engine.dwell_steps"), 0, "dt {dt}");
+        let per_node = measurements(&report);
+        assert_eq!(per_node, vec![measured_per_node; 8], "dt {dt}");
+        let measured: u64 = per_node.iter().sum();
+        assert_eq!(m.counter("tracker.decisions"), slices * nodes + measured);
+    }
+}
