@@ -57,6 +57,18 @@ fn day_spec(nodes: u32, smoke: bool) -> FleetSpec {
     spec
 }
 
+/// FOCV and variable hold over the volatile-light fleet at one step.
+struct VolatileRun {
+    fixed_measured: u64,
+    adaptive_measured: u64,
+    fixed_total: f64,
+    adaptive_total: f64,
+    /// Variable hold's fleet-total net margin over FOCV, percent.
+    margin_pct: f64,
+    fixed_p50: f64,
+    adaptive_p50: f64,
+}
+
 fn percentile_row(report: &FleetReport) -> (f64, f64, f64) {
     let p = report
         .net_energy_percentiles()
@@ -267,57 +279,77 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner("Volatile light — Eq. 2 variable hold vs the fixed 69 s schedule");
     // An outdoor-heavy (semi-mobile) population on the 1-minute grid:
     // the fixed tracker holds samples that go ~2 minutes stale between
-    // PULSEs, while the Eq. 2 tracker shortens its hold period below the
-    // step size and re-samples every minute for one extra 39 ms PULSE.
-    // The grid stays at dt = 60 s even in smoke — on a 10-minute grid
-    // the shortened period cannot beat the step size and the adaptation
-    // is invisible.
+    // PULSEs, while the Eq. 2 tracker shortens its hold period and
+    // re-samples more often, for one extra 39 ms PULSE each time. The
+    // grid stays at dt = 60 s even in smoke — on a 10-minute grid the
+    // shortened period cannot beat the step size and the adaptation is
+    // invisible.
+    //
+    // Which tracker nets more is not gated: a dt 1 s reference of these
+    // fleets puts variable hold about 0.015 % below FOCV, since its
+    // extra PULSEs cost more than its fresher samples gain. The gate is
+    // fidelity instead: the dt 60 s run must rank the two trackers as
+    // the dt 1 s reference does.
     let vol_size: u32 = if smoke { 24 } else { 120 };
     let mut vol_spec = FleetSpec::mixed_indoor_outdoor(vol_size, 2011)?;
     vol_spec.name = format!("outdoor-heavy volatile x{vol_size}");
     vol_spec.placements = PlacementMix::new(0.05, 0.05, 0.90)?;
-    let vol_ctx = FleetContext::prepare(&vol_spec)?;
     let vol_runner = FleetRunner::new(max_workers);
-    let vol_fixed = vol_runner.run_prepared(&vol_ctx)?;
-    let vol_adaptive = vol_runner.run_tracker_prepared(&vol_ctx, TrackerKind::VariableHoldFocv)?;
-    let vol_fixed_p50 = vol_fixed.net_energy_percentiles().expect("non-empty").p50;
-    let vol_adaptive_p50 = vol_adaptive
-        .net_energy_percentiles()
-        .expect("non-empty")
-        .p50;
-    // The adaptation must fire: the Eq. 2 tracker re-samples more often
-    // than the fixed schedule.
     let measured =
         |r: &FleetReport| -> u64 { r.outcomes.iter().map(|o| o.report.measurements).sum() };
-    let (vol_fixed_measured, vol_adaptive_measured) =
-        (measured(&vol_fixed), measured(&vol_adaptive));
-    assert!(
-        vol_adaptive_measured > vol_fixed_measured,
-        "variable hold must re-sample more often than fixed FOCV on a volatile fleet: {vol_adaptive_measured} vs {vol_fixed_measured} measurements"
-    );
-    // Gate on the fleet-total net energy: the staleness win is a small
-    // per-node margin that every node collects, so the sum is the
-    // robust statistic (nearest-rank p50 is one node's value and can
-    // sit on a node the adaptation barely touches).
+    // The fleet-total net energy: the margin is a small per-node effect
+    // that every node shares, so the sum is the robust statistic
+    // (nearest-rank p50 is one node's value).
     let fleet_net =
         |r: &FleetReport| -> f64 { r.outcomes.iter().map(|o| o.net_energy().value()).sum() };
-    let vol_fixed_total = fleet_net(&vol_fixed);
-    let vol_adaptive_total = fleet_net(&vol_adaptive);
-    assert!(
-        vol_adaptive_total > vol_fixed_total,
-        "variable hold must beat fixed FOCV on a volatile fleet: {vol_adaptive_total} vs {vol_fixed_total} J total"
-    );
-    let vol_margin_pct =
-        (vol_adaptive_total - vol_fixed_total) / vol_fixed_total.abs().max(1e-12) * 100.0;
+    let volatile_run = |dt: f64| -> Result<VolatileRun, Box<dyn std::error::Error>> {
+        let mut spec = vol_spec.clone();
+        spec.dt = Seconds::new(dt);
+        let ctx = FleetContext::prepare(&spec)?;
+        let fixed = vol_runner.run_prepared(&ctx)?;
+        let adaptive = vol_runner.run_tracker_prepared(&ctx, TrackerKind::VariableHoldFocv)?;
+        let (fixed_total, adaptive_total) = (fleet_net(&fixed), fleet_net(&adaptive));
+        Ok(VolatileRun {
+            fixed_measured: measured(&fixed),
+            adaptive_measured: measured(&adaptive),
+            fixed_total,
+            adaptive_total,
+            margin_pct: (adaptive_total - fixed_total) / fixed_total.abs().max(1e-12) * 100.0,
+            fixed_p50: fixed.net_energy_percentiles().expect("non-empty").p50,
+            adaptive_p50: adaptive.net_energy_percentiles().expect("non-empty").p50,
+        })
+    };
+    let (vol, vol_ref) = (volatile_run(60.0)?, volatile_run(1.0)?);
+    for (dt, run) in [(60, &vol), (1, &vol_ref)] {
+        println!(
+            "{vol_size} nodes, 90 % outdoor, dt {dt} s: {} vs {} measurements, \
+             fleet net {} J (variable hold) vs {} J (fixed 69 s) — {:+.4} %",
+            run.adaptive_measured,
+            run.fixed_measured,
+            fmt(run.adaptive_total, 4),
+            fmt(run.fixed_total, 4),
+            run.margin_pct,
+        );
+    }
     println!(
-        "{vol_size} nodes, 90 % outdoor: {vol_adaptive_measured} vs {vol_fixed_measured} measurements, \
-         fleet net {} J (variable hold) vs {} J (fixed 69 s) — {:+.4} %\n\
-         net p50 {} J vs {} J",
-        fmt(vol_adaptive_total, 4),
-        fmt(vol_fixed_total, 4),
-        vol_margin_pct,
-        fmt(vol_adaptive_p50, 4),
-        fmt(vol_fixed_p50, 4)
+        "dt 60 s net p50 {} J vs {} J",
+        fmt(vol.adaptive_p50, 4),
+        fmt(vol.fixed_p50, 4)
+    );
+    // The adaptation must fire: the Eq. 2 tracker re-samples more often
+    // than the fixed schedule.
+    assert!(
+        vol.adaptive_measured > vol.fixed_measured,
+        "variable hold must re-sample more often than fixed FOCV on a volatile fleet: {} vs {} measurements",
+        vol.adaptive_measured,
+        vol.fixed_measured
+    );
+    assert!(
+        vol.margin_pct.signum() == vol_ref.margin_pct.signum(),
+        "the dt 60 s run must rank variable hold against fixed FOCV as the dt 1 s reference does: \
+         {:+.4} % vs {:+.4} %",
+        vol.margin_pct,
+        vol_ref.margin_pct
     );
 
     // Scaling headline: 1 worker vs the top worker count at the
@@ -403,14 +435,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "nodes": {vol_size},
     "placement_mix": "window 0.05 / interior 0.05 / outdoor 0.90",
     "grid": "1-minute trace grid, dt 60 s (even in smoke)",
-    "fixed_focv_measurements": {vol_fixed_measured},
-    "variable_hold_measurements": {vol_adaptive_measured},
-    "fixed_focv_net_total_j": {vol_fixed_total:.6},
-    "variable_hold_net_total_j": {vol_adaptive_total:.6},
-    "variable_hold_margin_pct": {vol_margin_pct:.4},
-    "fixed_focv_net_p50_j": {vol_fixed_p50:.6},
-    "variable_hold_net_p50_j": {vol_adaptive_p50:.6},
-    "gate": "variable hold must re-sample more often than fixed FOCV and beat it on fleet-total net energy (both asserted)"
+    "fixed_focv_measurements": {vf_meas},
+    "variable_hold_measurements": {va_meas},
+    "fixed_focv_net_total_j": {vf_total:.6},
+    "variable_hold_net_total_j": {va_total:.6},
+    "variable_hold_margin_pct": {v_margin:.4},
+    "fixed_focv_net_p50_j": {vf_p50:.6},
+    "variable_hold_net_p50_j": {va_p50:.6},
+    "reference_dt_s": 1,
+    "reference_fixed_focv_measurements": {rf_meas},
+    "reference_variable_hold_measurements": {ra_meas},
+    "reference_fixed_focv_net_total_j": {rf_total:.6},
+    "reference_variable_hold_net_total_j": {ra_total:.6},
+    "reference_variable_hold_margin_pct": {r_margin:.4},
+    "gate": "variable hold must re-sample more often than fixed FOCV at dt 60 s, and the dt 60 s fleet-total net margin must have the sign of the dt 1 s reference's (both asserted); which tracker wins is recorded, not gated"
   }}
 }}
 "#,
@@ -431,6 +469,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         worst_place = worst.placement.label(),
         worst_net = worst.net_energy().value(),
         cmp_rows = comparison_json.join(",\n"),
+        vf_meas = vol.fixed_measured,
+        va_meas = vol.adaptive_measured,
+        vf_total = vol.fixed_total,
+        va_total = vol.adaptive_total,
+        v_margin = vol.margin_pct,
+        vf_p50 = vol.fixed_p50,
+        va_p50 = vol.adaptive_p50,
+        rf_meas = vol_ref.fixed_measured,
+        ra_meas = vol_ref.adaptive_measured,
+        rf_total = vol_ref.fixed_total,
+        ra_total = vol_ref.adaptive_total,
+        r_margin = vol_ref.margin_pct,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     std::fs::write(path, json)?;

@@ -17,6 +17,9 @@
 //!    cached) with pulse/k/energy agreement,
 //! 5. the node-day speedup (`NodeSimulation` over a seeded office day)
 //!    with gross-energy agreement,
+//! 6. the process-wide surface registry: warming one new
+//!    `(model, temperature)` 8 times must build its table exactly once
+//!    (asserted); the repeat-warm time is recorded, never gated,
 //!
 //! and writes the numbers to `BENCH_pv_cache.json` at the repo root.
 //!
@@ -32,8 +35,8 @@ use eh_core::baselines::FocvSampleHold;
 use eh_core::{FocvMpptSystem, RunReport, SystemConfig};
 use eh_env::profiles;
 use eh_node::{NodeReport, NodeSimulation, SimConfig};
-use eh_pv::{presets, CachedPvSurface, PvCell};
-use eh_units::{Lux, Seconds, Volts};
+use eh_pv::{presets, registry, CachedPvSurface, PvCell};
+use eh_units::{Celsius, Lux, Seconds, Volts};
 
 /// Probe density for the validation sweep (off-grid by construction).
 const LUX_PROBES: usize = 64;
@@ -43,6 +46,8 @@ const V_PROBES: usize = 129;
 const MPP_PROBES: usize = 960;
 /// Timed repetitions; the minimum wall-clock is reported.
 const REPS: usize = 3;
+/// Warms of one fresh `(model, temperature)` in the registry check.
+const REGISTRY_WARMS: usize = 8;
 
 fn best_of<T>(reps: usize, mut job: impl FnMut() -> T) -> (Duration, T) {
     let mut best: Option<(Duration, T)> = None;
@@ -230,6 +235,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(gross_rel < 5e-3, "gross energy diverged: {gross_rel:.3e}");
 
+    banner("Surface registry: one build per (model, temperature) per process");
+    // A temperature no earlier section used, so the first warm builds.
+    let fresh = presets::sanyo_am1815().with_temperature(Celsius::new(40.0));
+    let before = registry::stats();
+    let warm_times: Vec<Duration> = (0..REGISTRY_WARMS)
+        .map(|_| {
+            let t0 = Instant::now();
+            fresh.clone().warmed().expect("surface builds");
+            t0.elapsed()
+        })
+        .collect();
+    let after = registry::stats();
+    let (reg_builds, reg_hits) = (after.builds - before.builds, after.hits - before.hits);
+    let first_warm_ms = warm_times[0].as_secs_f64() * 1e3;
+    let repeat_warm_us = warm_times[1..]
+        .iter()
+        .map(Duration::as_secs_f64)
+        .sum::<f64>()
+        / (REGISTRY_WARMS - 1) as f64
+        * 1e6;
+    println!(
+        "{REGISTRY_WARMS} warms of {} at 40 °C: {reg_builds} build(s), {reg_hits} hit(s); \
+         first warm {first_warm_ms:.1} ms, repeat warm {repeat_warm_us:.2} µs (mean, recorded only)",
+        fresh.name()
+    );
+    assert_eq!(
+        (reg_builds, reg_hits),
+        (1, REGISTRY_WARMS as u64 - 1),
+        "the registry must build a new (model, temperature) exactly once"
+    );
+
     let json = format!(
         r#"{{
   "bench": "pv_cache",
@@ -276,6 +312,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "gross_energy_cached_j": {gc:.9},
     "gross_energy_rel_diff": {gross_rel:.6e}
   }},
+  "registry": {{
+    "scenario": "{REGISTRY_WARMS} warms of a fresh AM-1815 cell at 40 °C, one thread",
+    "capacity": {reg_capacity},
+    "warms": {REGISTRY_WARMS},
+    "builds": {reg_builds},
+    "hits": {reg_hits},
+    "first_warm_ms": {first_warm_ms:.3},
+    "repeat_warm_us_mean": {repeat_warm_us:.3},
+    "gate": "exactly one build over the warms (asserted); warm times recorded, never gated"
+  }},
   "tolerances": {{
     "pulse_counts": "exact match",
     "measurement_counts": "exact match",
@@ -302,6 +348,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mc = ncached.measurements,
         ge = nexact.gross_energy.value(),
         gc = ncached.gross_energy.value(),
+        reg_capacity = registry::CAPACITY,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pv_cache.json");
     std::fs::write(path, json)?;

@@ -2,7 +2,8 @@
 //!
 //! Building a fleet's shared inputs — the seeded population, one base
 //! day trace per placement, the warmed PV surface pool, the cold-start
-//! supervisor constants — costs hundreds of milliseconds, which used to
+//! supervisor constants — costs tens of milliseconds (hundreds when the
+//! process has not built the pool's surface tables yet), which used to
 //! be paid on every [`crate::FleetRunner::run`] call. A [`FleetContext`]
 //! hoists that setup so repeated runs (tracker comparisons, benchmarks,
 //! campaign epochs) pay it once.
@@ -142,7 +143,7 @@ impl FleetContext {
         &self.population
     }
 
-    /// The warmed PV-surface pool, for cache accounting (eviction and
+    /// The warmed PV-surface pool, for cache accounting (warmed and
     /// occupancy counters) by callers that reuse contexts across runs.
     pub fn surface_pool(&self) -> &SurfacePool {
         &self.pool

@@ -394,6 +394,23 @@ impl CachedPvSurface {
         })
     }
 
+    /// Every stored table value's bits, field by field.
+    #[cfg(test)]
+    pub(crate) fn table_bits(&self) -> Vec<u64> {
+        let grids = [
+            &self.lux_grid,
+            &self.voc,
+            &self.isc,
+            &self.shape,
+            &self.vmpp,
+        ];
+        [self.ln_min, self.ln_step, self.inv_ln_step]
+            .into_iter()
+            .chain(grids.into_iter().flatten().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
     /// The underlying electrical model.
     pub fn model(&self) -> &SingleDiodeModel {
         &self.model
@@ -810,16 +827,6 @@ mod tests {
     use crate::presets;
     use eh_units::Celsius;
 
-    /// Every stored table value's bits, field by field.
-    fn table_bits(s: &CachedPvSurface) -> Vec<u64> {
-        let grids = [&s.lux_grid, &s.voc, &s.isc, &s.shape, &s.vmpp];
-        [s.ln_min, s.ln_step, s.inv_ln_step]
-            .into_iter()
-            .chain(grids.into_iter().flatten().copied())
-            .map(f64::to_bits)
-            .collect()
-    }
-
     #[test]
     fn build_is_bit_identical_at_any_worker_count() {
         // FNV-1a over the tables' bytes, recorded from the sequential
@@ -830,12 +837,12 @@ mod tests {
             for celsius in [25.0, 30.0, 35.0] {
                 let t = Celsius::new(celsius).to_kelvin();
                 let sequential = CachedPvSurface::build_on(cell.model(), t, 1).unwrap();
-                let bits = table_bits(&sequential);
+                let bits = sequential.table_bits();
                 for workers in [2, 3, 8, N_LUX + 4] {
                     let parallel = CachedPvSurface::build_on(cell.model(), t, workers).unwrap();
                     assert_eq!(parallel.temperature, sequential.temperature);
                     assert!(
-                        table_bits(&parallel) == bits,
+                        parallel.table_bits() == bits,
                         "{} at {celsius} °C moved at {workers} workers",
                         cell.name()
                     );

@@ -10,6 +10,7 @@ use crate::curve::IvCurve;
 use crate::error::PvError;
 use crate::model::SingleDiodeModel;
 use crate::mpp::{solve_mpp, MppPoint};
+use crate::registry;
 
 /// A photovoltaic cell: a [`SingleDiodeModel`] at a specific operating
 /// temperature, exposing the quantities the MPPT system interacts with.
@@ -32,9 +33,11 @@ use crate::mpp::{solve_mpp, MppPoint};
 /// of the implicit solver, accurate to
 /// [`CachedPvSurface::REL_CURRENT_ERROR_BOUND`] (and, for `mpp`,
 /// [`CachedPvSurface::VMPP_ERROR_BOUND_VOLTS`]) and falling back to the
-/// exact solver outside the cached domain. The table is built once per
-/// `(model, temperature)` on first use and **shared across clones** of
-/// the cell, so sweep jobs that clone a warmed cell pay no rebuild.
+/// exact solver outside the cached domain. The table comes from the
+/// process-wide [`registry`](crate::registry), which builds it once per
+/// `(model, temperature)` per process; a cell takes it on first use and
+/// **shares it across clones**, so sweep jobs that clone a warmed cell
+/// pay no lookup either.
 /// `voltage_at_current` and `iv_curve` always use the exact solver (the
 /// cache stores no inverse).
 pub struct PvCell {
@@ -95,7 +98,8 @@ impl PvCell {
     /// Returns a copy of this cell at a different operating temperature.
     ///
     /// Any memoized surface is dropped — the cache is per
-    /// `(model, temperature)` — and rebuilt lazily if caching is enabled.
+    /// `(model, temperature)` — and taken again lazily if caching is
+    /// enabled.
     #[must_use]
     pub fn with_temperature(mut self, t: impl Into<Kelvin>) -> Self {
         self.temperature = t.into();
@@ -116,10 +120,9 @@ impl PvCell {
         self.cache_enabled
     }
 
-    /// Enables the cache and builds the surface eagerly, returning the
+    /// Enables the cache and takes the surface eagerly, returning the
     /// warmed cell: the one-call handoff for fan-out code that clones
-    /// one cell into many jobs and must pay the table build exactly once
-    /// per `(model, temperature)`.
+    /// one cell into many jobs, so that no job waits on the registry.
     ///
     /// # Errors
     ///
@@ -131,25 +134,24 @@ impl PvCell {
         Ok(cell)
     }
 
-    /// The memoized I-V surface for this `(model, temperature)`,
-    /// building it on first call (about 85 ms of solves, spread over
-    /// every available core; see [`CachedPvSurface::build`]). Useful to
-    /// warm the table before cloning the cell into sweep jobs, or to
-    /// probe the cache directly regardless of [`PvCell::cache_enabled`].
+    /// The memoized I-V surface for this `(model, temperature)`, taken
+    /// on first call from the process-wide [`registry`](crate::registry),
+    /// which builds it if no cell of the process has (about 85 ms of
+    /// solves, spread over every available core; see
+    /// [`CachedPvSurface::build`]). Useful to warm the table before
+    /// cloning the cell into sweep jobs, or to probe the cache directly
+    /// regardless of [`PvCell::cache_enabled`].
     ///
     /// # Errors
     ///
     /// Propagates table-construction failures from
     /// [`CachedPvSurface::build`].
     pub fn cached(&self) -> Result<&CachedPvSurface, PvError> {
-        if self.surface.get().is_none() {
-            let built = CachedPvSurface::build(&self.model, self.temperature)?;
-            let _ = self.surface.set(Arc::new(built));
+        if let Some(surface) = self.surface.get() {
+            return Ok(surface);
         }
-        Ok(self
-            .surface
-            .get()
-            .expect("surface was just built or already present"))
+        let shared = registry::surface(&self.model, self.temperature)?;
+        Ok(self.surface.get_or_init(|| shared))
     }
 
     /// The underlying electrical model.

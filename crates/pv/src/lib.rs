@@ -18,7 +18,8 @@
 //! * [`CachedPvSurface`] — a memoized interpolation table over the I-V
 //!   surface with a documented error bound, taking the implicit solver
 //!   off the simulation hot path (enable per cell with
-//!   [`PvCell::with_cache`]).
+//!   [`PvCell::with_cache`]), built once per `(model, temperature)`
+//!   per process and shared through the [`registry`].
 //! * [`presets`] — parameter sets fitted to the paper's own measurements
 //!   (Table I) and the AM-1815 datasheet.
 //! * [`focv`] — fractional-open-circuit-voltage analysis: `k(lux)`, and
@@ -59,6 +60,7 @@ pub mod irradiance;
 mod model;
 mod mpp;
 pub mod presets;
+pub mod registry;
 pub mod spectrum;
 pub mod teg;
 pub mod thermal;

@@ -228,6 +228,50 @@ impl SingleDiodeModel {
         &self.name
     }
 
+    /// How many numeric parameters [`SingleDiodeModel::parameter_bits`]
+    /// returns.
+    pub(crate) const PARAMETERS: usize = 11;
+
+    /// The bits of every numeric parameter: with the name, the model's
+    /// identity in the surface registry. The destructuring makes a new
+    /// field a compile error here until it joins the key.
+    pub(crate) fn parameter_bits(&self) -> [u64; Self::PARAMETERS] {
+        let Self {
+            name: _,
+            junctions,
+            ideality,
+            saturation_current_ref,
+            photocurrent_per_lux,
+            photo_shunt_ref,
+            shunt_ref_illuminance,
+            series_resistance,
+            bandgap_ev,
+            photocurrent_temp_coeff,
+            reference_temperature,
+            area_cm2,
+        } = self;
+        [
+            u64::from(*junctions),
+            ideality.to_bits(),
+            saturation_current_ref.value().to_bits(),
+            photocurrent_per_lux.to_bits(),
+            photo_shunt_ref.value().to_bits(),
+            shunt_ref_illuminance.value().to_bits(),
+            series_resistance.value().to_bits(),
+            bandgap_ev.to_bits(),
+            photocurrent_temp_coeff.to_bits(),
+            reference_temperature.value().to_bits(),
+            area_cm2.to_bits(),
+        ]
+    }
+
+    /// The same model under another name.
+    #[cfg(test)]
+    pub(crate) fn renamed(mut self, name: &str) -> Self {
+        self.name = name.to_owned();
+        self
+    }
+
     /// Active area in cm².
     pub fn area_cm2(&self) -> f64 {
         self.area_cm2

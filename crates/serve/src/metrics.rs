@@ -6,7 +6,9 @@
 //! `/metrics` exposes both service health and the cumulative simulated
 //! energy the service has accounted. Everything rides in an
 //! [`eh_obs::Metrics`] behind a mutex; the exported document inherits
-//! its deterministic key order.
+//! its deterministic key order. Each render also reads the process-wide
+//! PV surface registry's counters ([`eh_pv::registry::stats`]) at
+//! request time, under `pv.surface_registry.*`.
 
 use std::sync::Mutex;
 
@@ -46,6 +48,16 @@ pub mod names {
     pub const SIM_NODES: &str = "serve.sim.nodes";
     /// Current connection-queue depth gauge.
     pub const QUEUE_DEPTH: &str = "serve.queue.depth";
+    /// PV surface tables the process built (process-wide).
+    pub const REGISTRY_BUILDS: &str = "pv.surface_registry.builds";
+    /// Surface lookups the process answered with a built table.
+    pub const REGISTRY_HITS: &str = "pv.surface_registry.hits";
+    /// Surface tables the process evicted to stay within capacity.
+    pub const REGISTRY_EVICTIONS: &str = "pv.surface_registry.evictions";
+    /// Surface tables the process holds now (gauge).
+    pub const REGISTRY_ENTRIES: &str = "pv.surface_registry.entries";
+    /// How many surface tables the process keeps (gauge).
+    pub const REGISTRY_CAPACITY: &str = "pv.surface_registry.capacity";
 }
 
 /// The service-wide shared metric store.
@@ -103,12 +115,18 @@ impl ServiceMetrics {
     }
 
     /// Renders the `/metrics` response body: a stable envelope around
-    /// the deterministic `eh-obs` JSON export.
+    /// the deterministic `eh-obs` JSON export, with the surface
+    /// registry's counters as of now. They go into a copy of the store:
+    /// they are the process's, not this service's to accumulate.
     pub fn render(&self) -> String {
-        format!(
-            "{{\"service\":\"eh-serve\",\"metrics\":{}}}",
-            self.lock().to_json()
-        )
+        let mut m = self.lock().clone();
+        let registry = eh_pv::registry::stats();
+        m.add_counter(names::REGISTRY_BUILDS, registry.builds);
+        m.add_counter(names::REGISTRY_HITS, registry.hits);
+        m.add_counter(names::REGISTRY_EVICTIONS, registry.evictions);
+        m.set_gauge(names::REGISTRY_ENTRIES, registry.entries as f64);
+        m.set_gauge(names::REGISTRY_CAPACITY, registry.capacity as f64);
+        format!("{{\"service\":\"eh-serve\",\"metrics\":{}}}", m.to_json())
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Metrics> {
@@ -137,6 +155,10 @@ mod tests {
         assert!(body.starts_with("{\"service\":\"eh-serve\",\"metrics\":{"));
         assert!(body.contains("\"serve.sim.nodes\":128"));
         assert!(body.contains("\"serve.queue.depth\":3.0"));
+        assert!(body.contains(&format!(
+            "\"pv.surface_registry.capacity\":{:?}",
+            eh_pv::registry::CAPACITY as f64
+        )));
     }
 
     #[test]
