@@ -17,8 +17,16 @@ use eh_units::{Amps, Coulombs, Farads, Ohms, Seconds, Volts};
 
 use crate::components::{Capacitor, Comparator};
 use crate::error::AnalogError;
-use crate::netlist::Netlist;
 use crate::rc;
+
+/// The threshold network's comparison levels, `(upper, lower)`. Three
+/// equal resistors join the threshold node to the rail, to ground and to
+/// the comparator output, so the node sits at `2·Vdd/3` while the output
+/// is high and at `Vdd/3` while it is low, whatever the resistance.
+fn thresholds(supply: Volts) -> (Volts, Volts) {
+    let vdd = supply.value();
+    (Volts::new(2.0 * vdd / 3.0), Volts::new(vdd / 3.0))
+}
 
 /// Configuration of the astable multivibrator.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +70,9 @@ impl AstableConfig {
                 return Err(AnalogError::InvalidParameter { name, value: v });
             }
         }
-        // Equal-resistor network: thresholds Vdd/3 and 2Vdd/3, so both
-        // phases span a factor-2 exponential ratio: t = R·C·ln 2.
+        // The equal-resistor network's thresholds (see `thresholds`)
+        // split the rail in thirds, so both phases span a factor-2
+        // exponential ratio: t = R·C·ln 2.
         let ln2 = std::f64::consts::LN_2;
         let r_charge = Ohms::new(t_on.value() / (timing_capacitance.value() * ln2));
         let r_discharge = Ohms::new(t_off.value() / (timing_capacitance.value() * ln2));
@@ -137,18 +146,21 @@ impl AstableMultivibrator {
     ///
     /// # Errors
     ///
-    /// Rejects non-positive resistances or capacitance.
+    /// Rejects a non-positive or non-finite resistance, capacitance or
+    /// supply voltage.
     pub fn new(config: AstableConfig) -> Result<Self, AnalogError> {
         for (name, v) in [
             ("charge_resistance", config.charge_resistance.value()),
             ("discharge_resistance", config.discharge_resistance.value()),
+            ("supply_voltage", config.supply_voltage.value()),
+            ("threshold_resistance", config.threshold_resistance.value()),
         ] {
             if !(v.is_finite() && v > 0.0) {
                 return Err(AnalogError::InvalidParameter { name, value: v });
             }
         }
-        let (upper, lower) = Self::solve_thresholds(&config)?;
-        let (rail_high, rail_low) = Self::solve_rail_currents(&config)?;
+        let (upper, lower) = thresholds(config.supply_voltage);
+        let (rail_high, rail_low) = Self::rail_currents(&config);
         let comparator = Comparator::new(
             config.supply_voltage,
             config.comparator_current,
@@ -173,50 +185,20 @@ impl AstableMultivibrator {
         })
     }
 
-    /// Solves the threshold network with the output rail-high and
-    /// rail-low to find the two comparison thresholds.
-    fn solve_thresholds(config: &AstableConfig) -> Result<(Volts, Volts), AnalogError> {
-        let solve_for = |out_high: bool| -> Result<Volts, AnalogError> {
-            let mut net = Netlist::new();
-            let vdd = net.node();
-            let th = net.node();
-            let out = net.node();
-            net.voltage_source(vdd, Netlist::GROUND, config.supply_voltage)?;
-            net.voltage_source(
-                out,
-                Netlist::GROUND,
-                if out_high {
-                    config.supply_voltage
-                } else {
-                    Volts::ZERO
-                },
-            )?;
-            let r = config.threshold_resistance;
-            net.resistor(vdd, th, r)?;
-            net.resistor(th, Netlist::GROUND, r)?;
-            net.resistor(th, out, r)?;
-            net.solve()?.voltage(th)
-        };
-        Ok((solve_for(true)?, solve_for(false)?))
-    }
-
-    /// Static rail current of the threshold network for each output state.
-    fn solve_rail_currents(config: &AstableConfig) -> Result<(Amps, Amps), AnalogError> {
-        let current_for = |out_high: bool| -> Result<Amps, AnalogError> {
-            let r = config.threshold_resistance.value();
-            let vdd = config.supply_voltage.value();
-            // Threshold node voltage for this state:
-            let vth = if out_high { 2.0 * vdd / 3.0 } else { vdd / 3.0 };
-            // From the rail: through the top resistor always, plus through
-            // the feedback resistor when the comparator output is high
-            // (its push stage sources from the rail).
-            let mut i = (vdd - vth) / r;
-            if out_high {
-                i += (vdd - vth) / r;
-            }
-            Ok(Amps::new(i))
-        };
-        Ok((current_for(true)?, current_for(false)?))
+    /// Static rail current of the threshold network while the output is
+    /// high and while it is low.
+    fn rail_currents(config: &AstableConfig) -> (Amps, Amps) {
+        let (upper, lower) = thresholds(config.supply_voltage);
+        let vdd = config.supply_voltage.value();
+        let r = config.threshold_resistance.value();
+        let through_top = |vth: Volts| (vdd - vth.value()) / r;
+        // From the rail: through the top resistor always, plus through
+        // the feedback resistor when the comparator output is high (its
+        // push stage sources from the rail, at the same voltage drop).
+        (
+            Amps::new(through_top(upper) + through_top(upper)),
+            Amps::new(through_top(lower)),
+        )
     }
 
     /// The (ON, OFF) periods predicted analytically from the exponential
@@ -413,6 +395,25 @@ mod tests {
     }
 
     #[test]
+    fn paper_periods_keep_their_bits() {
+        let (t_on, t_off) = AstableMultivibrator::paper_configuration()
+            .unwrap()
+            .analytic_periods();
+        // Recorded when the thresholds came from a DC solve of the
+        // three-resistor network; the closed form must keep every bit.
+        assert_eq!(
+            t_on.value().to_bits(),
+            0x3fa3_f7ce_d916_872c,
+            "t_on = {t_on}"
+        );
+        assert_eq!(
+            t_off.value().to_bits(),
+            0x4051_4000_0000_0001,
+            "t_off = {t_off}"
+        );
+    }
+
+    #[test]
     fn thresholds_are_thirds_of_supply() {
         let astable = AstableMultivibrator::paper_configuration().unwrap();
         assert!((astable.upper_threshold.value() - 2.2).abs() < 1e-9);
@@ -501,6 +502,25 @@ mod tests {
             Seconds::new(69.0),
         )
         .is_err());
+    }
+
+    #[test]
+    fn new_rejects_a_bad_supply_or_threshold_network() {
+        let paper = || AstableMultivibrator::paper_configuration().unwrap().config;
+        let name_of = |config: AstableConfig| match AstableMultivibrator::new(config) {
+            Err(AnalogError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected a rejection, got {other:?}"),
+        };
+        for r in [0.0, -1e6, f64::NAN, f64::INFINITY] {
+            let mut config = paper();
+            config.threshold_resistance = Ohms::new(r);
+            assert_eq!(name_of(config), "threshold_resistance", "R = {r}");
+        }
+        for v in [f64::NAN, -3.3, 0.0, f64::INFINITY] {
+            let mut config = paper();
+            config.supply_voltage = Volts::new(v);
+            assert_eq!(name_of(config), "supply_voltage", "Vdd = {v}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Behavioural models of the discrete parts in the paper's circuit:
 //! micropower comparators (LMC7215 class), micropower op-amp unity-gain
 //! buffers, analog switches, MOSFET switches, capacitors with
-//! self-leakage, diodes and resistive dividers.
+//! self-leakage and resistive dividers.
 //!
 //! Each active part exposes its instantaneous supply current so a
 //! [`crate::CurrentLedger`] can reproduce the paper's 7.6 µA measurement.
@@ -567,73 +567,6 @@ impl VoltageDivider {
     }
 }
 
-/// A discrete diode (the cold-start steering diode D1 and the astable's
-/// path-steering diodes), modelled by the Shockley equation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Diode {
-    saturation: Amps,
-    n_vt: Volts,
-}
-
-impl Diode {
-    /// Creates a diode with the given saturation current and emission
-    /// voltage `n·Vt`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-positive parameters.
-    pub fn new(saturation: Amps, n_vt: Volts) -> Result<Self, AnalogError> {
-        require_positive("saturation", saturation.value())?;
-        require_positive("n_vt", n_vt.value())?;
-        Ok(Self { saturation, n_vt })
-    }
-
-    /// A small-signal silicon diode (1N4148 class): 4 nA saturation,
-    /// n·Vt ≈ 50 mV — ~0.6 V forward drop at 1 mA.
-    pub fn silicon_1n4148() -> Self {
-        Self {
-            saturation: Amps::from_nano(4.0),
-            n_vt: Volts::from_milli(50.0),
-        }
-    }
-
-    /// A small Schottky diode (BAT54 class): 100 nA saturation,
-    /// n·Vt ≈ 28 mV — ~0.25 V forward drop at 1 mA, the right choice for
-    /// the cold-start path where every 100 mV of headroom matters.
-    pub fn schottky_bat54() -> Self {
-        Self {
-            saturation: Amps::from_nano(100.0),
-            n_vt: Volts::from_milli(28.0),
-        }
-    }
-
-    /// Forward current at a given voltage.
-    pub fn current(&self, v: Volts) -> Amps {
-        diode_current(v, self.saturation, self.n_vt)
-    }
-
-    /// Forward voltage at a given current.
-    pub fn forward_voltage(&self, i: Amps) -> Volts {
-        diode_forward_voltage(i, self.saturation, self.n_vt)
-    }
-}
-
-/// Shockley diode forward current: `Is·(exp(V/(n·Vt)) − 1)`, clamped to
-/// avoid overflow. Used for the cold-start steering diode D1.
-pub fn diode_current(v: Volts, saturation: Amps, n_vt: Volts) -> Amps {
-    let arg = (v.value() / n_vt.value()).min(120.0);
-    saturation * arg.exp_m1()
-}
-
-/// Forward voltage a diode develops at a given current (inverse of
-/// [`diode_current`]).
-pub fn diode_forward_voltage(i: Amps, saturation: Amps, n_vt: Volts) -> Volts {
-    if i.value() <= 0.0 {
-        return Volts::ZERO;
-    }
-    Volts::new(n_vt.value() * (i.value() / saturation.value() + 1.0).ln())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,35 +719,5 @@ mod tests {
         assert!((d.top().value() + d.bottom().value() - 5e6).abs() < 1.0);
         assert!(VoltageDivider::with_ratio(Ohms::from_mega(5.0), 1.2).is_err());
         assert!(VoltageDivider::with_ratio(Ohms::ZERO, 0.5).is_err());
-    }
-
-    #[test]
-    fn diode_presets_rank_by_forward_drop() {
-        let si = Diode::silicon_1n4148();
-        let schottky = Diode::schottky_bat54();
-        let i = Amps::from_milli(1.0);
-        let v_si = si.forward_voltage(i);
-        let v_sch = schottky.forward_voltage(i);
-        assert!((v_si.value() - 0.62).abs() < 0.05, "Si drop {v_si}");
-        assert!((v_sch.value() - 0.26).abs() < 0.05, "Schottky drop {v_sch}");
-        assert!(v_sch < v_si, "Schottky must drop less");
-        // Inverse consistency.
-        let back = schottky.current(v_sch);
-        assert!((back.value() - i.value()).abs() < 1e-9);
-        assert!(Diode::new(Amps::ZERO, Volts::from_milli(50.0)).is_err());
-    }
-
-    #[test]
-    fn diode_exponential_and_inverse() {
-        let is = Amps::from_pico(1.0);
-        let nvt = Volts::from_milli(38.0);
-        let i = diode_current(Volts::new(0.5), is, nvt);
-        assert!(i.value() > 0.0);
-        let v_back = diode_forward_voltage(i, is, nvt);
-        assert!((v_back.value() - 0.5).abs() < 1e-9);
-        assert_eq!(diode_forward_voltage(Amps::ZERO, is, nvt), Volts::ZERO);
-        // Reverse bias leaks at most Is.
-        let rev = diode_current(Volts::new(-5.0), is, nvt);
-        assert!(rev.value() < 0.0 && rev.value() >= -is.value());
     }
 }

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by analog component constructors and solvers.
+/// Errors returned by analog component constructors.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum AnalogError {
@@ -14,14 +14,6 @@ pub enum AnalogError {
         /// The rejected value.
         value: f64,
     },
-    /// The netlist DC solve failed (singular matrix — usually a floating
-    /// node or a short between two voltage sources).
-    SingularNetwork,
-    /// A netlist element referenced a node that does not exist.
-    UnknownNode {
-        /// The out-of-range node index.
-        index: usize,
-    },
 }
 
 impl fmt::Display for AnalogError {
@@ -29,12 +21,6 @@ impl fmt::Display for AnalogError {
         match self {
             AnalogError::InvalidParameter { name, value } => {
                 write!(f, "invalid analog parameter {name} = {value}")
-            }
-            AnalogError::SingularNetwork => {
-                write!(f, "netlist solve failed: singular network (floating node?)")
-            }
-            AnalogError::UnknownNode { index } => {
-                write!(f, "netlist element references unknown node {index}")
             }
         }
     }
@@ -48,12 +34,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(AnalogError::SingularNetwork
-            .to_string()
-            .contains("singular"));
-        assert!(AnalogError::UnknownNode { index: 7 }
-            .to_string()
-            .contains('7'));
         let e = AnalogError::InvalidParameter {
             name: "on_resistance",
             value: -2.0,

@@ -18,10 +18,10 @@
 //!   settling time, the `HELD_SAMPLE` ripple of Fig. 4, and the hold
 //!   droop over the 69 s hold period.
 //!
-//! Two supporting facilities are included: an exact first-order [`rc`]
-//! integrator (the circuits here are piecewise-RC, so exponential updates
-//! are exact rather than approximate), and a small modified-nodal-analysis
-//! [`netlist`] DC solver used for resistive divider networks under load.
+//! Every block steps in closed form on the exact first-order [`rc`]
+//! updates: the circuits here are piecewise-RC, and the astable switches
+//! at its threshold network's fixed fractions of the rail, so the
+//! exponential updates are exact rather than approximate.
 //!
 //! # Example: the paper's astable timing
 //!
@@ -42,11 +42,9 @@ pub mod astable;
 pub mod components;
 mod error;
 mod ledger;
-pub mod netlist;
 pub mod rc;
 pub mod sample_hold;
 mod trace;
-pub mod transient;
 
 pub use error::AnalogError;
 pub use ledger::{CurrentLedger, LedgerEntry};

@@ -1,8 +1,7 @@
 //! Property-based tests on the analog substrate invariants.
 
 use eh_analog::astable::{AstableConfig, AstableMultivibrator};
-use eh_analog::components::{Capacitor, VoltageDivider};
-use eh_analog::netlist::Netlist;
+use eh_analog::components::Capacitor;
 use eh_analog::rc;
 use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
 use eh_units::{Farads, Ohms, Seconds, Volts};
@@ -42,48 +41,6 @@ proptest! {
         let v1 = rc::relax(Volts::new(v0), target, Seconds::new(tau), Seconds::new(dt));
         let t = rc::time_to_reach(Volts::new(v0), v1, target, Seconds::new(tau)).unwrap();
         prop_assert!((t.value() - dt).abs() < 1e-6 * dt.max(1.0));
-    }
-
-    /// A loaded divider always reads at or below its unloaded ratio.
-    #[test]
-    fn loaded_divider_sags(top in 1e3..1e7f64, bottom in 1e3..1e7f64,
-                           load in 1e3..1e9f64, vin in 0.1..10.0f64) {
-        let mut net = Netlist::new();
-        let input = net.node();
-        let tap = net.node();
-        net.voltage_source(input, Netlist::GROUND, Volts::new(vin)).unwrap();
-        net.resistor(input, tap, Ohms::new(top)).unwrap();
-        net.resistor(tap, Netlist::GROUND, Ohms::new(bottom)).unwrap();
-        net.resistor(tap, Netlist::GROUND, Ohms::new(load)).unwrap();
-        let loaded = net.solve().unwrap().voltage(tap).unwrap().value();
-        let unloaded = VoltageDivider::new(Ohms::new(top), Ohms::new(bottom))
-            .unwrap()
-            .output(Volts::new(vin))
-            .value();
-        prop_assert!(loaded <= unloaded + 1e-9);
-        prop_assert!(loaded >= 0.0);
-    }
-
-    /// Netlist node voltages in a purely resistive divider chain are
-    /// bounded by the source voltage.
-    #[test]
-    fn netlist_voltages_bounded(r1 in 1.0..1e6f64, r2 in 1.0..1e6f64, r3 in 1.0..1e6f64,
-                                vin in 0.0..10.0f64) {
-        let mut net = Netlist::new();
-        let a = net.node();
-        let b = net.node();
-        let c = net.node();
-        net.voltage_source(a, Netlist::GROUND, Volts::new(vin)).unwrap();
-        net.resistor(a, b, Ohms::new(r1)).unwrap();
-        net.resistor(b, c, Ohms::new(r2)).unwrap();
-        net.resistor(c, Netlist::GROUND, Ohms::new(r3)).unwrap();
-        let sol = net.solve().unwrap();
-        for node in [b, c] {
-            let v = sol.voltage(node).unwrap().value();
-            prop_assert!(v >= -1e-9 && v <= vin + 1e-9);
-        }
-        // Monotone down the chain.
-        prop_assert!(sol.voltage(b).unwrap() >= sol.voltage(c).unwrap());
     }
 
     /// Astable duty cycle equals t_on/(t_on+t_off) for any valid periods.

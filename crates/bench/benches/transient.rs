@@ -1,11 +1,10 @@
 //! Criterion benches for the analog substrate: event-exact astable
-//! stepping, sample-and-hold updates and the MNA netlist solver.
+//! stepping and sample-and-hold updates.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eh_analog::astable::AstableMultivibrator;
-use eh_analog::netlist::Netlist;
 use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
-use eh_units::{Ohms, Seconds, Volts};
+use eh_units::{Seconds, Volts};
 
 fn bench_astable_full_period(c: &mut Criterion) {
     c.bench_function("analog/astable_one_period", |b| {
@@ -37,31 +36,10 @@ fn bench_sample_hold_pulse(c: &mut Criterion) {
     });
 }
 
-fn bench_netlist_solve(c: &mut Criterion) {
-    c.bench_function("analog/netlist_ladder_20_nodes", |b| {
-        b.iter(|| {
-            let mut net = Netlist::new();
-            let mut prev = net.node();
-            net.voltage_source(prev, Netlist::GROUND, Volts::new(5.0))
-                .expect("valid element");
-            for _ in 0..20 {
-                let n = net.node();
-                net.resistor(prev, n, Ohms::from_kilo(10.0))
-                    .expect("valid element");
-                net.resistor(n, Netlist::GROUND, Ohms::from_kilo(47.0))
-                    .expect("valid element");
-                prev = n;
-            }
-            black_box(net.solve().expect("solvable ladder"))
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_astable_full_period,
     bench_astable_fine_steps,
-    bench_sample_hold_pulse,
-    bench_netlist_solve
+    bench_sample_hold_pulse
 );
 criterion_main!(benches);

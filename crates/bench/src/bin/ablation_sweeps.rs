@@ -20,7 +20,7 @@ use eh_core::baselines::FocvSampleHold;
 use eh_env::{profiles, sampling_error, TimeSeries};
 use eh_node::{NodeError, NodeSimulation, SimConfig};
 use eh_pv::{presets, PvCell};
-use eh_sim::{drive, Light, SimError, StepInput, StepOutput, Stepper, SweepRunner};
+use eh_sim::{drive, Light, SimError, StepInput, Stepper, SweepRunner};
 use eh_units::{Amps, Farads, Lux, Ohms, Seconds, Volts, Watts};
 
 fn voc_trace(cell: &PvCell, lux_trace: &TimeSeries) -> TimeSeries {
@@ -43,12 +43,7 @@ struct FlickerProbe {
 impl Stepper for FlickerProbe {
     type Error = SimError;
 
-    fn step(
-        &mut self,
-        t: Seconds,
-        dt: Seconds,
-        _input: &StepInput,
-    ) -> Result<StepOutput, SimError> {
+    fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
         // ±17 mV of 100 Hz ripple on Voc (a few % of lamp flicker
         // through the cell's logarithmic response).
         let v = 5.44 + 0.017 * (2.0 * std::f64::consts::PI * 100.0 * t.value()).sin();
@@ -58,7 +53,7 @@ impl Stepper for FlickerProbe {
             self.min = self.min.min(s.held_sample.value());
             self.max = self.max.max(s.held_sample.value());
         }
-        Ok(StepOutput::full(dt))
+        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@ use eh_analog::astable::AstableMultivibrator;
 use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
 use eh_analog::{CurrentLedger, Trace};
 use eh_bench::{banner, fmt, render_table};
-use eh_sim::{drive, Light, SimError, StepInput, StepOutput, Stepper};
+use eh_sim::{drive, Light, SimError, StepInput, Stepper};
 use eh_units::{Lux, Seconds, Volts};
 
 /// Steps the astable at a fixed rate, recording the PULSE waveform.
@@ -20,53 +20,46 @@ struct PulseRecorder {
 
 impl Stepper for PulseRecorder {
     type Error = SimError;
-    fn step(
-        &mut self,
-        t: Seconds,
-        dt: Seconds,
-        _input: &StepInput,
-    ) -> Result<StepOutput, SimError> {
+    fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
         let s = self.astable.step(dt);
         self.trace
             .record(t + dt, if s.output_high { 3.3 } else { 0.0 });
-        Ok(StepOutput::full(dt))
+        Ok(())
     }
 }
 
 /// Replays the paper's bench current measurement: astable + S&H on a
-/// 3.3 V supply, advancing the clock from transition to transition via
-/// the engine's dwell mechanism.
+/// 3.3 V supply, advancing the clock from transition to transition.
 struct DrawProbe {
     astable: AstableMultivibrator,
     sh: SampleHold,
     ledger: CurrentLedger,
 }
 
-impl Stepper for DrawProbe {
-    type Error = SimError;
-    fn step(
-        &mut self,
-        _t: Seconds,
-        planned: Seconds,
-        _input: &StepInput,
-    ) -> Result<StepOutput, SimError> {
-        let seg = self
-            .astable
-            .time_to_next_transition()
-            .max(Seconds::from_milli(1.0))
-            .min(planned);
-        let pulse = self.astable.output_high();
-        let a = self.astable.step(seg);
-        let s = self.sh.step(Volts::new(5.44), pulse, seg);
-        self.ledger
-            .accumulate("astable (U1 + network)", a.supply_charge / seg, seg);
-        self.ledger.accumulate(
-            "sample-and-hold (U2/U4/U5 + aux)",
-            s.supply_charge / seg,
-            seg,
-        );
-        self.ledger.advance(seg);
-        Ok(StepOutput::dwell(seg))
+impl DrawProbe {
+    /// Runs the bench for `total`, in segments that end at the astable's
+    /// next transition or after `cap`, whichever comes first.
+    fn run(&mut self, total: Seconds, cap: Seconds) {
+        let mut t = Seconds::ZERO;
+        while t < total {
+            let seg = self
+                .astable
+                .time_to_next_transition()
+                .max(Seconds::from_milli(1.0))
+                .min(cap.min(total - t));
+            let pulse = self.astable.output_high();
+            let a = self.astable.step(seg);
+            let s = self.sh.step(Volts::new(5.44), pulse, seg);
+            self.ledger
+                .accumulate("astable (U1 + network)", a.supply_charge / seg, seg);
+            self.ledger.accumulate(
+                "sample-and-hold (U2/U4/U5 + aux)",
+                s.supply_charge / seg,
+                seg,
+            );
+            self.ledger.advance(seg);
+            t += seg;
+        }
     }
 }
 
@@ -112,11 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ledger: CurrentLedger::new(),
     };
     let total = Seconds::new(5.0 * 69.05);
-    drive(
-        &mut probe,
-        &Light::constant(Lux::ZERO, total),
-        Seconds::new(1.0),
-    )?;
+    probe.run(total, Seconds::new(1.0));
     let ledger = probe.ledger;
     let avg = ledger.average_current_elapsed();
     println!("average combined draw: {} (paper measurement: 7.6 µA)", avg);

@@ -103,8 +103,12 @@ mod tests {
         let e: CoreError = PvError::SolveFailed { what: "voc" }.into();
         assert!(e.to_string().contains("voc"));
         assert!(e.source().is_some());
-        let e: CoreError = AnalogError::SingularNetwork.into();
-        assert!(e.to_string().contains("singular"));
+        let e: CoreError = AnalogError::InvalidParameter {
+            name: "on_resistance",
+            value: -2.0,
+        }
+        .into();
+        assert!(e.to_string().contains("on_resistance"));
         let e = CoreError::InvalidParameter {
             name: "alpha",
             value: 0.0,

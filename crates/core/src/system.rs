@@ -8,7 +8,7 @@ use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics, Recorder};
 use eh_pv::{presets, PvCell};
-use eh_sim::{drive, Light, StepInput, StepOutput, Stepper};
+use eh_sim::{drive, Light, StepInput, Stepper};
 use eh_units::{Amps, Coulombs, Joules, Lux, Ratio, Seconds, Volts};
 
 use crate::error::CoreError;
@@ -673,19 +673,13 @@ impl FocvMpptSystem {
 
 /// The full platform as a steppable system: the engine hands it time
 /// slices and illuminance samples; PULSE-edge segmentation happens
-/// inside [`FocvMpptSystem::step`], so the whole planned slice is always
-/// consumed.
+/// inside [`FocvMpptSystem::step`].
 impl Stepper for FocvMpptSystem {
     type Error = CoreError;
 
-    fn step(
-        &mut self,
-        _t: Seconds,
-        dt: Seconds,
-        input: &StepInput,
-    ) -> Result<StepOutput, CoreError> {
+    fn step(&mut self, _t: Seconds, dt: Seconds, input: &StepInput) -> Result<(), CoreError> {
         FocvMpptSystem::step(self, input.lux, dt)?;
-        Ok(StepOutput::full(dt))
+        Ok(())
     }
 
     fn recorder(&mut self) -> Option<&mut Metrics> {

@@ -272,5 +272,41 @@ mod tests {
         let mut spec = FleetSpec::mixed_indoor_outdoor(12, 2011).unwrap();
         spec.nodes = 0;
         assert!(FleetContext::prepare(&spec).is_err());
+
+        // Caller-supplied environments must cover every placement the
+        // population uses, with a trace and with a warmed cell.
+        let spec = FleetSpec::mixed_indoor_outdoor(12, 2011).unwrap();
+        let used: Vec<Placement> = Placement::ALL
+            .into_iter()
+            .filter(|p| spec.population().unwrap().iter().any(|n| n.placement == *p))
+            .collect();
+        let missing = *used.last().expect("a populated fleet");
+        let day = TimeSeries::new(Seconds::ZERO, Seconds::new(3600.0), vec![300.0; 25]).unwrap();
+        let traces = || Placement::ALL.map(|_| Some(day.clone()));
+        let pool = |placements: Vec<Placement>| SurfacePool::warm(&spec.cell, placements, false);
+        let rejected =
+            |traces, pool| match FleetContext::prepare_with_environment(&spec, traces, pool) {
+                Err(FleetError::InvalidSpec { name, value }) => (name, value),
+                other => panic!("expected InvalidSpec, got {other:?}"),
+            };
+        assert!(FleetContext::prepare_with_environment(
+            &spec,
+            traces(),
+            pool(used.clone()).unwrap()
+        )
+        .is_ok());
+
+        let mut untraced = traces();
+        untraced[missing.index()] = None;
+        assert_eq!(
+            rejected(untraced, pool(used.clone()).unwrap()),
+            ("environment_trace", missing.index() as f64)
+        );
+
+        let unwarmed: Vec<Placement> = used.iter().copied().filter(|p| *p != missing).collect();
+        assert_eq!(
+            rejected(traces(), pool(unwarmed).unwrap()),
+            ("environment_surface", missing.index() as f64)
+        );
     }
 }

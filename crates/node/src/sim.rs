@@ -5,7 +5,7 @@ use eh_core::{CoreError, MpptController, Observation, TrackerCommand};
 use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics, Recorder};
 use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell, PvError};
-use eh_sim::{drive, Accumulator, Light, StepInput, StepOutput, Stepper};
+use eh_sim::{drive, Accumulator, Light, StepInput, Stepper};
 use eh_units::{Amps, Joules, Lux, Seconds, Volts, Watts};
 
 use crate::error::NodeError;
@@ -442,12 +442,7 @@ impl Stepper for NodeStepper<'_> {
     type Error = NodeError;
 
     #[inline]
-    fn step(
-        &mut self,
-        t: Seconds,
-        planned: Seconds,
-        input: &StepInput,
-    ) -> Result<StepOutput, NodeError> {
+    fn step(&mut self, t: Seconds, planned: Seconds, input: &StepInput) -> Result<(), NodeError> {
         let lux = input.lux;
         let mut cmd = self.decide(t, planned, lux);
         let mut decisions = 1.0;
@@ -516,7 +511,7 @@ impl Stepper for NodeStepper<'_> {
             self.obs.observe_draws(compute, served);
         }
 
-        Ok(StepOutput::full(planned))
+        Ok(())
     }
 
     fn recorder(&mut self) -> Option<&mut Metrics> {
@@ -657,12 +652,10 @@ mod tests {
         let closed = report.overhead_energy + report.loss_energy + report.load_served;
         assert!(m.ledger().relative_error(closed) < 1e-9);
         assert_eq!(m.counter("node.measurements"), report.measurements);
-        // Each PULSE folds into the slice it interrupts: the engine
-        // takes no dwell step, the measuring span counts one PULSE-wide
-        // entry per measurement, and each PULSE costs one extra
-        // decision.
+        // Each PULSE folds into the slice it interrupts: the measuring
+        // span counts one PULSE-wide entry per measurement, and each
+        // PULSE costs one extra decision.
         assert!(report.measurements > 0);
-        assert_eq!(m.counter("engine.dwell_steps"), 0);
         let measuring = m.span_stats("node.measuring").expect("measuring span");
         assert_eq!(measuring.count, report.measurements);
         let dwell = Seconds::from_milli(39.0).value() * report.measurements as f64;

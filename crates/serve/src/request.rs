@@ -136,6 +136,27 @@ fn bad(message: impl Into<String>) -> ServeError {
     ServeError::BadRequest(message.into())
 }
 
+/// The finest simulation step the service accepts, in seconds: the
+/// fastest control period of any tracker prototype, the hill climbers'
+/// 100 ms. A finer step resolves no control decision, and a tiny one
+/// would hold a worker for billions of slices per node-day.
+const MIN_DT_S: f64 = 0.1;
+
+/// Reads the `dt_s` member, `default` when it is absent.
+fn dt_field(body: &Json, default: f64) -> Result<f64, ServeError> {
+    let dt_s = match body.get("dt_s") {
+        None => default,
+        Some(v) => v.as_f64().ok_or_else(|| bad("dt_s must be a number"))?,
+    };
+    if dt_s.is_finite() && dt_s >= MIN_DT_S {
+        Ok(dt_s)
+    } else {
+        Err(bad(format!(
+            "dt_s must be a finite number of seconds, at least {MIN_DT_S}, got {dt_s}"
+        )))
+    }
+}
+
 /// Parses an `engine` member, naming the known engines on a miss.
 fn parse_engine(v: &Json) -> Result<Engine, ServeError> {
     let s = v.as_str().ok_or_else(|| bad("engine must be a string"))?;
@@ -258,13 +279,7 @@ impl WhatIfRequest {
         PlacementMix::new(weights[0], weights[1], weights[2])
             .map_err(|e| bad(format!("invalid placements: {e}")))?;
 
-        let dt_s = match body.get("dt_s") {
-            None => DEFAULT_DT_S,
-            Some(v) => v.as_f64().ok_or_else(|| bad("dt_s must be a number"))?,
-        };
-        if !(dt_s.is_finite() && dt_s > 0.0) {
-            return Err(bad(format!("dt_s must be a positive number, got {dt_s}")));
-        }
+        let dt_s = dt_field(body, DEFAULT_DT_S)?;
 
         let trace_decimate = u64_field("trace_decimate", DEFAULT_TRACE_DECIMATE)?;
         // A day profile spans both midnights; only a divisor of its
@@ -540,7 +555,7 @@ impl CampaignRequest {
             engine,
             drift,
             fault_probability: f64_field("fault_probability", smoke.faults.probability)?,
-            dt_s: f64_field("dt_s", smoke.dt.value())?,
+            dt_s: dt_field(body, smoke.dt.value())?,
             shard_size: shard_size as usize,
         };
         // Validate through the campaign layer's own rules (epoch fit,
@@ -734,6 +749,16 @@ mod tests {
         assert!(parse(Op::WhatIf, r#"{"tolerances":"loose"}"#).is_err());
         assert!(parse(Op::WhatIf, r#"{"dt_s":0}"#).is_err());
         assert!(parse(Op::WhatIf, r#"{"dt_s":"fast"}"#).is_err());
+        // A step finer than any tracker's control period is refused
+        // before it can hold a worker for ~10^17 slices.
+        for op in [Op::WhatIf, Op::Compare, Op::Stream] {
+            for body in [r#"{"dt_s":1e-12}"#, r#"{"dt_s":0.05}"#] {
+                let err = parse(op, body).unwrap_err();
+                assert_eq!(err.status(), 400, "{err}");
+                assert!(err.to_string().contains("dt_s"), "{err}");
+            }
+            assert!(parse(op, r#"{"dt_s":0.1}"#).is_ok());
+        }
         for factor in [0, 7, 50_000, 86_401] {
             let body = format!(r#"{{"trace_decimate":{factor}}}"#);
             let err = parse(Op::WhatIf, &body).unwrap_err();
@@ -820,6 +845,11 @@ mod tests {
             parse_campaign(r#"{"dt_s":7}"#).is_err(),
             "dt must divide the day"
         );
+        for body in [r#"{"dt_s":1e-12}"#, r#"{"dt_s":0.05}"#] {
+            let err = parse_campaign(body).unwrap_err();
+            assert_eq!(err.status(), 400, "{err}");
+            assert!(err.to_string().contains("dt_s"), "{err}");
+        }
         assert!(parse_campaign(r#"{"shard_size":0}"#).is_err());
         assert!(parse_campaign("[]").is_err());
     }

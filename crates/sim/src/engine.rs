@@ -7,15 +7,16 @@ use crate::error::SimError;
 use crate::light::Light;
 use crate::stepper::{StepInput, Stepper};
 
-/// Drives `stepper` across the whole of `light` in slices of at most
-/// `dt`, honouring variable advances: a step that reports it consumed
-/// less than the planned slice (e.g. an event-driven stepper stopping at
-/// a timer edge) advances the clock by that much only, and counts as a
-/// dwell step. Returns the total simulated time.
-///
-/// The reported advance is clamped into `(0, planned]`; non-positive or
-/// non-finite advances fall back to the planned slice so a misbehaving
-/// stepper cannot stall the clock or overshoot the scenario.
+/// A remainder shorter than this fraction of `dt` is rounding noise: a
+/// run that is a whole number of slices can divide to just above it
+/// (`(3.0 * 0.1) / 0.1` is `3.0000000000000004`). The remainder joins
+/// the last slice instead of taking a step of its own.
+const SLIVER: f64 = 1e-6;
+
+/// Drives `stepper` across the whole of `light` in fixed slices of `dt`.
+/// Slice `k` starts at `k·dt`, and the last slice ends at the light's
+/// end, so it may be shorter than `dt`. Returns the total simulated
+/// time.
 ///
 /// # Errors
 ///
@@ -29,10 +30,11 @@ pub fn drive<S: Stepper>(
     light: &Light<'_>,
     dt: Seconds,
 ) -> Result<Seconds, S::Error> {
-    if !(dt.value().is_finite() && dt.value() > 0.0) {
+    let dt = dt.value();
+    if !(dt.is_finite() && dt > 0.0) {
         return Err(SimError::InvalidParameter {
             name: "dt",
-            value: dt.value(),
+            value: dt,
         }
         .into());
     }
@@ -45,43 +47,24 @@ pub fn drive<S: Stepper>(
         .into());
     }
 
-    let mut t = 0.0_f64;
-    // Loop statistics are accumulated in plain locals — integers and two
-    // f64 adds per step — and folded into the stepper's metric store (if
-    // any) once, after the loop. Simulated quantities only, so the
-    // numbers are identical no matter how the run is scheduled.
-    let mut steps = 0u64;
-    let mut dwell_steps = 0u64;
-    let mut dwell_time = 0.0_f64;
-    while t < total {
-        let planned = dt.value().min(total - t);
+    let slices = (total / dt - SLIVER).ceil().max(1.0) as u64;
+    for k in 0..slices {
+        let t = k as f64 * dt;
+        let slice = if k + 1 < slices { dt } else { total - t };
         let input = StepInput::new(light.lux_at(Seconds::new(t)));
-        let out = stepper.step(Seconds::new(t), Seconds::new(planned), &input)?;
-        let advanced = out.advanced.value();
-        let advanced = if advanced.is_finite() && advanced > 0.0 {
-            advanced.min(planned)
-        } else {
-            planned
-        };
-        steps += 1;
-        if advanced < planned {
-            dwell_steps += 1;
-            dwell_time += advanced;
-        }
-        t += advanced;
+        stepper.step(Seconds::new(t), Seconds::new(slice), &input)?;
     }
+    // Loop statistics are simulated quantities, folded into the
+    // stepper's metric store (if any) once, after the loop, so the
+    // numbers are identical no matter how the run is scheduled.
     if let Some(m) = stepper.recorder() {
         use eh_obs::Recorder as _;
-        m.add_counter("engine.steps", steps);
-        m.add_counter("engine.dwell_steps", dwell_steps);
+        m.add_counter("engine.steps", slices);
         let mut drive_span = eh_obs::span!("engine.drive");
-        drive_span.add_time(Seconds::new(t));
+        drive_span.add_time(Seconds::new(total));
         drive_span.finish(m);
-        let mut dwell_span = eh_obs::span!("engine.dwell");
-        dwell_span.add_time(Seconds::new(dwell_time));
-        dwell_span.finish(m);
     }
-    Ok(Seconds::new(t))
+    Ok(Seconds::new(total))
 }
 
 /// Splits `trace` into windows of `window` seconds that share their
@@ -138,113 +121,61 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stepper::StepOutput;
     use eh_units::Lux;
 
-    /// Toy stepper: consumes the full slice normally, but every `period`
-    /// of simulated time reports a short `dwell` instead, mimicking the
-    /// FOCV measurement pulse.
-    struct DwellStepper {
-        period: f64,
-        dwell: f64,
-        next_pulse: f64,
-        steps: u64,
-        pulses: u64,
-        clock_check: f64,
-    }
+    /// Records the slices the engine hands it.
+    #[derive(Default)]
+    struct Slices(Vec<(f64, f64)>);
 
-    impl DwellStepper {
-        fn new(period: f64, dwell: f64) -> Self {
-            Self {
-                period,
-                dwell,
-                next_pulse: period,
-                steps: 0,
-                pulses: 0,
-                clock_check: 0.0,
-            }
-        }
-    }
-
-    impl Stepper for DwellStepper {
+    impl Stepper for Slices {
         type Error = SimError;
 
-        fn step(
-            &mut self,
-            t: Seconds,
-            dt: Seconds,
-            _input: &StepInput,
-        ) -> Result<StepOutput, SimError> {
-            assert!(
-                (t.value() - self.clock_check).abs() < 1e-9,
-                "engine clock must equal accumulated advances"
-            );
-            self.steps += 1;
-            let out = if t.value() >= self.next_pulse {
-                self.next_pulse += self.period;
-                self.pulses += 1;
-                StepOutput::dwell(Seconds::new(self.dwell.min(dt.value())))
-            } else {
-                StepOutput::full(dt)
-            };
-            self.clock_check += out.advanced.value().min(dt.value());
-            Ok(out)
+        fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
+            self.0.push((t.value(), dt.value()));
+            Ok(())
         }
+    }
+
+    fn slices(total: f64, dt: f64) -> (Vec<(f64, f64)>, f64) {
+        let mut s = Slices::default();
+        let light = Light::constant(Lux::new(1.0), Seconds::new(total));
+        let end = drive(&mut s, &light, Seconds::new(dt)).unwrap();
+        (s.0, end.value())
     }
 
     #[test]
-    fn dwell_steps_advance_by_the_dwell_only() {
-        let mut s = DwellStepper::new(10.0, 0.039);
-        let light = Light::constant(Lux::new(500.0), Seconds::new(100.0));
-        let end = drive(&mut s, &light, Seconds::new(1.0)).unwrap();
-        assert!((end.value() - 100.0).abs() < 1e-9);
-        // 9 pulses fire (t = 10, 20, … 90); each costs an extra step of
-        // 39 ms plus the catch-up remainder, so the step count exceeds
-        // the 100 full-dt steps a fixed-stride loop would take.
-        assert_eq!(s.pulses, 9);
-        assert!(s.steps > 100);
-    }
-
-    /// Stepper that misreports its advance; the engine must clamp it.
-    struct Rogue(f64);
-
-    impl Stepper for Rogue {
-        type Error = SimError;
-
-        fn step(
-            &mut self,
-            _t: Seconds,
-            _dt: Seconds,
-            _i: &StepInput,
-        ) -> Result<StepOutput, SimError> {
-            Ok(StepOutput::dwell(Seconds::new(self.0)))
-        }
-    }
-
-    #[test]
-    fn rogue_advances_are_clamped_to_the_planned_slice() {
-        for bogus in [0.0, -5.0, f64::NAN, 1e9] {
-            let mut s = Rogue(bogus);
-            let light = Light::constant(Lux::new(1.0), Seconds::new(3.0));
-            let end = drive(&mut s, &light, Seconds::new(1.0)).unwrap();
-            assert!((end.value() - 3.0).abs() < 1e-9, "bogus advance {bogus}");
-        }
+    fn slices_start_on_the_grid_and_the_last_ends_at_the_light() {
+        let (got, end) = slices(3.5, 1.0);
+        assert_eq!(got, vec![(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.5)]);
+        assert_eq!(end, 3.5);
+        // A whole number of non-dyadic slices takes no sliver step, even
+        // where the division rounds up past it.
+        let total = 3.0 * 0.1;
+        assert!(total / 0.1 > 3.0);
+        let (got, end) = slices(total, 0.1);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[2].0, 2.0 * 0.1);
+        assert_eq!(end, total);
+        // A light shorter than one slice is one short slice.
+        assert_eq!(slices(0.25, 1.0).0, vec![(0.0, 0.25)]);
     }
 
     #[test]
     fn invalid_dt_and_duration_are_rejected() {
-        let mut s = Rogue(1.0);
+        let mut s = Slices::default();
         let light = Light::constant(Lux::new(1.0), Seconds::new(3.0));
         assert!(drive(&mut s, &light, Seconds::ZERO).is_err());
+        assert!(drive(&mut s, &light, Seconds::new(f64::NAN)).is_err());
         let dark = Light::constant(Lux::new(1.0), Seconds::ZERO);
         assert!(drive(&mut s, &dark, Seconds::new(1.0)).is_err());
+        assert!(s.0.is_empty());
     }
 
     #[test]
     fn zero_duration_trace_is_rejected() {
         // A single-sample trace has zero duration; driving it must be an
         // error like the constant-light case, not a silent 0 s no-op.
-        let mut s = Rogue(1.0);
+        let mut s = Slices::default();
         let one_sample = TimeSeries::new(Seconds::ZERO, Seconds::new(1.0), vec![500.0]).unwrap();
         let light = Light::trace(&one_sample);
         let err = drive(&mut s, &light, Seconds::new(1.0));

@@ -2,14 +2,13 @@
 //!
 //! Every experiment layer in this workspace used to own a private copy
 //! of the same loop: advance a clock through a light profile, hand each
-//! slice to the system under test, let it stop short of the slice when
-//! it must, and accumulate energy ledgers into a report. This crate
-//! owns that loop once:
+//! slice to the system under test, and accumulate energy ledgers into a
+//! report. This crate owns that loop once:
 //!
 //! - [`Stepper`] is the contract a simulated system implements;
 //! - [`Light`] unifies constant-level and trace-driven illumination;
-//! - [`drive`] is the time-stepping engine, which clamps a short
-//!   advance into the planned slice;
+//! - [`drive`] is the time-stepping engine: fixed slices on the `dt`
+//!   grid, the last one ending at the light's end;
 //! - [`split_windows`]/[`run_windowed`] are the shared windowed-endurance
 //!   core;
 //! - [`SweepRunner`] fans independent jobs across scoped threads with
@@ -40,5 +39,5 @@ pub use engine::{drive, run_windowed, split_windows};
 pub use error::SimError;
 pub use light::Light;
 pub use merge::Mergeable;
-pub use stepper::{StepInput, StepOutput, Stepper};
+pub use stepper::{StepInput, Stepper};
 pub use sweep::SweepRunner;

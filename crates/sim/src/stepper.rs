@@ -21,58 +21,28 @@ impl StepInput {
     }
 }
 
-/// What a stepper reports back after one step.
-///
-/// The key field is [`advanced`](Self::advanced): a stepper that stops
-/// short of the planned `dt` (e.g. an event-driven stepper that stops at
-/// the next timer edge) advances simulated time by that much only. The
-/// engine clamps the value into `(0, dt]` so a buggy stepper can never
-/// stall or overshoot the clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepOutput {
-    /// Simulated time actually consumed by this step.
-    pub advanced: Seconds,
-}
-
-impl StepOutput {
-    /// The step consumed the full planned `dt`.
-    pub fn full(dt: Seconds) -> Self {
-        Self { advanced: dt }
-    }
-
-    /// The step consumed only `actual` of the planned `dt` (a dwell,
-    /// such as the stretch up to an event-driven stepper's next edge).
-    pub fn dwell(actual: Seconds) -> Self {
-        Self { advanced: actual }
-    }
-}
-
 /// A system the simulation engine can advance through time.
 ///
 /// Implementors own all domain state (converter, storage, tracker, …);
 /// the engine owns the clock, the light lookup and the loop. `step`
-/// receives the absolute simulation time `t`, the planned slice `dt`
-/// (already clamped so `t + dt` never overruns the scenario) and the
-/// environment sample, and returns how much time it really consumed.
+/// receives the absolute simulation time `t`, the slice `dt` (the last
+/// slice ends at the scenario's end) and the environment sample, and
+/// advances the system across the whole slice. Anything that happens
+/// inside a slice, such as a PULSE, is the stepper's to segment.
 pub trait Stepper {
     /// The stepper's own error type. Requiring `From<SimError>` lets the
     /// engine surface driver-level failures (bad `dt`, bad window)
     /// through the same channel as domain failures.
     type Error: From<SimError>;
 
-    /// Advances the system by at most `dt`, returning the time consumed.
-    fn step(
-        &mut self,
-        t: Seconds,
-        dt: Seconds,
-        input: &StepInput,
-    ) -> Result<StepOutput, Self::Error>;
+    /// Advances the system across the slice `[t, t + dt)`.
+    fn step(&mut self, t: Seconds, dt: Seconds, input: &StepInput) -> Result<(), Self::Error>;
 
     /// The stepper's metric store, when observability is enabled.
     ///
     /// The engine uses this hook to fold its own loop statistics (step
-    /// counts, dwell time) into the same store the stepper records its
-    /// domain events into. The default is `None`: uninstrumented
+    /// count, simulated time) into the same store the stepper records
+    /// its domain events into. The default is `None`: uninstrumented
     /// steppers pay nothing.
     fn recorder(&mut self) -> Option<&mut Metrics> {
         None
@@ -84,12 +54,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_carry_the_duration() {
-        assert_eq!(StepOutput::full(Seconds::new(0.02)).advanced.value(), 0.02);
-        assert_eq!(
-            StepOutput::dwell(Seconds::new(0.039)).advanced.value(),
-            0.039
-        );
+    fn input_carries_the_sample() {
         assert_eq!(StepInput::new(Lux::new(500.0)).lux.value(), 500.0);
     }
 }

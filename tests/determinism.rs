@@ -3,10 +3,10 @@
 
 use pv_mppt_repro::core::baselines::FocvSampleHold;
 use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
-use pv_mppt_repro::env::profiles;
+use pv_mppt_repro::env::{profiles, TimeSeries};
 use pv_mppt_repro::node::{NodeSimulation, SimConfig};
 use pv_mppt_repro::pv::presets;
-use pv_mppt_repro::sim::{drive, Light, SimError, StepInput, StepOutput, Stepper, SweepRunner};
+use pv_mppt_repro::sim::{drive, Light, SimError, StepInput, Stepper, SweepRunner};
 use pv_mppt_repro::units::{Lux, Seconds};
 
 #[test]
@@ -129,49 +129,49 @@ fn cached_sweep_identical_at_any_worker_count() {
     }
 }
 
-/// A measurement step that returns a short dwell advances the engine
-/// clock by exactly that dwell, not the planned dt.
+/// The engine starts slice `k` at `k·dt` and ends the last slice at the
+/// light's end, so a run that is a whole number of slices takes exactly
+/// that many, on a non-dyadic grid too, and a run that is not ends on
+/// one short slice.
 #[test]
-fn dwell_accounting_advances_by_actual_dwell() {
-    struct DwellEveryFifth {
-        steps: usize,
-        advanced: f64,
+fn drive_takes_whole_slices_on_any_grid() {
+    #[derive(Default)]
+    struct Slices {
+        count: u64,
+        last: f64,
     }
-    impl Stepper for DwellEveryFifth {
+    impl Stepper for Slices {
         type Error = SimError;
-        fn step(
-            &mut self,
-            _t: Seconds,
-            dt: Seconds,
-            _input: &StepInput,
-        ) -> Result<StepOutput, SimError> {
-            self.steps += 1;
-            let out = if self.steps.is_multiple_of(5) {
-                // 39 ms PULSE-style dwell, far shorter than the planned dt.
-                StepOutput::dwell(Seconds::from_milli(2.0).min(dt))
-            } else {
-                StepOutput::full(dt)
-            };
-            self.advanced += out.advanced.value();
-            Ok(out)
+        fn step(&mut self, _t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
+            self.count += 1;
+            self.last = dt.value();
+            Ok(())
         }
     }
-
-    let mut stepper = DwellEveryFifth {
-        steps: 0,
-        advanced: 0.0,
+    let run = |total: f64, dt: f64| {
+        let mut slices = Slices::default();
+        let light = Light::constant(Lux::new(500.0), Seconds::new(total));
+        let end = drive(&mut slices, &light, Seconds::new(dt)).expect("drive succeeds");
+        (slices.count, slices.last, end.value())
     };
-    let total = drive(
-        &mut stepper,
-        &Light::constant(Lux::new(500.0), Seconds::new(1.0)),
-        Seconds::from_milli(10.0),
-    )
-    .expect("drive succeeds");
-    // The engine clock is the sum of the per-step advances…
-    assert!((total.value() - stepper.advanced).abs() < 1e-12);
-    // …and short dwells mean more steps than total/dt would suggest.
-    assert!(stepper.steps > 100, "only {} steps", stepper.steps);
-    // Every fifth step advanced 2 ms instead of 10 ms, so the run needs
-    // 1 s / (4·10 ms + 2 ms per 5 steps) ≈ 119 full cycles of 5.
-    assert!((total.value() - 1.0).abs() < 0.01);
+    let (count, _, end) = run(1800.0, 0.1);
+    assert_eq!((count, end), (18_000, 1800.0));
+    assert_eq!(run(80.0, 0.05).0, 1_600);
+    assert_eq!(run(345.25, 1.0), (346, 0.25, 345.25));
+
+    // A FOCV node takes one decision per slice plus one per PULSE: the
+    // same 27 PULSEs at either step, and no extra slice at dt 0.1 s.
+    let trace =
+        TimeSeries::new(Seconds::ZERO, Seconds::new(1800.0), vec![1000.0; 2]).expect("valid trace");
+    let decisions = |dt: f64| {
+        let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
+            .expect("valid config");
+        let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
+        let report = sim
+            .run(&mut tracker, &trace, Seconds::new(dt))
+            .expect("run succeeds");
+        (report.measurements, report.decisions)
+    };
+    assert_eq!(decisions(1.0), (27, 1_827));
+    assert_eq!(decisions(0.1), (27, 18_027));
 }
