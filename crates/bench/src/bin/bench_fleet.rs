@@ -21,10 +21,8 @@
 //!
 //! A metrics pass re-runs the reference fleet with
 //! [`FleetSpec::obs`] enabled: the merged metric store must be
-//! bit-identical at 1/2/4 workers, its energy ledger must balance the
-//! summed closed-loop node accounting within 1e-9 relative, and the
-//! wall-clock overhead of metrics-on vs metrics-off is recorded (never
-//! gated) in the JSON.
+//! bit-identical at 1/2/4 workers, and its energy ledger must balance
+//! the summed closed-loop node accounting within 1e-9 relative.
 //!
 //! Run with `cargo run -q --release -p eh-bench --bin bench_fleet`
 //! (accepts `--workers N` / `EH_WORKERS` to set the top worker count,
@@ -162,29 +160,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let worst = reference.worst_node().expect("non-empty fleet");
     println!("{reference}");
 
-    let rate_of = |workers: usize| {
-        scaling
-            .iter()
-            .find(|(n, w, _, _)| *n == reference_size && *w == workers)
-            .map(|(_, _, _, r)| *r)
-    };
-
     banner(&format!(
-        "Metrics — {reference_size} nodes with the eh-obs recorder enabled"
+        "Metrics — {reference_size} nodes with the eh-obs metric store enabled"
     ));
     let mut obs_spec = day_spec(reference_size, smoke);
     obs_spec.obs = true;
     let obs_ctx = FleetContext::prepare(&obs_spec)?;
     let mut obs_worker_counts = vec![1usize, 2, 4];
     obs_worker_counts.retain(|w| worker_counts.contains(w));
-    let mut obs_reports: Vec<(usize, f64, FleetReport)> = Vec::new();
+    let mut obs_reports: Vec<(usize, FleetReport)> = Vec::new();
     for &workers in &obs_worker_counts {
-        let t0 = Instant::now();
         let report = FleetRunner::new(workers).run_prepared(&obs_ctx)?;
-        obs_reports.push((workers, t0.elapsed().as_secs_f64(), report));
+        obs_reports.push((workers, report));
     }
-    let (_, obs_secs_1w, obs_ref) = &obs_reports[0];
-    for (workers, _, report) in &obs_reports[1..] {
+    let (_, obs_ref) = &obs_reports[0];
+    for (workers, report) in &obs_reports[1..] {
         assert_eq!(
             report.metrics, obs_ref.metrics,
             "{workers}-worker merged metrics diverged across workers"
@@ -212,20 +202,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ledger_rel_err < 1e-9,
         "fleet ledger drifts from closed-loop totals: {ledger_rel_err:.3e}"
     );
-    // Overhead is measured against the metrics-off run at 1 worker and
-    // recorded, never gated: CI containers make timing gates flaky.
-    let plain_secs_1w = scaling
-        .iter()
-        .find(|(n, w, _, _)| *n == reference_size && *w == 1)
-        .map(|(_, _, s, _)| *s)
-        .expect("reference size measured at 1 worker");
-    let obs_overhead_pct = (obs_secs_1w / plain_secs_1w.max(1e-12) - 1.0) * 100.0;
-    let obs_checked: Vec<usize> = obs_reports.iter().map(|(w, _, _)| *w).collect();
+    let obs_checked: Vec<usize> = obs_reports.iter().map(|(w, _)| *w).collect();
     println!(
         "workers {obs_checked:?}: merged metric stores worker-invariant\n\
-         ledger vs closed-loop rel error {ledger_rel_err:.3e} (bound 1e-9)\n\
-         wall overhead vs metrics-off at 1 worker: {} % (recorded, not gated)",
-        fmt(obs_overhead_pct, 1)
+         ledger vs closed-loop rel error {ledger_rel_err:.3e} (bound 1e-9)"
     );
     println!("{}", metrics.to_table());
 
@@ -352,17 +332,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vol_ref.margin_pct
     );
 
-    // Scaling headline: 1 worker vs the top worker count at the
-    // reference size (honest numbers; ~1.0 expected on a 1-core host).
-    let top_workers = *worker_counts.last().expect("non-empty");
-    let worker_speedup = rate_of(top_workers)
-        .expect("reference size measured at every worker count")
-        / rate_of(1).expect("reference size measured at 1 worker");
-    println!(
-        "\n{reference_size}-node speedup x{} from 1 to {top_workers} workers on a {host}-core host",
-        fmt(worker_speedup, 2),
-    );
-
     let scaling_json: Vec<String> = scaling
         .iter()
         .map(|(nodes, workers, secs, rate)| {
@@ -399,7 +368,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
   "scaling": [
 {scaling_rows}
   ],
-  "speedup_1_to_max_workers_at_reference_size": {worker_speedup:.3},
   "determinism": {{
     "nodes": {ref_size},
     "worker_counts_checked": {checked:?},
@@ -411,8 +379,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "merged_metrics_worker_invariant": true,
     "ledger_rel_error_vs_closed_loop": {ledger_rel_err:.6e},
     "ledger_rel_error_bound": 1e-9,
-    "wall_overhead_pct_vs_metrics_off_1_worker": {obs_overhead_pct:.2},
-    "wall_overhead_note": "recorded only, never gated; container timing is too noisy for a CI gate",
     "metrics": {metrics_json}
   }},
   "reference_fleet": {{

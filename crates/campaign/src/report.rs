@@ -8,7 +8,7 @@
 use std::fmt;
 
 use eh_fleet::{Percentiles, Placement};
-use eh_obs::Recorder;
+use eh_obs::Metrics;
 use eh_sim::Mergeable;
 use eh_units::Joules;
 
@@ -128,12 +128,12 @@ impl CampaignReport {
     /// Records the campaign's headline statistics into a metric store
     /// (counters `campaign.nodes` / `.survivors` / `.faulted`, gauge
     /// `campaign.survival_days_p50`).
-    pub fn record_into<R: Recorder>(&self, recorder: &mut R) {
-        recorder.add_counter("campaign.nodes", self.nodes() as u64);
-        recorder.add_counter("campaign.survivors", self.survivors() as u64);
-        recorder.add_counter("campaign.faulted", self.faulted() as u64);
+    pub fn record_into(&self, metrics: &mut Metrics) {
+        metrics.add_counter("campaign.nodes", self.nodes() as u64);
+        metrics.add_counter("campaign.survivors", self.survivors() as u64);
+        metrics.add_counter("campaign.faulted", self.faulted() as u64);
         if let Some(p) = self.survival_percentiles() {
-            recorder.set_gauge("campaign.survival_days_p50", p.p50);
+            metrics.set_gauge("campaign.survival_days_p50", p.p50);
         }
     }
 }
@@ -246,7 +246,6 @@ mod tests {
 
     #[test]
     fn record_into_emits_headline_metrics() {
-        use eh_obs::Metrics;
         let r = report(vec![
             outcome(0, Some(5)),
             outcome(1, None),

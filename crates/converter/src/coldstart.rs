@@ -12,7 +12,7 @@
 //! illumination cold-starts the system again — exactly the behaviour the
 //! paper validated down to 200 lux.
 
-use eh_obs::Recorder;
+use eh_obs::Metrics;
 use eh_units::{Amps, Farads, Seconds, Volts};
 
 use crate::error::ConverterError;
@@ -227,11 +227,11 @@ impl ColdStart {
     }
 
     /// Folds the supervisor's event counters and present rail state into
-    /// a recorder. Counters are cumulative; call once per run.
-    pub fn observe<R: Recorder + ?Sized>(&self, recorder: &mut R) {
-        recorder.add_counter("coldstart.enable_events", self.enable_events);
-        recorder.add_counter("coldstart.dropout_events", self.dropout_events);
-        recorder.set_gauge("coldstart.rail_v", self.v_c1.value());
+    /// a metric store. Counters are cumulative; call once per run.
+    pub fn observe(&self, metrics: &mut Metrics) {
+        metrics.add_counter("coldstart.enable_events", self.enable_events);
+        metrics.add_counter("coldstart.dropout_events", self.dropout_events);
+        metrics.set_gauge("coldstart.rail_v", self.v_c1.value());
     }
 }
 
@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(c.enable_events(), 2);
         assert_eq!(c.dropout_events(), 1);
 
-        let mut m = eh_obs::Metrics::new();
+        let mut m = Metrics::new();
         c.observe(&mut m);
         assert_eq!(m.counter("coldstart.enable_events"), 2);
         assert_eq!(m.counter("coldstart.dropout_events"), 1);

@@ -6,7 +6,7 @@ use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
 use eh_analog::{CurrentLedger, Trace};
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::TimeSeries;
-use eh_obs::{EnergyBucket, Metrics, Recorder};
+use eh_obs::{EnergyBucket, Metrics};
 use eh_pv::{presets, PvCell};
 use eh_sim::{drive, Light, StepInput, Stepper};
 use eh_units::{Amps, Coulombs, Joules, Lux, Ratio, Seconds, Volts};
@@ -389,14 +389,18 @@ impl FocvMpptSystem {
                 if self.cold_start_time.is_none() {
                     self.cold_start_time = Some(self.time);
                 }
-                self.metrics.add_counter("core.rail_up", 1);
+                if let Some(m) = self.metrics.as_deref_mut() {
+                    m.add_counter("core.rail_up", 1);
+                }
             }
             // Rail collapse: the astable dies with the rail, so PULSE is no
             // longer high — forget the edge state, or the power-up PULSE
             // after recovery would be miscounted as no rising edge.
             if !rail_on && self.rail_was_on {
                 self.pulse_was_high = false;
-                self.metrics.add_counter("core.rail_collapse", 1);
+                if let Some(m) = self.metrics.as_deref_mut() {
+                    m.add_counter("core.rail_collapse", 1);
+                }
             }
             self.rail_was_on = rail_on;
 
@@ -475,9 +479,7 @@ impl FocvMpptSystem {
         let _ = self.sample_hold.step(Volts::ZERO, false, seg);
         self.last_pv_voltage = knee;
         if let Some(m) = self.metrics.as_deref_mut() {
-            let mut s = eh_obs::span!("core.cold_start");
-            s.add_time(seg);
-            s.finish(m);
+            m.record_span_stats("core.cold_start", 1, seg.value(), 0.0);
         }
         Ok(SystemState::ColdStarting)
     }
@@ -498,7 +500,9 @@ impl FocvMpptSystem {
             if self.first_pulse_time.is_none() {
                 self.first_pulse_time = Some(self.time);
             }
-            self.metrics.add_counter("core.pulses", 1);
+            if let Some(m) = self.metrics.as_deref_mut() {
+                m.add_counter("core.pulses", 1);
+            }
         }
         self.pulse_was_high = pulse;
 
@@ -580,14 +584,9 @@ impl FocvMpptSystem {
             m.charge(EnergyBucket::ConverterSwitching, seg_loss);
             m.charge(EnergyBucket::Load, harvest_energy);
             if pulse {
-                let mut s = eh_obs::span!("core.sampling");
-                s.add_time(seg);
-                s.finish(m);
+                m.record_span_stats("core.sampling", 1, seg.value(), 0.0);
             } else if state == SystemState::Harvesting {
-                let mut s = eh_obs::span!("core.harvesting");
-                s.add_time(seg);
-                s.add_energy(harvest_energy);
-                s.finish(m);
+                m.record_span_stats("core.harvesting", 1, seg.value(), harvest_energy.value());
             }
         }
 
@@ -1026,6 +1025,36 @@ mod tests {
             .expect("system cold started");
         let t_cs = report.cold_start_time.unwrap().value();
         assert!((cs.sim_time().value() - t_cs).abs() < 0.2);
+    }
+
+    /// Golden bits of the circuit-level metric store. The run fires
+    /// every record site of the platform: the cold-start, sampling and
+    /// harvesting spans, the rail-up, rail-collapse and pulse counters,
+    /// the four ledger buckets, the engine's step counter and drive span,
+    /// and the cold-start supervisor's counters and gauge. The digest is
+    /// FNV-1a over the store's JSON export, which renders each `f64` in
+    /// shortest round-trip form, so an equal digest means equal bits.
+    #[test]
+    fn circuit_metric_store_matches_its_recorded_golden_bits() {
+        let mut cfg = SystemConfig::paper_prototype().unwrap();
+        cfg.obs = true;
+        let mut sys = FocvMpptSystem::new(cfg).unwrap();
+        let (lux, half, dt) = (Lux::new(1000.0), Seconds::new(100.0), Seconds::new(0.05));
+        sys.run_constant(lux, half, dt).unwrap();
+        sys.collapse_rail();
+        let report = sys.run_constant(lux, half, dt).unwrap();
+        let m = sys.take_metrics().expect("obs enabled");
+        assert_eq!(m.counter("core.rail_up"), 2);
+        assert_eq!(m.counter("core.rail_collapse"), 1);
+        assert_eq!(m.counter("core.pulses"), report.pulses);
+        for name in ["core.cold_start", "core.sampling", "core.harvesting"] {
+            assert!(m.span_stats(name).is_some(), "{name} never recorded");
+        }
+        let json = m.to_json();
+        let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, 0xdcf4_78b2_3d70_1e98, "{json}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! `(model, temperature)` per process and bounds how many it keeps, so
 //! a 10 000-node fleet — or a service preparing a context per request —
 //! pays for at most three table builds per process, not one per node or
-//! per context. Occupancy is exported into an [`eh_obs::Recorder`] via
+//! per context. Occupancy is exported into an [`eh_obs::Metrics`] via
 //! [`SurfacePool::record_into`].
 
-use eh_obs::Recorder;
+use eh_obs::Metrics;
 use eh_pv::PvCell;
 
 use crate::error::FleetError;
@@ -77,9 +77,9 @@ impl SurfacePool {
     /// `fleet.surface_pool.warmed` counter and the
     /// `fleet.surface_pool.entries` gauge. Call once per warmed pool
     /// (counters add).
-    pub fn record_into<R: Recorder + ?Sized>(&self, r: &mut R) {
-        r.add_counter("fleet.surface_pool.warmed", self.entries.len() as u64);
-        r.set_gauge("fleet.surface_pool.entries", self.entries.len() as f64);
+    pub fn record_into(&self, metrics: &mut Metrics) {
+        metrics.add_counter("fleet.surface_pool.warmed", self.entries.len() as u64);
+        metrics.set_gauge("fleet.surface_pool.entries", self.entries.len() as f64);
     }
 }
 
@@ -126,7 +126,6 @@ mod tests {
 
     #[test]
     fn accounting_exports_into_a_recorder() {
-        use eh_obs::Metrics;
         let pool = SurfacePool::warm(&presets::sanyo_am1815(), Placement::ALL, false).unwrap();
         let mut m = Metrics::new();
         pool.record_into(&mut m);

@@ -126,7 +126,6 @@ impl FleetReport {
     #[must_use]
     pub fn with_fleet_counters(mut self) -> Self {
         if let Some(m) = self.metrics.as_mut() {
-            use eh_obs::Recorder as _;
             m.add_counter("fleet.nodes", self.outcomes.len() as u64);
         }
         self
@@ -386,8 +385,6 @@ mod tests {
 
     #[test]
     fn single_hoists_metrics_and_merge_folds_them() {
-        use eh_obs::Recorder as _;
-
         let with_metrics = |id: u32, count: u64| {
             let mut o = outcome(id, 1.0, 1.0);
             let mut m = Metrics::default();

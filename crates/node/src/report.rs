@@ -1,6 +1,6 @@
 //! Run reports.
 
-use eh_obs::{Metrics, Recorder as _};
+use eh_obs::Metrics;
 use eh_sim::Accumulator;
 use eh_units::{Joules, Ratio, Seconds};
 

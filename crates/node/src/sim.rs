@@ -3,7 +3,7 @@
 use eh_converter::InputRegulatedConverter;
 use eh_core::{CoreError, MpptController, Observation, TrackerCommand};
 use eh_env::TimeSeries;
-use eh_obs::{EnergyBucket, Metrics, Recorder};
+use eh_obs::{EnergyBucket, Metrics};
 use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell, PvError};
 use eh_sim::{drive, Accumulator, Light, StepInput, Stepper};
 use eh_units::{Amps, Joules, Lux, Seconds, Volts, Watts};
@@ -87,7 +87,7 @@ impl std::fmt::Debug for SimConfig {
 }
 
 /// Per-step observability accumulated in plain locals and flushed once
-/// per run into the [`Recorder`].
+/// per run into the node's [`Metrics`].
 ///
 /// The per-step recording path costs a `BTreeMap` probe per counter and
 /// span on every simulated step; batching into locals cuts that to one
@@ -158,28 +158,28 @@ impl ObsLocals {
         Self::add(&mut self.load_j, served.value());
     }
 
-    /// Flushes the accumulated step observations into `recorder`. Call
+    /// Flushes the accumulated step observations into `metrics`. Call
     /// exactly once per node, after the drive loop and before any
     /// conservation check against the ledger.
-    pub fn flush<R: Recorder + ?Sized>(&self, recorder: &mut R) {
+    pub fn flush(&self, metrics: &mut Metrics) {
         if self.transfer_steps > 0 {
-            recorder.add_counter("converter.transfer_steps", self.transfer_steps);
+            metrics.add_counter("converter.transfer_steps", self.transfer_steps);
         }
-        recorder.charge(
+        metrics.charge(
             EnergyBucket::ConverterSwitching,
             Joules::new(self.switching_j),
         );
-        recorder.charge(EnergyBucket::Astable, Joules::new(self.astable_j));
-        recorder.charge(EnergyBucket::SampleHold, Joules::new(self.sample_hold_j));
-        recorder.charge(EnergyBucket::Compute, Joules::new(self.compute_j));
-        recorder.charge(EnergyBucket::Load, Joules::new(self.load_j));
-        recorder.record_span_stats(
+        metrics.charge(EnergyBucket::Astable, Joules::new(self.astable_j));
+        metrics.charge(EnergyBucket::SampleHold, Joules::new(self.sample_hold_j));
+        metrics.charge(EnergyBucket::Compute, Joules::new(self.compute_j));
+        metrics.charge(EnergyBucket::Load, Joules::new(self.load_j));
+        metrics.record_span_stats(
             "node.harvesting",
             self.harvest_count,
             self.harvest_time,
             0.0,
         );
-        recorder.record_span_stats("node.measuring", self.measure_count, self.measure_time, 0.0);
+        metrics.record_span_stats("node.measuring", self.measure_count, self.measure_time, 0.0);
     }
 }
 

@@ -158,8 +158,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
-    use crate::span;
     use eh_units::{Joules, Seconds};
 
     fn sample() -> Metrics {
@@ -167,9 +165,7 @@ mod tests {
         m.add_counter("engine.steps", 42);
         m.set_gauge("rail_v", 3.3);
         m.observe("dwell_s", &[0.01, 0.1], 0.039);
-        let mut s = span!("pulse");
-        s.add_time(Seconds::from_milli(39.0));
-        s.finish(&mut m);
+        m.record_span_stats("pulse", 1, Seconds::from_milli(39.0).value(), 0.0);
         m.charge(EnergyBucket::Astable, Joules::new(0.25));
         m.charge(EnergyBucket::Load, Joules::new(0.75));
         m

@@ -8,15 +8,17 @@
 //!
 //! The design rules, in order of importance:
 //!
-//! 1. **Simulated quantities only.** Spans attribute simulated seconds
-//!    and joules, never wall-clock time, worker counts, or anything else
-//!    that varies between runs of the same scenario — so a [`Metrics`]
-//!    produced by a sharded fleet run is bit-for-bit identical at any
-//!    worker count.
-//! 2. **Uninstrumented runs pay only a branch.** Hot paths hold an
-//!    `Option<Box<Metrics>>`; with observability off every record site
-//!    is one `None` check. The [`Recorder`] trait is implemented for
-//!    `Option<R>` so call sites need no `if let` boilerplate.
+//! 1. **Simulated quantities only.** Span stats attribute simulated
+//!    seconds and joules, never wall-clock time, worker counts, or
+//!    anything else that varies between runs of the same scenario — so a
+//!    [`Metrics`] produced by a sharded fleet run is bit-for-bit
+//!    identical at any worker count.
+//! 2. **One concrete store, called directly.** [`Metrics`] is the only
+//!    sink: every record site takes `&mut Metrics` and calls its
+//!    inherent methods (`add_counter`, `set_gauge`, `observe`, `charge`,
+//!    `record_span_stats`). Hot paths hold an `Option<Box<Metrics>>`, so
+//!    with observability off a record site is one `if let Some(m)`, and
+//!    per-step loops accumulate in locals and flush once per run.
 //! 3. **Allocation-light.** Metric names are `&'static str` keys into
 //!    `BTreeMap`s (ordered, so exports are deterministic too); the
 //!    [`EnergyLedger`] is a fixed five-bucket array.
@@ -33,12 +35,8 @@ mod export;
 mod histogram;
 mod ledger;
 mod metrics;
-mod recorder;
-mod span;
 
 pub use error::ObsError;
 pub use histogram::Histogram;
 pub use ledger::{EnergyBucket, EnergyLedger};
 pub use metrics::{Metrics, SpanStats};
-pub use recorder::{NoopRecorder, Recorder};
-pub use span::Span;

@@ -6,8 +6,6 @@ use eh_units::{Joules, Seconds};
 
 use crate::histogram::Histogram;
 use crate::ledger::{EnergyBucket, EnergyLedger};
-use crate::recorder::Recorder;
-use crate::span::Span;
 
 /// Aggregated statistics for one span name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -134,24 +132,24 @@ impl Metrics {
         }
         self.ledger.absorb(&other.ledger);
     }
-}
 
-impl Recorder for Metrics {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the named monotonic counter.
+    pub fn add_counter(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
+    /// Sets the named gauge to `value` (last write wins; non-finite
+    /// values are discarded).
+    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
         if value.is_finite() {
             self.gauges.insert(name, value);
         }
     }
 
-    fn observe(&mut self, name: &'static str, bounds: &[f64], value: f64) -> bool {
+    /// Records `value` into the named fixed-bucket histogram, creating
+    /// it over `bounds` on first use. Returns whether the value was
+    /// binned (`false` for non-finite values or invalid bounds).
+    pub fn observe(&mut self, name: &'static str, bounds: &[f64], value: f64) -> bool {
         match self.histograms.entry(name) {
             std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().record(value),
             std::collections::btree_map::Entry::Vacant(e) => match Histogram::new(bounds) {
@@ -165,24 +163,25 @@ impl Recorder for Metrics {
         }
     }
 
-    fn record_span(&mut self, span: Span) {
-        let stats = self.spans.entry(span.name()).or_default();
-        stats.count += 1;
-        stats.sim_time += span.sim_time().value();
-        stats.energy += span.energy().value();
-    }
-
-    fn charge(&mut self, bucket: EnergyBucket, energy: Joules) {
+    /// Adds energy to one bucket of the run's [`EnergyLedger`].
+    pub fn charge(&mut self, bucket: EnergyBucket, energy: Joules) {
         self.ledger.charge(bucket, energy);
     }
 
-    // Bitwise-equal to `count` individual `record_span` folds whose
-    // time/energy contributions sum (in call order) to the totals:
-    // per-span folding starts the entry at 0.0 and adds, and a single
-    // add of the pre-summed total performs the same additions in the
-    // same order. Zero counts create no entry — presence of a span name
-    // is part of store equality.
-    fn record_span_stats(&mut self, name: &'static str, count: u64, sim_time: f64, energy: f64) {
+    /// Folds `count` completions of span `name` totalling `sim_time`
+    /// simulated seconds and `energy` joules into the per-name
+    /// [`SpanStats`]. Hot loops accumulate in locals and call this once
+    /// (e.g. once per simulated node); a one-off scope calls it with a
+    /// count of 1. Non-finite totals add nothing. A zero `count`
+    /// records nothing, not even the name: presence of a span name is
+    /// part of store equality.
+    pub fn record_span_stats(
+        &mut self,
+        name: &'static str,
+        count: u64,
+        sim_time: f64,
+        energy: f64,
+    ) {
         if count == 0 {
             return;
         }
@@ -200,17 +199,13 @@ impl Recorder for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span;
 
     fn sample() -> Metrics {
         let mut m = Metrics::new();
         m.add_counter("steps", 3);
         m.set_gauge("rail_v", 3.3);
         m.observe("dwell", &[0.01, 0.1], 0.039);
-        let mut s = span!("pulse");
-        s.add_time(Seconds::from_milli(39.0));
-        s.add_energy(Joules::new(1e-6));
-        s.finish(&mut m);
+        m.record_span_stats("pulse", 1, Seconds::from_milli(39.0).value(), 1e-6);
         m.charge(EnergyBucket::Astable, Joules::new(0.5));
         m
     }
@@ -268,41 +263,21 @@ mod tests {
     }
 
     #[test]
-    fn span_stats_flush_is_bitwise_equal_to_per_span_folding() {
-        // The per-node flush path: accumulate in locals, record once.
-        let times = [0.039, 60.0, 60.0, 0.039, 59.961];
-        let mut per_span = Metrics::new();
-        let mut total = 0.0f64;
-        for t in times {
-            let mut s = span!("node.harvesting");
-            s.add_time(Seconds::new(t));
-            s.finish(&mut per_span);
-            total += t;
-        }
-        let mut flushed = Metrics::new();
-        flushed.record_span_stats("node.harvesting", times.len() as u64, total, 0.0);
-        assert_eq!(per_span, flushed);
-        let a = per_span.span_stats("node.harvesting").unwrap();
-        let b = flushed.span_stats("node.harvesting").unwrap();
-        assert_eq!(
-            a.sim_time().value().to_bits(),
-            b.sim_time().value().to_bits()
-        );
-    }
-
-    #[test]
     fn zero_count_span_stats_create_no_entry() {
         let mut m = Metrics::new();
         m.record_span_stats("never", 0, 0.0, 0.0);
         assert!(m.span_stats("never").is_none());
         assert!(m.is_empty());
-        // The trait default agrees through a Box (forwarding override).
-        let mut boxed: Box<Metrics> = Box::default();
-        boxed.record_span_stats("never", 0, 1.0, 1.0);
-        assert!(boxed.is_empty());
-        boxed.record_span_stats("pulse", 3, 0.117, 3e-6);
-        let s = boxed.span_stats("pulse").unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sim_time(), Seconds::new(0.117));
+    }
+
+    #[test]
+    fn non_finite_span_totals_add_nothing() {
+        let mut m = Metrics::new();
+        m.record_span_stats("pulse", 1, 0.039, 1e-6);
+        m.record_span_stats("pulse", 2, f64::NAN, f64::INFINITY);
+        let s = m.span_stats("pulse").unwrap();
+        assert_eq!(s.count, 3, "the completions still count");
+        assert_eq!(s.sim_time(), Seconds::new(0.039));
+        assert_eq!(s.energy(), Joules::new(1e-6));
     }
 }

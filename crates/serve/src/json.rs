@@ -121,11 +121,14 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number in
-    /// `u64` range.
+    /// The value as a non-negative integer, if it is a whole number
+    /// below 2⁵³. Numbers parse to `f64`, which holds every integer below
+    /// 2⁵³ exactly; from 2⁵³ up, the parsed value may be a rounding of a
+    /// different integer in the document (`9007199254740993` parses to
+    /// 2⁵³), so those are refused rather than silently changed.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9.007199254740992e15 => {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < 9.007199254740992e15 => {
                 Some(*v as u64)
             }
             _ => None,

@@ -12,7 +12,7 @@
 
 use std::sync::Mutex;
 
-use eh_obs::{Metrics, Recorder as _};
+use eh_obs::Metrics;
 
 /// Counter names the service increments (exposed for tests and docs).
 pub mod names {

@@ -777,6 +777,24 @@ mod tests {
     }
 
     #[test]
+    fn a_seed_the_f64_cannot_hold_is_a_400_for_both_request_kinds() {
+        // 2^53 - 1 is the largest seed an f64 holds exactly; 2^53 + 1
+        // parses to 2^53, and 2^53 may itself be such a rounding.
+        for seed in ["9007199254740992", "9007199254740993", "1e16"] {
+            let body = format!(r#"{{"seed":{seed}}}"#);
+            let whatif = parse(Op::WhatIf, &body).unwrap_err();
+            for err in [whatif, parse_campaign(&body).unwrap_err()] {
+                assert_eq!(err.status(), 400, "{err}");
+                let msg = err.to_string();
+                assert!(msg.contains("seed must be a non-negative integer"), "{msg}");
+            }
+        }
+        let max = r#"{"seed":9007199254740991}"#;
+        assert_eq!(parse(Op::WhatIf, max).unwrap().seed, (1 << 53) - 1);
+        assert_eq!(parse_campaign(max).unwrap().seed, (1 << 53) - 1);
+    }
+
+    #[test]
     fn to_spec_matches_the_request() {
         let r = parse(Op::WhatIf, r#"{"nodes":24,"seed":9,"tolerances":"none"}"#).unwrap();
         let spec = r.to_spec().unwrap();

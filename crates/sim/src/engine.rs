@@ -58,11 +58,8 @@ pub fn drive<S: Stepper>(
     // stepper's metric store (if any) once, after the loop, so the
     // numbers are identical no matter how the run is scheduled.
     if let Some(m) = stepper.recorder() {
-        use eh_obs::Recorder as _;
         m.add_counter("engine.steps", slices);
-        let mut drive_span = eh_obs::span!("engine.drive");
-        drive_span.add_time(Seconds::new(total));
-        drive_span.finish(m);
+        m.record_span_stats("engine.drive", 1, total, 0.0);
     }
     Ok(Seconds::new(total))
 }

@@ -17,10 +17,10 @@
 //!   [`sim::drive`] time-stepping, and the
 //!   deterministic [`sim::SweepRunner`] job and shard fan-out.
 //! * [`node`] — closed-loop wireless-sensor-node simulations.
-//! * [`obs`] — opt-in deterministic observability: the
-//!   [`obs::Recorder`] metric sink, simulated-time spans, and the
-//!   five-bucket [`obs::EnergyLedger`] with its conservation
-//!   invariant.
+//! * [`obs`] — opt-in deterministic observability: the one
+//!   [`obs::Metrics`] store, called directly (counters, gauges,
+//!   simulated-time span stats), and the five-bucket
+//!   [`obs::EnergyLedger`] with its conservation invariant.
 //! * [`fleet`] — deterministic fleet-scale simulation of heterogeneous
 //!   node populations: seeded [`fleet::FleetSpec`] instantiation,
 //!   sharded order-independent aggregation, tracker comparison over a

@@ -5,7 +5,7 @@
 use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
 use pv_mppt_repro::fleet::{FleetRunner, FleetSpec};
 use pv_mppt_repro::node::{DutyCycledLoad, NodeSimulation, SimConfig};
-use pv_mppt_repro::obs::{EnergyBucket, Metrics, Recorder};
+use pv_mppt_repro::obs::{EnergyBucket, Metrics};
 use pv_mppt_repro::pv::presets;
 use pv_mppt_repro::units::{Joules, Lux, Seconds};
 
@@ -92,8 +92,8 @@ fn fleet_metrics_worker_invariant() {
     assert_eq!(one.metrics, four.metrics);
 }
 
-/// The recorder API is usable stand-alone (no simulation at all), and
-/// the no-op default discards everything without failing.
+/// The metric store's recording API is usable stand-alone (no
+/// simulation at all).
 #[test]
 fn recorder_api_stand_alone() {
     let mut metrics = Metrics::default();
@@ -101,9 +101,4 @@ fn recorder_api_stand_alone() {
     metrics.charge(EnergyBucket::Load, Joules::new(1.5));
     assert!(metrics.observe("dwell_s", &[0.0, 1.0, 10.0], 0.3));
     assert_eq!(metrics.counter("events"), 2);
-
-    let mut none: Option<Metrics> = None;
-    assert!(!none.enabled());
-    none.add_counter("events", 7); // silently dropped
-    assert!(none.is_none());
 }
