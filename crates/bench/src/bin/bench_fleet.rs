@@ -216,7 +216,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Tracker comparison over one replayed {cmp_size}-node population"
     ));
     let mut cmp_spec = day_spec(cmp_size, false);
-    cmp_spec.trace_decimate = 600; // 10-minute grid keeps 8 trackers tractable
+    cmp_spec.trace_decimate = 600; // 10-minute grid keeps 11 trackers tractable
     cmp_spec.dt = Seconds::new(600.0);
     let cmp_runner = FleetRunner::new(max_workers);
     let comparison = compare_trackers_over_fleet(&cmp_spec, &cmp_runner)?;

@@ -8,8 +8,11 @@
 //! hoists that setup so repeated runs (tracker comparisons, benchmarks,
 //! campaign epochs) pay it once.
 
+use std::num::NonZeroUsize;
+
 use eh_converter::{ColdStart, InputRegulatedConverter};
-use eh_env::{week, TimeSeries};
+use eh_env::week::{self, DayKind};
+use eh_env::{EnvError, TimeSeries};
 use eh_node::{NodeSimulation, SimConfig};
 use eh_pv::PvCell;
 use eh_sim::Mergeable as _;
@@ -39,13 +42,16 @@ pub struct FleetContext {
 
 impl FleetContext {
     /// Prepares the shared inputs for `spec`: validates it, stamps the
-    /// population, decimates one base trace per day kind in use, and
-    /// warms one PV surface per placement temperature.
+    /// population, synthesizes and decimates one base trace per day
+    /// kind in use (the kinds side by side, one scoped thread each while
+    /// the host has cores for them), and warms one PV surface per
+    /// placement temperature.
     ///
     /// # Errors
     ///
     /// Propagates spec validation, trace construction, and surface
-    /// warming failures.
+    /// warming failures; when several days fail, the error of the
+    /// first placement in [`Placement::ALL`] order wins.
     pub fn prepare(spec: &FleetSpec) -> Result<Self, FleetError> {
         let population = spec.population()?;
 
@@ -56,6 +62,7 @@ impl FleetContext {
             .into_iter()
             .filter(|p| population.iter().any(|n| n.placement == *p))
             .collect();
+        let mut days = synthesize_days(spec, &in_use).into_iter();
         let mut traces: [Option<TimeSeries>; 3] = [None, None, None];
         for &p in &in_use {
             let existing = in_use
@@ -65,7 +72,7 @@ impl FleetContext {
                 .map(|q| traces[q.index()].clone().expect("earlier placement traced"));
             traces[p.index()] = Some(match existing {
                 Some(t) => t,
-                None => week::day(p.day_kind(), spec.seed).decimate(spec.trace_decimate)?,
+                None => days.next().expect("one day per kind in use")?,
             });
         }
         let pool = SurfacePool::warm(&spec.cell, in_use.iter().copied(), spec.pv_cache)?;
@@ -246,10 +253,100 @@ impl FleetContext {
     }
 }
 
+/// One decimated base day per distinct day kind of `in_use`, in order of
+/// first use. The kinds synthesize side by side: the calling thread
+/// builds the first, and each later kind gets a scoped thread of its
+/// own while [`std::thread::available_parallelism`] allows (a 1-core
+/// host builds them all in turn). Each day is a pure function of its
+/// kind, the seed and the decimation, so the traces are the same bits
+/// on any host; a panicking day resumes its panic here.
+fn synthesize_days(spec: &FleetSpec, in_use: &[Placement]) -> Vec<Result<TimeSeries, EnvError>> {
+    let mut kinds: Vec<DayKind> = Vec::new();
+    for p in in_use {
+        if !kinds.contains(&p.day_kind()) {
+            kinds.push(p.day_kind());
+        }
+    }
+    let (seed, decimate) = (spec.seed, spec.trace_decimate);
+    let day = move |kind| week::day(kind, seed).decimate(decimate);
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let helpers = kinds.len().min(cores).saturating_sub(1);
+    let (own, spawned) = kinds.split_at(kinds.len() - helpers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = spawned
+            .iter()
+            .map(|&kind| scope.spawn(move || day(kind)))
+            .collect();
+        let mut days: Vec<_> = own.iter().map(|&kind| day(kind)).collect();
+        days.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        days
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::PlacementMix;
     use eh_units::Seconds;
+
+    /// A trace's start, step and every sample, as bits.
+    fn trace_bits(t: &TimeSeries) -> Vec<u64> {
+        [t.start_time().value(), t.dt().value()]
+            .into_iter()
+            .chain(t.values().iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// Every placement in use gets exactly the day a sequential build
+    /// gives it, and the two desks share the office day, whether the
+    /// fleet uses one day kind or both (on a multi-core host the second
+    /// kind is synthesized on its own thread).
+    #[test]
+    fn prepared_traces_are_the_days_bit_for_bit() {
+        use Placement::{InteriorDesk, Outdoor, WindowDesk};
+        let fleets = [
+            (
+                PlacementMix::new(0.25, 0.60, 0.0).unwrap(),
+                vec![WindowDesk, InteriorDesk],
+            ),
+            (PlacementMix::new(0.0, 0.0, 1.0).unwrap(), vec![Outdoor]),
+            (
+                PlacementMix::mixed_indoor_outdoor(),
+                vec![WindowDesk, InteriorDesk, Outdoor],
+            ),
+        ];
+        for (mix, expected) in fleets {
+            let mut spec = FleetSpec::mixed_indoor_outdoor(40, 7).unwrap();
+            spec.placements = mix;
+            spec.trace_decimate = 120;
+            spec.pv_cache = false;
+            let ctx = FleetContext::prepare(&spec).unwrap();
+            let in_use: Vec<Placement> = Placement::ALL
+                .into_iter()
+                .filter(|p| ctx.population().iter().any(|n| n.placement == *p))
+                .collect();
+            assert_eq!(in_use, expected);
+            for p in in_use {
+                let day = week::day(p.day_kind(), spec.seed).decimate(120).unwrap();
+                assert!(
+                    trace_bits(ctx.base_trace(p)) == trace_bits(&day),
+                    "{} trace differs from its day",
+                    p.label()
+                );
+            }
+            if expected.contains(&WindowDesk) {
+                assert!(
+                    trace_bits(ctx.base_trace(WindowDesk))
+                        == trace_bits(ctx.base_trace(InteriorDesk)),
+                    "the desks do not share the office day"
+                );
+            }
+        }
+    }
 
     #[test]
     fn prepare_hoists_population_and_traces() {

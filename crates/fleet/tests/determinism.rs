@@ -55,7 +55,7 @@ fn derived_statistics_inherit_the_determinism() {
 #[test]
 fn baseline_replay_is_deterministic_too() {
     // The comparison path shares the runner machinery; spot-check one
-    // baseline kind rather than all eight.
+    // baseline kind rather than all 11.
     let mut spec = spec();
     spec.nodes = 40;
     let a = FleetRunner::new(1)

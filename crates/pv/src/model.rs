@@ -320,7 +320,10 @@ impl SingleDiodeModel {
 
     /// Terminal current at terminal voltage `v`, solving the implicit
     /// single-diode equation by bisection (the residual is strictly
-    /// monotone in `I`, so bisection is globally convergent).
+    /// monotone in `I`, so bisection is globally convergent). A dark
+    /// cell at 0 V carries exactly 0 A, as a dark cell's
+    /// [`SingleDiodeModel::open_circuit_voltage`] is exactly 0 V; in
+    /// the dark at `v > 0` the diode's dark current is still solved.
     ///
     /// # Errors
     ///
@@ -340,11 +343,16 @@ impl SingleDiodeModel {
             });
         }
         let iph = self.photocurrent(lux, t).value();
+        let vv = v.value();
+        if iph == 0.0 && vv == 0.0 {
+            // A dark cell shorted carries exactly nothing: I = 0 solves
+            // the equation, and bisection would stop short of it.
+            return Ok(Amps::ZERO);
+        }
         let i0 = self.saturation_current(t).value();
         let b = self.thermal_slope(t).value();
         let rs = self.series_resistance.value();
         let rsh = self.shunt_resistance(lux).value();
-        let vv = v.value();
 
         let residual = |i: f64| -> f64 {
             let vj = vv + i * rs;
@@ -739,7 +747,32 @@ mod tests {
         let voc = m.open_circuit_voltage(Lux::ZERO, Kelvin::STC).unwrap();
         assert_eq!(voc, Volts::ZERO);
         let isc = m.short_circuit_current(Lux::ZERO, Kelvin::STC).unwrap();
-        assert!(isc.value().abs() < 1e-12);
+        assert_eq!(isc, Amps::ZERO);
+        // Above 0 V the dark diode still conducts: a small reverse current.
+        let dark = m
+            .current_at(Volts::new(1.0), Lux::ZERO, Kelvin::STC)
+            .unwrap();
+        assert!(dark.value() < 0.0 && dark.value() > -1e-9, "{dark:?}");
+    }
+
+    /// The exact dark short-circuit current is zero, not the residue of
+    /// a bisection (it was −3.76e-37 A), for every preset at every
+    /// placement temperature. A current-steered tracker compares its
+    /// operating current against a fraction of it.
+    #[test]
+    fn dark_short_circuit_current_is_exactly_zero() {
+        for cell in [
+            crate::presets::sanyo_am1815(),
+            crate::presets::schott_asi_1116929(),
+            crate::presets::crystalline_outdoor(),
+        ] {
+            for celsius in [25.0, 30.0, 35.0] {
+                let t = Kelvin::from(eh_units::Celsius::new(celsius));
+                let isc = cell.model().short_circuit_current(Lux::ZERO, t).unwrap();
+                // Bits, so that −0 A would fail too.
+                assert_eq!(isc.value().to_bits(), 0, "{} at {celsius} °C", cell.name());
+            }
+        }
     }
 
     #[test]

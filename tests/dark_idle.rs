@@ -3,13 +3,16 @@
 //! Engine-step and measurement counts are deterministic, so these pins
 //! are exact gates on simulated work.
 
+use pv_mppt_repro::core::baselines::FractionalIsc;
 use pv_mppt_repro::env::profiles;
 use pv_mppt_repro::fleet::{
     compare_trackers_over_fleet_with, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
     NodeSpec, Placement, SurfacePool, Tolerances, TrackerKind,
 };
+use pv_mppt_repro::node::{NodeSimulation, SimConfig};
+use pv_mppt_repro::pv::presets;
 use pv_mppt_repro::serve::{Json, Op, WhatIfRequest};
-use pv_mppt_repro::units::{Lux, Seconds};
+use pv_mppt_repro::units::{Amps, Lux, Seconds, Volts};
 
 fn engine_steps(report: &FleetReport) -> u64 {
     report
@@ -160,5 +163,30 @@ fn focv_takes_one_engine_step_per_control_slice() {
         assert_eq!(per_node, vec![measured_per_node; 8], "dt {dt}");
         let measured: u64 = per_node.iter().sum();
         assert_eq!(m.counter("tracker.decisions"), slices * nodes + measured);
+    }
+}
+
+/// Fractional-Isc shorts a dark module and holds exactly 0 A, so its
+/// current loop, steering toward `k_i·Isc` = 0 A with the module
+/// delivering 0 A, neither raises nor lowers its target. At dt 1 s
+/// most slices run the loop between its 10 s shorts; a dark-Isc
+/// residue of −3.8e-37 A used to read as "too much current" on each
+/// and walked the target from 2.5 V to the 8 V clamp within the hour.
+#[test]
+fn fractional_isc_holds_its_target_through_a_dark_hour() {
+    let hour = profiles::constant(Lux::ZERO, Seconds::from_hours(1.0));
+    for cached in [false, true] {
+        let cell = presets::sanyo_am1815().with_cache(cached);
+        let mut tracker = FractionalIsc::literature_default().expect("valid tracker");
+        let start = tracker.target();
+        assert_eq!(start, Volts::new(2.5));
+        let config = SimConfig::default_for(cell).expect("valid config");
+        let report = NodeSimulation::new(config)
+            .expect("valid sim")
+            .run(&mut tracker, &hour, Seconds::new(1.0))
+            .expect("dark hour runs");
+        assert!(report.measurements >= 360, "cached {cached}: {report:?}");
+        assert_eq!(tracker.target(), start, "cached {cached}");
+        assert_eq!(tracker.held_isc(), Some(Amps::ZERO), "cached {cached}");
     }
 }
