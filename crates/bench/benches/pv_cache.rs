@@ -1,5 +1,5 @@
 //! Criterion benches for the PV operating-point cache: the same
-//! closed-loop circuit run with the exact bisection solver and with the
+//! closed-loop circuit run with the exact Newton solver and with the
 //! memoized bilinear surface, plus the one-off table build.
 //!
 //! `cargo run -q --release -p eh-bench --bin bench_pv_cache` runs the

@@ -1,12 +1,12 @@
 //! Benchmark — the PV operating-point cache vs the exact solver.
 //!
-//! The exact single-diode `current_at` bisects the implicit I-V equation
-//! (100 iterations with an `exp` each) on every converter step, which
-//! dominates closed-loop simulation time. [`CachedPvSurface`] replaces
-//! the hot path with a bilinear table lookup; this bin measures
+//! The exact single-diode `current_at` solves the implicit I-V equation
+//! by Newton's method (a few `exp_m1`s) on every converter step.
+//! [`CachedPvSurface`] replaces the hot path with a bilinear table
+//! lookup, built sequentially from the same exact solver; this bin
+//! measures
 //!
-//! 1. the one-off table build cost, and the worker threads the build
-//!    solved its rows on (the host's available parallelism),
+//! 1. the one-off table build cost,
 //! 2. the measured worst relative current error against the exact
 //!    solver (must sit inside the documented 1e-3 bound),
 //! 3. the measured worst `Vmpp` error and power loss of the `Vmpp(lux)`
@@ -118,16 +118,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CachedPvSurface::build(cell.model(), cell.temperature()).expect("surface builds")
     });
     let (n_lux, n_v) = CachedPvSurface::grid_size();
-    // The build solves its rows on the host's available parallelism,
-    // one worker per row at most.
-    let build_workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(n_lux);
     let (lux_lo, lux_hi) = CachedPvSurface::lux_domain();
     let max_rel_err = surface.validate_against_exact(lux_probes, v_probes)?;
     println!(
-        "table {n_lux}x{n_v} over {lux_lo}..{lux_hi}: built in {build_time:?} \
-         on {build_workers} worker(s), \
+        "table {n_lux}x{n_v} over {lux_lo}..{lux_hi}: built in {build_time:?}, \
          worst |dI|/Isc over {lux_probes}x{v_probes} off-grid probes = {max_rel_err:.3e} \
          (documented bound 1.0e-3)"
     );
@@ -276,7 +270,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "grid_v": {n_v},
     "lux_domain": [{lo}, {hi}],
     "build_ms": {build_ms:.3},
-    "build_workers": {build_workers},
     "validation_probes": [{lux_probes}, {v_probes}],
     "max_rel_current_error": {max_rel_err:.6e},
     "documented_error_bound": 1e-3

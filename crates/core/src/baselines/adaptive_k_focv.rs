@@ -178,12 +178,6 @@ impl MpptController for AdaptiveKFocv {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        // The analog sample-and-hold chain bootstraps exactly as the
-        // paper's does; the trim loop only runs once the system is alive.
-        true
-    }
-
     fn compute_cost(&self) -> ComputeCost {
         // One multiply-accumulate per step plus a compare-and-step at
         // capture boundaries.
@@ -284,7 +278,6 @@ mod tests {
     fn declares_its_costs() {
         let t = AdaptiveKFocv::paper_tuned().unwrap();
         assert!(t.overhead_power().as_micro() < 40.0, "still ULP class");
-        assert!(t.can_cold_start());
         assert!(!t.requires_light_sensor());
         assert!(!t.compute_cost().is_free());
     }

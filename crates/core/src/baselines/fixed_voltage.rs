@@ -69,10 +69,6 @@ impl MpptController for FixedVoltage {
     fn overhead_power(&self) -> Watts {
         self.overhead
     }
-
-    fn can_cold_start(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -106,6 +102,5 @@ mod tests {
         // §IV-B: the S&H (8 µA) draws less than the reference IC here.
         let t = FixedVoltage::indoor_tuned().unwrap();
         assert!(t.overhead_power().as_micro() > 26.4);
-        assert!(t.can_cold_start());
     }
 }

@@ -20,7 +20,6 @@ use crate::error::CoreError;
 /// use eh_core::MpptController;
 ///
 /// let tracker = FocvSampleHold::paper_prototype()?;
-/// assert!(tracker.can_cold_start());
 /// assert!(tracker.overhead_power().as_micro() < 30.0);
 /// # Ok::<(), eh_core::CoreError>(())
 /// ```
@@ -125,10 +124,6 @@ impl MpptController for FocvSampleHold {
 
     fn overhead_power(&self) -> Watts {
         self.overhead
-    }
-
-    fn can_cold_start(&self) -> bool {
-        true
     }
 }
 

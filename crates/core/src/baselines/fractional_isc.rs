@@ -109,10 +109,6 @@ impl MpptController for FractionalIsc {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        false
-    }
-
     fn compute_cost(&self) -> ComputeCost {
         // One scale, two compares, one step, one clamp per decision.
         ComputeCost::mcu_class(40)
@@ -190,7 +186,6 @@ mod tests {
     fn declares_costs() {
         let t = FractionalIsc::literature_default().unwrap();
         assert!(t.overhead_power().as_micro() >= 500.0);
-        assert!(!t.can_cold_start());
         assert!(!t.requires_light_sensor());
         assert!(!t.compute_cost().is_free());
     }

@@ -135,11 +135,6 @@ impl MpptController for GradientDescentMppt {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        // Needs an MCU and continuous power sensing, like P&O.
-        false
-    }
-
     fn compute_cost(&self) -> ComputeCost {
         // A finite-difference division, a scaled multiply, two clamps
         // and the direction bookkeeping — the heaviest decision here.
@@ -241,7 +236,6 @@ mod tests {
     fn declares_mcu_class_costs() {
         let t = GradientDescentMppt::literature_default().unwrap();
         assert!(t.overhead_power().as_milli() >= 1.0);
-        assert!(!t.can_cold_start());
         assert!(!t.requires_light_sensor());
         let cost = t.compute_cost();
         assert!(!cost.is_free());

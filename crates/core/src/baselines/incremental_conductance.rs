@@ -126,10 +126,6 @@ impl MpptController for IncrementalConductance {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        false
-    }
-
     fn compute_cost(&self) -> ComputeCost {
         // Two divisions (ΔI/ΔV and I/V) dominate; division-heavy
         // decisions cost noticeably more than P&O's compare-and-step.
@@ -228,7 +224,6 @@ mod tests {
     fn declares_mcu_class_costs() {
         let t = IncrementalConductance::literature_default().unwrap();
         assert!(t.overhead_power().as_milli() >= 1.0);
-        assert!(!t.can_cold_start());
         assert!(!t.requires_light_sensor());
         assert!(!t.compute_cost().is_free());
     }

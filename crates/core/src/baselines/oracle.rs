@@ -37,10 +37,6 @@ impl MpptController for Oracle {
         Watts::ZERO
     }
 
-    fn can_cold_start(&self) -> bool {
-        true
-    }
-
     fn requires_light_sensor(&self) -> bool {
         true
     }

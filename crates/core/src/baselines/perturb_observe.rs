@@ -103,12 +103,6 @@ impl MpptController for PerturbObserve {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        // §I: needs fine-grained control — a microcontroller — so it
-        // cannot bootstrap a dead system from indoor light.
-        false
-    }
-
     fn compute_cost(&self) -> ComputeCost {
         // Sample scaling, one compare, one signed step, one clamp.
         ComputeCost::mcu_class(60)
@@ -188,7 +182,6 @@ mod tests {
         let c = t.step(&obs(50.0), Seconds::from_milli(100.0));
         assert!(c.is_connect(), "P&O never disconnects the module");
         assert!(t.overhead_power().as_milli() >= 1.0);
-        assert!(!t.can_cold_start());
     }
 
     #[test]

@@ -98,10 +98,6 @@ impl MpptController for Photodetector {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        true
-    }
-
     fn requires_light_sensor(&self) -> bool {
         true
     }

@@ -68,10 +68,6 @@ impl MpptController for PilotCell {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        true
-    }
-
     fn requires_light_sensor(&self) -> bool {
         true
     }

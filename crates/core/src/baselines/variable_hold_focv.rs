@@ -197,12 +197,6 @@ impl MpptController for VariableHoldFocv {
         self.overhead
     }
 
-    fn can_cold_start(&self) -> bool {
-        // The underlying sample-and-hold chain is the paper's; the
-        // period trimmer only runs once the system is alive.
-        true
-    }
-
     fn compute_cost(&self) -> ComputeCost {
         // One EWMA update plus one scaled clamp, and only at capture
         // steps — the cheapest digital tracker in the set.
@@ -324,7 +318,6 @@ mod tests {
     fn declares_its_costs() {
         let t = VariableHoldFocv::eq2_tuned().unwrap();
         assert!((t.overhead_power().as_micro() - 26.4).abs() < 0.1);
-        assert!(t.can_cold_start());
         assert!(!t.requires_light_sensor());
         assert!(!t.compute_cost().is_free());
         assert!(

@@ -109,9 +109,6 @@ pub trait MpptController {
     /// `eh-node` relies on this and reads it once per run.
     fn overhead_power(&self) -> Watts;
 
-    /// Whether the technique can bootstrap from a completely dead system.
-    fn can_cold_start(&self) -> bool;
-
     /// Whether the technique needs an ambient light sensor (pilot cell or
     /// photodiode). The engine only populates
     /// [`Observation::ambient_lux`] for trackers that return `true`.

@@ -4,8 +4,10 @@
 //!
 //! Every closed-loop step of the node and system engines resolves the
 //! same smooth surface `I(V, lux)` at one `(model, temperature)` — and
-//! the exact solver pays a 60–100-iteration bisection/Newton for each
-//! query. [`CachedPvSurface`] replaces those solves with table lookups:
+//! the exact solver pays a Newton iteration (a few `exp_m1`s and
+//! divisions) for each query. [`CachedPvSurface`] replaces those solves
+//! with table lookups, and builds its table with the same exact solver,
+//! [`SingleDiodeModel::current_at`]:
 //!
 //! * a 1-D table `Voc(lux)`, linear in log-lux (the Voc law *is*
 //!   logarithmic, so the interpolant is nearly exact);
@@ -42,9 +44,6 @@
 //! (dark, dimmer than 0.05 lux, brighter than 200 klux, or beyond Voc)
 //! every query **falls back to the exact solver**, so out-of-domain
 //! answers are bit-identical to the uncached path.
-
-use std::num::NonZeroUsize;
-use std::sync::Mutex;
 
 use eh_units::{Amps, Kelvin, Lux, Volts, Watts};
 
@@ -115,53 +114,6 @@ impl LuxCursor {
     }
 }
 
-/// `exp(x) − 1` with the argument clamped to avoid overflow (mirrors the
-/// exact solver's clamping).
-#[inline]
-fn exp_m1_clamped(x: f64) -> f64 {
-    x.min(500.0).exp_m1()
-}
-
-/// Exact terminal current by safeguarded Newton on the junction voltage
-/// `W = V + I·Rs`: the residual
-/// `h(W) = Iph − I0·expm1(W/b) − W/Rsh − (W − V)/Rs`
-/// is strictly decreasing and bracketed on `[V, V + Iph·Rs]` for
-/// `0 ≤ V ≤ Voc`. Newton starts at the bracket's left end and its steps
-/// often leave the bracket, so the bisection safeguard fires: a table
-/// build averages 23.8 iterations per grid point on the AM-1815 (24.5 on
-/// the crystalline preset). It is the exact evaluator for table
-/// construction (the runtime fallback still uses the reference
-/// bisection in [`SingleDiodeModel::current_at`]; both solve the same
-/// equation to double precision).
-fn solve_current(iph: f64, i0: f64, b: f64, rs: f64, rsh: f64, v: f64) -> f64 {
-    if rs <= 0.0 {
-        return iph - i0 * exp_m1_clamped(v / b) - v / rsh;
-    }
-    let h = |w: f64| iph - i0 * exp_m1_clamped(w / b) - w / rsh - (w - v) / rs;
-    let mut lo = v;
-    let mut hi = v + iph * rs + 1e-12;
-    let mut w = v;
-    for _ in 0..80 {
-        let hv = h(w);
-        if hv > 0.0 {
-            lo = w;
-        } else {
-            hi = w;
-        }
-        let dh = -(i0 / b) * (w / b).min(500.0).exp() - 1.0 / rsh - 1.0 / rs;
-        let mut next = w - hv / dh;
-        if !(next > lo && next < hi) {
-            next = 0.5 * (lo + hi);
-        }
-        if (next - w).abs() <= 1e-15 * (1.0 + w.abs()) {
-            w = next;
-            break;
-        }
-        w = next;
-    }
-    (w - v) / rs
-}
-
 /// The normalized MPP voltage `u* = Vmpp/Voc` of one shape row: the
 /// grid argmax of the sampled power `u·s(u)`, refined by the vertex of
 /// the parabola through it and its two neighbours. The row's ends carry
@@ -181,65 +133,6 @@ fn mpp_fraction(row: &[f64]) -> f64 {
         0.0
     };
     (k as f64 + offset) * h
-}
-
-/// The per-illuminance scalars of one table row.
-#[derive(Debug, Clone, Copy, Default)]
-struct RowHead {
-    lux: f64,
-    voc: f64,
-    isc: f64,
-    vmpp: f64,
-}
-
-/// Fills every row of a table — `heads[j]` and the `N_V`-wide run
-/// `shape[j·N_V..]` — with `row(j, run)` on `workers` scoped threads
-/// (clamped to `1..=heads.len()`), the calling thread among them.
-///
-/// Workers claim rows one at a time, in row order, from a shared queue,
-/// so a worker slowed by a busy core holds up at most one row, and each
-/// row's slices are written only by the worker that claimed it. A
-/// worker stops at its first failing row. Rows are claimed in order, so
-/// every row below a recorded failure was claimed and finished too: the
-/// lowest recorded failure is the lowest failing row, whose error a
-/// sequential fill would return.
-fn solve_rows(
-    workers: usize,
-    heads: &mut [RowHead],
-    shape: &mut [f64],
-    row: impl Fn(usize, &mut [f64]) -> Result<RowHead, PvError> + Sync,
-) -> Result<(), PvError> {
-    let workers = workers.clamp(1, heads.len());
-    let queue = Mutex::new(
-        heads
-            .iter_mut()
-            .zip(shape.chunks_exact_mut(N_V))
-            .enumerate(),
-    );
-    let work = || loop {
-        let (j, (head, run)) = queue
-            .lock()
-            .expect("the queue is locked only to take a row, which cannot panic")
-            .next()?;
-        match row(j, run) {
-            Ok(h) => *head = h,
-            Err(e) => return Some((j, e)),
-        }
-    };
-    let lowest = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let own = work();
-        spawned
-            .into_iter()
-            .map(|w| {
-                w.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .chain([own])
-            .flatten()
-            .min_by_key(|&(j, _)| j)
-    });
-    lowest.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// A memoized bilinear interpolation table over one cell's I-V surface,
@@ -313,84 +206,55 @@ impl CachedPvSurface {
 
     /// Builds the table for one `(model, temperature)` pair.
     ///
-    /// Construction performs `N_LUX` exact Voc solves plus
-    /// `N_LUX × N_V` safeguarded Newton current solves — about 85 ms on
-    /// one core of a 2-core x86-64 host, amortized over the millions of
-    /// lookups of a closed-loop run. The `Vmpp` table is read off the
-    /// shape rows without further solves.
-    ///
-    /// Each log-lux row depends only on its own illuminance and the
-    /// shared diode constants, so the rows are solved in parallel on
-    /// [`std::thread::available_parallelism`] scoped threads, each
-    /// writing only the rows it claims into the pre-allocated table.
-    /// Every row runs the same code at any worker count, so the table is
-    /// **bitwise identical** however many cores the host has.
+    /// Construction performs `N_LUX` exact Voc and Isc solves plus
+    /// `N_LUX × N_V` exact current solves, each a call to
+    /// [`SingleDiodeModel::current_at`] — about 15 ms on one core of a
+    /// 2-core x86-64 host, amortized over the millions of lookups of a
+    /// closed-loop run. The `Vmpp` table is read off the shape rows
+    /// without further solves.
     ///
     /// # Errors
     ///
     /// Propagates exact-solver failures, and reports
-    /// [`PvError::SolveFailed`] if a grid node produces a non-finite
-    /// table entry. When several rows fail, the lowest row's error is
-    /// returned, as a sequential build would.
+    /// [`PvError::SolveFailed`] if a row's Voc or Isc is not positive.
     pub fn build(model: &SingleDiodeModel, temperature: Kelvin) -> Result<Self, PvError> {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::build_on(model, temperature, workers)
-    }
-
-    /// [`CachedPvSurface::build`] on `workers` threads (clamped to
-    /// `1..=N_LUX`), the calling thread among them.
-    fn build_on(
-        model: &SingleDiodeModel,
-        temperature: Kelvin,
-        workers: usize,
-    ) -> Result<Self, PvError> {
         let ln_min = LUX_MIN.ln();
         let ln_step = (LUX_MAX / LUX_MIN).ln() / (N_LUX - 1) as f64;
-        let i0 = model.saturation_current(temperature).value();
-        let b = model.thermal_slope(temperature).value();
-        let rs = model.series_resistance().value();
-        let failed = || PvError::SolveFailed {
-            what: "cache grid node",
-        };
-
-        let mut heads = [RowHead::default(); N_LUX];
-        let mut shape = vec![0.0; N_LUX * N_V];
-        solve_rows(workers, &mut heads, &mut shape, |j, row| {
+        let mut lux_grid = Vec::with_capacity(N_LUX);
+        let mut voc = Vec::with_capacity(N_LUX);
+        let mut isc = Vec::with_capacity(N_LUX);
+        let mut vmpp = Vec::with_capacity(N_LUX);
+        let mut shape = Vec::with_capacity(N_LUX * N_V);
+        for j in 0..N_LUX {
             let lux = (ln_min + ln_step * j as f64).exp();
             let l = Lux::new(lux);
-            let voc = model.open_circuit_voltage(l, temperature)?.value();
-            let iph = model.photocurrent(l, temperature).value();
-            let rsh = model.shunt_resistance(l).value();
-            let isc = solve_current(iph, i0, b, rs, rsh, 0.0);
-            if !(voc.is_finite() && voc > 0.0 && isc.is_finite() && isc > 0.0) {
-                return Err(failed());
+            let voc_j = model.open_circuit_voltage(l, temperature)?.value();
+            let isc_j = model.short_circuit_current(l, temperature)?.value();
+            if !(voc_j > 0.0 && isc_j > 0.0) {
+                return Err(PvError::SolveFailed {
+                    what: "cache grid node",
+                });
             }
-            for (k, s) in row.iter_mut().enumerate() {
-                let u = k as f64 / (N_V - 1) as f64;
-                let i = solve_current(iph, i0, b, rs, rsh, u * voc);
-                if !i.is_finite() {
-                    return Err(failed());
-                }
-                *s = i / isc;
+            for k in 0..N_V {
+                let v = Volts::new(k as f64 / (N_V - 1) as f64 * voc_j);
+                shape.push(model.current_at(v, l, temperature)?.value() / isc_j);
             }
-            Ok(RowHead {
-                lux,
-                voc,
-                isc,
-                vmpp: mpp_fraction(row) * voc,
-            })
-        })?;
+            lux_grid.push(lux);
+            voc.push(voc_j);
+            isc.push(isc_j);
+            vmpp.push(mpp_fraction(&shape[j * N_V..]) * voc_j);
+        }
         Ok(Self {
             model: model.clone(),
             temperature,
             ln_min,
             ln_step,
             inv_ln_step: 1.0 / ln_step,
-            lux_grid: heads.iter().map(|h| h.lux).collect(),
-            voc: heads.iter().map(|h| h.voc).collect(),
-            isc: heads.iter().map(|h| h.isc).collect(),
+            lux_grid,
+            voc,
+            isc,
             shape,
-            vmpp: heads.iter().map(|h| h.vmpp).collect(),
+            vmpp,
         })
     }
 
@@ -824,66 +688,59 @@ impl CachedPvSurface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
+    use crate::model::tests::bisection_current;
+    use crate::{presets, PvCell};
     use eh_units::Celsius;
 
+    /// Both presets at the placement temperatures, as the fleet builds
+    /// them.
+    fn placement_tables() -> impl Iterator<Item = (PvCell, f64, CachedPvSurface)> {
+        [presets::sanyo_am1815(), presets::crystalline_outdoor()]
+            .into_iter()
+            .flat_map(|cell| {
+                [25.0, 30.0, 35.0].map(|celsius| {
+                    let t = Celsius::new(celsius).to_kelvin();
+                    let table = CachedPvSurface::build(cell.model(), t).unwrap();
+                    (cell.clone(), celsius, table)
+                })
+            })
+    }
+
     #[test]
-    fn build_is_bit_identical_at_any_worker_count() {
-        // FNV-1a over the tables' bytes, recorded from the sequential
-        // build before the rows were parallelised.
-        const DIGEST: u64 = 0x0673_e32e_f8b9_4973;
+    fn build_matches_its_recorded_digest() {
+        // FNV-1a over the tables' bytes, recorded from the build that
+        // solves every node with `SingleDiodeModel::current_at`.
+        const DIGEST: u64 = 0x74a6_3209_b526_eb10;
         let mut digest = 0xcbf2_9ce4_8422_2325_u64;
-        for cell in [presets::sanyo_am1815(), presets::crystalline_outdoor()] {
-            for celsius in [25.0, 30.0, 35.0] {
-                let t = Celsius::new(celsius).to_kelvin();
-                let sequential = CachedPvSurface::build_on(cell.model(), t, 1).unwrap();
-                let bits = sequential.table_bits();
-                for workers in [2, 3, 8, N_LUX + 4] {
-                    let parallel = CachedPvSurface::build_on(cell.model(), t, workers).unwrap();
-                    assert_eq!(parallel.temperature, sequential.temperature);
-                    assert!(
-                        parallel.table_bits() == bits,
-                        "{} at {celsius} °C moved at {workers} workers",
-                        cell.name()
-                    );
-                }
-                for byte in bits.iter().flat_map(|x| x.to_le_bytes()) {
-                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                }
+        for (_, _, table) in placement_tables() {
+            for byte in table.table_bits().iter().flat_map(|x| x.to_le_bytes()) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
             }
         }
         assert_eq!(digest, DIGEST, "the table bits moved");
     }
 
+    /// Every shape node is the bisection oracle's `I/Isc` to 1e-13.
     #[test]
-    fn lowest_failing_row_wins_at_any_worker_count() {
-        let fail_at = |rows: &'static [usize]| {
-            move |j: usize, _: &mut [f64]| {
-                if rows.contains(&j) {
-                    Err(PvError::OutOfRange {
-                        what: "row",
-                        value: j as f64,
-                    })
-                } else {
-                    Ok(RowHead::default())
+    fn shape_nodes_match_the_bisection_oracle() {
+        for (cell, celsius, table) in placement_tables() {
+            let t = table.temperature;
+            for (j, &lux) in table.lux_grid.iter().enumerate() {
+                let l = Lux::new(lux);
+                let isc = bisection_current(cell.model(), Volts::ZERO, l, t)
+                    .unwrap()
+                    .value();
+                let row = &table.shape[j * N_V..(j + 1) * N_V];
+                for (k, &s) in row.iter().enumerate() {
+                    let v = Volts::new(k as f64 / (N_V - 1) as f64 * table.voc[j]);
+                    let oracle = bisection_current(cell.model(), v, l, t).unwrap().value() / isc;
+                    assert!(
+                        (s - oracle).abs() <= 1e-13,
+                        "{} at {celsius} °C, node ({j}, {k}): {s} against {oracle}",
+                        cell.name()
+                    );
                 }
             }
-        };
-        for workers in [1, 2, 3, 8, N_LUX + 4] {
-            let mut heads = [RowHead::default(); N_LUX];
-            let mut shape = vec![0.0; N_LUX * N_V];
-            for (rows, lowest) in [(&[7, 90][..], 7.0), (&[120, 61][..], 61.0)] {
-                let err = solve_rows(workers, &mut heads, &mut shape, fail_at(rows)).unwrap_err();
-                assert_eq!(
-                    err,
-                    PvError::OutOfRange {
-                        what: "row",
-                        value: lowest
-                    },
-                    "{workers} workers"
-                );
-            }
-            assert!(solve_rows(workers, &mut heads, &mut shape, fail_at(&[])).is_ok());
         }
     }
 }

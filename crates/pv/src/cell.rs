@@ -136,11 +136,10 @@ impl PvCell {
 
     /// The memoized I-V surface for this `(model, temperature)`, taken
     /// on first call from the process-wide [`registry`](crate::registry),
-    /// which builds it if no cell of the process has (about 85 ms of
-    /// solves, spread over every available core; see
-    /// [`CachedPvSurface::build`]). Useful to warm the table before
-    /// cloning the cell into sweep jobs, or to probe the cache directly
-    /// regardless of [`PvCell::cache_enabled`].
+    /// which builds it if no cell of the process has (about 15 ms of
+    /// solves; see [`CachedPvSurface::build`]). Useful to warm the table
+    /// before cloning the cell into sweep jobs, or to probe the cache
+    /// directly regardless of [`PvCell::cache_enabled`].
     ///
     /// # Errors
     ///

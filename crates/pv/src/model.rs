@@ -319,16 +319,29 @@ impl SingleDiodeModel {
     }
 
     /// Terminal current at terminal voltage `v`, solving the implicit
-    /// single-diode equation by bisection (the residual is strictly
-    /// monotone in `I`, so bisection is globally convergent). A dark
-    /// cell at 0 V carries exactly 0 A, as a dark cell's
-    /// [`SingleDiodeModel::open_circuit_voltage`] is exactly 0 V; in
-    /// the dark at `v > 0` the diode's dark current is still solved.
+    /// single-diode equation by Newton's method on `I`. The residual
+    /// `Iph − I0·expm1((V + I·Rs)/b) − (V + I·Rs)/Rsh − I` is decreasing
+    /// and concave in `I`, so Newton started right of the root falls
+    /// monotonically onto it, with no bracket to keep.
+    ///
+    /// The start is `min(Iph, (W_s − V)/Rs)`, where `W_s` bounds the
+    /// root's junction voltage `W = V + I·Rs` from above. At
+    /// `W_max = b·ln(1 + Iph/I0)` the diode alone sinks all of `Iph`.
+    /// Beyond it, the diode's current in excess of `Iph`,
+    /// `(Iph + I0)·expm1((W − W_max)/b)`, must come in through the
+    /// series resistor as reverse current, at most `(V − W_max)/Rs`, so
+    /// `W_s = W_max + b·ln(1 + max(V − W_max, 0)/(Rs·(Iph + I0)))`. A
+    /// start at `Iph` alone would cost about one step per thermal slope
+    /// that `V + Iph·Rs` lies beyond the root: over 200 at 10⁶ lux. A
+    /// cell without series resistance has its current in closed form. A
+    /// dark cell at 0 V carries exactly 0 A, as a dark cell's
+    /// [`SingleDiodeModel::open_circuit_voltage`] is exactly 0 V: the
+    /// start is then the root itself.
     ///
     /// # Errors
     ///
     /// Returns [`PvError::OutOfRange`] for negative `v` and
-    /// [`PvError::SolveFailed`] if the root cannot be bracketed.
+    /// [`PvError::SolveFailed`] if the iteration does not settle.
     pub fn current_at(&self, v: Volts, lux: Lux, t: Kelvin) -> Result<Amps, PvError> {
         if !v.is_finite() || v.value() < 0.0 {
             return Err(PvError::OutOfRange {
@@ -344,71 +357,50 @@ impl SingleDiodeModel {
         }
         let iph = self.photocurrent(lux, t).value();
         let vv = v.value();
-        if iph == 0.0 && vv == 0.0 {
-            // A dark cell shorted carries exactly nothing: I = 0 solves
-            // the equation, and bisection would stop short of it.
-            return Ok(Amps::ZERO);
-        }
         let i0 = self.saturation_current(t).value();
         let b = self.thermal_slope(t).value();
         let rs = self.series_resistance.value();
         let rsh = self.shunt_resistance(lux).value();
-
-        let residual = |i: f64| -> f64 {
-            let vj = vv + i * rs;
-            iph - i0 * exp_m1_clamped(vj / b) - vj / rsh - i
-        };
-
-        // Bracket the root. residual() is strictly decreasing in i.
-        let mut hi = iph * 1.5 + 1e-9;
-        if residual(hi) > 0.0 {
-            // Should not happen (residual(iph·1.5) ≤ −0.5·iph), but expand
-            // defensively for tiny iph.
-            for _ in 0..60 {
-                hi *= 2.0;
-                if residual(hi) <= 0.0 {
-                    break;
-                }
-            }
+        if rs == 0.0 {
+            return Ok(Amps::new(iph - i0 * exp_m1_clamped(vv / b) - vv / rsh));
         }
-        let mut lo = -1e-6;
-        let mut expand = 0;
-        while residual(lo) < 0.0 {
-            lo *= 2.0;
-            expand += 1;
-            if expand > 80 {
-                return Err(PvError::SolveFailed { what: "current" });
-            }
-        }
-        // Bisect.
-        let mut flo = residual(lo);
-        for _ in 0..100 {
-            let mid = 0.5 * (lo + hi);
-            let fm = residual(mid);
-            if flo * fm <= 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-                flo = fm;
-            }
-        }
-        Ok(Amps::new(0.5 * (lo + hi)))
+        let w_max = b * (iph / i0).ln_1p();
+        let w_s = w_max + b * ((vv - w_max).max(0.0) / (rs * (iph + i0))).ln_1p();
+        let start = iph.min((w_s - vv) / rs);
+        // Once `I·Rs` falls below the rounding of `V`, the residual
+        // moves with `−I` alone while its slope keeps the diode's and
+        // shunt's share, and the steps shrink geometrically without
+        // improving anything: the stop lies where they pass below the
+        // rounding of `Iph`.
+        let i = newton_from_right(start, f64::EPSILON * iph, "current", |i| {
+            let w = vv + i * rs;
+            let e = exp_m1_clamped(w / b);
+            let conductance = i0 / b * (e + 1.0) + 1.0 / rsh;
+            (iph - i0 * e - w / rsh - i, -rs * conductance - 1.0)
+        })?;
+        Ok(Amps::new(i))
     }
 
     /// Terminal voltage at which the cell carries current `i` — the
-    /// inverse of [`SingleDiodeModel::current_at`], solved directly on
-    /// the junction voltage `W = V + I·Rs` (the residual
-    /// `I0·expm1(W/b) + W/Rsh − (Iph − I)` is strictly increasing in
-    /// `W`, so safeguarded Newton converges in a handful of steps).
+    /// inverse of [`SingleDiodeModel::current_at`], solved by Newton's
+    /// method on the junction voltage `W = V + I·Rs`. The residual
+    /// `I0·expm1(W/b) + W/Rsh − (Iph − I)` is increasing and convex in
+    /// `W`, so Newton started right of the root falls monotonically onto
+    /// it, with no bracket to keep. A positive `Iph − I` is reached
+    /// by the diode alone at `b·ln(1 + (Iph − I)/I0)` and by the shunt
+    /// alone at `(Iph − I)·Rsh`, and the start is the nearer of the two;
+    /// otherwise the root is at or below `W = 0`, where it starts.
     ///
     /// For currents above the short-circuit current the cell cannot
     /// reach a non-negative voltage; the returned value is negative
-    /// (clamped at −10 V), which array code interprets as "bypass".
+    /// (its junction voltage clamped at −10 V), which array code
+    /// interprets as "bypass".
     ///
     /// # Errors
     ///
     /// Returns [`PvError::OutOfRange`] for negative illuminance or a
-    /// non-finite current.
+    /// non-finite current, and [`PvError::SolveFailed`] if the
+    /// iteration does not settle.
     pub fn voltage_at_current(&self, i: Amps, lux: Lux, t: Kelvin) -> Result<Volts, PvError> {
         if !lux.is_finite() || lux.value() < 0.0 {
             return Err(PvError::OutOfRange {
@@ -430,58 +422,33 @@ impl SingleDiodeModel {
         let target = iph - i.value();
 
         const W_FLOOR: f64 = -10.0;
-        let g = |w: f64| i0 * exp_m1_clamped(w / b) + w / rsh - target;
-        let dg = |w: f64| i0 / b * exp_clamped(w / b) + 1.0 / rsh;
-
-        // Bracket: g is increasing; find [lo, hi] with g(lo) ≤ 0 ≤ g(hi).
-        let mut hi = if target > 0.0 {
-            b * (target / i0 + 1.0).ln() + 0.5
+        let start = if target > 0.0 {
+            (b * (target / i0).ln_1p()).min(target * rsh)
         } else {
-            0.5
+            0.0
         };
-        let mut guard = 0;
-        while g(hi) < 0.0 {
-            hi += b;
-            guard += 1;
-            if guard > 200 {
-                return Err(PvError::SolveFailed { what: "voltage" });
-            }
-        }
-        let mut lo = W_FLOOR;
-        if g(lo) > 0.0 {
-            return Ok(Volts::new(W_FLOOR - i.value() * rs));
-        }
-        // Safeguarded Newton.
-        let mut w = hi.min((target * rsh).clamp(W_FLOOR, hi));
-        for _ in 0..60 {
-            let gv = g(w);
-            if gv > 0.0 {
-                hi = w;
-            } else {
-                lo = w;
-            }
-            let mut next = w - gv / dg(w);
-            if !(next > lo && next < hi) {
-                next = 0.5 * (lo + hi);
-            }
-            if (next - w).abs() < 1e-13 {
-                w = next;
-                break;
-            }
-            w = next;
-        }
-        Ok(Volts::new(w - i.value() * rs))
+        let w = newton_from_right(start, 0.0, "voltage", |w| {
+            let e = exp_m1_clamped(w / b);
+            (i0 * e + w / rsh - target, i0 / b * (e + 1.0) + 1.0 / rsh)
+        })?;
+        Ok(Volts::new(w.max(W_FLOOR) - i.value() * rs))
     }
 
     /// Open-circuit voltage at the given illuminance and temperature.
     ///
     /// Solves `Iph = I0·expm1(Voc/b) + Voc/Rsh` (at `I = 0` the series
-    /// resistance drops out) by safeguarded Newton iteration.
+    /// resistance drops out) by Newton's method. The residual
+    /// `Iph − I0·expm1(V/b) − V/Rsh` is decreasing and concave in `V`,
+    /// so Newton started right of the root falls monotonically onto it,
+    /// with no bracket to keep. The start is the nearer of the voltages
+    /// at which the diode alone, `b·ln(1 + Iph/I0)`, or the shunt alone,
+    /// `Iph·Rsh`, would sink the photocurrent.
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::OutOfRange`] for negative illuminance. At zero
-    /// illuminance the open-circuit voltage is zero.
+    /// Returns [`PvError::OutOfRange`] for negative illuminance and
+    /// [`PvError::SolveFailed`] if the iteration does not settle. At
+    /// zero illuminance the open-circuit voltage is zero.
     pub fn open_circuit_voltage(&self, lux: Lux, t: Kelvin) -> Result<Volts, PvError> {
         if !lux.is_finite() || lux.value() < 0.0 {
             return Err(PvError::OutOfRange {
@@ -497,39 +464,12 @@ impl SingleDiodeModel {
         let b = self.thermal_slope(t).value();
         let rsh = self.shunt_resistance(lux).value();
 
-        let g = |v: f64| iph - i0 * exp_m1_clamped(v / b) - v / rsh;
-        let dg = |v: f64| -i0 / b * exp_clamped(v / b) - 1.0 / rsh;
-
-        // Bracket: g(0) = iph > 0; expand hi until g(hi) < 0.
-        let mut hi = b * (iph / i0 + 1.0).ln() + 0.1;
-        let mut guard = 0;
-        while g(hi) > 0.0 {
-            hi += b;
-            guard += 1;
-            if guard > 200 {
-                return Err(PvError::SolveFailed { what: "voc" });
-            }
-        }
-        let mut lo = 0.0;
-        let mut v = hi * 0.9;
-        for _ in 0..80 {
-            let gv = g(v);
-            if gv > 0.0 {
-                lo = v;
-            } else {
-                hi = v;
-            }
-            let step = gv / dg(v);
-            let mut next = v - step;
-            if !(next > lo && next < hi) {
-                next = 0.5 * (lo + hi);
-            }
-            if (next - v).abs() < 1e-12 {
-                return Ok(Volts::new(next));
-            }
-            v = next;
-        }
-        Ok(Volts::new(v))
+        let start = (b * (iph / i0).ln_1p()).min(iph * rsh);
+        let voc = newton_from_right(start, 0.0, "voc", |v| {
+            let e = exp_m1_clamped(v / b);
+            (iph - i0 * e - v / rsh, -(i0 / b * (e + 1.0)) - 1.0 / rsh)
+        })?;
+        Ok(Volts::new(voc))
     }
 
     /// Short-circuit current.
@@ -576,15 +516,243 @@ fn exp_m1_clamped(x: f64) -> f64 {
     x.min(500.0).exp_m1()
 }
 
-/// `exp(x)` with the argument clamped to avoid overflow.
-#[inline]
-fn exp_clamped(x: f64) -> f64 {
-    x.min(500.0).exp()
+/// More Newton steps than any solve takes: over every preset from −20
+/// to 85 °C, dark to 10⁶ lux and 0 V to 10⁵ V, none evaluates its
+/// residual more than 12 times.
+const NEWTON_STEP_CAP: usize = 64;
+
+/// The root of a monotone residual by Newton's method, started at or
+/// right of it. `residual(x)` returns the residual and its derivative.
+///
+/// Each caller's residual is either decreasing and concave or
+/// increasing and convex, so its tangent at any point crosses zero
+/// between that point and the root: from the root's right every step
+/// moves left and none passes the root, and no bracket or bisection is
+/// needed. (A start a rounding error left of the root stops at once,
+/// as close to it as the start's own rounding.) The iteration stops at
+/// the first step that moves left by no more than `floor`, which in
+/// floating point is the root to the residual's rounding; a caller
+/// whose residual stops resolving its unknown above some size passes
+/// that size as `floor`.
+///
+/// # Errors
+///
+/// [`PvError::SolveFailed`] for `what` if the iterates do not settle
+/// within [`NEWTON_STEP_CAP`] steps or leave the finite numbers.
+fn newton_from_right(
+    start: f64,
+    floor: f64,
+    what: &'static str,
+    residual: impl Fn(f64) -> (f64, f64),
+) -> Result<f64, PvError> {
+    let mut x = start;
+    for _ in 0..NEWTON_STEP_CAP {
+        let (r, slope) = residual(x);
+        let next = x - r / slope;
+        if x - next <= floor && x.is_finite() {
+            return Ok(next.min(x));
+        }
+        if next.is_nan() {
+            break;
+        }
+        x = next;
+    }
+    Err(PvError::SolveFailed { what })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use eh_units::Celsius;
+
+    /// The bracketed bisection that `current_at` ran before the Newton
+    /// iteration, copied verbatim (with `self` as `m`) as the test
+    /// oracle: 100 halvings of a bracket on the current.
+    pub(crate) fn bisection_current(
+        m: &SingleDiodeModel,
+        v: Volts,
+        lux: Lux,
+        t: Kelvin,
+    ) -> Result<Amps, PvError> {
+        if !v.is_finite() || v.value() < 0.0 {
+            return Err(PvError::OutOfRange {
+                what: "terminal voltage",
+                value: v.value(),
+            });
+        }
+        if !lux.is_finite() || lux.value() < 0.0 {
+            return Err(PvError::OutOfRange {
+                what: "illuminance",
+                value: lux.value(),
+            });
+        }
+        let iph = m.photocurrent(lux, t).value();
+        let vv = v.value();
+        if iph == 0.0 && vv == 0.0 {
+            // A dark cell shorted carries exactly nothing: I = 0 solves
+            // the equation, and bisection would stop short of it.
+            return Ok(Amps::ZERO);
+        }
+        let i0 = m.saturation_current(t).value();
+        let b = m.thermal_slope(t).value();
+        let rs = m.series_resistance().value();
+        let rsh = m.shunt_resistance(lux).value();
+
+        let residual = |i: f64| -> f64 {
+            let vj = vv + i * rs;
+            iph - i0 * exp_m1_clamped(vj / b) - vj / rsh - i
+        };
+
+        // Bracket the root. residual() is strictly decreasing in i.
+        let mut hi = iph * 1.5 + 1e-9;
+        if residual(hi) > 0.0 {
+            // Should not happen (residual(iph·1.5) ≤ −0.5·iph), but expand
+            // defensively for tiny iph.
+            for _ in 0..60 {
+                hi *= 2.0;
+                if residual(hi) <= 0.0 {
+                    break;
+                }
+            }
+        }
+        let mut lo = -1e-6;
+        let mut expand = 0;
+        while residual(lo) < 0.0 {
+            lo *= 2.0;
+            expand += 1;
+            if expand > 80 {
+                return Err(PvError::SolveFailed { what: "current" });
+            }
+        }
+        // Bisect.
+        let mut flo = residual(lo);
+        for _ in 0..100 {
+            let mid = 0.5 * (lo + hi);
+            let fm = residual(mid);
+            if flo * fm <= 0.0 {
+                hi = mid;
+            } else {
+                lo = mid;
+                flo = fm;
+            }
+        }
+        Ok(Amps::new(0.5 * (lo + hi)))
+    }
+
+    /// The root of an increasing `f` on `[lo, hi]`, halved until the
+    /// bracket's ends are adjacent doubles.
+    fn bisect(mut lo: f64, mut hi: f64, f: impl Fn(f64) -> f64) -> f64 {
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                return mid;
+            }
+            if f(mid) > 0.0 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+
+    /// The swept conditions: every preset from −20 to 85 °C, in the dark
+    /// and from 10⁻⁴ to 10⁶ lux in quarter decades.
+    fn sweep() -> impl Iterator<Item = (crate::PvCell, Kelvin, Lux)> {
+        let cells = [
+            crate::presets::sanyo_am1815(),
+            crate::presets::schott_asi_1116929(),
+            crate::presets::crystalline_outdoor(),
+        ];
+        cells.into_iter().flat_map(|cell| {
+            [-20.0, 0.0, 15.0, 25.0, 30.0, 35.0, 60.0, 85.0]
+                .into_iter()
+                .flat_map(move |celsius| {
+                    let t = Celsius::new(celsius).to_kelvin();
+                    let lit = (-16..=24).map(|q| Lux::new(10f64.powf(f64::from(q) / 4.0)));
+                    std::iter::once(Lux::ZERO)
+                        .chain(lit)
+                        .map(move |lux| (t, lux))
+                })
+                .map(move |(t, lux)| (cell.clone(), t, lux))
+        })
+    }
+
+    /// The Newton current stays within 1e-12 of `max(Iph, |I|)` of the
+    /// bisection it replaced, from short circuit to 1.2·Voc and on to
+    /// 10⁵ V of reverse current.
+    #[test]
+    fn current_matches_the_bisection_oracle() {
+        for (cell, t, lux) in sweep() {
+            let m = cell.model();
+            let iph = m.photocurrent(lux, t).value();
+            let voc = m.open_circuit_voltage(lux, t).unwrap().value();
+            let near = (0..=96).map(|k| 1.2 * voc * f64::from(k) / 96.0);
+            let far = [1.5, 3.0, 7.0, 12.0, 30.0, 100.0, 1e3, 1e4, 1e5];
+            for v in near.chain(far) {
+                let v = Volts::new(v);
+                let newton = m
+                    .current_at(v, lux, t)
+                    .unwrap_or_else(|e| panic!("{} at {t:?}, {lux:?}, {v:?}: {e}", cell.name()))
+                    .value();
+                let oracle = bisection_current(m, v, lux, t).unwrap().value();
+                assert!(
+                    (newton - oracle).abs() <= 1e-12 * iph.max(oracle.abs()),
+                    "{} at {t:?}, {lux:?}, {v:?}: {newton} against {oracle}",
+                    cell.name()
+                );
+            }
+        }
+    }
+
+    /// Voc and V(I) stay within 1e-12 V of a bisection on their own
+    /// residuals.
+    #[test]
+    fn voltages_match_bisections_of_their_residuals() {
+        for (cell, t, lux) in sweep() {
+            let m = cell.model();
+            let iph = m.photocurrent(lux, t).value();
+            let i0 = m.saturation_current(t).value();
+            let b = m.thermal_slope(t).value();
+            let rs = m.series_resistance().value();
+            let rsh = m.shunt_resistance(lux).value();
+            let voc = m.open_circuit_voltage(lux, t).unwrap().value();
+            if iph > 0.0 {
+                let w_max = b * (iph / i0).ln_1p();
+                let oracle = bisect(0.0, w_max, |v| i0 * exp_m1_clamped(v / b) + v / rsh - iph);
+                assert!(
+                    (voc - oracle).abs() <= 1e-12,
+                    "{} Voc at {t:?}, {lux:?}: {voc} against {oracle}",
+                    cell.name()
+                );
+            } else {
+                assert_eq!(voc, 0.0);
+            }
+            let isc = m.short_circuit_current(lux, t).unwrap().value();
+            let scale = isc.max(1e-9);
+            for f in [-3.0, -0.5, 0.0, 0.25, 0.5, 0.9, 0.99, 1.0, 1.01, 1.5, 10.0] {
+                let i = f * scale;
+                let v = m.voltage_at_current(Amps::new(i), lux, t).unwrap().value();
+                let target = iph - i;
+                let g = |w: f64| i0 * exp_m1_clamped(w / b) + w / rsh - target;
+                let hi = if target > 0.0 {
+                    b * (target / i0).ln_1p()
+                } else {
+                    0.0
+                };
+                let w = if g(-10.0) > 0.0 {
+                    -10.0
+                } else {
+                    bisect(-10.0, hi, g)
+                };
+                let oracle = w - i * rs;
+                assert!(
+                    (v - oracle).abs() <= 1e-12,
+                    "{} V({i:e} A) at {t:?}, {lux:?}: {v} against {oracle}",
+                    cell.name()
+                );
+            }
+        }
+    }
 
     fn am1815_like() -> SingleDiodeModel {
         SingleDiodeModel::builder("test-cell")

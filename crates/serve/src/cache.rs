@@ -1,5 +1,7 @@
-//! A small, dependency-free LRU cache with hit/miss/eviction
-//! accounting.
+//! A small, dependency-free LRU cache. It keeps no counters: the
+//! service counts hits, misses and evictions in
+//! [`crate::ServiceMetrics`] from what [`LruCache::get`] and
+//! [`LruCache::insert`] return.
 //!
 //! Two instances back the service: the **response cache** (canonical
 //! request hash → rendered response bytes) and the **context cache**
@@ -24,9 +26,6 @@ pub struct LruCache<K, V> {
     entries: HashMap<K, (u64, V)>,
     capacity: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
@@ -36,27 +35,15 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             entries: HashMap::new(),
             capacity: capacity.max(1),
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
-    /// Looks up a key, refreshing its recency on a hit and counting
-    /// the outcome either way.
+    /// Looks up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some((last_used, value)) => {
-                *last_used = self.tick;
-                self.hits += 1;
-                Some(value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (last_used, value) = self.entries.get_mut(key)?;
+        *last_used = self.tick;
+        Some(value.clone())
     }
 
     /// Inserts (or refreshes) a value, evicting the least recently
@@ -73,42 +60,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
                 .map(|(k, _)| k.clone())
             {
                 self.entries.remove(&oldest);
-                self.evictions += 1;
                 evicted = true;
             }
         }
         self.entries.insert(key, (self.tick, value));
         evicted
-    }
-
-    /// Current entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Lifetime eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -120,18 +76,14 @@ mod tests {
     fn hit_miss_and_refresh() {
         let mut c: LruCache<u64, String> = LruCache::new(2);
         assert!(c.get(&1).is_none());
-        c.insert(1, "one".into());
-        c.insert(2, "two".into());
+        assert!(!c.insert(1, "one".into()));
+        assert!(!c.insert(2, "two".into()));
         assert_eq!(c.get(&1).as_deref(), Some("one"));
-        // 1 was refreshed, so inserting 3 evicts 2.
+        // 1 was refreshed, so inserting 3 evicts 2, and only 2.
         assert!(c.insert(3, "three".into()));
         assert!(c.get(&2).is_none());
         assert_eq!(c.get(&1).as_deref(), Some("one"));
         assert_eq!(c.get(&3).as_deref(), Some("three"));
-        assert_eq!(c.hits(), 3);
-        assert_eq!(c.misses(), 2);
-        assert_eq!(c.evictions(), 1);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -142,17 +94,16 @@ mod tests {
         assert!(!c.insert(1, 11), "refresh must not evict");
         assert_eq!(c.get(&1), Some(11));
         assert_eq!(c.get(&2), Some(20));
-        assert_eq!(c.evictions(), 0);
     }
 
     #[test]
     fn capacity_clamps_to_one() {
         let mut c: LruCache<u8, u8> = LruCache::new(0);
-        assert_eq!(c.capacity(), 1);
-        c.insert(1, 1);
-        assert!(c.insert(2, 2));
-        assert!(c.is_empty() || c.len() == 1);
+        assert!(!c.insert(1, 1));
+        assert_eq!(c.get(&1), Some(1));
+        assert!(c.insert(2, 2), "a second key evicts the first");
         assert!(c.get(&1).is_none());
         assert_eq!(c.get(&2), Some(2));
+        assert!(c.insert(3, 3));
     }
 }

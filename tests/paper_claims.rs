@@ -145,7 +145,6 @@ fn claim_indoor_superiority() {
 fn claim_no_light_sensor_needed() {
     let tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
     assert!(!tracker.requires_light_sensor());
-    assert!(tracker.can_cold_start());
 }
 
 /// §IV-A claim: the astable produces a 39 ms ON and 69 s OFF period, and
