@@ -4,7 +4,8 @@
 //! 1. Both labels give **equal** [`FleetReport`]s for every tracker
 //!    kind, on cached and uncached surfaces, with metrics on and off.
 //! 2. A run is **bit-identical to itself** across seeds × worker
-//!    counts {1, 2, 4} × shard sizes {1, 32, 257}.
+//!    counts {1, 2, 4, 16} × shard sizes {1, 7, 32, 257, 1000}, and a
+//!    different seed gives a different fleet.
 //! 3. Growing the fleet leaves the outcomes of the existing prefix
 //!    unchanged.
 //! 4. The output of the FOCV path is pinned bit for bit by golden
@@ -63,6 +64,7 @@ fn runs_are_bit_identical_across_workers_and_shards() {
         TrackerKind::VariableHoldFocv,
         TrackerKind::AdaptiveKFocv,
         TrackerKind::GradientDescent,
+        TrackerKind::FixedVoltage,
     ];
     for seed in [2011_u64, 7, 404] {
         let ctx = FleetContext::prepare(&spec(24, seed)).unwrap();
@@ -73,8 +75,8 @@ fn runs_are_bit_identical_across_workers_and_shards() {
                     .unwrap()
             };
             let reference = run(FleetRunner::new(1));
-            for workers in [1_usize, 2, 4] {
-                for shard_size in [1_usize, 32, 257] {
+            for workers in [1_usize, 2, 4, 16] {
+                for shard_size in [1_usize, 7, 32, 257, 1000] {
                     let candidate = run(FleetRunner::new(workers).with_shard_size(shard_size));
                     assert_eq!(
                         reference,
@@ -87,6 +89,14 @@ fn runs_are_bit_identical_across_workers_and_shards() {
             }
         }
     }
+}
+
+#[test]
+fn different_seeds_produce_different_fleets() {
+    let runner = FleetRunner::new(2);
+    let a = runner.run(&spec(40, 2011)).unwrap();
+    let b = runner.run(&spec(40, 2012)).unwrap();
+    assert_ne!(a, b, "the seed must actually steer the population");
 }
 
 #[test]

@@ -66,7 +66,7 @@ fn lerp(a: f64, b: f64, t: f64) -> f64 {
 }
 
 /// A connect step's fused operating point, from
-/// [`CachedPvSurface::connect_point`] or, solved exactly,
+/// [`CachedPvSurface::connect_point_lane`] or, solved exactly,
 /// [`SingleDiodeModel::connect_point`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnectPoint {
@@ -84,8 +84,8 @@ pub struct ConnectPoint {
 /// [`CachedPvSurface::open_circuit_voltage_lane`] — the node
 /// simulation's per-step surface reads.
 ///
-/// The `ln` in [`CachedPvSurface`]'s cell index is one of the three
-/// hottest scalar ops in the step profile (DESIGN.md §10), yet
+/// The `ln` in [`CachedPvSurface`]'s cell index is the dearest op of
+/// an uncursored surface read (DESIGN.md §14), yet
 /// consecutive steps of one node almost always land in the *same*
 /// log-lux cell (cells are ~13 % wide in lux; illuminance moves slowly
 /// on the simulation grid). A cursor remembers the cell's `[lo, hi)`
@@ -367,10 +367,10 @@ impl CachedPvSurface {
         Ok(Amps::new(self.shape_current(v.value(), j, tx, voc_q, l)))
     }
 
-    /// The bilinear shape-table read behind every in-domain current
-    /// query, shared so the scalar and connect-point entry points are
-    /// bit-identical by construction. Requires `0 ≤ vv ≤ voc_q` and an
-    /// in-domain `l` with `(j, tx)` from [`CachedPvSurface::lux_cell`].
+    /// The bilinear shape-table read behind the in-domain current of
+    /// [`CachedPvSurface::current_at`] and [`CachedPvSurface::mpp`].
+    /// Requires `0 ≤ vv ≤ voc_q` and an in-domain `l` with `(j, tx)`
+    /// from [`CachedPvSurface::lux_cell`].
     #[inline]
     fn shape_current(&self, vv: f64, j: usize, tx: f64, voc_q: f64, l: f64) -> f64 {
         self.shape_factor(vv, j, tx, voc_q) * self.isc_interp(j, l)
@@ -390,48 +390,6 @@ impl CachedPvSurface {
         let s0 = lerp(row0[k], row0[k + 1], tu);
         let s1 = lerp(row1[k], row1[k + 1], tu);
         lerp(s0, s1, tx)
-    }
-
-    /// One connect step's operating point — `Voc(lux)`, the regulated
-    /// voltage `min(target, Voc)`, and the current drawn there — sharing
-    /// a single log-lux cell lookup between the Voc and current reads.
-    ///
-    /// Calling [`CachedPvSurface::open_circuit_voltage`] followed by
-    /// [`CachedPvSurface::current_at`] resolves `lux_cell` (one `ln`)
-    /// twice per step; this fused query resolves it once and returns
-    /// **bit-identical** values, in and out of the cached domain (the
-    /// fallback is [`SingleDiodeModel::connect_point`], which calls the
-    /// same exact-solver methods in the same order). `current` is `None`
-    /// when the regulated voltage is not positive — a dark module or a
-    /// zero hold-cap target — exactly the case where the engine skips
-    /// the harvest.
-    ///
-    /// `target` must be finite; the engine only issues connect commands
-    /// with positive finite targets.
-    ///
-    /// # Errors
-    ///
-    /// Rejects negative/non-finite illuminance; propagates fallback
-    /// solver errors outside the domain.
-    #[inline]
-    pub fn connect_point(&self, target: Volts, lux: Lux) -> Result<ConnectPoint, PvError> {
-        Self::validate_lux(lux)?;
-        let l = lux.value();
-        if !Self::in_domain(l) {
-            return self.model.connect_point(target, lux, self.temperature);
-        }
-        let (j, tx) = self.lux_cell(l);
-        let voc_q = self.voc_interp(j, tx);
-        let voc = Volts::new(voc_q);
-        let v_op = target.min(voc);
-        // `v_op ≤ voc_q` by construction, so the beyond-Voc exact
-        // fallback in `current_at` can never trigger here.
-        let current = if v_op.value() > 0.0 {
-            Some(Amps::new(self.shape_current(v_op.value(), j, tx, voc_q, l)))
-        } else {
-            None
-        };
-        Ok(ConnectPoint { voc, v_op, current })
     }
 
     /// Cell index and fractional position along the log-lux axis,
@@ -492,13 +450,25 @@ impl CachedPvSurface {
         Ok(Volts::new(self.voc_interp(j, tx)))
     }
 
-    /// [`CachedPvSurface::connect_point`] through a per-run
-    /// [`LuxCursor`] — the node simulation's per-step surface read.
-    /// Same fused semantics as the scalar query; the cursor only
-    /// replaces the `ln`-derived cell index while the illuminance stays
-    /// within the current cell (divergence < 3e-11 in the fractional
-    /// cell position), and any out-of-domain or invalid query resets the
-    /// cursor and delegates to the scalar path unchanged.
+    /// One connect step's operating point through a per-run
+    /// [`LuxCursor`] — the node simulation's per-step surface read:
+    /// `Voc(lux)`, the regulated voltage `min(target, Voc)`, and the
+    /// current drawn there, from one log-lux cell lookup. `current` is
+    /// `None` when the regulated voltage is not positive — a dark
+    /// module or a zero hold-cap target — exactly the case where the
+    /// engine skips the harvest.
+    ///
+    /// In the domain, the answers diverge from the two-call sequence
+    /// [`CachedPvSurface::open_circuit_voltage`] then
+    /// [`CachedPvSurface::current_at`] only by the cursor's < 3e-11
+    /// bound on the fractional cell position. Any out-of-domain or
+    /// invalid query resets the cursor and is solved exactly by
+    /// [`SingleDiodeModel::connect_point`], which calls the same
+    /// exact-solver methods in the same order as that sequence, so
+    /// those answers are bit-identical to it.
+    ///
+    /// `target` must be finite; the engine only issues connect commands
+    /// with positive finite targets.
     ///
     /// # Errors
     ///
@@ -514,7 +484,8 @@ impl CachedPvSurface {
         let l = lux.value();
         if !(l.is_finite() && l >= 0.0 && Self::in_domain(l)) {
             cursor.cell = None;
-            return self.connect_point(target, lux);
+            Self::validate_lux(lux)?;
+            return self.model.connect_point(target, lux, self.temperature);
         }
         let (j, tx, lo, inv_w) = self.lux_cell_cursor(cursor, l);
         let voc_q = self.voc_interp(j, tx);

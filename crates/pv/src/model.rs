@@ -485,8 +485,8 @@ impl SingleDiodeModel {
     /// the regulated voltage `min(target, Voc)`, and the current drawn
     /// there, which is `None` when the regulated voltage is not
     /// positive. The exact counterpart of
-    /// [`crate::CachedPvSurface::connect_point`], which falls back to it
-    /// outside its cached domain.
+    /// [`crate::CachedPvSurface::connect_point_lane`], which falls back
+    /// to it outside its cached domain.
     ///
     /// # Errors
     ///

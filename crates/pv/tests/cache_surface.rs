@@ -2,7 +2,7 @@
 //! documented error bound must hold across the lux/voltage grid, at the
 //! domain boundaries, in the dark, and beyond Voc.
 
-use eh_pv::{presets, CachedPvSurface, PvCell};
+use eh_pv::{presets, CachedPvSurface, ConnectPoint, PvCell};
 use eh_units::{Celsius, Lux, Volts};
 use proptest::prelude::*;
 
@@ -306,13 +306,47 @@ proptest! {
     }
 }
 
-/// `connect_point` must return exactly what the two-call sequence —
-/// `open_circuit_voltage` then `current_at(min(target, voc))` — returns,
-/// bit for bit, across the domain, in the dark, beyond the bright edge,
-/// and for targets above Voc.
+/// The reference every lane read is held to: `open_circuit_voltage`,
+/// then `current_at(min(target, voc))`, with no current when the
+/// regulated voltage is not positive.
+fn two_call(surf: &CachedPvSurface, target: Volts, lux: Lux) -> ConnectPoint {
+    let voc = surf.open_circuit_voltage(lux).expect("voc");
+    let v_op = target.min(voc);
+    let current = (v_op.value() > 0.0).then(|| surf.current_at(v_op, lux).expect("current"));
+    ConnectPoint { voc, v_op, current }
+}
+
+/// A connect point's bit patterns, for bit-for-bit comparison.
+fn bits(p: &ConnectPoint) -> (u64, u64, Option<u64>) {
+    (
+        p.voc.value().to_bits(),
+        p.v_op.value().to_bits(),
+        p.current.map(|a| a.value().to_bits()),
+    )
+}
+
+/// In-domain agreement within the cursor's < 3e-11 fractional-cell
+/// bound, which maps to 1e-9 relative on Voc and 1e-8 on the current.
+fn assert_tracks(lane: &ConnectPoint, reference: &ConnectPoint, at: &str) {
+    let dvoc = (lane.voc - reference.voc).value().abs() / reference.voc.value();
+    assert!(dvoc < 1e-9, "voc diverged at {at}: {dvoc}");
+    match (lane.current, reference.current) {
+        (Some(a), Some(b)) => {
+            let rel = (a - b).value().abs() / b.value().abs().max(1e-15);
+            assert!(rel < 1e-8, "current diverged at {at}: {rel}");
+        }
+        (a, b) => assert_eq!(a.is_some(), b.is_some(), "presence diverged at {at}"),
+    }
+}
+
+/// Across the domain, in the dark, beyond the bright edge and for
+/// targets above Voc, the lane read agrees with the two-call sequence:
+/// within the cursor's bounds in the domain (each illuminance is one
+/// cursor miss, then cursor hits), bit for bit outside it.
 #[test]
-fn connect_point_is_bit_identical_to_the_two_call_sequence() {
+fn connect_point_lane_matches_the_two_call_sequence() {
     let surf = surface();
+    let mut cursor = eh_pv::LuxCursor::new();
     let (lo, hi) = CachedPvSurface::lux_domain();
     let span = (hi.value() / lo.value()).ln();
     let mut luxes: Vec<f64> = (0..25)
@@ -325,44 +359,39 @@ fn connect_point_is_bit_identical_to_the_two_call_sequence() {
         let voc_ref = surf.open_circuit_voltage(lux).expect("voc");
         for frac in [1e-6, 0.3, 0.596, 0.9, 1.0, 1.5] {
             let target = Volts::new((voc_ref.value() * frac).max(1e-9));
-            let fused = surf.connect_point(target, lux).expect("connect point");
-            assert_eq!(fused.voc.value().to_bits(), voc_ref.value().to_bits());
-            let v_op_ref = target.min(voc_ref);
-            assert_eq!(fused.v_op.value().to_bits(), v_op_ref.value().to_bits());
-            if v_op_ref.value() > 0.0 {
-                let i_ref = surf.current_at(v_op_ref, lux).expect("current");
-                let i_fused = fused.current.expect("positive v_op has a current");
-                assert_eq!(
-                    i_fused.value().to_bits(),
-                    i_ref.value().to_bits(),
-                    "lux={l} frac={frac}"
-                );
+            let lane = surf
+                .connect_point_lane(&mut cursor, target, lux)
+                .expect("lane query");
+            let reference = two_call(surf, target, lux);
+            if (lo..=hi).contains(&lux) {
+                assert_tracks(&lane, &reference, &format!("lux={l} frac={frac}"));
             } else {
-                assert!(fused.current.is_none());
+                assert_eq!(bits(&lane), bits(&reference), "lux={l} frac={frac}");
             }
         }
     }
 }
 
 /// A dark module (zero Voc) yields no current: the engine's
-/// skip-the-harvest arm.
+/// skip-the-harvest arm, bit for bit the two-call sequence's answer.
 #[test]
-fn connect_point_in_the_dark_has_no_current() {
+fn connect_point_lane_in_the_dark_has_no_current() {
     let surf = surface();
+    let (target, dark) = (Volts::new(1.0), Lux::new(0.0));
     let p = surf
-        .connect_point(Volts::new(1.0), Lux::new(0.0))
+        .connect_point_lane(&mut eh_pv::LuxCursor::new(), target, dark)
         .expect("dark connect point");
     assert_eq!(p.voc, Volts::ZERO);
     assert_eq!(p.v_op, Volts::ZERO);
     assert!(p.current.is_none());
+    assert_eq!(bits(&p), bits(&two_call(surf, target, dark)));
 }
 
 /// A walking illuminance drives the cursor through cursor hits and cell
-/// crossings; at every point the lane read must agree with the scalar
-/// `connect_point` to the documented < 3e-11 fractional-cell bound
-/// (which maps to a comparable relative bound on Voc and current).
+/// crossings; at every point the lane read must track the two-call
+/// sequence within the cursor's bounds.
 #[test]
-fn connect_point_lane_tracks_the_scalar_query() {
+fn connect_point_lane_tracks_the_two_call_sequence() {
     let surf = surface();
     let mut cursor = eh_pv::LuxCursor::new();
     // Sweep up and back down: ~0.3 % steps stay in-cell for many
@@ -374,24 +403,14 @@ fn connect_point_lane_tracks_the_scalar_query() {
         let lane = surf
             .connect_point_lane(&mut cursor, target, Lux::new(lux))
             .expect("lane query");
-        let scalar = surf
-            .connect_point(target, Lux::new(lux))
-            .expect("scalar query");
-        let dvoc = (lane.voc - scalar.voc).value().abs() / scalar.voc.value();
-        assert!(dvoc < 1e-9, "voc diverged at lux {lux}: {dvoc}");
-        match (lane.current, scalar.current) {
-            (Some(a), Some(b)) => {
-                let rel = (a - b).value().abs() / b.value().abs().max(1e-15);
-                assert!(rel < 1e-8, "current diverged at lux {lux}: {rel}");
-            }
-            (a, b) => assert_eq!(a.is_some(), b.is_some(), "presence diverged at {lux}"),
-        }
+        let reference = two_call(surf, target, Lux::new(lux));
+        assert_tracks(&lane, &reference, &format!("lux {lux}"));
     }
 }
 
 /// Out-of-domain and invalid queries through the lane entry points are
-/// bit-identical to the scalar path (exact-solver fallback), and a
-/// fallback resets the cursor rather than leaving a stale cell armed.
+/// bit-identical to the two-call sequence (exact-solver fallback), and
+/// a fallback resets the cursor rather than leaving a stale cell armed.
 #[test]
 fn lane_queries_fall_back_bitwise_out_of_domain() {
     let surf = surface();
@@ -400,16 +419,8 @@ fn lane_queries_fall_back_bitwise_out_of_domain() {
         let lane = surf
             .connect_point_lane(&mut cursor, Volts::new(1.0), Lux::new(l))
             .expect("fallback query");
-        let scalar = surf
-            .connect_point(Volts::new(1.0), Lux::new(l))
-            .expect("scalar query");
-        assert_eq!(lane.voc.value().to_bits(), scalar.voc.value().to_bits());
-        assert_eq!(lane.v_op.value().to_bits(), scalar.v_op.value().to_bits());
-        assert_eq!(
-            lane.current.map(|a| a.value().to_bits()),
-            scalar.current.map(|a| a.value().to_bits()),
-            "lux {l}"
-        );
+        let reference = two_call(surf, Volts::new(1.0), Lux::new(l));
+        assert_eq!(bits(&lane), bits(&reference), "lux {l}");
         let voc_lane = surf
             .open_circuit_voltage_lane(&mut cursor, Lux::new(l))
             .expect("fallback voc");

@@ -6,8 +6,9 @@
 //! Two instances back the service: the **response cache** (canonical
 //! request hash → rendered response bytes) and the **context cache**
 //! (spec hash → shared [`eh_fleet::FleetContext`], deduplicating the
-//! expensive population stamping and PV-surface warming across
-//! requests that differ only in tracker or engine). Both are correct
+//! population stamping and light-trace synthesis across requests that
+//! differ only in tracker or engine; the PV surface tables come from
+//! the process-wide [`eh_pv::registry`] either way). Both are correct
 //! by construction — the fleet pipeline is deterministic, so a cached
 //! value is byte-identical to a recomputation — which is why eviction
 //! policy only affects *cost*, never *answers*.

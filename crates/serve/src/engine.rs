@@ -3,9 +3,10 @@
 //!
 //! A [`ComputeEngine`] owns the sized [`FleetRunner`], the **context
 //! cache** (spec hash → [`FleetContext`], so requests differing only
-//! in tracker/engine reuse one stamped population and warmed surface
-//! pool; the pool's tables themselves are shared process-wide by
-//! [`eh_pv::registry`], so a context miss builds none it already has),
+//! in tracker/engine reuse one stamped population, its light traces and
+//! its surface pool; the pool's tables themselves are shared
+//! process-wide by [`eh_pv::registry`], so a context miss builds none
+//! it already has),
 //! and the [`SpillStore`] for streaming campaigns. Responses
 //! are rendered through [`Json::to_canonical_string`], so a recomputed
 //! response is always byte-identical to its first rendering — the

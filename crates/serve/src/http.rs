@@ -7,14 +7,21 @@
 //! optimizes for cheap, stateless exchanges, not connection reuse, and
 //! one-shot connections keep the worker pool's queueing semantics
 //! trivial to reason about.
+//!
+//! A client cannot stall the read: the whole request must arrive within
+//! [`REQUEST_DEADLINE`], else the parse fails with `408`.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum request body bytes.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Time a client has to deliver its whole request, head and body,
+/// counted from the start of [`read_request`].
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,15 +63,38 @@ fn parse_error(status: u16, message: impl Into<String>) -> HttpParseError {
     }
 }
 
-/// Reads one request from the stream.
+/// One read that must return by `deadline`: the socket's timeout is
+/// the time left, so a client that trickles bytes cannot stretch it.
+fn read_by(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, HttpParseError> {
+    let timed_out = || parse_error(408, "request not received in time");
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(timed_out());
+    }
+    stream
+        .set_read_timeout(Some(left))
+        .map_err(|e| parse_error(400, format!("read failed: {e}")))?;
+    stream.read(buf).map_err(|e| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => timed_out(),
+        _ => parse_error(400, format!("read failed: {e}")),
+    })
+}
+
+/// Reads one request from the stream, within [`REQUEST_DEADLINE`].
 ///
 /// # Errors
 ///
 /// `Err(parse error)` carries the status to answer with (400 for
-/// malformed requests, 413 for oversized ones, 505 for non-1.x
-/// versions); transport failures surface as a 400-class error too,
-/// since nothing can be answered on a dead socket anyway.
+/// malformed requests, 408 for one not complete by the deadline, 413
+/// for oversized ones, 505 for non-1.x versions); transport failures
+/// surface as a 400-class error too, since nothing can be answered on
+/// a dead socket anyway.
 pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpParseError> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     // Accumulate until the blank line ending the head.
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
@@ -75,9 +105,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpParseErro
         if head.len() > MAX_HEAD_BYTES {
             return Err(parse_error(413, "request head too large"));
         }
-        let n = stream
-            .read(&mut buf)
-            .map_err(|e| parse_error(400, format!("read failed: {e}")))?;
+        let n = read_by(stream, &mut buf, deadline)?;
         if n == 0 {
             return Err(parse_error(400, "connection closed mid-request"));
         }
@@ -125,9 +153,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpParseErro
         return Err(parse_error(400, "body longer than Content-Length"));
     }
     while body.len() < content_length {
-        let n = stream
-            .read(&mut buf)
-            .map_err(|e| parse_error(400, format!("read failed: {e}")))?;
+        let n = read_by(stream, &mut buf, deadline)?;
         if n == 0 {
             return Err(parse_error(400, "connection closed mid-body"));
         }
@@ -156,6 +182,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         500 => "Internal Server Error",
@@ -332,7 +359,7 @@ mod tests {
 
     #[test]
     fn reasons_cover_the_emitted_statuses() {
-        for status in [200, 400, 404, 405, 413, 422, 500, 503, 505] {
+        for status in [200, 400, 404, 405, 408, 413, 422, 500, 503, 505] {
             assert_ne!(reason(status), "Unknown");
         }
         assert_eq!(reason(418), "Unknown");

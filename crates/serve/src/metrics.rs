@@ -32,9 +32,11 @@ pub mod names {
     pub const CACHE_MISSES: &str = "serve.cache.misses";
     /// Response-cache evictions.
     pub const CACHE_EVICTIONS: &str = "serve.cache.evictions";
-    /// Context-cache hits (population + surface reuse).
+    /// Context-cache hits (a stamped population and its light traces
+    /// reused).
     pub const CONTEXT_HITS: &str = "serve.context_cache.hits";
-    /// Context-cache misses (a population was stamped).
+    /// Context-cache misses (a population was stamped and its traces
+    /// synthesized).
     pub const CONTEXT_MISSES: &str = "serve.context_cache.misses";
     /// Requests that led a single-flight computation.
     pub const SF_LEADER: &str = "serve.singleflight.leader";

@@ -374,7 +374,8 @@ impl WhatIfRequest {
         fnv1a(self.canonical_json().as_bytes())
     }
 
-    /// The spec hash: context-cache key (population + surfaces reuse).
+    /// The spec hash: context-cache key (population and light-trace
+    /// reuse).
     pub fn spec_hash(&self) -> u64 {
         fnv1a(self.spec_canonical_json().as_bytes())
     }

@@ -22,6 +22,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::cache::LruCache;
 use crate::engine::ComputeEngine;
@@ -324,7 +325,12 @@ fn respond(
     let _ = http::write_response(stream, status, extra_headers, body.as_bytes());
 }
 
+/// How long one response write may block on a client that stopped
+/// reading, so such a client cannot hold a worker either.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let request = match http::read_request(stream) {
         Ok(r) => r,
         Err(e) => {

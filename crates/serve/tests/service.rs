@@ -1,13 +1,14 @@
 //! End-to-end service tests over real sockets: cache byte-identity,
 //! single-flight coalescing, streaming, error statuses, overload
-//! shedding and graceful shutdown.
+//! shedding, idle clients and graceful shutdown.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
-use eh_serve::{metrics::names, Json, Op, ServeConfig, Server, WhatIfRequest};
+use eh_serve::{http, metrics::names, Json, Op, ServeConfig, Server, WhatIfRequest};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -347,6 +348,49 @@ fn zero_capacity_queue_sheds_with_503() {
     let m = server.metrics();
     assert_eq!(m.counter(names::HTTP_SHED), 1);
     assert_eq!(m.counter(names::HTTP_SERVER_ERROR), 1);
+    server.shutdown();
+}
+
+/// A client that sends half a request head and stops holds the only
+/// HTTP worker until the request deadline and no longer: it gets a 408,
+/// and a `/healthz` queued behind it is answered within the deadline
+/// plus a margin. A server without the deadline fails this on the
+/// probe's own read timeout instead of hanging.
+#[test]
+fn idle_client_cannot_hold_the_only_worker() {
+    let mut cfg = ServeConfig::default_local();
+    cfg.http_workers = 1;
+    cfg.sim_workers = 1;
+    cfg.spill_dir = scratch_dir("idle");
+    let server = Server::spawn(cfg).unwrap();
+    let addr = server.addr();
+    let client_timeout = Some(http::REQUEST_DEADLINE + Duration::from_secs(5));
+
+    // Connected first, so the one worker takes it first.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.set_read_timeout(client_timeout).unwrap();
+    idle.write_all(b"GET /healthz HTTP/1.1\r\nhost: te")
+        .expect("write half a head");
+
+    let mut probe = TcpStream::connect(addr).expect("connect");
+    probe.set_read_timeout(client_timeout).unwrap();
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n")
+        .expect("write the probe");
+    let mut reply = String::new();
+    probe
+        .read_to_string(&mut reply)
+        .expect("/healthz answered within the deadline plus a margin");
+    assert!(reply.starts_with("HTTP/1.1 200 "), "probe got: {reply}");
+
+    let mut timed_out = String::new();
+    idle.read_to_string(&mut timed_out)
+        .expect("the idle client's reply");
+    assert!(
+        timed_out.starts_with("HTTP/1.1 408 "),
+        "idle client got: {timed_out}"
+    );
+    assert_eq!(server.metrics().counter(names::HTTP_CLIENT_ERROR), 1);
     server.shutdown();
 }
 

@@ -1,9 +1,10 @@
 //! Cross-crate integration for the eh-obs metrics layer: opt-in
-//! recording through the facade at circuit, node and fleet scale, the
-//! energy-ledger conservation invariant, and the exporters.
+//! recording through the facade at circuit and node scale, the
+//! energy-ledger conservation invariant, and the exporters. The fleet
+//! store's worker invariance is a property of eh-fleet
+//! (`crates/fleet/tests/properties.rs`).
 
 use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
-use pv_mppt_repro::fleet::{FleetRunner, FleetSpec};
 use pv_mppt_repro::node::{DutyCycledLoad, NodeSimulation, SimConfig};
 use pv_mppt_repro::obs::{EnergyBucket, Metrics};
 use pv_mppt_repro::pv::presets;
@@ -77,19 +78,6 @@ fn node_ledger_conserves_and_exports() {
         table.contains("node.measurements"),
         "table export misses counters:\n{table}"
     );
-}
-
-/// Fleet-level stores merge worker-invariantly through the facade.
-#[test]
-fn fleet_metrics_worker_invariant() {
-    let mut spec = FleetSpec::mixed_indoor_outdoor(6, 42).expect("valid spec");
-    spec.trace_decimate = 3600;
-    spec.dt = Seconds::new(3600.0);
-    spec.obs = true;
-    let one = FleetRunner::new(1).run(&spec).expect("1-worker run");
-    let four = FleetRunner::new(4).run(&spec).expect("4-worker run");
-    assert!(one.metrics.is_some());
-    assert_eq!(one.metrics, four.metrics);
 }
 
 /// The metric store's recording API is usable stand-alone (no
