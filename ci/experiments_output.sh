@@ -28,11 +28,11 @@ bins=(
   tolerance_study
 )
 
-cargo build -q --release -p eh-bench --bins
+cargo build -q --release --locked -p eh-bench --bins
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 for bin in "${bins[@]}"; do
   echo "################ $bin ################"
-  cargo run -q --release -p eh-bench --bin "$bin" | sed '/^sweep wall-clock: /d'
+  cargo run -q --release --locked -p eh-bench --bin "$bin" | sed '/^sweep wall-clock: /d'
 done > "$tmp"
 cat "$tmp" > experiments_output.txt

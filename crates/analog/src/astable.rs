@@ -239,11 +239,6 @@ impl AstableMultivibrator {
         self.output_high
     }
 
-    /// The timing capacitor's present voltage.
-    pub fn capacitor_voltage(&self) -> Volts {
-        self.timing_cap.voltage()
-    }
-
     /// Simulated time elapsed.
     pub fn time(&self) -> Seconds {
         self.time

@@ -30,9 +30,10 @@ fn require_non_negative(name: &'static str, v: f64) -> Result<f64, AnalogError> 
 /// A micropower rail-to-rail comparator (National LMC7215 class: the part
 /// the paper's astable and ACTIVE monitor use).
 ///
-/// The model is static (output settles within one simulation step —
-/// the LMC7215's ~4 µs propagation delay is far below the 39 ms pulse
-/// width) with optional input hysteresis and a constant supply current.
+/// The model is static: the output settles within one simulation step,
+/// because the LMC7215's ~4 µs propagation delay is four orders of
+/// magnitude below the 39 ms pulse width. It has optional input
+/// hysteresis and a constant supply current.
 ///
 /// ```
 /// use eh_analog::components::Comparator;
@@ -47,7 +48,6 @@ pub struct Comparator {
     supply_voltage: Volts,
     supply_current: Amps,
     hysteresis: Volts,
-    propagation_delay: Seconds,
     output_high: bool,
 }
 
@@ -69,36 +69,19 @@ impl Comparator {
             supply_voltage,
             supply_current,
             hysteresis,
-            propagation_delay: Seconds::from_micro(4.0),
             output_high: false,
         })
     }
 
     /// The LMC7215 at a given supply: 0.7 µA typical supply current,
-    /// no built-in hysteresis, ~4 µs propagation delay.
+    /// no built-in hysteresis.
     pub fn lmc7215(supply_voltage: Volts) -> Self {
         Self {
             supply_voltage,
             supply_current: Amps::from_micro(0.7),
             hysteresis: Volts::ZERO,
-            propagation_delay: Seconds::from_micro(4.0),
             output_high: false,
         }
-    }
-
-    /// Overrides the propagation delay (datasheet value).
-    #[must_use]
-    pub fn with_propagation_delay(mut self, delay: Seconds) -> Self {
-        self.propagation_delay = delay.max(Seconds::ZERO);
-        self
-    }
-
-    /// The input-to-output propagation delay. The blocks in this crate
-    /// treat the comparator as settled within one simulation step, which
-    /// is valid while steps stay far above this figure (4 µs against the
-    /// 39 ms pulse: a 10⁴ margin).
-    pub fn propagation_delay(&self) -> Seconds {
-        self.propagation_delay
     }
 
     /// Evaluates the comparator and latches its output state.
@@ -121,15 +104,6 @@ impl Comparator {
         self.output_high
     }
 
-    /// Rail-to-rail output voltage for the latched state.
-    pub fn output_voltage(&self) -> Volts {
-        if self.output_high {
-            self.supply_voltage
-        } else {
-            Volts::ZERO
-        }
-    }
-
     /// Instantaneous supply current (constant for this part).
     pub fn supply_current(&self) -> Amps {
         self.supply_current
@@ -147,13 +121,17 @@ impl Comparator {
 /// Models input offset voltage, input bias current (which loads whatever
 /// the input is connected to — critically, the hold capacitor), finite
 /// output resistance and a constant supply current.
+///
+/// The output is static: it settles within one simulation step. A
+/// micropower buffer slews at about 0.02 V/µs, so even the full 1.6 V
+/// HELD_SAMPLE step takes ~80 µs, far inside the 39 ms pulse. A pulse
+/// retuned toward that figure would need a slew model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpAmpBuffer {
     offset: Volts,
     input_bias: Amps,
     output_resistance: Ohms,
     supply_current: Amps,
-    slew_rate_v_per_s: f64,
 }
 
 impl OpAmpBuffer {
@@ -181,44 +159,18 @@ impl OpAmpBuffer {
             input_bias,
             output_resistance,
             supply_current,
-            slew_rate_v_per_s: 20_000.0,
         })
     }
 
     /// A CMOS micropower buffer: ±1 mV offset budgeted to zero (trimmed),
-    /// 1 pA bias, 2 kΩ output resistance, 1.8 µA supply current,
-    /// 0.02 V/µs slew (micropower parts are slow).
+    /// 1 pA bias, 2 kΩ output resistance, 1.8 µA supply current.
     pub fn micropower() -> Self {
         Self {
             offset: Volts::ZERO,
             input_bias: Amps::from_pico(1.0),
             output_resistance: Ohms::from_kilo(2.0),
             supply_current: Amps::from_micro(1.8),
-            slew_rate_v_per_s: 20_000.0,
         }
-    }
-
-    /// Overrides the slew rate in volts per second.
-    #[must_use]
-    pub fn with_slew_rate(mut self, v_per_s: f64) -> Self {
-        self.slew_rate_v_per_s = v_per_s.max(0.0);
-        self
-    }
-
-    /// The output slew rate in volts per second. At 0.02 V/µs a full
-    /// 1.6 V HELD_SAMPLE step takes ~80 µs — invisible against the 39 ms
-    /// pulse, which is why the blocks model the buffer as settled, but
-    /// the figure matters for anyone retuning the pulse width downward.
-    pub fn slew_rate_v_per_s(&self) -> f64 {
-        self.slew_rate_v_per_s
-    }
-
-    /// The time for the output to traverse `dv` at the slew limit.
-    pub fn slew_time(&self, dv: Volts) -> Seconds {
-        if self.slew_rate_v_per_s <= 0.0 {
-            return Seconds::ZERO;
-        }
-        Seconds::new(dv.value().abs() / self.slew_rate_v_per_s)
     }
 
     /// The buffered output for a given input (unity gain plus offset).
@@ -289,11 +241,6 @@ impl AnalogSwitch {
             charge_injection: Coulombs::from_pico(5.0),
             closed: false,
         }
-    }
-
-    /// Whether the switch is conducting.
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     /// Drives the control input. Returns the charge injected into the
@@ -546,11 +493,6 @@ impl VoltageDivider {
         self.bottom.value() / (self.top.value() + self.bottom.value())
     }
 
-    /// The Thevenin source resistance at the tap.
-    pub fn thevenin_resistance(&self) -> Ohms {
-        Ohms::new(self.top.value() * self.bottom.value() / (self.top.value() + self.bottom.value()))
-    }
-
     /// Current drawn from the input source.
     pub fn input_current(&self, input: Volts) -> Amps {
         input / (self.top + self.bottom)
@@ -580,11 +522,9 @@ mod tests {
         assert!(!c.update(Volts::new(1.05), Volts::new(1.0)));
         // Above it: goes high.
         assert!(c.update(Volts::new(1.15), Volts::new(1.0)));
-        assert_eq!(c.output_voltage(), Volts::new(3.3));
         // Now must fall below 0.9 to go low again.
         assert!(c.update(Volts::new(0.95), Volts::new(1.0)));
         assert!(!c.update(Volts::new(0.85), Volts::new(1.0)));
-        assert_eq!(c.output_voltage(), Volts::ZERO);
     }
 
     #[test]
@@ -599,23 +539,6 @@ mod tests {
         assert!(Comparator::new(Volts::ZERO, Amps::ZERO, Volts::ZERO).is_err());
         assert!(Comparator::new(Volts::new(3.3), Amps::new(-1.0), Volts::ZERO).is_err());
         assert!(Comparator::new(Volts::new(3.3), Amps::ZERO, Volts::new(-0.1)).is_err());
-    }
-
-    #[test]
-    fn comparator_delay_and_buffer_slew_figures() {
-        let cmp =
-            Comparator::lmc7215(Volts::new(3.3)).with_propagation_delay(Seconds::from_micro(10.0));
-        assert!((cmp.propagation_delay().as_micro() - 10.0).abs() < 1e-9);
-        // The default 4 µs is four orders below the 39 ms pulse.
-        let fresh = Comparator::lmc7215(Volts::new(3.3));
-        assert!(fresh.propagation_delay().value() * 1e4 < 0.039 * 10.0);
-
-        let buf = OpAmpBuffer::micropower();
-        // Slewing the full 1.62 V HELD_SAMPLE step takes ~81 µs.
-        let t = buf.slew_time(Volts::new(1.62));
-        assert!((t.as_micro() - 81.0).abs() < 1.0, "slew time {t}");
-        let instant = OpAmpBuffer::micropower().with_slew_rate(0.0);
-        assert_eq!(instant.slew_time(Volts::new(5.0)), Seconds::ZERO);
     }
 
     #[test]
@@ -636,7 +559,6 @@ mod tests {
     #[test]
     fn switch_injection_on_transitions_only() {
         let mut s = AnalogSwitch::low_leakage();
-        assert!(!s.is_closed());
         let q1 = s.set_closed(true);
         assert!(q1.value() > 0.0);
         let q2 = s.set_closed(true); // no transition
@@ -708,7 +630,6 @@ mod tests {
         let out = d.output(Volts::new(5.0));
         // 1.5/5.015 ≈ 0.2991
         assert!((out.value() - 5.0 * 1.5 / 5.015).abs() < 1e-9);
-        assert!((d.thevenin_resistance().value() - 3.515e6 * 1.5e6 / 5.015e6).abs() < 1.0);
         assert!((d.input_current(Volts::new(5.0)).as_micro() - 5.0 / 5.015).abs() < 1e-6);
     }
 

@@ -72,11 +72,6 @@ impl CurrentLedger {
         Coulombs::new(self.charges.values().sum())
     }
 
-    /// Charge drawn by one consumer, zero if unknown.
-    pub fn charge_of(&self, name: &str) -> Coulombs {
-        Coulombs::new(self.charges.get(name).copied().unwrap_or(0.0))
-    }
-
     /// Average current over an externally supplied window.
     pub fn average_current(&self, over: Seconds) -> Amps {
         if over.value() <= 0.0 {
@@ -128,8 +123,6 @@ mod tests {
         l.accumulate("b", Amps::from_micro(1.0), Seconds::new(10.0));
         assert!((l.total_charge().as_micro() - 30.0).abs() < 1e-9);
         assert!((l.average_current(Seconds::new(10.0)).as_micro() - 3.0).abs() < 1e-9);
-        assert!((l.charge_of("b").as_micro() - 10.0).abs() < 1e-9);
-        assert_eq!(l.charge_of("missing"), Coulombs::ZERO);
     }
 
     #[test]

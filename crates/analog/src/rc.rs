@@ -7,7 +7,7 @@
 //! the hugely disparate time scales involved (39 ms pulses vs 69 s hold
 //! periods vs 24 h environment runs).
 
-use eh_units::{Farads, Ohms, Seconds, Volts};
+use eh_units::{Ohms, Seconds, Volts};
 
 /// Advances a capacitor voltage `v0` relaxing toward `target` with time
 /// constant `tau` for a step `dt`: the exact solution of
@@ -75,11 +75,6 @@ pub fn time_to_reach(v0: Volts, v1: Volts, target: Volts, tau: Seconds) -> Optio
         return None; // v1 lies beyond the asymptote or on the wrong side
     }
     Some(Seconds::new(tau.value() * ratio.ln()))
-}
-
-/// The time constant of a resistance and capacitance.
-pub fn time_constant(r: Ohms, c: Farads) -> Seconds {
-    r * c
 }
 
 /// Instantaneous current into a capacitor relaxing toward `target`
@@ -178,9 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn time_constant_and_current() {
-        let tau = time_constant(Ohms::from_mega(100.0), Farads::from_micro(1.0));
-        assert!((tau.value() - 100.0).abs() < 1e-9);
+    fn charging_current_flows_toward_the_target() {
         let i = charging_current(Volts::new(1.0), Volts::new(3.3), Ohms::from_kilo(10.0));
         assert!((i.as_micro() - 230.0).abs() < 1e-9);
     }

@@ -112,11 +112,6 @@ impl Trace {
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
-    /// Peak-to-peak ripple in the window `[from, to]`.
-    pub fn ripple_in(&self, from: Seconds, to: Seconds) -> Option<f64> {
-        Some(self.max_in(from, to)? - self.min_in(from, to)?)
-    }
-
     /// Time-weighted mean over the full trace (trapezoidal).
     pub fn mean(&self) -> Option<f64> {
         if self.times.len() < 2 {
@@ -261,7 +256,6 @@ mod tests {
         }
         assert_eq!(t.min_in(Seconds::new(2.0), Seconds::new(5.0)), Some(2.0));
         assert_eq!(t.max_in(Seconds::new(2.0), Seconds::new(5.0)), Some(5.0));
-        assert_eq!(t.ripple_in(Seconds::new(2.0), Seconds::new(5.0)), Some(3.0));
         assert_eq!(t.min_in(Seconds::new(20.0), Seconds::new(30.0)), None);
     }
 

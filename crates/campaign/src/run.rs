@@ -297,10 +297,12 @@ impl CampaignRunner {
         }
     }
 
-    /// Overrides the nodes-per-shard grouping (clamped to at least 1).
+    /// Overrides the nodes-per-shard grouping. A zero size is kept as
+    /// given, so a run rejects it with
+    /// [`eh_sim::SweepRunner::run_merged`]'s `shard_size` error.
     #[must_use]
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
-        self.shard_size = shard_size.max(1);
+        self.shard_size = shard_size;
         self
     }
 
@@ -374,6 +376,15 @@ mod tests {
         let ids: Vec<u32> = report.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(report.days, 6);
+    }
+
+    #[test]
+    fn zero_shard_size_is_an_error_naming_it() {
+        let err = CampaignRunner::new(1)
+            .with_shard_size(0)
+            .run(&tiny_spec(2, 2, 2, 2011))
+            .unwrap_err();
+        assert!(err.to_string().contains("shard_size"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The input-regulated buck-boost converter.
 
-use eh_units::{Joules, Ratio, Seconds, Volts, Watts};
+use eh_units::{Joules, Seconds, Volts, Watts};
 
 use crate::efficiency::EfficiencyModel;
 use crate::error::ConverterError;
@@ -90,20 +90,9 @@ impl InputRegulatedConverter {
         Self::new(EfficiencyModel::micropower_buck_boost()?, Volts::new(0.8))
     }
 
-    /// The loss model.
-    pub fn efficiency_model(&self) -> &EfficiencyModel {
-        &self.efficiency
-    }
-
     /// Minimum input voltage for operation.
     pub fn min_input_voltage(&self) -> Volts {
         self.min_input_voltage
-    }
-
-    /// Conversion efficiency the converter would achieve at an operating
-    /// point.
-    pub fn efficiency_at(&self, input: Watts) -> Ratio {
-        self.efficiency.efficiency(input)
     }
 
     /// Harvests for `dt` with the PV node regulated at `v_in` where the
@@ -186,7 +175,9 @@ mod tests {
     fn efficiency_accessor_consistent() {
         let c = conv();
         let p = Watts::from_micro(500.0);
-        let eta = c.efficiency_at(p);
+        let eta = EfficiencyModel::micropower_buck_boost()
+            .unwrap()
+            .efficiency(p);
         let r = c.harvest(Volts::new(2.5), Amps::from_micro(200.0), Seconds::new(1.0));
         assert!((r.output_power.value() / r.input_power.value() - eta.value()).abs() < 1e-12);
     }

@@ -81,16 +81,8 @@ impl From<EnvError> for CoreError {
 
 impl From<eh_sim::SimError> for CoreError {
     fn from(e: eh_sim::SimError) -> Self {
-        match e {
-            eh_sim::SimError::InvalidParameter { name, value } => {
-                CoreError::InvalidParameter { name, value }
-            }
-            eh_sim::SimError::Env(e) => CoreError::Env(e),
-            _ => CoreError::InvalidParameter {
-                name: "sim",
-                value: f64::NAN,
-            },
-        }
+        let eh_sim::SimError::InvalidParameter { name, value } = e;
+        CoreError::InvalidParameter { name, value }
     }
 }
 

@@ -185,7 +185,6 @@ struct SystemTraces {
     pulse: Trace,
     held_sample: Trace,
     pv_voltage: Trace,
-    active: Trace,
 }
 
 impl FocvMpptSystem {
@@ -207,7 +206,6 @@ impl FocvMpptSystem {
             pulse: Trace::new("PULSE"),
             held_sample: Trace::new("HELD_SAMPLE"),
             pv_voltage: Trace::new("PV_IN"),
-            active: Trace::new("ACTIVE"),
         });
         let cell = config.cell.clone();
         if cell.cache_enabled() {
@@ -288,11 +286,6 @@ impl FocvMpptSystem {
     /// The recorded PV voltage trace, if tracing is enabled.
     pub fn pv_voltage_trace(&self) -> Option<&Trace> {
         self.traces.as_ref().map(|t| &t.pv_voltage)
-    }
-
-    /// The recorded ACTIVE trace, if tracing is enabled.
-    pub fn active_trace(&self) -> Option<&Trace> {
-        self.traces.as_ref().map(|t| &t.active)
     }
 
     /// The metric store, when [`SystemConfig::obs`] is enabled.
@@ -437,14 +430,6 @@ impl FocvMpptSystem {
                 traces
                     .pv_voltage
                     .record(self.time, self.last_pv_voltage.value());
-                traces.active.record(
-                    self.time,
-                    if self.sample_hold.is_active() {
-                        1.0
-                    } else {
-                        0.0
-                    },
-                );
             }
         }
 

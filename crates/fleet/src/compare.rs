@@ -8,8 +8,8 @@
 //! (where the tracker has an astable), same light.
 
 use eh_core::baselines::{
-    AdaptiveKFocv, FixedVoltage, FocvSampleHold, FractionalIsc, GradientDescentMppt,
-    IncrementalConductance, Oracle, PerturbObserve, Photodetector, PilotCell, VariableHoldFocv,
+    AdaptiveKFocv, FixedVoltage, FractionalIsc, GradientDescentMppt, IncrementalConductance,
+    Oracle, PerturbObserve, Photodetector, PilotCell, VariableHoldFocv,
 };
 use eh_core::MpptController;
 use eh_pv::PvCell;
@@ -136,28 +136,6 @@ impl TrackerKind {
             TrackerKind::Oracle => Box::new(Oracle::new(cell.clone())),
         })
     }
-
-    /// A reference instance of the kind's display name, as reported by
-    /// the tracker itself.
-    pub fn tracker_name(self) -> String {
-        let probe = NodeSpec {
-            id: 0,
-            placement: crate::Placement::InteriorDesk,
-            k: FocvSampleHold::paper_prototype()
-                .expect("prototype constants are valid")
-                .k(),
-            sample_period: eh_units::Seconds::new(69.0),
-            pulse_width: eh_units::Seconds::from_milli(39.0),
-            phase_offset: eh_units::Seconds::ZERO,
-            perturbation: eh_env::TracePerturbation::identity(),
-            store: None,
-        };
-        let cell = eh_pv::presets::sanyo_am1815();
-        self.build(&probe, &cell)
-            .expect("reference parameters are valid")
-            .name()
-            .to_owned()
-    }
 }
 
 /// Replays the same seeded population against every [`TrackerKind`],
@@ -202,13 +180,10 @@ mod tests {
     use eh_units::{Seconds, Volts};
 
     #[test]
-    fn labels_and_names_are_distinct() {
+    fn labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
             TrackerKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), TrackerKind::ALL.len());
-        let names: std::collections::HashSet<_> =
-            TrackerKind::ALL.iter().map(|k| k.tracker_name()).collect();
-        assert_eq!(names.len(), TrackerKind::ALL.len());
     }
 
     #[test]
@@ -238,6 +213,9 @@ mod tests {
         for (kind, report) in &rows {
             assert_eq!(report.nodes(), 6, "{} lost nodes", kind.label());
         }
+        // Every kind runs a tracker of its own name.
+        let names: std::collections::HashSet<_> = rows.iter().map(|(_, r)| &r.tracker).collect();
+        assert_eq!(names.len(), TrackerKind::ALL.len());
         // Same population: placements line up across trackers.
         let placements = |r: &FleetReport| -> Vec<_> {
             r.outcomes.iter().map(|o| (o.id, o.placement)).collect()

@@ -97,10 +97,12 @@ impl FleetRunner {
         }
     }
 
-    /// Overrides the shard size (clamped to at least 1).
+    /// Overrides the shard size. A zero size is kept as given, so a run
+    /// rejects it with [`eh_sim::SweepRunner::run_shards`]'s
+    /// `shard_size` error.
     #[must_use]
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
-        self.shard_size = shard_size.max(1);
+        self.shard_size = shard_size;
         self
     }
 
@@ -222,6 +224,15 @@ mod tests {
         spec.trace_decimate = 600;
         spec.dt = Seconds::new(600.0);
         spec
+    }
+
+    #[test]
+    fn zero_shard_size_is_an_error_naming_it() {
+        let err = FleetRunner::new(1)
+            .with_shard_size(0)
+            .run(&small_spec())
+            .unwrap_err();
+        assert!(err.to_string().contains("shard_size"), "{err}");
     }
 
     #[test]

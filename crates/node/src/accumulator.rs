@@ -1,14 +1,11 @@
-//! Energy bookkeeping shared by report-producing steppers.
+//! The node stepper's energy ledger.
 
 use eh_units::Joules;
 
-/// Running energy totals a stepper accrues while being driven.
-///
-/// Every layer that produces a report (core system, node simulation,
-/// endurance windows) tracks the same ledgers; this struct owns the
-/// arithmetic once so reports are just a snapshot of an accumulator.
+/// Running energy totals the node stepper accrues while being driven;
+/// a [`crate::NodeReport`] is a snapshot of one.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     /// Energy delivered by the harvester into storage.
     pub gross_energy: Joules,
     /// Energy burned by the tracker's own electronics.
@@ -76,21 +73,6 @@ impl Accumulator {
     pub fn count_decision(&mut self) {
         self.decisions += 1;
     }
-
-    /// Harvested energy net of tracker overhead and compute.
-    pub fn net_energy(&self) -> Joules {
-        self.gross_energy - self.overhead_energy - self.compute_energy
-    }
-
-    /// Fraction of demanded load energy that was served (1.0 when the
-    /// load never asked for anything).
-    pub fn load_availability(&self) -> f64 {
-        if self.load_demand.value() <= 0.0 {
-            1.0
-        } else {
-            self.load_served / self.load_demand
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,16 +90,9 @@ mod tests {
         a.count_measurement();
         a.count_measurement();
         a.count_decision();
-        assert_eq!(a.net_energy(), Joules::new(2.375));
         assert_eq!(a.loss_energy, Joules::new(0.25));
         assert_eq!(a.compute_energy, Joules::new(0.125));
-        assert_eq!(a.load_availability(), 0.5);
         assert_eq!(a.measurements, 2);
         assert_eq!(a.decisions, 1);
-    }
-
-    #[test]
-    fn idle_load_counts_as_fully_available() {
-        assert_eq!(Accumulator::new().load_availability(), 1.0);
     }
 }

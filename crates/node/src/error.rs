@@ -81,16 +81,8 @@ impl From<EnvError> for NodeError {
 
 impl From<eh_sim::SimError> for NodeError {
     fn from(e: eh_sim::SimError) -> Self {
-        match e {
-            eh_sim::SimError::InvalidParameter { name, value } => {
-                NodeError::InvalidParameter { name, value }
-            }
-            eh_sim::SimError::Env(e) => NodeError::Env(e),
-            _ => NodeError::InvalidParameter {
-                name: "sim",
-                value: f64::NAN,
-            },
-        }
+        let eh_sim::SimError::InvalidParameter { name, value } = e;
+        NodeError::InvalidParameter { name, value }
     }
 }
 

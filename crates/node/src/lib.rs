@@ -35,8 +35,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accumulator;
 mod compare;
-pub mod endurance;
 mod error;
 mod load;
 mod report;

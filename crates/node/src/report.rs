@@ -1,9 +1,9 @@
 //! Run reports.
 
 use eh_obs::Metrics;
-use eh_sim::Accumulator;
 use eh_units::{Joules, Ratio, Seconds};
 
+use crate::accumulator::Accumulator;
 use crate::error::NodeError;
 use crate::sim::ObsLocals;
 

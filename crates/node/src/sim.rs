@@ -5,9 +5,10 @@ use eh_core::{CoreError, MpptController, Observation, TrackerCommand};
 use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics};
 use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell, PvError};
-use eh_sim::{drive, Accumulator, Light, StepInput, Stepper};
+use eh_sim::{drive, Light, StepInput, Stepper};
 use eh_units::{Amps, Joules, Lux, Seconds, Volts, Watts};
 
+use crate::accumulator::Accumulator;
 use crate::error::NodeError;
 use crate::load::DutyCycledLoad;
 use crate::report::NodeReport;
@@ -617,6 +618,36 @@ mod tests {
             "uptime = {}",
             report.uptime()
         );
+    }
+
+    #[test]
+    fn the_store_carries_over_to_the_next_run() {
+        let cfg = |store: ConcreteStore| {
+            SimConfig::default_for(presets::sanyo_am1815())
+                .unwrap()
+                .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
+                .with_store(store)
+        };
+        let run = |sim: &mut NodeSimulation, trace: &TimeSeries| {
+            let mut tracker = FocvSampleHold::paper_prototype().unwrap();
+            sim.run(&mut tracker, trace, Seconds::new(1.0)).unwrap()
+        };
+        let deployed = ConcreteStore::Supercapacitor(
+            Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8)).unwrap(),
+        );
+        let floor = deployed.stored_energy();
+        let mut sim = NodeSimulation::new(cfg(deployed)).unwrap();
+        let first = run(&mut sim, &minute_trace());
+        assert!(first.final_store_energy > floor, "the first run charges");
+        assert_eq!(sim.config().store.stored_energy(), first.final_store_energy);
+
+        // The second run starts from the first run's store, exactly as a
+        // fresh simulation handed that store does.
+        let dusk = profiles::constant(Lux::new(50.0), Seconds::from_minutes(30.0));
+        let carried = sim.config().store.clone();
+        let second = run(&mut sim, &dusk);
+        let mut fresh = NodeSimulation::new(cfg(carried)).unwrap();
+        assert_eq!(run(&mut fresh, &dusk), second);
     }
 
     #[test]

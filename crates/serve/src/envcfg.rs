@@ -52,19 +52,6 @@ pub fn positive_usize(source: &str, raw: &str) -> Result<usize, EnvError> {
         })
 }
 
-/// Parses a `u64` (seeds).
-///
-/// # Errors
-///
-/// Rejects empty and non-numeric values, naming the source.
-pub fn u64_value(source: &str, raw: &str) -> Result<u64, EnvError> {
-    raw.trim().parse::<u64>().map_err(|_| EnvError {
-        source: source.to_owned(),
-        raw: raw.to_owned(),
-        expected: "an unsigned integer",
-    })
-}
-
 /// Looks up an environment variable and strictly parses it with
 /// `parse` when present. Absence is `Ok(None)`; presence with a bad
 /// value is the hard error the parser raises.
@@ -98,13 +85,6 @@ mod tests {
             assert!(msg.contains("EH_WORKERS"), "{msg}");
             assert!(msg.contains("positive integer"), "{msg}");
         }
-    }
-
-    #[test]
-    fn u64_value_accepts_and_rejects() {
-        assert_eq!(u64_value("seed", "2011"), Ok(2011));
-        assert!(u64_value("seed", "twenty").is_err());
-        assert!(u64_value("seed", "-3").is_err());
     }
 
     #[test]

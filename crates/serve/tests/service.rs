@@ -19,12 +19,25 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-fn test_server(tag: &str) -> Server {
+/// Removes a spill root when it drops, so a test leaves nothing in the
+/// temp dir, whether it passes or panics.
+struct SpillRoot(std::path::PathBuf);
+
+impl Drop for SpillRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A server and the guard of its spill root. Bind the guard to a name,
+/// not `_`, so it lives to the end of the test.
+fn test_server(tag: &str) -> (Server, SpillRoot) {
     let mut cfg = ServeConfig::default_local();
     cfg.http_workers = 4;
     cfg.sim_workers = 2;
     cfg.spill_dir = scratch_dir(tag);
-    Server::spawn(cfg).expect("server spawns")
+    let spill = SpillRoot(cfg.spill_dir.clone());
+    (Server::spawn(cfg).expect("server spawns"), spill)
 }
 
 /// A parsed response: status, headers (lowercased names), body text
@@ -102,7 +115,7 @@ fn decode_chunked(raw: &str) -> String {
 
 #[test]
 fn health_metrics_and_unknown_routes() {
-    let server = test_server("routes");
+    let (server, _spill) = test_server("routes");
     let addr = server.addr();
 
     let health = exchange(addr, "GET", "/healthz", "");
@@ -143,7 +156,7 @@ fn health_metrics_and_unknown_routes() {
 
 #[test]
 fn cached_response_is_byte_identical_to_the_cold_one() {
-    let server = test_server("cache");
+    let (server, _spill) = test_server("cache");
     let addr = server.addr();
     let body = r#"{"nodes":10,"seed":42}"#;
 
@@ -176,7 +189,7 @@ fn cached_response_is_byte_identical_to_the_cold_one() {
 
 #[test]
 fn whatif_matches_a_direct_fleet_run() {
-    let server = test_server("direct");
+    let (server, _spill) = test_server("direct");
     let body = r#"{"nodes":8,"seed":7,"tracker":"oracle"}"#;
     let response = exchange(server.addr(), "POST", "/whatif", body);
     assert_eq!(response.status, 200);
@@ -206,7 +219,7 @@ fn whatif_matches_a_direct_fleet_run() {
 
 #[test]
 fn concurrent_identical_requests_coalesce() {
-    let server = test_server("coalesce");
+    let (server, _spill) = test_server("coalesce");
     let addr = server.addr();
     // Per-node engine over a non-trivial fleet keeps the flight open
     // long enough that the racing requests land inside it.
@@ -251,7 +264,7 @@ fn concurrent_identical_requests_coalesce() {
 
 #[test]
 fn streaming_snapshots_then_final_report() {
-    let server = test_server("stream");
+    let (server, _spill) = test_server("stream");
     let addr = server.addr();
     let stream = exchange(
         addr,
@@ -294,7 +307,7 @@ fn streaming_snapshots_then_final_report() {
 
 #[test]
 fn campaign_endpoint_serves_cached_deterministic_survival() {
-    let server = test_server("campaign");
+    let (server, _spill) = test_server("campaign");
     let addr = server.addr();
     let body = r#"{"nodes":4,"days":6,"epoch_days":3,"dt_s":3600,"seed":7}"#;
 
@@ -396,7 +409,7 @@ fn idle_client_cannot_hold_the_only_worker() {
 
 #[test]
 fn admin_shutdown_drains_and_stops() {
-    let server = test_server("shutdown");
+    let (server, _spill) = test_server("shutdown");
     let addr = server.addr();
     assert_eq!(exchange(addr, "GET", "/healthz", "").status, 200);
     let reply = exchange(addr, "POST", "/admin/shutdown", "");
@@ -422,8 +435,8 @@ fn two_servers_serve_identical_bytes_for_one_request() {
     // Cross-process-style determinism: independent instances, same
     // request, byte-identical cold responses (hashes are FNV-1a, not
     // RandomState, so this also pins hash stability).
-    let a = test_server("det-a");
-    let b = test_server("det-b");
+    let (a, _a_spill) = test_server("det-a");
+    let (b, _b_spill) = test_server("det-b");
     let body = r#"{"nodes":9,"seed":3,"tracker":"perturb-observe"}"#;
     let ra = exchange(a.addr(), "POST", "/whatif", body);
     let rb = exchange(b.addr(), "POST", "/whatif", body);

@@ -1,6 +1,5 @@
 //! The time-stepping engine: one loop, owned here, driven everywhere.
 
-use eh_env::TimeSeries;
 use eh_units::Seconds;
 
 use crate::error::SimError;
@@ -64,60 +63,10 @@ pub fn drive<S: Stepper>(
     Ok(Seconds::new(total))
 }
 
-/// Splits `trace` into windows of `window` seconds that share their
-/// boundary sample, so back-to-back windows resimulate the junction
-/// instant with identical state — the contract the endurance runner has
-/// always used.
-///
-/// # Errors
-///
-/// Returns `SimError::InvalidParameter` when the window spans fewer than
-/// two trace samples, and propagates slicing errors from the
-/// environment layer.
-pub fn split_windows(trace: &TimeSeries, window: Seconds) -> Result<Vec<TimeSeries>, SimError> {
-    let samples_per_window = (window.value() / trace.dt().value()).round();
-    if !samples_per_window.is_finite() || samples_per_window < 2.0 {
-        return Err(SimError::InvalidParameter {
-            name: "window",
-            value: window.value(),
-        });
-    }
-    let samples_per_window = samples_per_window as usize;
-
-    let mut windows = Vec::new();
-    let mut from = 0;
-    while from + 1 < trace.len() {
-        let to = (from + samples_per_window + 1).min(trace.len());
-        windows.push(trace.slice_samples(from, to)?);
-        from = to - 1;
-    }
-    Ok(windows)
-}
-
-/// Runs `run` over each window of `trace` in order, collecting the
-/// per-window results. This is the shared core of windowed endurance
-/// studies: split once, simulate each span, keep the reports.
-///
-/// # Errors
-///
-/// Propagates windowing errors from [`split_windows`] and any error the
-/// per-window closure returns.
-pub fn run_windowed<R, E, F>(trace: &TimeSeries, window: Seconds, mut run: F) -> Result<Vec<R>, E>
-where
-    E: From<SimError>,
-    F: FnMut(&TimeSeries) -> Result<R, E>,
-{
-    let windows = split_windows(trace, window)?;
-    let mut reports = Vec::with_capacity(windows.len());
-    for w in &windows {
-        reports.push(run(w)?);
-    }
-    Ok(reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eh_env::TimeSeries;
     use eh_units::Lux;
 
     /// Records the slices the engine hands it.
@@ -186,30 +135,5 @@ mod tests {
             ),
             "zero-duration trace must be rejected, got {err:?}"
         );
-    }
-
-    #[test]
-    fn windows_share_their_boundary_sample() {
-        let trace = TimeSeries::new(
-            Seconds::ZERO,
-            Seconds::new(1.0),
-            (0..10).map(f64::from).collect(),
-        )
-        .unwrap();
-        let windows = split_windows(&trace, Seconds::new(3.0)).unwrap();
-        assert!(windows.len() >= 3);
-        for pair in windows.windows(2) {
-            let last = *pair[0].values().last().unwrap();
-            let first = pair[1].values()[0];
-            assert_eq!(last, first, "adjacent windows must share a sample");
-        }
-        let covered: usize = windows.iter().map(|w| w.len() - 1).sum();
-        assert_eq!(covered, trace.len() - 1);
-    }
-
-    #[test]
-    fn sub_sample_window_is_rejected() {
-        let trace = TimeSeries::new(Seconds::ZERO, Seconds::new(1.0), vec![0.0, 1.0, 2.0]).unwrap();
-        assert!(split_windows(&trace, Seconds::new(0.4)).is_err());
     }
 }

@@ -3,14 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-use eh_env::EnvError;
-
 /// Errors raised by the simulation engine itself, before a stepper's own
 /// error type gets involved.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum SimError {
-    /// A driver parameter (time step, duration, window, worker count) was
+    /// An engine parameter (time step, duration, shard size) was
     /// non-positive or non-finite.
     InvalidParameter {
         /// Which parameter was rejected.
@@ -18,35 +15,16 @@ pub enum SimError {
         /// The offending value.
         value: f64,
     },
-    /// An environment-layer error while slicing or sampling a time series.
-    Env(EnvError),
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::InvalidParameter { name, value } => {
-                write!(f, "invalid simulation parameter `{name}`: {value}")
-            }
-            SimError::Env(e) => write!(f, "environment error: {e}"),
-        }
+        let SimError::InvalidParameter { name, value } = self;
+        write!(f, "invalid simulation parameter `{name}`: {value}")
     }
 }
 
-impl Error for SimError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SimError::Env(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<EnvError> for SimError {
-    fn from(e: EnvError) -> Self {
-        SimError::Env(e)
-    }
-}
+impl Error for SimError {}
 
 #[cfg(test)]
 mod tests {

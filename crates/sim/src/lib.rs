@@ -9,8 +9,6 @@
 //! - [`Light`] unifies constant-level and trace-driven illumination;
 //! - [`drive`] is the time-stepping engine: fixed slices on the `dt`
 //!   grid, the last one ending at the light's end;
-//! - [`split_windows`]/[`run_windowed`] are the shared windowed-endurance
-//!   core;
 //! - [`SweepRunner`] fans independent jobs across scoped threads with
 //!   stable, input-order collection, so sweeps are bit-for-bit
 //!   deterministic regardless of worker count;
@@ -19,14 +17,12 @@
 //!   receives a whole contiguous shard (so shard-wide setup is paid
 //!   once), shard reports fold in shard index order, and the result is
 //!   bit-identical at any worker count; [`SweepRunner::run_merged`] is
-//!   the per-item spelling of the same contract;
-//! - [`Accumulator`] is the common energy ledger behind reports.
+//!   the per-item spelling of the same contract.
 //!
 //! The crate is std-only by design: the build environment has no crate
 //! registry access, so parallelism comes from `std::thread::scope`
 //! rather than an external thread pool.
 
-mod accumulator;
 mod engine;
 mod error;
 mod light;
@@ -34,8 +30,7 @@ mod merge;
 mod stepper;
 mod sweep;
 
-pub use accumulator::Accumulator;
-pub use engine::{drive, run_windowed, split_windows};
+pub use engine::drive;
 pub use error::SimError;
 pub use light::Light;
 pub use merge::Mergeable;

@@ -1,7 +1,5 @@
 //! Light profiles: the environment side of a scenario.
 
-use std::borrow::Cow;
-
 use eh_env::TimeSeries;
 use eh_units::{Lux, Seconds};
 
@@ -9,8 +7,9 @@ use eh_units::{Lux, Seconds};
 ///
 /// Unifies the two shapes every layer of the workspace used to
 /// special-case: a constant level held for a fixed duration, and a
-/// recorded/synthesised [`TimeSeries`]. Borrowed traces avoid cloning in
-/// sweeps where many scenarios share one day-long profile.
+/// recorded/synthesised [`TimeSeries`]. A trace is borrowed, so the
+/// many scenarios of a sweep share one day-long profile without cloning
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Light<'a> {
     /// A constant illuminance held for `duration`.
@@ -21,7 +20,7 @@ pub enum Light<'a> {
         duration: Seconds,
     },
     /// A time-varying profile, sampled with linear interpolation.
-    Trace(Cow<'a, TimeSeries>),
+    Trace(&'a TimeSeries),
 }
 
 impl Light<'_> {
@@ -32,12 +31,7 @@ impl Light<'_> {
 
     /// Borrows a time series as the profile.
     pub fn trace(series: &TimeSeries) -> Light<'_> {
-        Light::Trace(Cow::Borrowed(series))
-    }
-
-    /// Takes ownership of a time series as the profile.
-    pub fn owned(series: TimeSeries) -> Light<'static> {
-        Light::Trace(Cow::Owned(series))
+        Light::Trace(series)
     }
 
     /// Total simulated duration of the profile.
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn out_of_range_and_negative_samples_read_dark() {
         let series = TimeSeries::new(Seconds::ZERO, Seconds::new(1.0), vec![-50.0, -50.0]).unwrap();
-        let light = Light::owned(series);
+        let light = Light::trace(&series);
         assert_eq!(light.lux_at(Seconds::new(0.5)).value(), 0.0);
         assert_eq!(light.lux_at(Seconds::new(99.0)).value(), 0.0);
     }

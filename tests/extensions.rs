@@ -1,11 +1,10 @@
 //! Integration coverage for the extension modules (arrays, spectrum,
-//! thermal, sizing, endurance) through the facade — the pieces that go
-//! beyond the paper's own evaluation.
+//! thermal, sizing) through the facade — the pieces that go beyond the
+//! paper's own evaluation.
 
 use pv_mppt_repro::core::baselines::FocvSampleHold;
 use pv_mppt_repro::core::MpptController;
-use pv_mppt_repro::env::week::{self, DayKind};
-use pv_mppt_repro::node::{endurance, sizing, DutyCycledLoad, NodeSimulation, SimConfig};
+use pv_mppt_repro::node::{sizing, DutyCycledLoad, NodeSimulation, SimConfig};
 use pv_mppt_repro::pv::array::{ParallelBank, SeriesString, StringElement};
 use pv_mppt_repro::pv::spectrum::{effective_illuminance, spectral_factor, CellTechnology};
 use pv_mppt_repro::pv::{presets, thermal, LightSource};
@@ -107,42 +106,6 @@ fn sizing_matches_simulation() {
     let consumed = report.overhead_energy.value() + report.load_demand.value();
     let rel = (consumed - predicted).abs() / predicted;
     assert!(rel < 0.2, "sizing vs sim mismatch {rel:.3}");
-}
-
-/// A three-day endurance run through the facade: storage carries over,
-/// reports are per-window, energies are finite and ordered sensibly.
-#[test]
-fn endurance_three_days() {
-    let trace = week::sequence(
-        &[
-            DayKind::Office,
-            DayKind::WeekendBlindsClosed,
-            DayKind::Office,
-        ],
-        99,
-    )
-    .expect("valid sequence")
-    .decimate(120)
-    .expect("valid decimation");
-    let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
-        .expect("valid sim");
-    let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
-    let reports = endurance::run_windowed(
-        &mut sim,
-        &mut tracker,
-        &trace,
-        Seconds::from_hours(24.0),
-        Seconds::new(120.0),
-    )
-    .expect("run succeeds");
-    assert_eq!(reports.len(), 3);
-    // The weekend day harvests far less than the office days.
-    assert!(reports[1].gross_energy.value() < 0.3 * reports[0].gross_energy.value());
-    assert!(reports[2].gross_energy.value() > reports[1].gross_energy.value());
-    for r in &reports {
-        assert!(r.gross_energy.value().is_finite());
-        assert!(r.overhead_energy > Joules::ZERO);
-    }
 }
 
 /// Spectral factors are consistent with the conversion helper for every
