@@ -13,10 +13,9 @@
 //! boundaries are located with [`crate::rc::time_to_reach`] rather than
 //! by small-step integration. A 24-hour run therefore costs microseconds.
 
-use eh_units::{Amps, Coulombs, Farads, Ohms, Seconds, Volts};
+use eh_units::{Amps, Coulombs, Error, Farads, Ohms, Seconds, Volts};
 
 use crate::components::{Capacitor, Comparator};
-use crate::error::AnalogError;
 use crate::rc;
 
 /// The threshold network's comparison levels, `(upper, lower)`. Three
@@ -58,7 +57,7 @@ impl AstableConfig {
         threshold_resistance: Ohms,
         t_on: Seconds,
         t_off: Seconds,
-    ) -> Result<Self, AnalogError> {
+    ) -> Result<Self, Error> {
         for (name, v) in [
             ("t_on", t_on.value()),
             ("t_off", t_off.value()),
@@ -67,7 +66,7 @@ impl AstableConfig {
             ("supply_voltage", supply_voltage.value()),
         ] {
             if !(v.is_finite() && v > 0.0) {
-                return Err(AnalogError::InvalidParameter { name, value: v });
+                return Err(Error::InvalidParameter { name, value: v });
             }
         }
         // The equal-resistor network's thresholds (see `thresholds`)
@@ -108,7 +107,7 @@ pub struct AstableStep {
 /// // Run for three full periods and measure the produced pulse widths.
 /// let step = astable.step(Seconds::new(3.0 * 69.1));
 /// assert!(step.transitions >= 5);
-/// # Ok::<(), eh_analog::AnalogError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AstableMultivibrator {
@@ -131,7 +130,7 @@ impl AstableMultivibrator {
     /// # Errors
     ///
     /// Propagates configuration validation errors.
-    pub fn paper_configuration() -> Result<Self, AnalogError> {
+    pub fn paper_configuration() -> Result<Self, Error> {
         let config = AstableConfig::from_periods(
             Volts::new(3.3),
             Farads::from_micro(1.0),
@@ -148,7 +147,7 @@ impl AstableMultivibrator {
     ///
     /// Rejects a non-positive or non-finite resistance, capacitance or
     /// supply voltage.
-    pub fn new(config: AstableConfig) -> Result<Self, AnalogError> {
+    pub fn new(config: AstableConfig) -> Result<Self, Error> {
         for (name, v) in [
             ("charge_resistance", config.charge_resistance.value()),
             ("discharge_resistance", config.discharge_resistance.value()),
@@ -156,7 +155,7 @@ impl AstableMultivibrator {
             ("threshold_resistance", config.threshold_resistance.value()),
         ] {
             if !(v.is_finite() && v > 0.0) {
-                return Err(AnalogError::InvalidParameter { name, value: v });
+                return Err(Error::InvalidParameter { name, value: v });
             }
         }
         let (upper, lower) = thresholds(config.supply_voltage);
@@ -503,7 +502,7 @@ mod tests {
     fn new_rejects_a_bad_supply_or_threshold_network() {
         let paper = || AstableMultivibrator::paper_configuration().unwrap().config;
         let name_of = |config: AstableConfig| match AstableMultivibrator::new(config) {
-            Err(AnalogError::InvalidParameter { name, .. }) => name,
+            Err(Error::InvalidParameter { name, .. }) => name,
             other => panic!("expected a rejection, got {other:?}"),
         };
         for r in [0.0, -1e6, f64::NAN, f64::INFINITY] {

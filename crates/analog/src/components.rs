@@ -6,24 +6,23 @@
 //! Each active part exposes its instantaneous supply current so a
 //! [`crate::CurrentLedger`] can reproduce the paper's 7.6 µA measurement.
 
-use eh_units::{Amps, Coulombs, Farads, Ohms, Seconds, Volts};
+use eh_units::{Amps, Coulombs, Error, Farads, Ohms, Seconds, Volts};
 
-use crate::error::AnalogError;
 use crate::rc;
 
-fn require_positive(name: &'static str, v: f64) -> Result<f64, AnalogError> {
+fn require_positive(name: &'static str, v: f64) -> Result<f64, Error> {
     if v.is_finite() && v > 0.0 {
         Ok(v)
     } else {
-        Err(AnalogError::InvalidParameter { name, value: v })
+        Err(Error::InvalidParameter { name, value: v })
     }
 }
 
-fn require_non_negative(name: &'static str, v: f64) -> Result<f64, AnalogError> {
+fn require_non_negative(name: &'static str, v: f64) -> Result<f64, Error> {
     if v.is_finite() && v >= 0.0 {
         Ok(v)
     } else {
-        Err(AnalogError::InvalidParameter { name, value: v })
+        Err(Error::InvalidParameter { name, value: v })
     }
 }
 
@@ -61,7 +60,7 @@ impl Comparator {
         supply_voltage: Volts,
         supply_current: Amps,
         hysteresis: Volts,
-    ) -> Result<Self, AnalogError> {
+    ) -> Result<Self, Error> {
         require_non_negative("supply_current", supply_current.value())?;
         require_non_negative("hysteresis", hysteresis.value())?;
         require_positive("supply_voltage", supply_voltage.value())?;
@@ -145,11 +144,11 @@ impl OpAmpBuffer {
         input_bias: Amps,
         output_resistance: Ohms,
         supply_current: Amps,
-    ) -> Result<Self, AnalogError> {
+    ) -> Result<Self, Error> {
         require_non_negative("output_resistance", output_resistance.value())?;
         require_non_negative("supply_current", supply_current.value())?;
         if !offset.is_finite() || !input_bias.is_finite() {
-            return Err(AnalogError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "offset_or_bias",
                 value: f64::NAN,
             });
@@ -215,11 +214,11 @@ impl AnalogSwitch {
         on_resistance: Ohms,
         off_leakage: Amps,
         charge_injection: Coulombs,
-    ) -> Result<Self, AnalogError> {
+    ) -> Result<Self, Error> {
         require_positive("on_resistance", on_resistance.value())?;
         require_non_negative("off_leakage", off_leakage.value())?;
         if !charge_injection.is_finite() {
-            return Err(AnalogError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "charge_injection",
                 value: charge_injection.value(),
             });
@@ -295,15 +294,11 @@ impl MosfetSwitch {
     /// # Errors
     ///
     /// Rejects non-positive resistances or a non-finite threshold.
-    pub fn new(
-        threshold: Volts,
-        on_resistance: Ohms,
-        off_resistance: Ohms,
-    ) -> Result<Self, AnalogError> {
+    pub fn new(threshold: Volts, on_resistance: Ohms, off_resistance: Ohms) -> Result<Self, Error> {
         require_positive("on_resistance", on_resistance.value())?;
         require_positive("off_resistance", off_resistance.value())?;
         if !threshold.is_finite() {
-            return Err(AnalogError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "threshold",
                 value: threshold.value(),
             });
@@ -361,7 +356,7 @@ impl Capacitor {
     /// # Errors
     ///
     /// Rejects non-positive capacitance or leakage resistance.
-    pub fn new(capacitance: Farads, leakage_resistance: Ohms) -> Result<Self, AnalogError> {
+    pub fn new(capacitance: Farads, leakage_resistance: Ohms) -> Result<Self, Error> {
         require_positive("capacitance", capacitance.value())?;
         require_positive("leakage_resistance", leakage_resistance.value())?;
         Ok(Self {
@@ -380,7 +375,7 @@ impl Capacitor {
     /// # Errors
     ///
     /// Rejects non-positive capacitance.
-    pub fn polyester(capacitance: Farads) -> Result<Self, AnalogError> {
+    pub fn polyester(capacitance: Farads) -> Result<Self, Error> {
         const INSULATION_TAU_S: f64 = 1e5;
         Self::new(
             capacitance,
@@ -456,7 +451,7 @@ impl VoltageDivider {
     /// # Errors
     ///
     /// Rejects non-positive resistances.
-    pub fn new(top: Ohms, bottom: Ohms) -> Result<Self, AnalogError> {
+    pub fn new(top: Ohms, bottom: Ohms) -> Result<Self, Error> {
         require_positive("top", top.value())?;
         require_positive("bottom", bottom.value())?;
         Ok(Self { top, bottom })
@@ -469,10 +464,10 @@ impl VoltageDivider {
     /// # Errors
     ///
     /// Rejects ratios outside `(0, 1)` or non-positive totals.
-    pub fn with_ratio(total: Ohms, ratio: f64) -> Result<Self, AnalogError> {
+    pub fn with_ratio(total: Ohms, ratio: f64) -> Result<Self, Error> {
         require_positive("total", total.value())?;
         if !(ratio.is_finite() && ratio > 0.0 && ratio < 1.0) {
-            return Err(AnalogError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "ratio",
                 value: ratio,
             });

@@ -32,7 +32,7 @@
 //! let (t_on, t_off) = astable.analytic_periods();
 //! assert!((t_on.as_milli() - 39.0).abs() < 2.0);
 //! assert!((t_off.value() - 69.0).abs() < 3.0);
-//! # Ok::<(), eh_analog::AnalogError>(())
+//! # Ok::<(), eh_units::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,12 +40,10 @@
 
 pub mod astable;
 pub mod components;
-mod error;
 mod ledger;
 pub mod rc;
 pub mod sample_hold;
 mod trace;
 
-pub use error::AnalogError;
 pub use ledger::{CurrentLedger, LedgerEntry};
 pub use trace::Trace;

@@ -15,10 +15,9 @@
 //! held value across the 69 s hold period (which §II-B's error budget
 //! relies on being negligible).
 
-use eh_units::{Amps, Coulombs, Farads, Ohms, Ratio, Seconds, Volts};
+use eh_units::{Amps, Coulombs, Error, Farads, Ohms, Ratio, Seconds, Volts};
 
 use crate::components::{AnalogSwitch, Capacitor, Comparator, OpAmpBuffer, VoltageDivider};
-use crate::error::AnalogError;
 
 /// Configuration of the sample-and-hold arrangement.
 #[derive(Debug, Clone)]
@@ -64,7 +63,7 @@ impl SampleHoldConfig {
     /// # Errors
     ///
     /// Rejects ratios outside `(0, 1)`.
-    pub fn paper_configuration(division_ratio: f64) -> Result<Self, AnalogError> {
+    pub fn paper_configuration(division_ratio: f64) -> Result<Self, Error> {
         Ok(Self {
             supply_voltage: Volts::new(3.3),
             divider: VoltageDivider::with_ratio(Ohms::from_mega(5.0), division_ratio)?,
@@ -109,7 +108,7 @@ pub struct SampleHoldStep {
 /// // One 39 ms PULSE sampling a 5.44 V open-circuit voltage:
 /// let step = sh.step(Volts::new(5.44), true, Seconds::from_milli(39.0));
 /// assert!((step.held_sample.value() - 5.44 * 0.298).abs() < 0.01);
-/// # Ok::<(), eh_analog::AnalogError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct SampleHold {
@@ -127,18 +126,18 @@ impl SampleHold {
     /// # Errors
     ///
     /// Rejects non-positive capacitances or filter resistance.
-    pub fn new(config: SampleHoldConfig) -> Result<Self, AnalogError> {
+    pub fn new(config: SampleHoldConfig) -> Result<Self, Error> {
         let hold_cap = Capacitor::polyester(config.hold_capacitance)?;
         let filter_cap = Capacitor::polyester(config.filter_capacitance)?;
         if !(config.filter_resistance.value().is_finite() && config.filter_resistance.value() > 0.0)
         {
-            return Err(AnalogError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "filter_resistance",
                 value: config.filter_resistance.value(),
             });
         }
         if !(0.0..1.0).contains(&config.active_threshold_fraction) {
-            return Err(AnalogError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "active_threshold_fraction",
                 value: config.active_threshold_fraction,
             });

@@ -15,13 +15,13 @@
 use std::time::Instant;
 
 use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
-use eh_bench::{banner, fmt, render_table, sweep_runner};
+use eh_bench::{banner, fmt, render_table};
 use eh_core::baselines::FocvSampleHold;
 use eh_env::{profiles, sampling_error, TimeSeries};
-use eh_node::{NodeError, NodeSimulation, SimConfig};
+use eh_node::{NodeSimulation, SimConfig};
 use eh_pv::{presets, PvCell};
-use eh_sim::{drive, Light, SimError, StepInput, Stepper, SweepRunner};
-use eh_units::{Amps, Farads, Lux, Ohms, Seconds, Volts, Watts};
+use eh_sim::{drive, Light, StepInput, Stepper, SweepRunner};
+use eh_units::{Amps, Error, Farads, Lux, Ohms, Seconds, Volts, Watts};
 
 fn voc_trace(cell: &PvCell, lux_trace: &TimeSeries) -> TimeSeries {
     lux_trace.map(|lux| {
@@ -41,9 +41,7 @@ struct FlickerProbe {
 }
 
 impl Stepper for FlickerProbe {
-    type Error = SimError;
-
-    fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
+    fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), Error> {
         // ±17 mV of 100 Hz ripple on Voc (a few % of lamp flicker
         // through the cell's logarithmic response).
         let v = 5.44 + 0.017 * (2.0 * std::f64::consts::PI * 100.0 * t.value()).sin();
@@ -72,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mobile = profiles::semi_mobile_friday(SEED).decimate(5)?;
     let voc = voc_trace(&cell, &mobile);
     let periods = vec![5.0, 15.0, 39.0, 69.0, 180.0, 600.0, 1800.0];
-    let hold_job = |_: usize, period_s: f64| -> Result<Vec<String>, NodeError> {
+    let hold_job = |_: usize, period_s: f64| -> Result<Vec<String>, Error> {
         let err = sampling_error::worst_case_mean_error(&voc, Seconds::new(period_s))?;
         // Net harvest over the day with this hold period.
         let mut tracker = FocvSampleHold::new(
@@ -95,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let rows_serial = SweepRunner::new(1).run(periods.clone(), hold_job);
     let serial_elapsed = t0.elapsed();
-    let runner = sweep_runner();
+    let runner = SweepRunner::auto();
     let workers = runner.workers();
     let t1 = Instant::now();
     let rows_parallel = runner.run(periods, hold_job);
@@ -123,8 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     banner("Ablation 2 — k trim (R2 potentiometer)");
     let trims = vec![0.45, 0.50, 0.55, 0.596, 0.65, 0.70, 0.80];
-    let rows = sweep_runner()
-        .run(trims, |_, k| -> Result<Vec<String>, NodeError> {
+    let rows = SweepRunner::auto()
+        .run(trims, |_, k| -> Result<Vec<String>, Error> {
             let mut tracker = FocvSampleHold::new(
                 k,
                 Seconds::new(69.0),
@@ -238,29 +236,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner("Ablation 5 — metrology budget sensitivity");
     let trace = profiles::constant(Lux::new(200.0), Seconds::from_hours(1.0));
     let budgets = vec![2.0, 8.0, 42.0, 150.0, 600.0];
-    let rows = sweep_runner()
-        .run(
-            budgets,
-            |_, overhead_ua| -> Result<Vec<String>, NodeError> {
-                let mut tracker = FocvSampleHold::new(
-                    0.596,
-                    Seconds::new(69.0),
-                    Seconds::from_milli(39.0),
-                    Watts::new(3.3 * overhead_ua * 1e-6),
-                )?;
-                let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
-                let report = sim.run(&mut tracker, &trace, Seconds::new(1.0))?;
-                Ok(vec![
-                    fmt(overhead_ua, 0),
-                    format!("{}", report.net_energy()),
-                    if report.is_net_positive() {
-                        "yes".into()
-                    } else {
-                        "NO".into()
-                    },
-                ])
-            },
-        )
+    let rows = SweepRunner::auto()
+        .run(budgets, |_, overhead_ua| -> Result<Vec<String>, Error> {
+            let mut tracker = FocvSampleHold::new(
+                0.596,
+                Seconds::new(69.0),
+                Seconds::from_milli(39.0),
+                Watts::new(3.3 * overhead_ua * 1e-6),
+            )?;
+            let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
+            let report = sim.run(&mut tracker, &trace, Seconds::new(1.0))?;
+            Ok(vec![
+                fmt(overhead_ua, 0),
+                format!("{}", report.net_energy()),
+                if report.is_net_positive() {
+                    "yes".into()
+                } else {
+                    "NO".into()
+                },
+            ])
+        })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
     println!(

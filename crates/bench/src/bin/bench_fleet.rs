@@ -25,17 +25,17 @@
 //! the summed closed-loop node accounting within 1e-9 relative.
 //!
 //! Run with `cargo run -q --release -p eh-bench --bin bench_fleet`
-//! (accepts `--workers N` / `EH_WORKERS` to set the top worker count,
-//! and `--smoke` for the fast CI profile: one small fleet size on a
-//! coarse grid, same code paths and assertions, no timing claims).
+//! (accepts `--smoke` for the fast CI profile: one small fleet size on
+//! a coarse grid, same code paths and assertions, no timing claims).
 
 use std::time::Instant;
 
-use eh_bench::{banner, clamp_worker_counts, fmt, render_table, smoke_mode, sweep_runner};
+use eh_bench::{banner, clamp_worker_counts, fmt, render_table, smoke_mode};
 use eh_fleet::{
     compare_trackers_over_fleet, FleetContext, FleetReport, FleetRunner, FleetSpec, PlacementMix,
     TrackerKind,
 };
+use eh_sim::SweepRunner;
 use eh_units::{Joules, Seconds};
 
 /// Fleet sizes for the scaling sweep (full profile).
@@ -88,7 +88,7 @@ fn energy_columns(report: &FleetReport) -> (f64, f64, f64) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     let smoke = smoke_mode();
-    let max_workers = sweep_runner().workers();
+    let max_workers = SweepRunner::auto().workers();
     let mut worker_counts = vec![1usize, 2, 4, max_workers];
     let workers_clamped = clamp_worker_counts(&mut worker_counts, host);
     let (sizes, reference_size): (Vec<u32>, u32) = if smoke {

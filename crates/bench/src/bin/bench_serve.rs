@@ -21,8 +21,9 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
-use eh_bench::{banner, fmt, render_table, smoke_mode, sweep_runner};
+use eh_bench::{banner, fmt, render_table, smoke_mode};
 use eh_serve::{metrics::names, ServeConfig, Server};
+use eh_sim::SweepRunner;
 
 /// One measured exchange: status, `X-Cache` layer, body, seconds.
 struct Sample {
@@ -74,7 +75,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = smoke_mode();
-    let sim_workers = sweep_runner().workers();
+    let sim_workers = SweepRunner::auto().workers();
     let mut config = ServeConfig::default_local();
     config.sim_workers = sim_workers;
     config.http_workers = 4;

@@ -11,9 +11,10 @@
 //!
 //! Run with `cargo run -p eh-bench --bin lighting_mix_study`.
 
-use eh_bench::{banner, fmt, render_table, sweep_runner};
+use eh_bench::{banner, fmt, render_table};
 use eh_pv::spectrum::{effective_illuminance, CellTechnology};
 use eh_pv::{presets, LightSource};
+use eh_sim::SweepRunner;
 use eh_units::{Lux, Volts};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("incandescent", LightSource::Incandescent),
     ];
 
-    let rows = sweep_runner()
+    let rows = SweepRunner::auto()
         .run(sources.to_vec(), |_, (name, source)| {
             let eff = effective_illuminance(metered, CellTechnology::AmorphousSilicon, source);
             let voc = cell.open_circuit_voltage(eff)?;
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ])
         })
         .into_iter()
-        .collect::<Result<Vec<_>, eh_pv::PvError>>()?;
+        .collect::<Result<Vec<_>, eh_units::Error>>()?;
     println!(
         "{}",
         render_table(
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("The same comparison on a crystalline cell (lux-proxy error grows)");
     let csi = presets::crystalline_outdoor();
-    let rows = sweep_runner()
+    let rows = SweepRunner::auto()
         .run(sources.to_vec(), |_, (name, source)| {
             let eff = effective_illuminance(metered, CellTechnology::CrystallineSilicon, source);
             let voc = csi.open_circuit_voltage(eff)?;
@@ -89,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ])
         })
         .into_iter()
-        .collect::<Result<Vec<_>, eh_pv::PvError>>()?;
+        .collect::<Result<Vec<_>, eh_units::Error>>()?;
     println!(
         "{}",
         render_table(

@@ -9,8 +9,8 @@ use eh_analog::astable::AstableMultivibrator;
 use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
 use eh_analog::{CurrentLedger, Trace};
 use eh_bench::{banner, fmt, render_table};
-use eh_sim::{drive, Light, SimError, StepInput, Stepper};
-use eh_units::{Lux, Seconds, Volts};
+use eh_sim::{drive, Light, StepInput, Stepper};
+use eh_units::{Error, Lux, Seconds, Volts};
 
 /// Steps the astable at a fixed rate, recording the PULSE waveform.
 struct PulseRecorder {
@@ -19,8 +19,7 @@ struct PulseRecorder {
 }
 
 impl Stepper for PulseRecorder {
-    type Error = SimError;
-    fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
+    fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), Error> {
         let s = self.astable.step(dt);
         self.trace
             .record(t + dt, if s.output_high { 3.3 } else { 0.0 });

@@ -10,8 +10,9 @@
 
 use eh_analog::astable::{AstableConfig, AstableMultivibrator};
 use eh_analog::components::VoltageDivider;
-use eh_bench::{banner, fmt, render_table, sweep_runner};
+use eh_bench::{banner, fmt, render_table};
 use eh_pv::presets;
+use eh_sim::SweepRunner;
 use eh_units::{Farads, Lux, Ohms, Volts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let voc = cell.open_circuit_voltage(lux)?;
 
     type BuildOutcome = Result<(f64, f64, f64, f64), Box<dyn std::error::Error + Send + Sync>>;
-    let builds = sweep_runner().run(draws, |_, d| -> BuildOutcome {
+    let builds = SweepRunner::auto().run(draws, |_, d| -> BuildOutcome {
         let [c_tol, r_chg_tol, r_dis_tol, r_thr_tol, r_top_tol, r_bot_tol] = d;
         // Astable: R ±5 %, film C ±10 %. The nominal design targets
         // 39 ms / 69 s through ln2·R·C.

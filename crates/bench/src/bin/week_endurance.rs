@@ -8,15 +8,14 @@
 //!
 //! Run with `cargo run -p eh-bench --bin week_endurance`.
 
-use eh_bench::{banner, fmt, render_table, sweep_runner};
+use eh_bench::{banner, fmt, render_table};
 use eh_core::baselines::{FixedVoltage, FocvSampleHold};
 use eh_core::MpptController;
 use eh_env::week;
-use eh_node::{
-    Battery, ConcreteStore, DutyCycledLoad, NodeError, NodeSimulation, SimConfig, Supercapacitor,
-};
+use eh_node::{Battery, ConcreteStore, DutyCycledLoad, NodeSimulation, SimConfig, Supercapacitor};
 use eh_pv::{presets, PvCell};
-use eh_units::{Farads, Joules, Seconds, Volts};
+use eh_sim::SweepRunner;
+use eh_units::{Error, Farads, Joules, Seconds, Volts};
 
 /// Tracker under comparison; each sweep job builds its own instance so
 /// the rows can run on separate workers.
@@ -33,7 +32,7 @@ fn run(
     cell: &PvCell,
     store: ConcreteStore,
     trace: &eh_env::TimeSeries,
-) -> Result<Vec<String>, NodeError> {
+) -> Result<Vec<String>, Error> {
     let mut tracker: Box<dyn MpptController> = match kind {
         Tracker::Focv => Box::new(FocvSampleHold::paper_prototype()?),
         Tracker::Fixed => Box::new(FixedVoltage::indoor_tuned()?),
@@ -73,10 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_initial_voltage(Volts::new(4.0)),
         )
     };
-    let rows = sweep_runner()
+    let rows = SweepRunner::auto()
         .run(TRACKERS.to_vec(), |_, kind| run(kind, &cell, sc(), &trace))
         .into_iter()
-        .collect::<Result<Vec<_>, NodeError>>()?;
+        .collect::<Result<Vec<_>, Error>>()?;
     println!(
         "{}",
         render_table(
@@ -100,10 +99,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_state_of_charge(0.5),
         )
     };
-    let rows = sweep_runner()
+    let rows = SweepRunner::auto()
         .run(TRACKERS.to_vec(), |_, kind| run(kind, &cell, bat(), &trace))
         .into_iter()
-        .collect::<Result<Vec<_>, NodeError>>()?;
+        .collect::<Result<Vec<_>, Error>>()?;
     println!(
         "{}",
         render_table(

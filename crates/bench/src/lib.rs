@@ -8,59 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use eh_serve::envcfg::{positive_usize, EnvError};
-use eh_sim::SweepRunner;
-
-/// The raw value of `--flag V` or `--flag=V` in the arguments, if the
-/// flag is present (an empty string when `--flag` is the last word).
-fn flag_value<I, S>(args: I, flag: &str) -> Option<String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let arg = arg.as_ref();
-        if arg == flag {
-            return Some(
-                args.next()
-                    .map_or_else(String::new, |v| v.as_ref().to_owned()),
-            );
-        }
-        if let Some(v) = arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            return Some(v.to_owned());
-        }
-    }
-    None
-}
-
-/// Parses a worker-count override from command-line arguments
-/// (`--workers N` or `--workers=N`) and the `EH_WORKERS` environment
-/// variable; the command line wins.
-///
-/// Parsing is strict and shared with the service's `EH_SERVE_*`
-/// handling ([`eh_serve::envcfg`]): zero, negative, or unparsable
-/// values are a hard [`EnvError`] naming the knob and the rejected
-/// value. They used to be silently ignored, which let `EH_WORKERS=lots`
-/// degrade to the auto-sized default and quietly measure the wrong
-/// configuration.
-///
-/// # Errors
-///
-/// [`EnvError`] when an override is present but not a positive integer.
-pub fn parse_workers<I, S>(args: I, env_value: Option<&str>) -> Result<Option<usize>, EnvError>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    match flag_value(args, "--workers") {
-        Some(raw) => positive_usize("--workers", &raw).map(Some),
-        None => env_value
-            .map(|raw| positive_usize("EH_WORKERS", raw))
-            .transpose(),
-    }
-}
-
 /// Returns whether a bare long flag (e.g. `--smoke`) is present in the
 /// arguments.
 pub fn parse_flag<I, S>(args: I, name: &str) -> bool
@@ -96,26 +43,6 @@ pub fn clamp_worker_counts(counts: &mut Vec<usize>, host_parallelism: usize) -> 
     counts.sort_unstable();
     counts.dedup();
     clamped
-}
-
-/// The sweep runner every experiment binary should use: sized by
-/// `--workers N` / `--workers=N` on the command line, else the
-/// `EH_WORKERS` environment variable, else the machine's available
-/// parallelism. A present-but-invalid override terminates the process
-/// with exit code 2 and a message naming the knob — never a silent
-/// fallback.
-pub fn sweep_runner() -> SweepRunner {
-    match parse_workers(
-        std::env::args().skip(1),
-        std::env::var("EH_WORKERS").ok().as_deref(),
-    ) {
-        Ok(Some(n)) => SweepRunner::new(n),
-        Ok(None) => SweepRunner::auto(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Renders an aligned plain-text table.
@@ -233,32 +160,6 @@ mod tests {
         let flat = sparkline(&[2.0, 2.0, 2.0]);
         assert_eq!(flat, "▁▁▁");
         assert_eq!(sparkline(&[]), "");
-    }
-
-    #[test]
-    fn workers_override_resolution() {
-        // Command line beats the environment.
-        assert_eq!(parse_workers(["--workers", "4"], Some("2")), Ok(Some(4)));
-        assert_eq!(parse_workers(["--workers=8"], Some("2")), Ok(Some(8)));
-        // Environment fallback.
-        assert_eq!(parse_workers(Vec::<String>::new(), Some("3")), Ok(Some(3)));
-        assert_eq!(parse_workers(["--other"], Some(" 5 ")), Ok(Some(5)));
-        // No override anywhere: auto-size.
-        assert_eq!(parse_workers(Vec::<String>::new(), None), Ok(None));
-    }
-
-    #[test]
-    fn workers_garbage_is_a_hard_error() {
-        // A present-but-invalid override must fail loudly, naming the
-        // knob and the rejected value — never degrade to auto.
-        let err = parse_workers(["--workers", "zero"], None).unwrap_err();
-        assert_eq!(err.source, "--workers");
-        assert_eq!(err.raw, "zero");
-        assert!(parse_workers(["--workers=0"], Some("2")).is_err());
-        assert!(parse_workers(["--workers"], None).is_err());
-        let err = parse_workers(Vec::<String>::new(), Some("lots")).unwrap_err();
-        assert_eq!(err.source, "EH_WORKERS");
-        assert!(err.to_string().contains("positive integer"));
     }
 
     #[test]

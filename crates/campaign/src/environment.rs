@@ -15,9 +15,7 @@
 
 use eh_env::season::SeasonalSolar;
 use eh_env::TimeSeries;
-use eh_units::Seconds;
-
-use crate::error::CampaignError;
+use eh_units::{Error, Seconds};
 
 /// Office lamp illuminance while on (weekdays 08:00–18:00), in lux.
 const LAMP_LUX: f64 = 450.0;
@@ -51,10 +49,10 @@ pub fn epoch_traces(
     epoch_days: u32,
     dt: Seconds,
     in_use: [bool; 3],
-) -> Result<[Option<TimeSeries>; 3], CampaignError> {
+) -> Result<[Option<TimeSeries>; 3], Error> {
     let end = epoch_start as usize + epoch_days as usize;
     if attenuations.len() < end {
-        return Err(CampaignError::InvalidSpec {
+        return Err(Error::InvalidParameter {
             name: "attenuations_len",
             value: attenuations.len() as f64,
         });
@@ -93,7 +91,7 @@ pub fn epoch_traces(
         interior.push(lamp + INTERIOR_DAYLIGHT * sun);
     }
 
-    let build = |used: bool, values: Vec<f64>| -> Result<Option<TimeSeries>, CampaignError> {
+    let build = |used: bool, values: Vec<f64>| -> Result<Option<TimeSeries>, Error> {
         if used {
             Ok(Some(TimeSeries::new(Seconds::ZERO, dt, values)?))
         } else {

@@ -26,20 +26,18 @@
 //! let report = CampaignRunner::new(2).run(&spec)?;
 //! assert_eq!(report.nodes(), 4);
 //! println!("{report}");
-//! # Ok::<(), eh_campaign::CampaignError>(())
+//! # Ok::<(), eh_units::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod environment;
-mod error;
 pub mod report;
 pub mod run;
 pub mod schedule;
 pub mod spec;
 
-pub use error::CampaignError;
 pub use report::{CampaignNodeOutcome, CampaignReport};
 pub use run::{CampaignContext, CampaignRunner};
 pub use schedule::{node_schedules, FaultKind, NodeSchedule};

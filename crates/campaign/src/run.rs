@@ -30,10 +30,9 @@ use eh_env::TracePerturbation;
 use eh_fleet::{FleetContext, FleetSpec, NodeSpec, Placement, SurfacePool};
 use eh_node::StoreSpec;
 use eh_sim::SweepRunner;
-use eh_units::{Farads, Joules, Volts};
+use eh_units::{Error, Farads, Joules, Volts};
 
 use crate::environment::epoch_traces;
-use crate::error::CampaignError;
 use crate::report::{CampaignNodeOutcome, CampaignReport};
 use crate::schedule::{node_schedules, FaultKind, NodeSchedule};
 use crate::spec::CampaignSpec;
@@ -67,7 +66,7 @@ impl CampaignContext {
     ///
     /// Propagates spec validation, environment synthesis and fleet
     /// preparation failures.
-    pub fn prepare(spec: &CampaignSpec) -> Result<Self, CampaignError> {
+    pub fn prepare(spec: &CampaignSpec) -> Result<Self, Error> {
         spec.validate()?;
 
         // The base fleet: the reference deployment reshaped to the
@@ -144,7 +143,7 @@ impl CampaignContext {
         &self,
         node: &NodeSpec,
         sched: &NodeSchedule,
-    ) -> Result<CampaignReport, CampaignError> {
+    ) -> Result<CampaignReport, Error> {
         let spec = &self.spec;
         let base_store = self.contexts[0].spec().store;
         let mut carry: Option<Joules> = None;
@@ -311,7 +310,7 @@ impl CampaignRunner {
     /// # Errors
     ///
     /// Propagates preparation and simulation failures.
-    pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, CampaignError> {
+    pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, Error> {
         self.run_prepared(&CampaignContext::prepare(spec)?)
     }
 
@@ -322,7 +321,7 @@ impl CampaignRunner {
     /// # Errors
     ///
     /// Propagates simulation failures.
-    pub fn run_prepared(&self, ctx: &CampaignContext) -> Result<CampaignReport, CampaignError> {
+    pub fn run_prepared(&self, ctx: &CampaignContext) -> Result<CampaignReport, Error> {
         let items: Vec<(NodeSpec, NodeSchedule)> = ctx
             .population
             .iter()
@@ -337,7 +336,7 @@ impl CampaignRunner {
         match merged {
             Some(report) => report,
             // Unreachable: validate() rejects zero-node campaigns.
-            None => Err(CampaignError::InvalidSpec {
+            None => Err(Error::InvalidParameter {
                 name: "nodes",
                 value: 0.0,
             }),

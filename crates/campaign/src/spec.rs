@@ -10,12 +10,11 @@
 
 use eh_env::season::SeasonalSolar;
 use eh_env::weather::WeatherModel;
-use eh_env::EnvError;
 use eh_fleet::{Engine, TrackerKind};
-use eh_node::{DutyCycledLoad, NodeError};
+use eh_node::DutyCycledLoad;
 use eh_units::{Lux, Seconds};
 
-use crate::error::CampaignError;
+use eh_units::Error;
 
 /// The climate regime of a deployment site: picks the weather
 /// transition matrix and the seasonal clear-sky peak anchors.
@@ -55,7 +54,7 @@ impl Climate {
     ///
     /// Never fails for the preset matrices; the `Result` mirrors
     /// [`WeatherModel::new`].
-    pub fn weather(self, seed: u64) -> Result<WeatherModel, EnvError> {
+    pub fn weather(self, seed: u64) -> Result<WeatherModel, Error> {
         match self {
             Climate::Temperate => WeatherModel::temperate(seed),
             Climate::MonsoonSeason => WeatherModel::monsoon_season(seed),
@@ -68,7 +67,7 @@ impl Climate {
     /// # Errors
     ///
     /// Propagates [`SeasonalSolar::new`] (latitude beyond ±66°).
-    pub fn season(self, latitude_deg: f64) -> Result<SeasonalSolar, EnvError> {
+    pub fn season(self, latitude_deg: f64) -> Result<SeasonalSolar, Error> {
         let (summer, winter) = match self {
             Climate::Temperate => (90_000.0, 20_000.0),
             Climate::MonsoonSeason => (105_000.0, 70_000.0),
@@ -117,7 +116,7 @@ impl LoadClass {
     ///
     /// Never fails for the preset constants; the `Result` mirrors the
     /// underlying constructors.
-    pub fn build(self) -> Result<DutyCycledLoad, NodeError> {
+    pub fn build(self) -> Result<DutyCycledLoad, Error> {
         match self {
             LoadClass::SensorNode => DutyCycledLoad::typical_sensor_node(),
             LoadClass::DutyCycledRadio => DutyCycledLoad::duty_cycled_radio(),
@@ -165,15 +164,15 @@ impl DriftRates {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::InvalidSpec`] naming the field.
-    pub fn validate(&self) -> Result<(), CampaignError> {
+    /// Returns [`Error::InvalidParameter`] naming the field.
+    pub fn validate(&self) -> Result<(), Error> {
         for (name, v) in [
             ("dust_per_year", self.dust_per_year),
             ("aging_per_year", self.aging_per_year),
             ("store_wear_per_year", self.store_wear_per_year),
         ] {
             if !(v.is_finite() && (0.0..0.5).contains(&v)) {
-                return Err(CampaignError::InvalidSpec { name, value: v });
+                return Err(Error::InvalidParameter { name, value: v });
             }
         }
         Ok(())
@@ -205,10 +204,10 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::InvalidSpec`].
-    pub fn validate(&self) -> Result<(), CampaignError> {
+    /// Returns [`Error::InvalidParameter`].
+    pub fn validate(&self) -> Result<(), Error> {
         if !(self.probability.is_finite() && (0.0..=1.0).contains(&self.probability)) {
-            return Err(CampaignError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "fault_probability",
                 value: self.probability,
             });
@@ -290,29 +289,29 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::InvalidSpec`] naming the field; latitude
+    /// Returns [`Error::InvalidParameter`] naming the field; latitude
     /// validity is checked by constructing the seasonal cycle.
-    pub fn validate(&self) -> Result<(), CampaignError> {
+    pub fn validate(&self) -> Result<(), Error> {
         if self.nodes == 0 {
-            return Err(CampaignError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "nodes",
                 value: 0.0,
             });
         }
         if self.days == 0 {
-            return Err(CampaignError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "days",
                 value: 0.0,
             });
         }
         if self.epoch_days == 0 || self.epoch_days > self.days {
-            return Err(CampaignError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "epoch_days",
                 value: f64::from(self.epoch_days),
             });
         }
         if !(self.dt.value().is_finite() && self.dt.value() > 0.0) {
-            return Err(CampaignError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "dt",
                 value: self.dt.value(),
             });
@@ -321,7 +320,7 @@ impl CampaignSpec {
         // alignment epoch over epoch.
         let steps_per_day = 86_400.0 / self.dt.value();
         if (steps_per_day - steps_per_day.round()).abs() > 1e-9 {
-            return Err(CampaignError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "dt_divides_day",
                 value: self.dt.value(),
             });

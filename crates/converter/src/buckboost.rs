@@ -1,9 +1,8 @@
 //! The input-regulated buck-boost converter.
 
-use eh_units::{Joules, Seconds, Volts, Watts};
+use eh_units::{Error, Joules, Seconds, Volts, Watts};
 
 use crate::efficiency::EfficiencyModel;
-use crate::error::ConverterError;
 
 /// Result of one harvesting step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +47,7 @@ impl HarvestResult {
 /// let r = conv.harvest(Volts::new(3.0), Amps::from_micro(42.0), Seconds::new(1.0));
 /// assert!(r.output_power.value() > 0.0);
 /// assert!(r.output_power < r.input_power);
-/// # Ok::<(), eh_converter::ConverterError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputRegulatedConverter {
@@ -63,12 +62,9 @@ impl InputRegulatedConverter {
     /// # Errors
     ///
     /// Rejects a negative minimum input voltage.
-    pub fn new(
-        efficiency: EfficiencyModel,
-        min_input_voltage: Volts,
-    ) -> Result<Self, ConverterError> {
+    pub fn new(efficiency: EfficiencyModel, min_input_voltage: Volts) -> Result<Self, Error> {
         if !(min_input_voltage.value().is_finite() && min_input_voltage.value() >= 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "min_input_voltage",
                 value: min_input_voltage.value(),
             });
@@ -86,7 +82,7 @@ impl InputRegulatedConverter {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`InputRegulatedConverter::new`].
-    pub fn paper_prototype() -> Result<Self, ConverterError> {
+    pub fn paper_prototype() -> Result<Self, Error> {
         Self::new(EfficiencyModel::micropower_buck_boost()?, Volts::new(0.8))
     }
 

@@ -13,9 +13,7 @@
 //! paper validated down to 200 lux.
 
 use eh_obs::Metrics;
-use eh_units::{Amps, Farads, Seconds, Volts};
-
-use crate::error::ConverterError;
+use eh_units::{Amps, Error, Farads, Seconds, Volts};
 
 /// Discrete state of the cold-start supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +37,7 @@ pub enum ColdStartState {
 /// for _ in 0..30 {
 ///     cs.step(Amps::from_micro(40.0), Amps::ZERO, Seconds::new(0.1));
 /// }
-/// # Ok::<(), eh_converter::ConverterError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColdStart {
@@ -68,21 +66,21 @@ impl ColdStart {
         v_disable: Volts,
         v_max: Volts,
         diode_drop: Volts,
-    ) -> Result<Self, ConverterError> {
+    ) -> Result<Self, Error> {
         if !(capacitance.value().is_finite() && capacitance.value() > 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "capacitance",
                 value: capacitance.value(),
             });
         }
         if !(v_disable.value() > 0.0 && v_enable > v_disable && v_max > v_enable) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "thresholds",
                 value: v_enable.value(),
             });
         }
         if !(diode_drop.value().is_finite() && diode_drop.value() >= 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "diode_drop",
                 value: diode_drop.value(),
             });
@@ -122,7 +120,7 @@ impl ColdStart {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`ColdStart::new`].
-    pub fn paper_prototype() -> Result<Self, ConverterError> {
+    pub fn paper_prototype() -> Result<Self, Error> {
         Self::new(
             Farads::from_micro(47.0),
             Volts::new(2.2),

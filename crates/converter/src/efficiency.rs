@@ -7,9 +7,7 @@
 //! once the input power clears the quiescent floor, plateaus, and
 //! eventually rolls off — the standard bathtub-complement shape.
 
-use eh_units::{Ratio, Watts};
-
-use crate::error::ConverterError;
+use eh_units::{Error, Ratio, Watts};
 
 /// Converter efficiency model `η(P_in)` built from a three-term loss
 /// decomposition: `P_loss = P_q + a·P_in + (P_in²/P_knee)·b`.
@@ -24,7 +22,7 @@ use crate::error::ConverterError;
 /// assert!(eta.value() > 0.5);
 /// // Deep below the quiescent floor it collapses.
 /// assert!(model.efficiency(Watts::from_micro(2.0)).value() < 0.4);
-/// # Ok::<(), eh_converter::ConverterError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EfficiencyModel {
@@ -46,27 +44,27 @@ impl EfficiencyModel {
         proportional_loss: f64,
         quadratic_knee: Watts,
         quadratic_coeff: f64,
-    ) -> Result<Self, ConverterError> {
+    ) -> Result<Self, Error> {
         if !(quiescent.value().is_finite() && quiescent.value() >= 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "quiescent",
                 value: quiescent.value(),
             });
         }
         if !(0.0..1.0).contains(&proportional_loss) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "proportional_loss",
                 value: proportional_loss,
             });
         }
         if !(quadratic_knee.value().is_finite() && quadratic_knee.value() > 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "quadratic_knee",
                 value: quadratic_knee.value(),
             });
         }
         if !(quadratic_coeff.is_finite() && quadratic_coeff >= 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "quadratic_coeff",
                 value: quadratic_coeff,
             });
@@ -88,7 +86,7 @@ impl EfficiencyModel {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`EfficiencyModel::new`].
-    pub fn micropower_buck_boost() -> Result<Self, ConverterError> {
+    pub fn micropower_buck_boost() -> Result<Self, Error> {
         Self::new(Watts::from_micro(1.5), 0.12, Watts::from_milli(50.0), 0.08)
     }
 

@@ -21,10 +21,8 @@
 mod buckboost;
 mod coldstart;
 mod efficiency;
-mod error;
 pub mod switching;
 
 pub use buckboost::{HarvestResult, InputRegulatedConverter};
 pub use coldstart::{ColdStart, ColdStartState};
 pub use efficiency::EfficiencyModel;
-pub use error::ConverterError;

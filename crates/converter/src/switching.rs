@@ -12,9 +12,7 @@
 //! model documents a plausible micropower design (47 µH class inductor,
 //! tens of kHz) and is validated against the behavioural loss surface.
 
-use eh_units::{Amps, Ratio, Seconds, Volts, Watts};
-
-use crate::error::ConverterError;
+use eh_units::{Amps, Error, Ratio, Seconds, Volts, Watts};
 
 /// Conduction mode of the inductor current.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +62,7 @@ impl SwitchingOperatingPoint {
 /// let op = stage.operating_point(Volts::new(3.0), Amps::from_micro(42.0), Volts::new(3.3))?;
 /// let eta = op.efficiency(Volts::new(3.0) * Amps::from_micro(42.0));
 /// assert!(eta.value() > 0.5 && eta.value() < 1.0);
-/// # Ok::<(), eh_converter::ConverterError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchingStage {
@@ -89,7 +87,7 @@ impl SwitchingStage {
         diode_drop_v: f64,
         gate_energy_j: f64,
         controller_power_w: f64,
-    ) -> Result<Self, ConverterError> {
+    ) -> Result<Self, Error> {
         for (name, v, strict) in [
             ("inductance", inductance_h, true),
             ("switching_frequency", switching_frequency_hz, true),
@@ -100,7 +98,7 @@ impl SwitchingStage {
         ] {
             let ok = v.is_finite() && if strict { v > 0.0 } else { v >= 0.0 };
             if !ok {
-                return Err(ConverterError::InvalidParameter { name, value: v });
+                return Err(Error::InvalidParameter { name, value: v });
             }
         }
         Ok(Self {
@@ -120,7 +118,7 @@ impl SwitchingStage {
     /// # Errors
     ///
     /// Never fails for these constants; mirrors [`SwitchingStage::new`].
-    pub fn micropower_prototype() -> Result<Self, ConverterError> {
+    pub fn micropower_prototype() -> Result<Self, Error> {
         Self::new(47e-6, 25_000.0, 1.5, 0.3, 15e-12, 1e-6)
     }
 
@@ -147,15 +145,15 @@ impl SwitchingStage {
         v_in: Volts,
         i_in: Amps,
         v_out: Volts,
-    ) -> Result<SwitchingOperatingPoint, ConverterError> {
+    ) -> Result<SwitchingOperatingPoint, Error> {
         if !(v_in.value() > 0.0 && v_out.value() > 0.0) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "voltages",
                 value: v_in.value().min(v_out.value()),
             });
         }
         if !(i_in.value() >= 0.0 && i_in.value().is_finite()) {
-            return Err(ConverterError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "input_current",
                 value: i_in.value(),
             });

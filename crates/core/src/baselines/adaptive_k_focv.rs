@@ -1,13 +1,12 @@
 //! Adaptive-k FOCV: sample-and-hold with a slowly re-learned fraction.
 
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::sample_hold::{check_pulse, SampleHold};
 use super::shared::{check_overhead, ensure};
 use super::FocvSampleHold;
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// FOCV sample-and-hold whose fraction `k` is re-learned online.
 ///
@@ -57,7 +56,7 @@ impl AdaptiveKFocv {
         sample_period: Seconds,
         pulse_width: Seconds,
         overhead: Watts,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         ensure(
             k_min.is_finite() && k_max.is_finite() && 0.0 < k_min && k_min < k_max && k_max < 1.0,
             "k_band",
@@ -94,7 +93,7 @@ impl AdaptiveKFocv {
     /// # Errors
     ///
     /// Never fails for these constants; mirrors [`AdaptiveKFocv::new`].
-    pub fn paper_tuned() -> Result<Self, CoreError> {
+    pub fn paper_tuned() -> Result<Self, Error> {
         Self::paper_tuned_on(FocvSampleHold::paper_prototype()?)
     }
 
@@ -108,7 +107,7 @@ impl AdaptiveKFocv {
     /// # Errors
     ///
     /// Never fails for a valid chain; mirrors [`AdaptiveKFocv::new`].
-    pub fn paper_tuned_on(chain: FocvSampleHold) -> Result<Self, CoreError> {
+    pub fn paper_tuned_on(chain: FocvSampleHold) -> Result<Self, Error> {
         let (k_min, k_max) = (0.50, 0.70);
         let tuned = Self::new(
             chain.k().clamp(k_min, k_max),

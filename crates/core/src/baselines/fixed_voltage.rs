@@ -1,10 +1,9 @@
 //! The fixed-voltage baseline (Weddell'08 \[8\]).
 
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::shared::{check_overhead, check_positive};
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// The fixed-voltage indoor harvester of the paper's ref. \[8\]: the PV
 /// module is operated "at a fixed voltage which is assumed to be
@@ -28,7 +27,7 @@ impl FixedVoltage {
     /// # Errors
     ///
     /// Rejects a non-positive reference or negative overhead.
-    pub fn new(reference: Volts, overhead: Watts) -> Result<Self, CoreError> {
+    pub fn new(reference: Volts, overhead: Watts) -> Result<Self, Error> {
         check_positive("reference", reference.value())?;
         check_overhead(overhead)?;
         Ok(Self {
@@ -44,7 +43,7 @@ impl FixedVoltage {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`FixedVoltage::new`].
-    pub fn indoor_tuned() -> Result<Self, CoreError> {
+    pub fn indoor_tuned() -> Result<Self, Error> {
         Self::new(
             Volts::new(3.0),
             Volts::new(3.3) * eh_units::Amps::from_micro(12.0),

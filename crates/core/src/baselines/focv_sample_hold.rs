@@ -1,11 +1,10 @@
 //! The paper's technique at behavioural level.
 
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::sample_hold::{check_pulse, SampleHold};
 use super::shared::{check_fraction, check_overhead};
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// The proposed FOCV sample-and-hold tracker: every `sample_period` the
 /// module is disconnected for `pulse_width` to measure `Voc`; in between
@@ -21,7 +20,7 @@ use crate::error::CoreError;
 ///
 /// let tracker = FocvSampleHold::paper_prototype()?;
 /// assert!(tracker.overhead_power().as_micro() < 30.0);
-/// # Ok::<(), eh_core::CoreError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FocvSampleHold {
@@ -45,7 +44,7 @@ impl FocvSampleHold {
         sample_period: Seconds,
         pulse_width: Seconds,
         overhead: Watts,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         check_fraction("k", k)?;
         check_pulse(sample_period, pulse_width)?;
         check_overhead(overhead)?;
@@ -64,7 +63,7 @@ impl FocvSampleHold {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`FocvSampleHold::new`].
-    pub fn paper_prototype() -> Result<Self, CoreError> {
+    pub fn paper_prototype() -> Result<Self, Error> {
         Self::new(
             0.596,
             Seconds::new(69.0),
@@ -84,7 +83,7 @@ impl FocvSampleHold {
     /// # Errors
     ///
     /// Rejects an offset outside `[0, sample_period)`.
-    pub fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, CoreError> {
+    pub fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, Error> {
         self.hold = self.hold.with_initial_phase(offset)?;
         Ok(self)
     }

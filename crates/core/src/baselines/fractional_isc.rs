@@ -1,13 +1,12 @@
 //! The fractional short-circuit-current baseline (from the Esram &
 //! Chapman survey the paper cites as [2]).
 
-use eh_units::{Amps, Seconds, Volts, Watts};
+use eh_units::{Amps, Error, Seconds, Volts, Watts};
 
 use super::sample_hold::SampleHold;
 use super::shared::{check_fraction, check_overhead, check_positive, clamp_target};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// Fractional-Isc: the MPP *current* of a PV cell is approximately
 /// proportional to its short-circuit current (`Impp ≈ k_i · Isc`), so
@@ -36,7 +35,7 @@ impl FractionalIsc {
     ///
     /// Rejects `k_i` outside `(0, 1)`, a non-positive period or negative
     /// overhead.
-    pub fn new(k_i: f64, sample_period: Seconds, overhead: Watts) -> Result<Self, CoreError> {
+    pub fn new(k_i: f64, sample_period: Seconds, overhead: Watts) -> Result<Self, Error> {
         check_fraction("k_i", k_i)?;
         check_positive("sample_period", sample_period.value())?;
         check_overhead(overhead)?;
@@ -58,7 +57,7 @@ impl FractionalIsc {
     /// # Errors
     ///
     /// Never fails for these constants; mirrors [`FractionalIsc::new`].
-    pub fn literature_default() -> Result<Self, CoreError> {
+    pub fn literature_default() -> Result<Self, Error> {
         Self::new(0.5, Seconds::new(10.0), Watts::from_milli(1.0))
     }
 

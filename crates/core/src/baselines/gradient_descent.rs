@@ -1,12 +1,11 @@
 //! Adaptive-step gradient-descent MPPT (cf. the complexity-aware
 //! benchmarking line of work, arXiv 2511.20895).
 
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::shared::{check_overhead, check_positive, clamp_target, ensure, ControlTick};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// Gradient-descent MPPT with an adaptive step size.
 ///
@@ -48,7 +47,7 @@ impl GradientDescentMppt {
         control_period: Seconds,
         initial_target: Volts,
         overhead: Watts,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         check_positive("learning_rate", learning_rate)?;
         let (min, max) = (min_step.value(), max_step.value());
         ensure(min > 0.0 && max >= min, "step_band", min)?;
@@ -76,7 +75,7 @@ impl GradientDescentMppt {
     ///
     /// Never fails for these constants; mirrors
     /// [`GradientDescentMppt::new`].
-    pub fn literature_default() -> Result<Self, CoreError> {
+    pub fn literature_default() -> Result<Self, Error> {
         Self::new(
             200.0,
             Volts::from_milli(200.0),

@@ -1,12 +1,11 @@
 //! The incremental-conductance baseline (from the Esram & Chapman survey
 //! the paper cites as \[2\]).
 
-use eh_units::{Amps, Seconds, Volts, Watts};
+use eh_units::{Amps, Error, Seconds, Volts, Watts};
 
 use super::shared::{check_overhead, check_positive, clamp_target, ControlTick};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// Incremental conductance: at the MPP, `dP/dV = 0` implies
 /// `dI/dV = −I/V`. The tracker compares the incremental conductance
@@ -38,7 +37,7 @@ impl IncrementalConductance {
         control_period: Seconds,
         initial_target: Volts,
         overhead: Watts,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         check_positive("step_size", step_size.value())?;
         let tick = ControlTick::new(control_period)?;
         check_overhead(overhead)?;
@@ -59,7 +58,7 @@ impl IncrementalConductance {
     ///
     /// Never fails for these constants; mirrors
     /// [`IncrementalConductance::new`].
-    pub fn literature_default() -> Result<Self, CoreError> {
+    pub fn literature_default() -> Result<Self, Error> {
         Self::new(
             Volts::from_milli(25.0),
             Seconds::from_milli(100.0),

@@ -1,11 +1,10 @@
 //! The hill-climbing (perturb & observe) baseline.
 
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::shared::{check_overhead, check_positive, clamp_target, ControlTick};
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// Classic perturb-&-observe hill climbing (the paper's §I: "the
 /// operating point of the PV cell is continually modified; if the
@@ -38,7 +37,7 @@ impl PerturbObserve {
         control_period: Seconds,
         initial_target: Volts,
         overhead: Watts,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         check_positive("step_size", step_size.value())?;
         let tick = ControlTick::new(control_period)?;
         check_overhead(overhead)?;
@@ -59,7 +58,7 @@ impl PerturbObserve {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`PerturbObserve::new`].
-    pub fn literature_default() -> Result<Self, CoreError> {
+    pub fn literature_default() -> Result<Self, Error> {
         Self::new(
             Volts::from_milli(50.0),
             Seconds::from_milli(100.0),

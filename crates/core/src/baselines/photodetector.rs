@@ -1,10 +1,9 @@
 //! The photodetector baseline (AmbiMax, Park & Chou \[6\]).
 
-use eh_units::{Lux, Seconds, Volts, Watts};
+use eh_units::{Error, Lux, Seconds, Volts, Watts};
 
 use super::shared::{check_fraction, check_overhead, check_positive};
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// An AmbiMax-style tracker: a photodiode measures ambient light and an
 /// analog law maps it to the expected MPP voltage. The sensor chain
@@ -37,7 +36,7 @@ impl Photodetector {
         k: f64,
         calibration_gain: f64,
         overhead: Watts,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         check_fraction("k", k)?;
         check_positive("slope", slope.value())?;
         check_positive("calibration_gain", calibration_gain)?;
@@ -58,7 +57,7 @@ impl Photodetector {
     /// # Errors
     ///
     /// Never fails for these constants; mirrors [`Photodetector::new`].
-    pub fn literature_default() -> Result<Self, CoreError> {
+    pub fn literature_default() -> Result<Self, Error> {
         Self::new(
             Volts::new(3.76),
             Volts::new(0.24),

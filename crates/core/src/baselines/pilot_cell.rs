@@ -1,11 +1,10 @@
 //! The pilot-cell baseline (Brunelli et al., DATE'08 \[5\]).
 
 use eh_pv::PvCell;
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::shared::{check_fraction, check_overhead};
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// A pilot-cell FOCV tracker: a second, small PV cell is kept permanently
 /// open-circuit and its voltage (scaled by `k`) steers the converter, so
@@ -28,7 +27,7 @@ impl PilotCell {
     /// # Errors
     ///
     /// Rejects `k` outside `(0, 1)` or negative overhead.
-    pub fn new(pilot: PvCell, k: f64, overhead: Watts) -> Result<Self, CoreError> {
+    pub fn new(pilot: PvCell, k: f64, overhead: Watts) -> Result<Self, Error> {
         check_fraction("k", k)?;
         check_overhead(overhead)?;
         Ok(Self { pilot, k, overhead })
@@ -40,7 +39,7 @@ impl PilotCell {
     /// # Errors
     ///
     /// Never fails for valid presets; mirrors [`PilotCell::new`].
-    pub fn literature_default(pilot: PvCell) -> Result<Self, CoreError> {
+    pub fn literature_default(pilot: PvCell) -> Result<Self, Error> {
         Self::new(pilot, 0.596, Watts::from_micro(300.0))
     }
 }

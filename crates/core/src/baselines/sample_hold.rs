@@ -1,10 +1,9 @@
 //! The periodic sample-and-hold schedule every sampling tracker shares.
 
-use eh_units::{Seconds, Volts};
+use eh_units::{Error, Seconds, Volts};
 
 use super::shared::ensure;
 use crate::controller::TrackerCommand;
-use crate::error::CoreError;
 
 /// The paper's astable-timed sample-and-hold, as a schedule: every
 /// `period` the tracker fires a PULSE (a measurement step), latches what
@@ -88,7 +87,7 @@ impl SampleHold<Volts> {
     /// # Errors
     ///
     /// Rejects an offset outside `[0, period)`.
-    pub(crate) fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, CoreError> {
+    pub(crate) fn with_initial_phase(mut self, offset: Seconds) -> Result<Self, Error> {
         let period = self.period;
         let s = offset.value();
         ensure(
@@ -121,7 +120,7 @@ impl SampleHold<Volts> {
 ///
 /// `periods` (the smaller of the two) when either is not positive,
 /// `pulse_width` when the PULSE is not shorter than the period.
-pub(crate) fn check_pulse(period: Seconds, pulse_width: Seconds) -> Result<(), CoreError> {
+pub(crate) fn check_pulse(period: Seconds, pulse_width: Seconds) -> Result<(), Error> {
     let (period, pulse) = (period.value(), pulse_width.value());
     ensure(period > 0.0 && pulse > 0.0, "periods", period.min(pulse))?;
     ensure(pulse < period, "pulse_width", pulse)
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn pulse_checks_keep_their_names() {
         let err = |p: f64, w: f64| match check_pulse(Seconds::new(p), Seconds::new(w)) {
-            Err(CoreError::InvalidParameter { name, value }) => (name, value),
+            Err(Error::InvalidParameter { name, value }) => (name, value),
             other => panic!("expected a rejection, got {other:?}"),
         };
         assert_eq!(err(0.0, 0.039), ("periods", 0.0));

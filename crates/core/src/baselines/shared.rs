@@ -2,33 +2,31 @@
 //! parameter checks, the digital trackers' target window and their
 //! control-period tick.
 
-use eh_units::{Seconds, Volts, Watts};
-
-use crate::error::CoreError;
+use eh_units::{Error, Seconds, Volts, Watts};
 
 /// `Ok` when `ok`, else the constructor's rejection of `name = value`.
 #[inline]
-pub(crate) fn ensure(ok: bool, name: &'static str, value: f64) -> Result<(), CoreError> {
+pub(crate) fn ensure(ok: bool, name: &'static str, value: f64) -> Result<(), Error> {
     if ok {
         Ok(())
     } else {
-        Err(CoreError::InvalidParameter { name, value })
+        Err(Error::InvalidParameter { name, value })
     }
 }
 
 /// Checks a fraction strictly inside `(0, 1)`: an FOCV `k`, or the
 /// fractional-Isc `k_i`.
-pub(crate) fn check_fraction(name: &'static str, value: f64) -> Result<(), CoreError> {
+pub(crate) fn check_fraction(name: &'static str, value: f64) -> Result<(), Error> {
     ensure(value.is_finite() && value > 0.0 && value < 1.0, name, value)
 }
 
 /// Checks a finite, strictly positive parameter.
-pub(crate) fn check_positive(name: &'static str, value: f64) -> Result<(), CoreError> {
+pub(crate) fn check_positive(name: &'static str, value: f64) -> Result<(), Error> {
     ensure(value.is_finite() && value > 0.0, name, value)
 }
 
 /// Checks a tracker's quiescent overhead: finite and non-negative.
-pub(crate) fn check_overhead(overhead: Watts) -> Result<(), CoreError> {
+pub(crate) fn check_overhead(overhead: Watts) -> Result<(), Error> {
     let w = overhead.value();
     ensure(w.is_finite() && w >= 0.0, "overhead", w)
 }
@@ -55,7 +53,7 @@ impl ControlTick {
     /// # Errors
     ///
     /// Rejects a `control_period` that is not finite and positive.
-    pub(crate) fn new(period: Seconds) -> Result<Self, CoreError> {
+    pub(crate) fn new(period: Seconds) -> Result<Self, Error> {
         check_positive("control_period", period.value())?;
         Ok(Self {
             period,
@@ -101,8 +99,8 @@ mod tests {
 
     #[test]
     fn checks_name_the_rejected_parameter() {
-        let rejected = |r: Result<(), CoreError>| match r {
-            Err(CoreError::InvalidParameter { name, value }) => (name, value),
+        let rejected = |r: Result<(), Error>| match r {
+            Err(Error::InvalidParameter { name, value }) => (name, value),
             other => panic!("expected a rejection, got {other:?}"),
         };
         assert_eq!(rejected(check_fraction("k_i", 1.0)), ("k_i", 1.0));

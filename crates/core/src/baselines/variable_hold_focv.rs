@@ -1,14 +1,13 @@
 //! Variable hold-period FOCV: the paper's Eq. 2 turned into a control
 //! law.
 
-use eh_units::{Seconds, Volts, Watts};
+use eh_units::{Error, Seconds, Volts, Watts};
 
 use super::sample_hold::SampleHold;
 use super::shared::{check_fraction, check_overhead, check_positive, ensure};
 use super::FocvSampleHold;
 use crate::compute::ComputeCost;
 use crate::controller::{MpptController, Observation, TrackerCommand};
-use crate::error::CoreError;
 
 /// FOCV sample-and-hold with a hold period that adapts to illuminance
 /// volatility.
@@ -67,7 +66,7 @@ impl VariableHoldFocv {
         overhead: Watts,
         sensitivity: f64,
         alpha: f64,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Self, Error> {
         check_fraction("k", k)?;
         let (min, base) = (min_period.value(), base_period.value());
         ensure(min > 0.0 && base >= min, "period_band", min)?;
@@ -101,7 +100,7 @@ impl VariableHoldFocv {
     /// # Errors
     ///
     /// Never fails for these constants; mirrors [`VariableHoldFocv::new`].
-    pub fn eq2_tuned() -> Result<Self, CoreError> {
+    pub fn eq2_tuned() -> Result<Self, Error> {
         Self::eq2_tuned_on(FocvSampleHold::paper_prototype()?)
     }
 
@@ -116,7 +115,7 @@ impl VariableHoldFocv {
     ///
     /// Mirrors [`VariableHoldFocv::new`]: rejects a chain whose hold
     /// period is below the 15 s floor.
-    pub fn eq2_tuned_on(chain: FocvSampleHold) -> Result<Self, CoreError> {
+    pub fn eq2_tuned_on(chain: FocvSampleHold) -> Result<Self, Error> {
         let tuned = Self::new(
             chain.k(),
             chain.sample_period(),

@@ -28,7 +28,7 @@
 //! // Run 10 minutes at a constant office 1000 lux.
 //! let report = sys.run_constant(Lux::new(1000.0), Seconds::from_minutes(10.0), Seconds::from_milli(5.0))?;
 //! assert!(report.pulses >= 8, "one PULSE per ~69 s expected");
-//! # Ok::<(), eh_core::CoreError>(())
+//! # Ok::<(), eh_units::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,12 +37,10 @@
 pub mod baselines;
 mod compute;
 mod controller;
-mod error;
 mod metrics;
 mod system;
 
 pub use compute::{ComputeCost, MCU_ENERGY_PER_OP};
 pub use controller::{MpptController, Observation, TrackerCommand};
-pub use error::CoreError;
 pub use metrics::{tracking_accuracy_table, HarvestSummary, TrackingAccuracyRow};
 pub use system::{FocvMpptSystem, RunReport, SystemConfig, SystemState, SystemStep};

@@ -1,9 +1,8 @@
 //! Harvest and tracking-accuracy metrics.
 
 use eh_sim::SweepRunner;
-use eh_units::{Joules, Lux, Ratio, Seconds, Volts};
+use eh_units::{Error, Joules, Lux, Ratio, Seconds, Volts};
 
-use crate::error::CoreError;
 use crate::system::{FocvMpptSystem, SystemConfig};
 
 /// One row of a Table I style tracking-accuracy report.
@@ -35,9 +34,9 @@ pub fn tracking_accuracy_table(
     base: &SystemConfig,
     intensities: &[Lux],
     repeats: usize,
-) -> Result<Vec<TrackingAccuracyRow>, CoreError> {
+) -> Result<Vec<TrackingAccuracyRow>, Error> {
     if repeats == 0 {
-        return Err(CoreError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "repeats",
             value: 0.0,
         });

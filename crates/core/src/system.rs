@@ -9,9 +9,7 @@ use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics};
 use eh_pv::{presets, PvCell};
 use eh_sim::{drive, Light, StepInput, Stepper};
-use eh_units::{Amps, Coulombs, Joules, Lux, Ratio, Seconds, Volts};
-
-use crate::error::CoreError;
+use eh_units::{Amps, Coulombs, Error, Joules, Lux, Ratio, Seconds, Volts};
 
 /// Configuration of the complete MPPT platform.
 #[derive(Debug, Clone)]
@@ -52,7 +50,7 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Propagates sub-component validation failures.
-    pub fn paper_prototype() -> Result<Self, CoreError> {
+    pub fn paper_prototype() -> Result<Self, Error> {
         Ok(Self {
             cell: presets::sanyo_am1815(),
             astable: AstableConfig::from_periods(
@@ -78,9 +76,9 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Rejects `k` outside `(0, 1)`.
-    pub fn paper_prototype_with_k(k: f64) -> Result<Self, CoreError> {
+    pub fn paper_prototype_with_k(k: f64) -> Result<Self, Error> {
         if !(k.is_finite() && k > 0.0 && k < 1.0) {
-            return Err(CoreError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "k",
                 value: k,
             });
@@ -193,11 +191,11 @@ impl FocvMpptSystem {
     /// # Errors
     ///
     /// Propagates sub-component validation failures.
-    pub fn new(config: SystemConfig) -> Result<Self, CoreError> {
+    pub fn new(config: SystemConfig) -> Result<Self, Error> {
         let astable = AstableMultivibrator::new(config.astable.clone())?;
         let sample_hold = SampleHold::new(config.sample_hold.clone())?;
         if !(config.alpha.is_finite() && config.alpha > 0.0 && config.alpha <= 1.0) {
-            return Err(CoreError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "alpha",
                 value: config.alpha,
             });
@@ -318,14 +316,14 @@ impl FocvMpptSystem {
     /// Solves the PV operating point while the measurement divider is the
     /// only load: `I_cell(v) = v / R_divider` — the (slightly loaded)
     /// "open-circuit" voltage the sample-and-hold actually sees.
-    fn loaded_voc(&self, lux: Lux) -> Result<Volts, CoreError> {
+    fn loaded_voc(&self, lux: Lux) -> Result<Volts, Error> {
         let voc = self.cell.open_circuit_voltage(lux)?;
         if voc.value() <= 0.0 {
             return Ok(Volts::ZERO);
         }
         let r_total =
             self.sample_hold.config().divider.top() + self.sample_hold.config().divider.bottom();
-        let g = |v: Volts| -> Result<f64, CoreError> {
+        let g = |v: Volts| -> Result<f64, Error> {
             Ok(self.cell.current_at(v, lux)?.value() - (v / r_total).value())
         };
         let (mut lo, mut hi) = (0.0, voc.value());
@@ -351,11 +349,11 @@ impl FocvMpptSystem {
     /// # Errors
     ///
     /// Rejects non-finite or non-positive `dt` with
-    /// [`CoreError::InvalidParameter`] (matching `NodeSimulation`'s
+    /// [`Error::InvalidParameter`] (matching `NodeSimulation`'s
     /// validation); propagates PV solver failures.
-    pub fn step(&mut self, lux: Lux, dt: Seconds) -> Result<SystemStep, CoreError> {
+    pub fn step(&mut self, lux: Lux, dt: Seconds) -> Result<SystemStep, Error> {
         if !(dt.value().is_finite() && dt.value() > 0.0) {
-            return Err(CoreError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "dt",
                 value: dt.value(),
             });
@@ -449,7 +447,7 @@ impl FocvMpptSystem {
 
     /// One cold-start segment: PV charges C1 through D1; everything else
     /// is dark.
-    fn cold_start_segment(&mut self, lux: Lux, seg: Seconds) -> Result<SystemState, CoreError> {
+    fn cold_start_segment(&mut self, lux: Lux, seg: Seconds) -> Result<SystemState, Error> {
         let voc = self.cell.open_circuit_voltage(lux)?;
         let knee = self.cold_start.charging_knee().min(voc);
         let i_charge = if voc.value() <= 0.0 {
@@ -476,7 +474,7 @@ impl FocvMpptSystem {
         seg: Seconds,
         stored: &mut Joules,
         metrology: &mut Coulombs,
-    ) -> Result<SystemState, CoreError> {
+    ) -> Result<SystemState, Error> {
         let pulse = self.astable.output_high();
 
         // Count a completed pulse on the rising edge.
@@ -608,7 +606,7 @@ impl FocvMpptSystem {
         lux: Lux,
         duration: Seconds,
         dt: Seconds,
-    ) -> Result<RunReport, CoreError> {
+    ) -> Result<RunReport, Error> {
         let light = Light::constant(lux, duration);
         drive(self, &light, dt)?;
         self.report(lux)
@@ -620,7 +618,7 @@ impl FocvMpptSystem {
     /// # Errors
     ///
     /// Propagates step errors.
-    pub fn run_trace(&mut self, trace: &TimeSeries, dt: Seconds) -> Result<RunReport, CoreError> {
+    pub fn run_trace(&mut self, trace: &TimeSeries, dt: Seconds) -> Result<RunReport, Error> {
         let light = Light::trace(trace);
         drive(self, &light, dt)?;
         self.report(self.last_lux)
@@ -632,7 +630,7 @@ impl FocvMpptSystem {
     /// # Errors
     ///
     /// Propagates PV solver errors.
-    pub fn report(&self, final_lux: Lux) -> Result<RunReport, CoreError> {
+    pub fn report(&self, final_lux: Lux) -> Result<RunReport, Error> {
         let voc = self.cell.open_circuit_voltage(final_lux)?;
         let held = self.sample_hold.held_sample();
         let measured_k = if voc.value() > 0.0 {
@@ -659,9 +657,7 @@ impl FocvMpptSystem {
 /// slices and illuminance samples; PULSE-edge segmentation happens
 /// inside [`FocvMpptSystem::step`].
 impl Stepper for FocvMpptSystem {
-    type Error = CoreError;
-
-    fn step(&mut self, _t: Seconds, dt: Seconds, input: &StepInput) -> Result<(), CoreError> {
+    fn step(&mut self, _t: Seconds, dt: Seconds, input: &StepInput) -> Result<(), Error> {
         FocvMpptSystem::step(self, input.lux, dt)?;
         Ok(())
     }
@@ -893,7 +889,7 @@ mod tests {
         for dt in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let err = sys.step(Lux::new(500.0), Seconds::new(dt));
             assert!(
-                matches!(err, Err(CoreError::InvalidParameter { name: "dt", .. })),
+                matches!(err, Err(Error::InvalidParameter { name: "dt", .. })),
                 "dt = {dt} must be rejected, got {err:?}"
             );
         }

@@ -1,8 +1,6 @@
 //! Artificial-light schedules.
 
-use eh_units::{Lux, Seconds};
-
-use crate::error::EnvError;
+use eh_units::{Error, Lux, Seconds};
 
 /// One on-interval of a lamp.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +22,7 @@ pub struct OnInterval {
 ///     .with_interval(Seconds::from_hours(8.0), Seconds::from_hours(18.5))?;
 /// assert!(office.illuminance(Seconds::from_hours(12.0)).value() > 399.0);
 /// assert_eq!(office.illuminance(Seconds::from_hours(20.0)).value(), 0.0);
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lamp {
@@ -40,15 +38,15 @@ impl Lamp {
     /// # Errors
     ///
     /// Rejects negative level or warm-up.
-    pub fn new(level: Lux, warmup: Seconds) -> Result<Self, EnvError> {
+    pub fn new(level: Lux, warmup: Seconds) -> Result<Self, Error> {
         if !(level.value().is_finite() && level.value() >= 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "level",
                 value: level.value(),
             });
         }
         if !(warmup.value().is_finite() && warmup.value() >= 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "warmup",
                 value: warmup.value(),
             });
@@ -65,9 +63,9 @@ impl Lamp {
     /// # Errors
     ///
     /// Rejects `off ≤ on`.
-    pub fn with_interval(mut self, on: Seconds, off: Seconds) -> Result<Self, EnvError> {
+    pub fn with_interval(mut self, on: Seconds, off: Seconds) -> Result<Self, Error> {
         if off.value() <= on.value() {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "off",
                 value: off.value(),
             });

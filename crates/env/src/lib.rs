@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod error;
 pub mod lamps;
 mod perturb;
 pub mod process;
@@ -45,6 +44,5 @@ pub mod solar;
 pub mod weather;
 pub mod week;
 
-pub use error::EnvError;
 pub use perturb::TracePerturbation;
 pub use series::TimeSeries;

@@ -23,7 +23,8 @@
 //! rejects negative illuminance. The regression tests in this module
 //! fail against the naive `gain·lux + offset` transform.
 
-use crate::error::EnvError;
+use eh_units::Error;
+
 use crate::series::TimeSeries;
 
 /// A validated affine illuminance perturbation: `gain`, then `offset`,
@@ -36,7 +37,7 @@ use crate::series::TimeSeries;
 /// let base = profiles::constant(Lux::new(100.0), Seconds::new(10.0));
 /// let shaded = TracePerturbation::new(0.7, -50.0)?.apply(&base);
 /// assert_eq!(shaded.sample(0), Some(20.0)); // 0.7·100 − 50
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePerturbation {
@@ -55,15 +56,15 @@ impl TracePerturbation {
     /// Rejects a non-finite or negative gain and a non-finite offset: a
     /// NaN factor would silently poison every downstream energy ledger,
     /// and a negative gain has no optical meaning.
-    pub fn new(gain: f64, offset_lux: f64) -> Result<Self, EnvError> {
+    pub fn new(gain: f64, offset_lux: f64) -> Result<Self, Error> {
         if !(gain.is_finite() && gain >= 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "gain",
                 value: gain,
             });
         }
         if !offset_lux.is_finite() {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "offset_lux",
                 value: offset_lux,
             });

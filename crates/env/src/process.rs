@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::EnvError;
+use eh_units::Error;
 
 /// A discrete-time Ornstein-Uhlenbeck (mean-reverting) process, used for
 /// cloud cover and similar slowly varying multiplicative factors.
@@ -14,7 +14,7 @@ use crate::error::EnvError;
 /// let mut ou = OrnsteinUhlenbeck::new(0.0, 600.0, 0.4, 7)?;
 /// let x = ou.step(1.0);
 /// assert!(x.is_finite());
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct OrnsteinUhlenbeck {
@@ -32,15 +32,15 @@ impl OrnsteinUhlenbeck {
     /// # Errors
     ///
     /// Rejects non-positive correlation time or negative sigma.
-    pub fn new(mean: f64, correlation_time: f64, sigma: f64, seed: u64) -> Result<Self, EnvError> {
+    pub fn new(mean: f64, correlation_time: f64, sigma: f64, seed: u64) -> Result<Self, Error> {
         if !(correlation_time.is_finite() && correlation_time > 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "correlation_time",
                 value: correlation_time,
             });
         }
         if !(sigma.is_finite() && sigma >= 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "sigma",
                 value: sigma,
             });
@@ -95,10 +95,10 @@ impl RandomTelegraph {
     /// # Errors
     ///
     /// Rejects non-positive rates.
-    pub fn new(rate_up: f64, rate_down: f64, seed: u64) -> Result<Self, EnvError> {
+    pub fn new(rate_up: f64, rate_down: f64, seed: u64) -> Result<Self, Error> {
         for (name, v) in [("rate_up", rate_up), ("rate_down", rate_down)] {
             if !(v.is_finite() && v > 0.0) {
-                return Err(EnvError::InvalidParameter { name, value: v });
+                return Err(Error::InvalidParameter { name, value: v });
             }
         }
         Ok(Self {

@@ -39,8 +39,12 @@ struct SceneryBuilder {
 impl SceneryBuilder {
     fn build(mut self) -> TimeSeries {
         let dt = 1.0f64;
-        let mut values = Vec::with_capacity(DAY_SAMPLES);
-        for n in 0..DAY_SAMPLES {
+        // Filled in place rather than pushed: a push's capacity check
+        // can call the allocator, and a call in the loop keeps the
+        // compiler from computing the processes' per-step decay once,
+        // outside it (two `exp` a sample).
+        let mut values = vec![0.0; DAY_SAMPLES];
+        for (n, value) in values.iter_mut().enumerate() {
             let t = Seconds::new(n as f64 * dt);
             let cloud_x = self.cloud.step(dt);
             // Cloud factor in [0.25, 1.0]: logistic squashing of the OU state.
@@ -55,7 +59,7 @@ impl SceneryBuilder {
             }
             // Small multiplicative sensor/flicker noise.
             let noise = 1.0 + 0.01 * self.sensor_noise.step(dt).clamp(-3.0, 3.0);
-            values.push((lux * noise).max(0.0));
+            *value = (lux * noise).max(0.0);
         }
         TimeSeries::new(Seconds::ZERO, Seconds::new(dt), values)
             .expect("profile construction uses valid parameters")

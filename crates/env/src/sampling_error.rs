@@ -17,9 +17,8 @@
 
 use std::collections::VecDeque;
 
-use eh_units::Seconds;
+use eh_units::{Error, Seconds};
 
-use crate::error::EnvError;
 use crate::series::TimeSeries;
 
 /// Worst-case mean error (Eq. (2)) of sampling `series` once per `period`.
@@ -29,8 +28,8 @@ use crate::series::TimeSeries;
 ///
 /// # Errors
 ///
-/// Returns [`EnvError::InvalidParameter`] for a period below one sample
-/// interval, or [`EnvError::SeriesTooShort`] if the series has fewer
+/// Returns [`Error::InvalidParameter`] for a period below one sample
+/// interval, or [`Error::SeriesTooShort`] if the series has fewer
 /// samples than one window.
 ///
 /// ```
@@ -42,19 +41,19 @@ use crate::series::TimeSeries;
 ///     |t| (t.value() * 0.1 * std::f64::consts::TAU).sin())?;
 /// let e = sampling_error::worst_case_mean_error(&s, Seconds::new(5.0))?;
 /// assert!(e > 0.5 && e < 2.0);
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
-pub fn worst_case_mean_error(series: &TimeSeries, period: Seconds) -> Result<f64, EnvError> {
+pub fn worst_case_mean_error(series: &TimeSeries, period: Seconds) -> Result<f64, Error> {
     let window = (period.value() / series.dt().value()).round() as usize;
     if window < 1 {
-        return Err(EnvError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "period",
             value: period.value(),
         });
     }
     let n = series.len();
     if n < window {
-        return Err(EnvError::SeriesTooShort {
+        return Err(Error::SeriesTooShort {
             have: n,
             need: window,
         });
@@ -108,7 +107,7 @@ pub struct SweepPoint {
 pub fn period_sweep(
     series: &TimeSeries,
     periods: impl IntoIterator<Item = Seconds>,
-) -> Result<Vec<SweepPoint>, EnvError> {
+) -> Result<Vec<SweepPoint>, Error> {
     periods
         .into_iter()
         .map(|p| {
@@ -199,11 +198,11 @@ mod tests {
         let s = series_of(vec![1.0, 2.0, 3.0]);
         assert!(matches!(
             worst_case_mean_error(&s, Seconds::new(0.2)),
-            Err(EnvError::InvalidParameter { .. })
+            Err(Error::InvalidParameter { .. })
         ));
         assert!(matches!(
             worst_case_mean_error(&s, Seconds::new(10.0)),
-            Err(EnvError::SeriesTooShort { .. })
+            Err(Error::SeriesTooShort { .. })
         ));
     }
 }

@@ -18,9 +18,8 @@
 //! no random state, no hidden caches — the deterministic backbone the
 //! campaign layer's seeded weather regimes modulate multiplicatively.
 
-use eh_units::{Lux, Seconds};
+use eh_units::{Error, Lux, Seconds};
 
-use crate::error::EnvError;
 use crate::solar::SolarDay;
 
 /// Mean tropical-year length used for the declination phase.
@@ -44,7 +43,7 @@ const MAX_DAY_HOURS: f64 = 23.0;
 /// let december = solstices.solar_day(355)?;
 /// assert!(june.daylight() > december.daylight());
 /// assert!(june.peak() > december.peak());
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeasonalSolar {
@@ -63,21 +62,21 @@ impl SeasonalSolar {
     /// Rejects latitudes beyond ±66° (polar day/night has no
     /// sunrise/sunset to interpolate), non-positive or non-finite peaks,
     /// and a summer peak below the winter peak.
-    pub fn new(latitude_deg: f64, summer_peak: Lux, winter_peak: Lux) -> Result<Self, EnvError> {
+    pub fn new(latitude_deg: f64, summer_peak: Lux, winter_peak: Lux) -> Result<Self, Error> {
         if !(latitude_deg.is_finite() && latitude_deg.abs() <= 66.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "latitude_deg",
                 value: latitude_deg,
             });
         }
         if !(winter_peak.value().is_finite() && winter_peak.value() > 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "winter_peak",
                 value: winter_peak.value(),
             });
         }
         if !(summer_peak.value().is_finite() && summer_peak.value() >= winter_peak.value()) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "summer_peak",
                 value: summer_peak.value(),
             });
@@ -98,7 +97,7 @@ impl SeasonalSolar {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`SeasonalSolar::new`].
-    pub fn temperate_uk() -> Result<Self, EnvError> {
+    pub fn temperate_uk() -> Result<Self, Error> {
         Self::new(52.0, Lux::new(90_000.0), Lux::new(20_000.0))
     }
 
@@ -109,7 +108,7 @@ impl SeasonalSolar {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`SeasonalSolar::new`].
-    pub fn tropical() -> Result<Self, EnvError> {
+    pub fn tropical() -> Result<Self, Error> {
         Self::new(15.0, Lux::new(110_000.0), Lux::new(80_000.0))
     }
 
@@ -177,7 +176,7 @@ impl SeasonalSolar {
     /// Never fails for a constructed `SeasonalSolar` (lengths and peaks
     /// are clamped into [`SolarDay::new`]'s valid range); the `Result`
     /// mirrors the underlying constructor.
-    pub fn solar_day(&self, day_of_year: u32) -> Result<SolarDay, EnvError> {
+    pub fn solar_day(&self, day_of_year: u32) -> Result<SolarDay, Error> {
         let half = self.day_length_hours(day_of_year) / 2.0;
         SolarDay::new(
             Seconds::from_hours(12.0 - half),

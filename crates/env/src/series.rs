@@ -1,8 +1,6 @@
 //! Regularly sampled time series.
 
-use eh_units::Seconds;
-
-use crate::error::EnvError;
+use eh_units::{Error, Seconds};
 
 /// A regularly sampled time series (illuminance traces, Voc logs, ...).
 ///
@@ -17,7 +15,7 @@ use crate::error::EnvError;
 /// let s = TimeSeries::from_fn(Seconds::ZERO, Seconds::new(1.0), 10, |t| t.value() * 2.0)?;
 /// assert_eq!(s.len(), 10);
 /// assert_eq!(s.value_at(Seconds::new(4.5)), Some(9.0)); // linear interpolation
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -32,15 +30,15 @@ impl TimeSeries {
     /// # Errors
     ///
     /// Rejects a non-positive sampling interval or an empty sample set.
-    pub fn new(start: Seconds, dt: Seconds, values: Vec<f64>) -> Result<Self, EnvError> {
+    pub fn new(start: Seconds, dt: Seconds, values: Vec<f64>) -> Result<Self, Error> {
         if !(dt.value().is_finite() && dt.value() > 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "dt",
                 value: dt.value(),
             });
         }
         if values.is_empty() {
-            return Err(EnvError::SeriesTooShort { have: 0, need: 1 });
+            return Err(Error::SeriesTooShort { have: 0, need: 1 });
         }
         Ok(Self { start, dt, values })
     }
@@ -55,9 +53,9 @@ impl TimeSeries {
         dt: Seconds,
         n: usize,
         mut f: impl FnMut(Seconds) -> f64,
-    ) -> Result<Self, EnvError> {
+    ) -> Result<Self, Error> {
         if n == 0 {
-            return Err(EnvError::SeriesTooShort { have: 0, need: 1 });
+            return Err(Error::SeriesTooShort { have: 0, need: 1 });
         }
         let values = (0..n).map(|i| f(start + dt * i as f64)).collect();
         Self::new(start, dt, values)
@@ -163,9 +161,9 @@ impl TimeSeries {
     /// # Errors
     ///
     /// Rejects an empty or out-of-range window.
-    pub fn slice_samples(&self, from: usize, to: usize) -> Result<Self, EnvError> {
+    pub fn slice_samples(&self, from: usize, to: usize) -> Result<Self, Error> {
         if from >= to || to > self.values.len() {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "slice_range",
                 value: to as f64,
             });
@@ -179,9 +177,9 @@ impl TimeSeries {
     /// # Errors
     ///
     /// Rejects a mismatched sampling interval.
-    pub fn concat(&self, next: &TimeSeries) -> Result<Self, EnvError> {
+    pub fn concat(&self, next: &TimeSeries) -> Result<Self, Error> {
         if (next.dt.value() - self.dt.value()).abs() > 1e-12 {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "dt_mismatch",
                 value: next.dt.value(),
             });
@@ -197,9 +195,9 @@ impl TimeSeries {
     /// # Errors
     ///
     /// Rejects `factor == 0`.
-    pub fn decimate(&self, factor: usize) -> Result<Self, EnvError> {
+    pub fn decimate(&self, factor: usize) -> Result<Self, Error> {
         if factor == 0 {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "factor",
                 value: 0.0,
             });

@@ -5,9 +5,7 @@
 //! model is a half-sine elevation raised to an atmospheric-attenuation
 //! exponent, scaled to a peak illuminance.
 
-use eh_units::{Lux, Seconds};
-
-use crate::error::EnvError;
+use eh_units::{Error, Lux, Seconds};
 
 /// Clear-sky daylight model for one day.
 ///
@@ -19,7 +17,7 @@ use crate::error::EnvError;
 /// let noon = day.illuminance(Seconds::from_hours(13.0));
 /// assert!(noon.value() > 50_000.0);
 /// assert_eq!(day.illuminance(Seconds::from_hours(2.0)).value(), 0.0);
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolarDay {
@@ -41,21 +39,21 @@ impl SolarDay {
         sunset: Seconds,
         peak: Lux,
         attenuation_exponent: f64,
-    ) -> Result<Self, EnvError> {
+    ) -> Result<Self, Error> {
         if sunset.value() <= sunrise.value() {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "sunset",
                 value: sunset.value(),
             });
         }
         if !(peak.value().is_finite() && peak.value() > 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "peak",
                 value: peak.value(),
             });
         }
         if !(attenuation_exponent.is_finite() && attenuation_exponent > 0.0) {
-            return Err(EnvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "attenuation_exponent",
                 value: attenuation_exponent,
             });
@@ -74,7 +72,7 @@ impl SolarDay {
     /// # Errors
     ///
     /// Never fails for these constants; the `Result` mirrors [`SolarDay::new`].
-    pub fn uk_summer() -> Result<Self, EnvError> {
+    pub fn uk_summer() -> Result<Self, Error> {
         Self::new(
             Seconds::from_hours(5.0),
             Seconds::from_hours(21.0),
@@ -88,7 +86,7 @@ impl SolarDay {
     /// # Errors
     ///
     /// Never fails for these constants; the `Result` mirrors [`SolarDay::new`].
-    pub fn uk_winter() -> Result<Self, EnvError> {
+    pub fn uk_winter() -> Result<Self, Error> {
         Self::new(
             Seconds::from_hours(8.0),
             Seconds::from_hours(16.0),

@@ -26,7 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::EnvError;
+use eh_units::Error;
 
 /// A daily weather regime, mapped to a broadband illuminance
 /// attenuation factor applied on top of the clear-sky profile.
@@ -86,7 +86,7 @@ impl WeatherKind {
 /// let fortnight: Vec<_> = (0..14).map(|_| w.step_day()).collect();
 /// assert_eq!(w.draws(), 14);
 /// assert_eq!(fortnight.len(), 14);
-/// # Ok::<(), eh_env::EnvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct WeatherModel {
@@ -105,12 +105,12 @@ impl WeatherModel {
     ///
     /// Rejects matrices with negative/non-finite entries or rows that do
     /// not sum to 1 within 1e-9.
-    pub fn new(matrix: [[f64; 3]; 3], initial: WeatherKind, seed: u64) -> Result<Self, EnvError> {
+    pub fn new(matrix: [[f64; 3]; 3], initial: WeatherKind, seed: u64) -> Result<Self, Error> {
         for row in &matrix {
             let mut sum = 0.0;
             for &p in row {
                 if !(p.is_finite() && p >= 0.0) {
-                    return Err(EnvError::InvalidParameter {
+                    return Err(Error::InvalidParameter {
                         name: "weather_transition",
                         value: p,
                     });
@@ -118,7 +118,7 @@ impl WeatherModel {
                 sum += p;
             }
             if (sum - 1.0).abs() > 1e-9 {
-                return Err(EnvError::InvalidParameter {
+                return Err(Error::InvalidParameter {
                     name: "weather_row_sum",
                     value: sum,
                 });
@@ -139,7 +139,7 @@ impl WeatherModel {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`WeatherModel::new`].
-    pub fn temperate(seed: u64) -> Result<Self, EnvError> {
+    pub fn temperate(seed: u64) -> Result<Self, Error> {
         Self::new(
             [[0.70, 0.27, 0.03], [0.35, 0.55, 0.10], [0.30, 0.45, 0.25]],
             WeatherKind::Clear,
@@ -154,7 +154,7 @@ impl WeatherModel {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`WeatherModel::new`].
-    pub fn monsoon_season(seed: u64) -> Result<Self, EnvError> {
+    pub fn monsoon_season(seed: u64) -> Result<Self, Error> {
         Self::new(
             [[0.30, 0.45, 0.25], [0.10, 0.50, 0.40], [0.05, 0.30, 0.65]],
             WeatherKind::Overcast,
@@ -168,7 +168,7 @@ impl WeatherModel {
     ///
     /// Never fails for these constants; the `Result` mirrors
     /// [`WeatherModel::new`].
-    pub fn arid(seed: u64) -> Result<Self, EnvError> {
+    pub fn arid(seed: u64) -> Result<Self, Error> {
         Self::new(
             [[0.92, 0.07, 0.01], [0.60, 0.35, 0.05], [0.50, 0.40, 0.10]],
             WeatherKind::Clear,
@@ -221,10 +221,7 @@ impl WeatherModel {
 mod tests {
     use super::*;
 
-    fn sequence(
-        preset: fn(u64) -> Result<WeatherModel, EnvError>,
-        days: usize,
-    ) -> Vec<WeatherKind> {
+    fn sequence(preset: fn(u64) -> Result<WeatherModel, Error>, days: usize) -> Vec<WeatherKind> {
         let mut w = preset(2011).unwrap();
         (0..days).map(|_| w.step_day()).collect()
     }

@@ -6,9 +6,8 @@
 //! blinds-closed weekend) and arbitrary custom sequences — for endurance
 //! experiments.
 
-use eh_units::Seconds;
+use eh_units::{Error, Seconds};
 
-use crate::error::EnvError;
 use crate::profiles;
 use crate::series::TimeSeries;
 
@@ -42,10 +41,10 @@ pub fn day(kind: DayKind, seed: u64) -> TimeSeries {
 ///
 /// # Errors
 ///
-/// Returns [`EnvError::InvalidParameter`] for an empty sequence.
-pub fn sequence(kinds: &[DayKind], base_seed: u64) -> Result<TimeSeries, EnvError> {
+/// Returns [`Error::InvalidParameter`] for an empty sequence.
+pub fn sequence(kinds: &[DayKind], base_seed: u64) -> Result<TimeSeries, Error> {
     if kinds.is_empty() {
-        return Err(EnvError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "kinds",
             value: 0.0,
         });
@@ -72,7 +71,7 @@ pub fn sequence(kinds: &[DayKind], base_seed: u64) -> Result<TimeSeries, EnvErro
 /// # Errors
 ///
 /// Never fails for this fixed sequence; mirrors [`sequence`].
-pub fn office_week(base_seed: u64) -> Result<TimeSeries, EnvError> {
+pub fn office_week(base_seed: u64) -> Result<TimeSeries, Error> {
     sequence(
         &[
             DayKind::Office,

@@ -13,8 +13,8 @@ use eh_core::baselines::{
 };
 use eh_core::MpptController;
 use eh_pv::PvCell;
+use eh_units::Error;
 
-use crate::error::FleetError;
 use crate::population::NodeSpec;
 use crate::report::FleetReport;
 use crate::run::FleetRunner;
@@ -117,7 +117,7 @@ impl TrackerKind {
         self,
         node: &NodeSpec,
         cell: &PvCell,
-    ) -> Result<Box<dyn MpptController>, FleetError> {
+    ) -> Result<Box<dyn MpptController>, Error> {
         Ok(match self {
             TrackerKind::Focv => Box::new(node.tracker()?),
             TrackerKind::VariableHoldFocv => {
@@ -148,7 +148,7 @@ impl TrackerKind {
 pub fn compare_trackers_over_fleet(
     spec: &FleetSpec,
     runner: &FleetRunner,
-) -> Result<Vec<(TrackerKind, FleetReport)>, FleetError> {
+) -> Result<Vec<(TrackerKind, FleetReport)>, Error> {
     compare_trackers_over_fleet_with(spec, runner, crate::Engine::PerNode)
 }
 
@@ -164,7 +164,7 @@ pub fn compare_trackers_over_fleet_with(
     spec: &FleetSpec,
     runner: &FleetRunner,
     engine: crate::Engine,
-) -> Result<Vec<(TrackerKind, FleetReport)>, FleetError> {
+) -> Result<Vec<(TrackerKind, FleetReport)>, Error> {
     let ctx = crate::FleetContext::prepare(spec)?;
     TrackerKind::ALL
         .iter()
@@ -295,7 +295,7 @@ mod tests {
     fn zero_node_spec_errors_instead_of_panicking() {
         // Regression: an empty fleet used to reach a `.expect` deep in
         // the shard-merge path and panic the whole comparison; it must
-        // surface as a FleetError instead.
+        // surface as an error instead.
         let mut spec = FleetSpec::mixed_indoor_outdoor(6, 99).unwrap();
         spec.nodes = 0;
         for engine in crate::Engine::ALL {

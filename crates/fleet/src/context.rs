@@ -12,14 +12,13 @@ use std::num::NonZeroUsize;
 
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::week::{self, DayKind};
-use eh_env::{EnvError, TimeSeries};
+use eh_env::TimeSeries;
 use eh_node::{NodeSimulation, SimConfig};
 use eh_pv::PvCell;
 use eh_sim::Mergeable as _;
-use eh_units::{Lux, Volts};
+use eh_units::{Error, Lux, Volts};
 
 use crate::compare::TrackerKind;
-use crate::error::FleetError;
 use crate::pool::SurfacePool;
 use crate::population::NodeSpec;
 use crate::report::{FleetReport, NodeOutcome};
@@ -52,7 +51,7 @@ impl FleetContext {
     /// Propagates spec validation, trace construction, and surface
     /// warming failures; when several days fail, the error of the
     /// first placement in [`Placement::ALL`] order wins.
-    pub fn prepare(spec: &FleetSpec) -> Result<Self, FleetError> {
+    pub fn prepare(spec: &FleetSpec) -> Result<Self, Error> {
         let population = spec.population()?;
 
         // Shared inputs, built once: one base trace per day kind (the
@@ -104,24 +103,24 @@ impl FleetContext {
     /// # Errors
     ///
     /// Propagates spec validation; returns
-    /// [`FleetError::InvalidSpec`] if a used placement has no trace or
+    /// [`Error::InvalidParameter`] if a used placement has no trace or
     /// no warmed cell.
     pub fn prepare_with_environment(
         spec: &FleetSpec,
         traces: [Option<TimeSeries>; 3],
         pool: SurfacePool,
-    ) -> Result<Self, FleetError> {
+    ) -> Result<Self, Error> {
         let population = spec.population()?;
         for p in Placement::ALL {
             if population.iter().any(|n| n.placement == p) {
                 if traces[p.index()].is_none() {
-                    return Err(FleetError::InvalidSpec {
+                    return Err(Error::InvalidParameter {
                         name: "environment_trace",
                         value: p.index() as f64,
                     });
                 }
                 if pool.cell(p).is_none() {
-                    return Err(FleetError::InvalidSpec {
+                    return Err(Error::InvalidParameter {
                         name: "environment_surface",
                         value: p.index() as f64,
                     });
@@ -173,14 +172,14 @@ impl FleetContext {
     /// # Errors
     ///
     /// As [`crate::FleetRunner::run`]; an empty shard is
-    /// [`FleetError::EmptyFleet`].
+    /// [`Error::EmptyFleet`].
     pub fn simulate_shard(
         &self,
         kind: TrackerKind,
         _engine: Engine,
         nodes: Vec<NodeSpec>,
-    ) -> Result<FleetReport, FleetError> {
-        let mut merged: Option<Result<FleetReport, FleetError>> = None;
+    ) -> Result<FleetReport, Error> {
+        let mut merged: Option<Result<FleetReport, Error>> = None;
         for node in nodes {
             let single = self.simulate_node(kind, node);
             match merged.as_mut() {
@@ -210,11 +209,7 @@ impl FleetContext {
     /// threshold through the steering diode (Voc above the knee) while
     /// out-supplying the supervisor's quiescent draw (current at the
     /// knee).
-    pub(crate) fn cold_start_ok(
-        &self,
-        placement: Placement,
-        peak: Lux,
-    ) -> Result<bool, FleetError> {
+    pub(crate) fn cold_start_ok(&self, placement: Placement, peak: Lux) -> Result<bool, Error> {
         let cell = self.cell(placement);
         Ok(cell.open_circuit_voltage(peak)? > self.knee
             && cell.current_at(self.knee, peak)? > self.cold.supervisor_current())
@@ -226,7 +221,7 @@ impl FleetContext {
         &self,
         kind: TrackerKind,
         node: NodeSpec,
-    ) -> Result<FleetReport, FleetError> {
+    ) -> Result<FleetReport, Error> {
         let spec = &self.spec;
         let trace = node.perturbation.apply(self.base_trace(node.placement));
         let cold_start_ok = self.cold_start_ok(node.placement, Lux::new(trace.max()))?;
@@ -260,7 +255,7 @@ impl FleetContext {
 /// host builds them all in turn). Each day is a pure function of its
 /// kind, the seed and the decimation, so the traces are the same bits
 /// on any host; a panicking day resumes its panic here.
-fn synthesize_days(spec: &FleetSpec, in_use: &[Placement]) -> Vec<Result<TimeSeries, EnvError>> {
+fn synthesize_days(spec: &FleetSpec, in_use: &[Placement]) -> Vec<Result<TimeSeries, Error>> {
     let mut kinds: Vec<DayKind> = Vec::new();
     for p in in_use {
         if !kinds.contains(&p.day_kind()) {
@@ -383,8 +378,8 @@ mod tests {
         let pool = |placements: Vec<Placement>| SurfacePool::warm(&spec.cell, placements, false);
         let rejected =
             |traces, pool| match FleetContext::prepare_with_environment(&spec, traces, pool) {
-                Err(FleetError::InvalidSpec { name, value }) => (name, value),
-                other => panic!("expected InvalidSpec, got {other:?}"),
+                Err(Error::InvalidParameter { name, value }) => (name, value),
+                other => panic!("expected InvalidParameter, got {other:?}"),
             };
         assert!(FleetContext::prepare_with_environment(
             &spec,

@@ -37,7 +37,7 @@
 //! assert!(p.p5 <= p.p50 && p.p50 <= p.p95);
 //! // Bit-identical on a single worker.
 //! assert_eq!(report, FleetRunner::new(1).run(&spec)?);
-//! # Ok::<(), eh_fleet::FleetError>(())
+//! # Ok::<(), eh_units::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,7 +45,6 @@
 
 mod compare;
 mod context;
-mod error;
 mod pool;
 mod population;
 mod report;
@@ -54,7 +53,6 @@ mod spec;
 
 pub use compare::{compare_trackers_over_fleet, compare_trackers_over_fleet_with, TrackerKind};
 pub use context::FleetContext;
-pub use error::FleetError;
 pub use pool::SurfacePool;
 pub use population::NodeSpec;
 pub use report::{FleetReport, NodeOutcome, Percentiles};

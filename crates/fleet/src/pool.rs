@@ -15,8 +15,8 @@
 use eh_obs::Metrics;
 use eh_pv::PvCell;
 
-use crate::error::FleetError;
 use crate::spec::Placement;
+use eh_units::Error;
 
 /// One warmed cell per placement in use, in warm order.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl SurfacePool {
         base: &PvCell,
         placements: impl IntoIterator<Item = Placement>,
         cache: bool,
-    ) -> Result<Self, FleetError> {
+    ) -> Result<Self, Error> {
         let mut entries: Vec<(Placement, PvCell)> = Vec::new();
         for p in placements {
             if entries.iter().any(|(q, _)| *q == p) {

@@ -11,11 +11,10 @@
 use eh_core::baselines::FocvSampleHold;
 use eh_core::MpptController;
 use eh_env::TracePerturbation;
-use eh_units::Seconds;
+use eh_units::{Error, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::FleetError;
 use crate::spec::{FleetSpec, Placement};
 
 /// One instantiated node: the base design plus this unit's drawn
@@ -56,15 +55,15 @@ impl NodeSpec {
     ///
     /// Propagates tracker parameter validation (unreachable for
     /// populations built from a validated spec).
-    pub fn tracker(&self) -> Result<FocvSampleHold, FleetError> {
+    pub fn tracker(&self) -> Result<FocvSampleHold, Error> {
         let proto = FocvSampleHold::paper_prototype()?;
-        Ok(FocvSampleHold::new(
+        FocvSampleHold::new(
             self.k,
             self.sample_period,
             self.pulse_width,
             proto.overhead_power(),
         )?
-        .with_initial_phase(self.phase_offset)?)
+        .with_initial_phase(self.phase_offset)
     }
 }
 
@@ -83,7 +82,7 @@ impl FleetSpec {
     ///
     /// Propagates [`FleetSpec::validate`]; tracker construction from the
     /// drawn values cannot fail once the tolerance budget is validated.
-    pub fn population(&self) -> Result<Vec<NodeSpec>, FleetError> {
+    pub fn population(&self) -> Result<Vec<NodeSpec>, Error> {
         self.validate()?;
         let proto = FocvSampleHold::paper_prototype()?;
         let tol = &self.tolerances;

@@ -16,10 +16,10 @@
 //! bit-for-bit identical at any worker count and shard size.
 
 use eh_sim::SweepRunner;
+use eh_units::Error;
 
 use crate::compare::TrackerKind;
 use crate::context::FleetContext;
-use crate::error::FleetError;
 use crate::report::FleetReport;
 use crate::spec::FleetSpec;
 
@@ -123,7 +123,7 @@ impl FleetRunner {
     ///
     /// Propagates spec validation and simulation errors; on multiple
     /// node failures the first in fleet order is returned.
-    pub fn run(&self, spec: &FleetSpec) -> Result<FleetReport, FleetError> {
+    pub fn run(&self, spec: &FleetSpec) -> Result<FleetReport, Error> {
         self.run_tracker(spec, TrackerKind::Focv)
     }
 
@@ -134,11 +134,7 @@ impl FleetRunner {
     /// # Errors
     ///
     /// As [`FleetRunner::run`].
-    pub fn run_tracker(
-        &self,
-        spec: &FleetSpec,
-        kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
+    pub fn run_tracker(&self, spec: &FleetSpec, kind: TrackerKind) -> Result<FleetReport, Error> {
         let ctx = FleetContext::prepare(spec)?;
         self.run_tracker_prepared(&ctx, kind)
     }
@@ -149,7 +145,7 @@ impl FleetRunner {
     /// # Errors
     ///
     /// As [`FleetRunner::run`].
-    pub fn run_prepared(&self, ctx: &FleetContext) -> Result<FleetReport, FleetError> {
+    pub fn run_prepared(&self, ctx: &FleetContext) -> Result<FleetReport, Error> {
         self.run_tracker_prepared(ctx, TrackerKind::Focv)
     }
 
@@ -162,7 +158,7 @@ impl FleetRunner {
         &self,
         ctx: &FleetContext,
         kind: TrackerKind,
-    ) -> Result<FleetReport, FleetError> {
+    ) -> Result<FleetReport, Error> {
         self.run_engine_prepared(ctx, kind, Engine::PerNode)
     }
 
@@ -176,7 +172,7 @@ impl FleetRunner {
         spec: &FleetSpec,
         kind: TrackerKind,
         engine: Engine,
-    ) -> Result<FleetReport, FleetError> {
+    ) -> Result<FleetReport, Error> {
         let ctx = FleetContext::prepare(spec)?;
         self.run_engine_prepared(&ctx, kind, engine)
     }
@@ -193,7 +189,7 @@ impl FleetRunner {
         ctx: &FleetContext,
         kind: TrackerKind,
         engine: Engine,
-    ) -> Result<FleetReport, FleetError> {
+    ) -> Result<FleetReport, Error> {
         let population = ctx.population().to_vec();
         let report = merged_or_empty(self.runner.run_shards(
             population,
@@ -204,18 +200,19 @@ impl FleetRunner {
     }
 }
 
-/// Lifts an optional merge result into a [`FleetError`]: a run that
-/// produced no aggregate (zero nodes, or every shard dropped before
-/// yielding one) is an [`FleetError::EmptyFleet`], not a panic.
-pub(crate) fn merged_or_empty<T>(merged: Option<Result<T, FleetError>>) -> Result<T, FleetError> {
-    merged.ok_or(FleetError::EmptyFleet)?
+/// Unwraps an optional merge result: a run that produced no aggregate
+/// (zero nodes, or every shard dropped before yielding one) is an
+/// [`Error::EmptyFleet`], not a panic.
+pub(crate) fn merged_or_empty<T>(merged: Option<Result<T, Error>>) -> Result<T, Error> {
+    merged.ok_or(Error::EmptyFleet)?
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{Placement, Tolerances};
-    use eh_units::Seconds;
+    use eh_node::StoreSpec;
+    use eh_units::{Joules, Seconds};
 
     /// A small fleet that still exercises every placement, sized so the
     /// test-suite run stays fast: 10-minute trace grid, 10-minute step.
@@ -233,6 +230,36 @@ mod tests {
             .run(&small_spec())
             .unwrap_err();
         assert!(err.to_string().contains("shard_size"), "{err}");
+    }
+
+    #[test]
+    fn a_node_failure_reaches_the_caller_unchanged() {
+        // `FleetSpec::validate` does not build the store, so a bad one
+        // fails inside every node; the first failure in fleet order is
+        // the one returned, at any worker count and shard size.
+        let mut spec = small_spec();
+        spec.store = StoreSpec::Battery {
+            capacity: Joules::new(-1.0),
+            charge_efficiency: 0.9,
+            self_discharge_per_month: 0.02,
+            initial_soc: 0.5,
+        };
+        for workers in [1, 4] {
+            for shard_size in [1, 32] {
+                let err = FleetRunner::new(workers)
+                    .with_shard_size(shard_size)
+                    .run(&spec)
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    Error::InvalidParameter {
+                        name: "capacity",
+                        value: -1.0,
+                    },
+                    "workers {workers}, shard size {shard_size}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -260,7 +287,7 @@ mod tests {
         spec.trace_decimate = 7;
         assert!(matches!(
             FleetRunner::new(1).run(&spec),
-            Err(FleetError::InvalidSpec {
+            Err(Error::InvalidParameter {
                 name: "trace_decimate",
                 ..
             })
@@ -272,9 +299,9 @@ mod tests {
         // Regression: both engine paths used to `.expect` on the merged
         // shard fold, so a fleet that produced no outcomes panicked
         // instead of erroring.
-        let lifted: Result<FleetReport, FleetError> = merged_or_empty(None);
-        assert!(matches!(lifted, Err(FleetError::EmptyFleet)));
-        let passthrough = merged_or_empty(Some(Err::<FleetReport, _>(FleetError::EmptyFleet)));
+        let lifted: Result<FleetReport, Error> = merged_or_empty(None);
+        assert!(matches!(lifted, Err(Error::EmptyFleet)));
+        let passthrough = merged_or_empty(Some(Err::<FleetReport, _>(Error::EmptyFleet)));
         assert!(passthrough.is_err());
     }
 

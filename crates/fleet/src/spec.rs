@@ -4,9 +4,7 @@
 use eh_env::week::DayKind;
 use eh_node::{DutyCycledLoad, StoreSpec};
 use eh_pv::{presets, PvCell};
-use eh_units::{Celsius, Seconds};
-
-use crate::error::FleetError;
+use eh_units::{Celsius, Error, Seconds};
 
 /// Where a node of the fleet is deployed. The placement decides which
 /// shared base light trace the node perturbs, the sign of its placement
@@ -84,20 +82,21 @@ impl PlacementMix {
     ///
     /// # Errors
     ///
-    /// Rejects non-finite or negative weights and an all-zero mix.
-    pub fn new(window: f64, interior: f64, outdoor: f64) -> Result<Self, FleetError> {
+    /// Rejects non-finite or negative weights, an all-zero mix and
+    /// weights whose sum overflows to infinity.
+    pub fn new(window: f64, interior: f64, outdoor: f64) -> Result<Self, Error> {
         let weights = [window, interior, outdoor];
         for &w in &weights {
             if !(w.is_finite() && w >= 0.0) {
-                return Err(FleetError::InvalidSpec {
+                return Err(Error::InvalidParameter {
                     name: "placement_weight",
                     value: w,
                 });
             }
         }
         let sum: f64 = weights.iter().sum();
-        if sum <= 0.0 {
-            return Err(FleetError::InvalidSpec {
+        if !(sum.is_finite() && sum > 0.0) {
+            return Err(Error::InvalidParameter {
                 name: "placement_weight_sum",
                 value: sum,
             });
@@ -195,8 +194,8 @@ impl Tolerances {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidSpec`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    /// Returns [`Error::InvalidParameter`] naming the offending field.
+    pub fn validate(&self) -> Result<(), Error> {
         let relative = [
             ("pv_optical_pct", self.pv_optical_pct),
             ("divider_pct", self.divider_pct),
@@ -205,17 +204,17 @@ impl Tolerances {
         ];
         for (name, v) in relative {
             if !(v.is_finite() && (0.0..0.5).contains(&v)) {
-                return Err(FleetError::InvalidSpec { name, value: v });
+                return Err(Error::InvalidParameter { name, value: v });
             }
         }
         if !(self.derate_max.is_finite() && (0.0..1.0).contains(&self.derate_max)) {
-            return Err(FleetError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "derate_max",
                 value: self.derate_max,
             });
         }
         if !(self.offset_lux.is_finite() && self.offset_lux >= 0.0) {
-            return Err(FleetError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "offset_lux",
                 value: self.offset_lux,
             });
@@ -245,7 +244,7 @@ impl Tolerances {
 /// assert!(periods.iter().any(|&p| (p - 69.0).abs() > 0.5));
 /// // Mixed placements appear.
 /// assert!(population.iter().any(|n| n.placement == Placement::Outdoor));
-/// # Ok::<(), eh_fleet::FleetError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
@@ -296,7 +295,7 @@ impl FleetSpec {
     ///
     /// Never fails for these constants; the `Result` mirrors the
     /// fallible constructors it composes.
-    pub fn mixed_indoor_outdoor(nodes: u32, seed: u64) -> Result<Self, FleetError> {
+    pub fn mixed_indoor_outdoor(nodes: u32, seed: u64) -> Result<Self, Error> {
         Ok(Self {
             name: format!("mixed indoor/outdoor x{nodes}"),
             nodes,
@@ -318,23 +317,23 @@ impl FleetSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidSpec`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    /// Returns [`Error::InvalidParameter`] naming the offending field.
+    pub fn validate(&self) -> Result<(), Error> {
         if self.nodes == 0 {
-            return Err(FleetError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "nodes",
                 value: 0.0,
             });
         }
         if !(self.dt.value().is_finite() && self.dt.value() > 0.0) {
-            return Err(FleetError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "dt",
                 value: self.dt.value(),
             });
         }
         // `is_multiple_of(0)` is false for a non-zero day: 0 is rejected.
         if !DAY_SECONDS.is_multiple_of(self.trace_decimate) {
-            return Err(FleetError::InvalidSpec {
+            return Err(Error::InvalidParameter {
                 name: "trace_decimate",
                 value: self.trace_decimate as f64,
             });
@@ -363,6 +362,15 @@ mod tests {
         assert!(PlacementMix::new(-1.0, 1.0, 1.0).is_err());
         assert!(PlacementMix::new(f64::NAN, 1.0, 1.0).is_err());
         assert!(PlacementMix::new(0.0, 0.0, 0.0).is_err());
+        // Each weight is finite, but the sum overflows: `pick` would
+        // scale its draw by infinity and put every node outdoors.
+        assert_eq!(
+            PlacementMix::new(1e308, 1e308, 0.0),
+            Err(Error::InvalidParameter {
+                name: "placement_weight_sum",
+                value: f64::INFINITY,
+            })
+        );
         assert!(PlacementMix::new(0.0, 1.0, 0.0).is_ok());
     }
 
@@ -404,7 +412,7 @@ mod tests {
             spec.trace_decimate = factor;
             assert_eq!(
                 spec.validate(),
-                Err(FleetError::InvalidSpec {
+                Err(Error::InvalidParameter {
                     name: "trace_decimate",
                     value: factor as f64,
                 })

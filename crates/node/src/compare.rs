@@ -4,9 +4,8 @@ use eh_core::baselines::Oracle;
 use eh_core::{HarvestSummary, MpptController};
 use eh_env::TimeSeries;
 use eh_pv::PvCell;
-use eh_units::Seconds;
+use eh_units::{Error, Seconds};
 
-use crate::error::NodeError;
 use crate::report::NodeReport;
 use crate::sim::{NodeSimulation, SimConfig};
 
@@ -33,7 +32,7 @@ pub fn compare_trackers(
     trace: &TimeSeries,
     dt: Seconds,
     trackers: &mut [&mut dyn MpptController],
-) -> Result<Vec<TrackerComparison>, NodeError> {
+) -> Result<Vec<TrackerComparison>, Error> {
     let mut oracle = Oracle::new(cell.clone());
     let oracle_report =
         NodeSimulation::new(SimConfig::default_for(cell.clone())?)?.run(&mut oracle, trace, dt)?;

@@ -37,7 +37,6 @@
 
 mod accumulator;
 mod compare;
-mod error;
 mod load;
 mod report;
 mod sim;
@@ -45,7 +44,6 @@ pub mod sizing;
 mod storage;
 
 pub use compare::{compare_trackers, TrackerComparison};
-pub use error::NodeError;
 pub use load::{DutyCycledLoad, LoadPhase};
 pub use report::NodeReport;
 pub use sim::{NodeSimulation, SimConfig};

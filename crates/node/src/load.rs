@@ -1,8 +1,6 @@
 //! Duty-cycled node loads.
 
-use eh_units::{Joules, Seconds, Watts};
-
-use crate::error::NodeError;
+use eh_units::{Error, Joules, Seconds, Watts};
 
 /// One phase of a node's duty cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,19 +19,15 @@ impl LoadPhase {
     /// # Errors
     ///
     /// Rejects negative power or non-positive duration.
-    pub fn new(
-        name: impl Into<String>,
-        power: Watts,
-        duration: Seconds,
-    ) -> Result<Self, NodeError> {
+    pub fn new(name: impl Into<String>, power: Watts, duration: Seconds) -> Result<Self, Error> {
         if !(power.value().is_finite() && power.value() >= 0.0) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "power",
                 value: power.value(),
             });
         }
         if !(duration.value().is_finite() && duration.value() > 0.0) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "duration",
                 value: duration.value(),
             });
@@ -56,7 +50,7 @@ impl LoadPhase {
 /// let load = DutyCycledLoad::typical_sensor_node()?;
 /// // Average power is micro-watt scale — harvestable indoors.
 /// assert!(load.average_power().as_micro() < 100.0);
-/// # Ok::<(), eh_node::NodeError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DutyCycledLoad {
@@ -77,9 +71,9 @@ impl DutyCycledLoad {
     /// # Errors
     ///
     /// Rejects an empty sequence.
-    pub fn new(phases: Vec<LoadPhase>) -> Result<Self, NodeError> {
+    pub fn new(phases: Vec<LoadPhase>) -> Result<Self, Error> {
         if phases.is_empty() {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "phases",
                 value: 0.0,
             });
@@ -111,7 +105,7 @@ impl DutyCycledLoad {
     /// # Errors
     ///
     /// Never fails for these constants.
-    pub fn typical_sensor_node() -> Result<Self, NodeError> {
+    pub fn typical_sensor_node() -> Result<Self, Error> {
         Self::new(vec![
             LoadPhase::new("sleep", Watts::from_micro(5.0), Seconds::new(30.0))?,
             LoadPhase::new("sense", Watts::from_milli(3.0), Seconds::from_milli(50.0))?,
@@ -134,7 +128,7 @@ impl DutyCycledLoad {
     /// # Errors
     ///
     /// Never fails for these constants.
-    pub fn duty_cycled_radio() -> Result<Self, NodeError> {
+    pub fn duty_cycled_radio() -> Result<Self, Error> {
         Self::new(vec![
             LoadPhase::new("sleep", Watts::from_micro(4.0), Seconds::new(60.0))?,
             LoadPhase::new("sense", Watts::from_milli(3.0), Seconds::from_milli(50.0))?,
@@ -160,7 +154,7 @@ impl DutyCycledLoad {
     /// # Errors
     ///
     /// Never fails for these constants.
-    pub fn intermittent_motor() -> Result<Self, NodeError> {
+    pub fn intermittent_motor() -> Result<Self, Error> {
         Self::new(vec![
             LoadPhase::new("standby", Watts::from_micro(6.0), Seconds::new(598.0))?,
             LoadPhase::new("motor", Watts::from_milli(250.0), Seconds::new(2.0))?,

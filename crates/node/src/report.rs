@@ -1,10 +1,9 @@
 //! Run reports.
 
 use eh_obs::Metrics;
-use eh_units::{Joules, Ratio, Seconds};
+use eh_units::{Error, Joules, Ratio, Seconds};
 
 use crate::accumulator::Accumulator;
-use crate::error::NodeError;
 use crate::sim::ObsLocals;
 
 /// Result of a closed-loop node run with one tracker.
@@ -73,7 +72,7 @@ impl NodeReport {
         ops_per_decision: u64,
         obs: &ObsLocals,
         mut metrics: Option<Metrics>,
-    ) -> Result<Self, NodeError> {
+    ) -> Result<Self, Error> {
         if let Some(m) = metrics.as_mut() {
             // The ledger is incomplete until the locals land.
             obs.flush(m);

@@ -1,15 +1,14 @@
 //! The closed-loop node simulation engine.
 
 use eh_converter::InputRegulatedConverter;
-use eh_core::{CoreError, MpptController, Observation, TrackerCommand};
+use eh_core::{MpptController, Observation, TrackerCommand};
 use eh_env::TimeSeries;
 use eh_obs::{EnergyBucket, Metrics};
-use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell, PvError};
+use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell};
 use eh_sim::{drive, Light, StepInput, Stepper};
-use eh_units::{Amps, Joules, Lux, Seconds, Volts, Watts};
+use eh_units::{Amps, Error, Joules, Lux, Seconds, Volts, Watts};
 
 use crate::accumulator::Accumulator;
-use crate::error::NodeError;
 use crate::load::DutyCycledLoad;
 use crate::report::NodeReport;
 use crate::storage::{ConcreteStore, EnergyStore, IdealStore};
@@ -42,10 +41,10 @@ impl SimConfig {
     ///
     /// Propagates converter construction failures instead of panicking,
     /// so library callers can handle them.
-    pub fn default_for(cell: PvCell) -> Result<Self, NodeError> {
+    pub fn default_for(cell: PvCell) -> Result<Self, Error> {
         Ok(Self {
             cell,
-            converter: InputRegulatedConverter::paper_prototype().map_err(CoreError::from)?,
+            converter: InputRegulatedConverter::paper_prototype()?,
             measurement_dwell: Seconds::from_milli(39.0),
             load: None,
             store: ConcreteStore::Ideal(IdealStore::new()),
@@ -197,10 +196,10 @@ impl NodeSimulation {
     /// # Errors
     ///
     /// Rejects a non-positive measurement dwell.
-    pub fn new(config: SimConfig) -> Result<Self, NodeError> {
+    pub fn new(config: SimConfig) -> Result<Self, Error> {
         if !(config.measurement_dwell.value().is_finite() && config.measurement_dwell.value() > 0.0)
         {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "measurement_dwell",
                 value: config.measurement_dwell.value(),
             });
@@ -208,7 +207,7 @@ impl NodeSimulation {
         if config.cell.cache_enabled() {
             // Build the surface now so run timing is pure lookups (a
             // no-op when a warmed cell was cloned into this config).
-            config.cell.cached().map_err(CoreError::from)?;
+            config.cell.cached()?;
         }
         Ok(Self { config })
     }
@@ -241,14 +240,14 @@ impl NodeSimulation {
         tracker: &mut dyn MpptController,
         trace: &TimeSeries,
         dt: Seconds,
-    ) -> Result<NodeReport, NodeError> {
+    ) -> Result<NodeReport, Error> {
         let light = Light::trace(trace);
         let has_sensor = tracker.requires_light_sensor();
         let compute_cost = tracker.compute_cost();
         let metrics = self.config.obs.then(Metrics::new);
         let config = &self.config;
         let surface = if config.cell.cache_enabled() {
-            Some(config.cell.cached().map_err(CoreError::from)?)
+            Some(config.cell.cached()?)
         } else {
             None
         };
@@ -340,7 +339,7 @@ impl NodeStepper<'_> {
     /// The regulated operating voltage `min(target, Voc)` and, when it
     /// is positive, the current the cell sources there.
     #[inline(always)]
-    fn connect_point(&mut self, target: Volts, lux: Lux) -> Result<ConnectPoint, NodeError> {
+    fn connect_point(&mut self, target: Volts, lux: Lux) -> Result<ConnectPoint, Error> {
         Ok(match self.surface {
             Some(surface) => surface.connect_point_lane(&mut self.cursor, target, lux)?,
             None => self.connect_point_exact(target, lux)?,
@@ -351,7 +350,7 @@ impl NodeStepper<'_> {
     /// line: its solves dwarf a call, and inlined it crowds the cached
     /// step loop.
     #[inline(never)]
-    fn connect_point_exact(&self, target: Volts, lux: Lux) -> Result<ConnectPoint, PvError> {
+    fn connect_point_exact(&self, target: Volts, lux: Lux) -> Result<ConnectPoint, Error> {
         self.cell
             .model()
             .connect_point(target, lux, self.cell.temperature())
@@ -359,7 +358,7 @@ impl NodeStepper<'_> {
 
     /// Open-circuit voltage at `lux`, through the cursor when cached.
     #[inline(always)]
-    fn open_circuit_voltage(&mut self, lux: Lux) -> Result<Volts, NodeError> {
+    fn open_circuit_voltage(&mut self, lux: Lux) -> Result<Volts, Error> {
         Ok(match self.surface {
             Some(surface) => surface.open_circuit_voltage_lane(&mut self.cursor, lux)?,
             None => self.cell.open_circuit_voltage(lux)?,
@@ -394,7 +393,7 @@ impl NodeStepper<'_> {
     /// module off the converter: `Voc` at open circuit, or `Isc`
     /// shorted.
     #[inline(always)]
-    fn measure(&mut self, cmd: TrackerCommand, lux: Lux) -> Result<(), NodeError> {
+    fn measure(&mut self, cmd: TrackerCommand, lux: Lux) -> Result<(), Error> {
         if cmd == TrackerCommand::MeasureIsc {
             let isc = self.cell.short_circuit_current(lux)?;
             self.last_isc = Some(isc);
@@ -415,7 +414,7 @@ impl NodeStepper<'_> {
     /// converter delivers; a non-positive target, or a cell with no
     /// positive operating voltage, leaves it idle.
     #[inline(always)]
-    fn connect(&mut self, target: Volts, lux: Lux, dt: Seconds) -> Result<(), NodeError> {
+    fn connect(&mut self, target: Volts, lux: Lux, dt: Seconds) -> Result<(), Error> {
         if target.value() > 0.0 {
             let point = self.connect_point(target, lux)?;
             if let Some(i) = point.current {
@@ -440,10 +439,8 @@ impl NodeStepper<'_> {
 }
 
 impl Stepper for NodeStepper<'_> {
-    type Error = NodeError;
-
     #[inline]
-    fn step(&mut self, t: Seconds, planned: Seconds, input: &StepInput) -> Result<(), NodeError> {
+    fn step(&mut self, t: Seconds, planned: Seconds, input: &StepInput) -> Result<(), Error> {
         let lux = input.lux;
         let mut cmd = self.decide(t, planned, lux);
         let mut decisions = 1.0;

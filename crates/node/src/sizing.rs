@@ -10,9 +10,8 @@
 
 use eh_core::MpptController;
 use eh_pv::PvCell;
-use eh_units::{Joules, Lux, Seconds, Watts};
+use eh_units::{Error, Joules, Lux, Seconds, Watts};
 
-use crate::error::NodeError;
 use crate::load::DutyCycledLoad;
 
 /// How long a store of `available` energy powers the node through
@@ -40,10 +39,10 @@ pub fn dark_survival(
     available: Joules,
     load: &DutyCycledLoad,
     tracker: &dyn MpptController,
-) -> Result<Seconds, NodeError> {
+) -> Result<Seconds, Error> {
     let draw = load.average_power().value() + tracker.overhead_power().value();
     if !(draw.is_finite() && draw > 0.0) {
-        return Err(NodeError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "total_draw",
             value: draw,
         });
@@ -62,9 +61,9 @@ pub fn required_harvest_power(
     load: &DutyCycledLoad,
     tracker: &dyn MpptController,
     lit_fraction: f64,
-) -> Result<Watts, NodeError> {
+) -> Result<Watts, Error> {
     if !(lit_fraction.is_finite() && lit_fraction > 0.0 && lit_fraction <= 1.0) {
-        return Err(NodeError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "lit_fraction",
             value: lit_fraction,
         });
@@ -92,15 +91,15 @@ pub fn required_cell_scale(
     lit_fraction: f64,
     capture: f64,
     converter_efficiency: f64,
-) -> Result<f64, NodeError> {
+) -> Result<f64, Error> {
     if !(capture > 0.0 && capture <= 1.0) {
-        return Err(NodeError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "capture",
             value: capture,
         });
     }
     if !(converter_efficiency > 0.0 && converter_efficiency <= 1.0) {
-        return Err(NodeError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "converter_efficiency",
             value: converter_efficiency,
         });
@@ -108,7 +107,7 @@ pub fn required_cell_scale(
     let needed = required_harvest_power(load, tracker, lit_fraction)?;
     let per_cell = cell.mpp(lux)?.power.value() * capture * converter_efficiency;
     if per_cell <= 0.0 {
-        return Err(NodeError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "cell_output",
             value: per_cell,
         });

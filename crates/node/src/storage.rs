@@ -1,8 +1,6 @@
 //! Energy stores: supercapacitor and an idealised accumulator.
 
-use eh_units::{Amps, Farads, Joules, Ratio, Seconds, Volts};
-
-use crate::error::NodeError;
+use eh_units::{Amps, Error, Farads, Joules, Ratio, Seconds, Volts};
 
 /// Something that can absorb and supply harvested energy.
 pub trait EnergyStore {
@@ -43,7 +41,7 @@ pub trait EnergyStore {
 /// let mut sc = Supercapacitor::new(Farads::new(0.1), Volts::new(5.0), Volts::new(1.8))?;
 /// let absorbed = sc.deposit(Joules::new(0.5));
 /// assert!(absorbed.value() > 0.0);
-/// # Ok::<(), eh_node::NodeError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Supercapacitor {
@@ -70,15 +68,15 @@ impl Supercapacitor {
     /// # Errors
     ///
     /// Rejects non-positive capacitance or `v_min` not in `(0, v_max)`.
-    pub fn new(capacitance: Farads, v_max: Volts, v_min: Volts) -> Result<Self, NodeError> {
+    pub fn new(capacitance: Farads, v_max: Volts, v_min: Volts) -> Result<Self, Error> {
         if !(capacitance.value().is_finite() && capacitance.value() > 0.0) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "capacitance",
                 value: capacitance.value(),
             });
         }
         if !(v_min.value() > 0.0 && v_max > v_min) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "voltage_window",
                 value: v_min.value(),
             });
@@ -209,7 +207,7 @@ impl EnergyStore for Supercapacitor {
 /// let mut b = Battery::new(Joules::new(100.0), 0.9, 0.05)?;
 /// let absorbed = b.deposit(Joules::new(10.0));
 /// assert!((absorbed.value() - 9.0).abs() < 1e-12); // 90 % coulombic
-/// # Ok::<(), eh_node::NodeError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
@@ -231,21 +229,21 @@ impl Battery {
         capacity: Joules,
         charge_efficiency: f64,
         self_discharge_per_month: f64,
-    ) -> Result<Self, NodeError> {
+    ) -> Result<Self, Error> {
         if !(capacity.value().is_finite() && capacity.value() > 0.0) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "capacity",
                 value: capacity.value(),
             });
         }
         if !(charge_efficiency > 0.0 && charge_efficiency <= 1.0) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "charge_efficiency",
                 value: charge_efficiency,
             });
         }
         if !(0.0..1.0).contains(&self_discharge_per_month) {
-            return Err(NodeError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "self_discharge_per_month",
                 value: self_discharge_per_month,
             });
@@ -373,7 +371,7 @@ impl EnergyStore for IdealStore {
 /// let a = spec.build()?;
 /// let b = spec.build()?;
 /// assert_eq!(a.stored_energy(), b.stored_energy()); // independent, identical
-/// # Ok::<(), eh_node::NodeError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -421,7 +419,7 @@ impl StoreSpec {
     /// # Errors
     ///
     /// Propagates the underlying constructors' parameter validation.
-    pub fn build(&self) -> Result<ConcreteStore, NodeError> {
+    pub fn build(&self) -> Result<ConcreteStore, Error> {
         Ok(match *self {
             StoreSpec::Ideal => ConcreteStore::Ideal(IdealStore::new()),
             StoreSpec::Supercapacitor {

@@ -1,6 +1,6 @@
 //! Fixed-bucket histograms with explicit underflow/overflow bins.
 
-use crate::error::ObsError;
+use eh_units::Error;
 
 /// A histogram over a fixed, strictly increasing set of bucket bounds.
 ///
@@ -24,7 +24,7 @@ use crate::error::ObsError;
 /// assert!(!h.record(f64::NAN));
 /// assert_eq!(h.counts(), &[1, 1, 1]);
 /// assert_eq!(h.rejected(), 1);
-/// # Ok::<(), eh_obs::ObsError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -40,9 +40,9 @@ impl Histogram {
     ///
     /// Rejects empty bounds, non-finite bounds, and bounds that are not
     /// strictly increasing.
-    pub fn new(bounds: &[f64]) -> Result<Self, ObsError> {
+    pub fn new(bounds: &[f64]) -> Result<Self, Error> {
         if bounds.is_empty() {
-            return Err(ObsError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "bounds",
                 value: f64::NAN,
             });
@@ -51,14 +51,14 @@ impl Histogram {
             // NaN pairs land here too (never strictly increasing), but
             // the finite check below names the offending bound.
             if pair[0] >= pair[1] || pair[0].is_nan() || pair[1].is_nan() {
-                return Err(ObsError::InvalidParameter {
+                return Err(Error::InvalidParameter {
                     name: "bounds",
                     value: pair[1],
                 });
             }
         }
         if let Some(&bad) = bounds.iter().find(|b| !b.is_finite()) {
-            return Err(ObsError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "bounds",
                 value: bad,
             });

@@ -1,8 +1,6 @@
 //! The per-run energy ledger and its conservation invariant.
 
-use eh_units::Joules;
-
-use crate::error::ObsError;
+use eh_units::{Error, Joules};
 
 /// The consumption buckets the ledger attributes energy to, mirroring
 /// the paper's circuit: the astable multivibrator that times the PULSE,
@@ -156,18 +154,18 @@ impl EnergyLedger {
     ///
     /// # Errors
     ///
-    /// Returns [`ObsError::ConservationViolation`] when the relative
+    /// Returns [`Error::ConservationViolation`] when the relative
     /// error exceeds `tolerance` (or is non-finite).
     pub fn check_conservation(
         &self,
         closed_loop_total: Joules,
         tolerance: f64,
-    ) -> Result<f64, ObsError> {
+    ) -> Result<f64, Error> {
         let rel = self.relative_error(closed_loop_total);
         if rel.is_finite() && rel <= tolerance {
             Ok(rel)
         } else {
-            Err(ObsError::ConservationViolation {
+            Err(Error::ConservationViolation {
                 ledger_total_j: self.total().value(),
                 closed_loop_total_j: closed_loop_total.value(),
                 relative_error: rel,
@@ -217,7 +215,7 @@ mod tests {
         assert!(rel < 1e-15, "rounding error {rel:.3e}");
         // A genuinely missing bucket trips the check.
         let err = l.check_conservation(Joules::new(0.2), 1e-9);
-        assert!(matches!(err, Err(ObsError::ConservationViolation { .. })));
+        assert!(matches!(err, Err(Error::ConservationViolation { .. })));
     }
 
     #[test]

@@ -30,13 +30,11 @@
 //! an independently accumulated closed-loop total — the conservation
 //! invariant the node layer enforces at the end of every observed run.
 
-mod error;
 mod export;
 mod histogram;
 mod ledger;
 mod metrics;
 
-pub use error::ObsError;
 pub use histogram::Histogram;
 pub use ledger::{EnergyBucket, EnergyLedger};
 pub use metrics::{Metrics, SpanStats};

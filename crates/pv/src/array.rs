@@ -8,10 +8,9 @@
 //! techniques: FOCV (and hill climbing) can lock onto a local maximum.
 //! This module provides the substrate to quantify that.
 
-use eh_units::{Amps, Kelvin, Lux, Volts, Watts};
+use eh_units::{Amps, Error, Kelvin, Lux, Volts, Watts};
 
 use crate::cell::PvCell;
-use crate::error::PvError;
 use crate::mpp::MppPoint;
 
 /// One module of a series string together with its local illuminance
@@ -28,9 +27,9 @@ impl StringElement {
     /// # Errors
     ///
     /// Rejects factors outside `(0, 1]`.
-    pub fn new(cell: PvCell, shade_factor: f64) -> Result<Self, PvError> {
+    pub fn new(cell: PvCell, shade_factor: f64) -> Result<Self, Error> {
         if !(shade_factor.is_finite() && shade_factor > 0.0 && shade_factor <= 1.0) {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "shade_factor",
                 value: shade_factor,
             });
@@ -60,7 +59,7 @@ impl StringElement {
 /// ], Volts::from_milli(350.0))?;
 /// let i = string.current_at(Volts::new(5.0), Lux::new(1000.0))?;
 /// assert!(i.value() > 0.0);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeriesString {
@@ -75,15 +74,15 @@ impl SeriesString {
     /// # Errors
     ///
     /// Rejects an empty string or a negative bypass drop.
-    pub fn new(elements: Vec<StringElement>, bypass_drop: Volts) -> Result<Self, PvError> {
+    pub fn new(elements: Vec<StringElement>, bypass_drop: Volts) -> Result<Self, Error> {
         if elements.is_empty() {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "elements",
                 value: 0.0,
             });
         }
         if !(bypass_drop.value().is_finite() && bypass_drop.value() >= 0.0) {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "bypass_drop",
                 value: bypass_drop.value(),
             });
@@ -110,7 +109,7 @@ impl SeriesString {
     /// # Errors
     ///
     /// Propagates cell solver errors.
-    pub fn voltage_at_current(&self, i: Amps, scene: Lux) -> Result<Volts, PvError> {
+    pub fn voltage_at_current(&self, i: Amps, scene: Lux) -> Result<Volts, Error> {
         let mut total = 0.0;
         for el in &self.elements {
             let lux = el.local_lux(scene);
@@ -124,7 +123,7 @@ impl SeriesString {
     /// Inverse of the module's I(V): the voltage at which the module
     /// carries current `i` (negative if it cannot) — a direct Newton
     /// solve on the diode equation.
-    fn module_voltage_at_current(cell: &PvCell, i: Amps, lux: Lux) -> Result<Volts, PvError> {
+    fn module_voltage_at_current(cell: &PvCell, i: Amps, lux: Lux) -> Result<Volts, Error> {
         if i.value() <= 0.0 {
             return cell.open_circuit_voltage(lux);
         }
@@ -137,10 +136,10 @@ impl SeriesString {
     /// # Errors
     ///
     /// Propagates cell solver errors; rejects negative voltage.
-    pub fn current_at(&self, v: Volts, scene: Lux) -> Result<Amps, PvError> {
+    pub fn current_at(&self, v: Volts, scene: Lux) -> Result<Amps, Error> {
         if v.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "string voltage",
+            return Err(Error::InvalidParameter {
+                name: "string voltage",
                 value: v.value(),
             });
         }
@@ -175,7 +174,7 @@ impl SeriesString {
     /// # Errors
     ///
     /// Propagates cell solver errors.
-    pub fn open_circuit_voltage(&self, scene: Lux) -> Result<Volts, PvError> {
+    pub fn open_circuit_voltage(&self, scene: Lux) -> Result<Volts, Error> {
         self.voltage_at_current(Amps::ZERO, scene)
     }
 
@@ -186,7 +185,7 @@ impl SeriesString {
     /// # Errors
     ///
     /// Propagates cell solver errors.
-    pub fn global_mpp(&self, scene: Lux, _t: Kelvin) -> Result<MppPoint, PvError> {
+    pub fn global_mpp(&self, scene: Lux, _t: Kelvin) -> Result<MppPoint, Error> {
         let voc = self.open_circuit_voltage(scene)?;
         if voc.value() <= 0.0 {
             return Ok(MppPoint {
@@ -238,7 +237,7 @@ impl SeriesString {
     /// # Errors
     ///
     /// Propagates cell solver errors.
-    pub fn power_at_focv(&self, k: f64, scene: Lux) -> Result<Watts, PvError> {
+    pub fn power_at_focv(&self, k: f64, scene: Lux) -> Result<Watts, Error> {
         let voc = self.open_circuit_voltage(scene)?;
         let v = voc * k;
         let i = self.current_at(v, scene)?;
@@ -260,9 +259,9 @@ impl ParallelBank {
     /// # Errors
     ///
     /// Rejects an empty bank.
-    pub fn new(strings: Vec<SeriesString>) -> Result<Self, PvError> {
+    pub fn new(strings: Vec<SeriesString>) -> Result<Self, Error> {
         if strings.is_empty() {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "strings",
                 value: 0.0,
             });
@@ -285,7 +284,7 @@ impl ParallelBank {
     /// # Errors
     ///
     /// Propagates string solver errors.
-    pub fn current_at(&self, v: Volts, scene: Lux) -> Result<Amps, PvError> {
+    pub fn current_at(&self, v: Volts, scene: Lux) -> Result<Amps, Error> {
         let mut total = 0.0;
         for s in &self.strings {
             total += s.current_at(v, scene)?.value();
@@ -300,7 +299,7 @@ impl ParallelBank {
     /// # Errors
     ///
     /// Propagates string solver errors.
-    pub fn open_circuit_voltage(&self, scene: Lux) -> Result<Volts, PvError> {
+    pub fn open_circuit_voltage(&self, scene: Lux) -> Result<Volts, Error> {
         let mut best = Volts::ZERO;
         for s in &self.strings {
             best = best.max(s.open_circuit_voltage(scene)?);
@@ -314,7 +313,7 @@ impl ParallelBank {
     /// # Errors
     ///
     /// Propagates string solver errors.
-    pub fn global_mpp(&self, scene: Lux, _t: Kelvin) -> Result<MppPoint, PvError> {
+    pub fn global_mpp(&self, scene: Lux, _t: Kelvin) -> Result<MppPoint, Error> {
         let voc = self.open_circuit_voltage(scene)?;
         if voc.value() <= 0.0 {
             return Ok(MppPoint {

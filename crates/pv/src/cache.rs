@@ -45,9 +45,8 @@
 //! every query **falls back to the exact solver**, so out-of-domain
 //! answers are bit-identical to the uncached path.
 
-use eh_units::{Amps, Kelvin, Lux, Volts, Watts};
+use eh_units::{Amps, Error, Kelvin, Lux, Volts, Watts};
 
-use crate::error::PvError;
 use crate::model::SingleDiodeModel;
 use crate::mpp::{solve_mpp, MppPoint};
 
@@ -153,7 +152,7 @@ fn mpp_fraction(row: &[f64]) -> f64 {
 /// let isc = cell.short_circuit_current(lux)?;
 /// assert!((cached - exact).value().abs() / isc.value()
 ///     < CachedPvSurface::REL_CURRENT_ERROR_BOUND);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Clone)]
 pub struct CachedPvSurface {
@@ -216,8 +215,8 @@ impl CachedPvSurface {
     /// # Errors
     ///
     /// Propagates exact-solver failures, and reports
-    /// [`PvError::SolveFailed`] if a row's Voc or Isc is not positive.
-    pub fn build(model: &SingleDiodeModel, temperature: Kelvin) -> Result<Self, PvError> {
+    /// [`Error::SolveFailed`] if a row's Voc or Isc is not positive.
+    pub fn build(model: &SingleDiodeModel, temperature: Kelvin) -> Result<Self, Error> {
         let ln_min = LUX_MIN.ln();
         let ln_step = (LUX_MAX / LUX_MIN).ln() / (N_LUX - 1) as f64;
         let mut lux_grid = Vec::with_capacity(N_LUX);
@@ -231,7 +230,7 @@ impl CachedPvSurface {
             let voc_j = model.open_circuit_voltage(l, temperature)?.value();
             let isc_j = model.short_circuit_current(l, temperature)?.value();
             if !(voc_j > 0.0 && isc_j > 0.0) {
-                return Err(PvError::SolveFailed {
+                return Err(Error::SolveFailed {
                     what: "cache grid node",
                 });
             }
@@ -322,20 +321,20 @@ impl CachedPvSurface {
         lerp(self.isc[j], self.isc[j + 1], w)
     }
 
-    fn validate_inputs(v: Volts, lux: Lux) -> Result<(), PvError> {
+    fn validate_inputs(v: Volts, lux: Lux) -> Result<(), Error> {
         if !v.is_finite() || v.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "terminal voltage",
+            return Err(Error::InvalidParameter {
+                name: "terminal voltage",
                 value: v.value(),
             });
         }
         Self::validate_lux(lux)
     }
 
-    fn validate_lux(lux: Lux) -> Result<(), PvError> {
+    fn validate_lux(lux: Lux) -> Result<(), Error> {
         if !lux.is_finite() || lux.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "illuminance",
+            return Err(Error::InvalidParameter {
+                name: "illuminance",
                 value: lux.value(),
             });
         }
@@ -349,9 +348,9 @@ impl CachedPvSurface {
     /// # Errors
     ///
     /// Rejects negative `v` and negative/non-finite `lux` with the same
-    /// [`PvError::OutOfRange`] as the exact solver, and propagates
+    /// [`Error::InvalidParameter`] as the exact solver, and propagates
     /// fallback solver errors.
-    pub fn current_at(&self, v: Volts, lux: Lux) -> Result<Amps, PvError> {
+    pub fn current_at(&self, v: Volts, lux: Lux) -> Result<Amps, Error> {
         Self::validate_inputs(v, lux)?;
         let l = lux.value();
         if !Self::in_domain(l) {
@@ -440,7 +439,7 @@ impl CachedPvSurface {
         &self,
         cursor: &mut LuxCursor,
         lux: Lux,
-    ) -> Result<Volts, PvError> {
+    ) -> Result<Volts, Error> {
         let l = lux.value();
         if !(l.is_finite() && l >= 0.0 && Self::in_domain(l)) {
             cursor.cell = None;
@@ -480,7 +479,7 @@ impl CachedPvSurface {
         cursor: &mut LuxCursor,
         target: Volts,
         lux: Lux,
-    ) -> Result<ConnectPoint, PvError> {
+    ) -> Result<ConnectPoint, Error> {
         let l = lux.value();
         if !(l.is_finite() && l >= 0.0 && Self::in_domain(l)) {
             cursor.cell = None;
@@ -509,7 +508,7 @@ impl CachedPvSurface {
     /// # Errors
     ///
     /// Propagates errors from [`CachedPvSurface::current_at`].
-    pub fn power_at(&self, v: Volts, lux: Lux) -> Result<Watts, PvError> {
+    pub fn power_at(&self, v: Volts, lux: Lux) -> Result<Watts, Error> {
         Ok(v * self.current_at(v, lux)?)
     }
 
@@ -522,7 +521,7 @@ impl CachedPvSurface {
     /// Rejects negative/non-finite illuminance; propagates fallback
     /// solver errors outside the domain.
     #[inline]
-    pub fn open_circuit_voltage(&self, lux: Lux) -> Result<Volts, PvError> {
+    pub fn open_circuit_voltage(&self, lux: Lux) -> Result<Volts, Error> {
         Self::validate_lux(lux)?;
         let l = lux.value();
         if !Self::in_domain(l) {
@@ -538,7 +537,7 @@ impl CachedPvSurface {
     ///
     /// Rejects negative/non-finite illuminance; propagates fallback
     /// solver errors outside the domain.
-    pub fn short_circuit_current(&self, lux: Lux) -> Result<Amps, PvError> {
+    pub fn short_circuit_current(&self, lux: Lux) -> Result<Amps, Error> {
         Self::validate_lux(lux)?;
         let l = lux.value();
         if !Self::in_domain(l) {
@@ -557,7 +556,7 @@ impl CachedPvSurface {
     /// # Errors
     ///
     /// Propagates exact-solver errors outside the domain.
-    pub fn mpp(&self, lux: Lux) -> Result<MppPoint, PvError> {
+    pub fn mpp(&self, lux: Lux) -> Result<MppPoint, Error> {
         let l = lux.value();
         if !Self::in_domain(l) {
             return solve_mpp(&self.model, lux, self.temperature);
@@ -585,15 +584,11 @@ impl CachedPvSurface {
     ///
     /// # Errors
     ///
-    /// Rejects zero probe counts as [`PvError::InvalidParameter`];
+    /// Rejects zero probe counts as [`Error::InvalidParameter`];
     /// propagates exact-solver errors.
-    pub fn validate_against_exact(
-        &self,
-        lux_probes: usize,
-        v_probes: usize,
-    ) -> Result<f64, PvError> {
+    pub fn validate_against_exact(&self, lux_probes: usize, v_probes: usize) -> Result<f64, Error> {
         if lux_probes == 0 || v_probes == 0 {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "probes",
                 value: 0.0,
             });
@@ -633,11 +628,11 @@ impl CachedPvSurface {
     ///
     /// # Errors
     ///
-    /// Rejects a zero probe count as [`PvError::InvalidParameter`];
+    /// Rejects a zero probe count as [`Error::InvalidParameter`];
     /// propagates exact-solver errors.
-    pub fn validate_mpp_against_exact(&self, lux_probes: usize) -> Result<(f64, f64), PvError> {
+    pub fn validate_mpp_against_exact(&self, lux_probes: usize) -> Result<(f64, f64), Error> {
         if lux_probes == 0 {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "probes",
                 value: 0.0,
             });

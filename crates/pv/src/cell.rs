@@ -3,11 +3,10 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use eh_units::{Amps, Kelvin, Lux, Volts, Watts};
+use eh_units::{Amps, Error, Kelvin, Lux, Volts, Watts};
 
 use crate::cache::CachedPvSurface;
 use crate::curve::IvCurve;
-use crate::error::PvError;
 use crate::model::SingleDiodeModel;
 use crate::mpp::{solve_mpp, MppPoint};
 use crate::registry;
@@ -22,7 +21,7 @@ use crate::registry;
 /// let cell = presets::sanyo_am1815().with_temperature(Celsius::new(21.0));
 /// let i = cell.current_at(Volts::new(3.0), Lux::new(200.0))?;
 /// assert!(i.as_micro() > 30.0);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 ///
 /// # Operating-point cache
@@ -128,7 +127,7 @@ impl PvCell {
     ///
     /// Propagates table-construction failures from
     /// [`CachedPvSurface::build`].
-    pub fn warmed(self) -> Result<Self, PvError> {
+    pub fn warmed(self) -> Result<Self, Error> {
         let cell = self.with_cache(true);
         cell.cached()?;
         Ok(cell)
@@ -145,7 +144,7 @@ impl PvCell {
     ///
     /// Propagates table-construction failures from
     /// [`CachedPvSurface::build`].
-    pub fn cached(&self) -> Result<&CachedPvSurface, PvError> {
+    pub fn cached(&self) -> Result<&CachedPvSurface, Error> {
         if let Some(surface) = self.surface.get() {
             return Ok(surface);
         }
@@ -174,7 +173,7 @@ impl PvCell {
     ///
     /// Returns an error for negative `v` or `lux`, or if the implicit
     /// solve fails.
-    pub fn current_at(&self, v: Volts, lux: Lux) -> Result<Amps, PvError> {
+    pub fn current_at(&self, v: Volts, lux: Lux) -> Result<Amps, Error> {
         if self.cache_enabled {
             self.cached()?.current_at(v, lux)
         } else {
@@ -187,7 +186,7 @@ impl PvCell {
     /// # Errors
     ///
     /// Propagates errors from [`PvCell::current_at`].
-    pub fn power_at(&self, v: Volts, lux: Lux) -> Result<Watts, PvError> {
+    pub fn power_at(&self, v: Volts, lux: Lux) -> Result<Watts, Error> {
         Ok(v * self.current_at(v, lux)?)
     }
 
@@ -198,7 +197,7 @@ impl PvCell {
     /// # Errors
     ///
     /// Propagates solver errors.
-    pub fn voltage_at_current(&self, i: Amps, lux: Lux) -> Result<Volts, PvError> {
+    pub fn voltage_at_current(&self, i: Amps, lux: Lux) -> Result<Volts, Error> {
         self.model.voltage_at_current(i, lux, self.temperature)
     }
 
@@ -207,7 +206,7 @@ impl PvCell {
     /// # Errors
     ///
     /// Returns an error for negative illuminance.
-    pub fn open_circuit_voltage(&self, lux: Lux) -> Result<Volts, PvError> {
+    pub fn open_circuit_voltage(&self, lux: Lux) -> Result<Volts, Error> {
         if self.cache_enabled {
             self.cached()?.open_circuit_voltage(lux)
         } else {
@@ -220,7 +219,7 @@ impl PvCell {
     /// # Errors
     ///
     /// Propagates solver errors.
-    pub fn short_circuit_current(&self, lux: Lux) -> Result<Amps, PvError> {
+    pub fn short_circuit_current(&self, lux: Lux) -> Result<Amps, Error> {
         if self.cache_enabled {
             self.cached()?.short_circuit_current(lux)
         } else {
@@ -236,7 +235,7 @@ impl PvCell {
     /// # Errors
     ///
     /// Propagates solver errors and table-construction failures.
-    pub fn mpp(&self, lux: Lux) -> Result<MppPoint, PvError> {
+    pub fn mpp(&self, lux: Lux) -> Result<MppPoint, Error> {
         if self.cache_enabled {
             self.cached()?.mpp(lux)
         } else {
@@ -249,9 +248,9 @@ impl PvCell {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::InvalidParameter`] if `points < 2`, otherwise
+    /// Returns [`Error::InvalidParameter`] if `points < 2`, otherwise
     /// propagates solver errors.
-    pub fn iv_curve(&self, lux: Lux, points: usize) -> Result<IvCurve, PvError> {
+    pub fn iv_curve(&self, lux: Lux, points: usize) -> Result<IvCurve, Error> {
         IvCurve::sample(self, lux, points)
     }
 }

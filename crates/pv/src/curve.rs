@@ -1,9 +1,8 @@
 //! Sampled I-V / P-V curves (the data behind Fig. 1 of the paper).
 
-use eh_units::{Amps, Lux, Volts, Watts};
+use eh_units::{Amps, Error, Lux, Volts, Watts};
 
 use crate::cell::PvCell;
-use crate::error::PvError;
 
 /// One sampled point of an I-V curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +26,7 @@ pub struct CurvePoint {
 /// let curve = cell.iv_curve(Lux::new(1000.0), 200)?;
 /// let mpp = curve.max_power_point();
 /// assert!(mpp.power.value() > 0.0);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct IvCurve {
@@ -40,11 +39,11 @@ impl IvCurve {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::InvalidParameter`] if `points < 2`, otherwise
+    /// Returns [`Error::InvalidParameter`] if `points < 2`, otherwise
     /// propagates solver errors.
-    pub fn sample(cell: &PvCell, lux: Lux, points: usize) -> Result<Self, PvError> {
+    pub fn sample(cell: &PvCell, lux: Lux, points: usize) -> Result<Self, Error> {
         if points < 2 {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "points",
                 value: points as f64,
             });
@@ -219,7 +218,7 @@ mod tests {
         let cell = presets::sanyo_am1815();
         assert!(matches!(
             cell.iv_curve(Lux::new(1000.0), 1),
-            Err(PvError::InvalidParameter { name: "points", .. })
+            Err(Error::InvalidParameter { name: "points", .. })
         ));
     }
 

@@ -9,10 +9,9 @@
 //! cell-fitting front end ([`fit_cell`]), so a user with their own
 //! bench data can build their own preset.
 
-use eh_units::{Kelvin, Lux, Volts};
+use eh_units::{Error, Kelvin, Lux, Volts};
 
 use crate::cell::PvCell;
-use crate::error::PvError;
 use crate::model::SingleDiodeModel;
 
 /// One measured open-circuit-voltage point.
@@ -200,16 +199,16 @@ fn candidate(params: &[f64], opts: &FitOptions) -> Option<SingleDiodeModel> {
 ///
 /// # Errors
 ///
-/// Returns [`PvError::InvalidParameter`] if fewer than three Voc points
+/// Returns [`Error::InvalidParameter`] if fewer than three Voc points
 /// are supplied (the problem is under-determined below that), or if the
 /// optimiser cannot produce a valid model.
 pub fn fit_cell(
     voc_points: &[VocPoint],
     mpp: MppPointMeasurement,
     opts: &FitOptions,
-) -> Result<FitResult, PvError> {
+) -> Result<FitResult, Error> {
     if voc_points.len() < 3 {
-        return Err(PvError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "voc_points",
             value: voc_points.len() as f64,
         });
@@ -248,7 +247,7 @@ pub fn fit_cell(
     let steps = [0.3, 1.0, isc_guess * 0.5, 3.0e4, 100.0];
     let (best, cost) = nelder_mead(cost_fn, &x0, &steps, opts.max_iterations);
 
-    let model = candidate(&best, opts).ok_or(PvError::SolveFailed { what: "fit" })?;
+    let model = candidate(&best, opts).ok_or(Error::SolveFailed { what: "fit" })?;
     let cell = PvCell::new(model.clone());
     let mut worst = 0.0f64;
     for p in voc_points {
@@ -332,7 +331,7 @@ mod tests {
         };
         assert!(matches!(
             fit_cell(&[], mpp, &FitOptions::default()),
-            Err(PvError::InvalidParameter { .. })
+            Err(Error::InvalidParameter { .. })
         ));
     }
 

@@ -7,10 +7,9 @@
 //! the paper uses in §II-B to argue that a >60 s hold period costs less
 //! than 1 % efficiency.
 
-use eh_units::{Lux, Ratio, Volts};
+use eh_units::{Error, Lux, Ratio, Volts};
 
 use crate::cell::PvCell;
-use crate::error::PvError;
 
 /// `k = Vmpp/Voc` evaluated at each given illuminance.
 ///
@@ -27,12 +26,12 @@ use crate::error::PvError;
 /// for (_, k) in &profile {
 ///     assert!(k.value() > 0.5 && k.value() < 0.8);
 /// }
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 pub fn factor_profile(
     cell: &PvCell,
     illuminances: impl IntoIterator<Item = Lux>,
-) -> Result<Vec<(Lux, Ratio)>, PvError> {
+) -> Result<Vec<(Lux, Ratio)>, Error> {
     illuminances
         .into_iter()
         .map(|lux| Ok((lux, cell.mpp(lux)?.focv_factor())))
@@ -44,15 +43,15 @@ pub fn factor_profile(
 ///
 /// # Errors
 ///
-/// Propagates solver errors; returns [`PvError::InvalidParameter`] for an
+/// Propagates solver errors; returns [`Error::InvalidParameter`] for an
 /// empty illuminance set.
 pub fn recommended_factor(
     cell: &PvCell,
     illuminances: impl IntoIterator<Item = Lux>,
-) -> Result<Ratio, PvError> {
+) -> Result<Ratio, Error> {
     let profile = factor_profile(cell, illuminances)?;
     if profile.is_empty() {
-        return Err(PvError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "illuminances",
             value: 0.0,
         });
@@ -67,7 +66,7 @@ pub fn recommended_factor(
 /// # Errors
 ///
 /// Propagates solver errors.
-pub fn efficiency_at_voltage(cell: &PvCell, v: Volts, lux: Lux) -> Result<Ratio, PvError> {
+pub fn efficiency_at_voltage(cell: &PvCell, v: Volts, lux: Lux) -> Result<Ratio, Error> {
     let mpp = cell.mpp(lux)?;
     if mpp.power.value() <= 0.0 {
         return Ok(Ratio::ZERO);
@@ -90,7 +89,7 @@ pub fn efficiency_loss_for_voltage_error(
     cell: &PvCell,
     lux: Lux,
     dv: Volts,
-) -> Result<Ratio, PvError> {
+) -> Result<Ratio, Error> {
     let mpp = cell.mpp(lux)?;
     if mpp.power.value() <= 0.0 {
         return Ok(Ratio::ZERO);

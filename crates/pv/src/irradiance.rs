@@ -4,10 +4,9 @@
 //! conversion efficiency is defined against radiant power. The bridge is
 //! the luminous efficacy of the light source's spectrum.
 
-use eh_units::{Lux, Ratio, Watts};
+use eh_units::{Error, Lux, Ratio, Watts};
 
 use crate::cell::PvCell;
-use crate::error::PvError;
 
 /// The spectral class of a light source, determining its luminous
 /// efficacy (how many lux one W/m² of its radiation produces).
@@ -52,13 +51,13 @@ impl LuminousEfficacy {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::InvalidParameter`] unless `lm_per_w` is positive
+    /// Returns [`Error::InvalidParameter`] unless `lm_per_w` is positive
     /// and finite.
-    pub fn custom(lm_per_w: f64) -> Result<Self, PvError> {
+    pub fn custom(lm_per_w: f64) -> Result<Self, Error> {
         if lm_per_w.is_finite() && lm_per_w > 0.0 {
             Ok(Self(lm_per_w))
         } else {
-            Err(PvError::InvalidParameter {
+            Err(Error::InvalidParameter {
                 name: "luminous_efficacy",
                 value: lm_per_w,
             })
@@ -87,11 +86,7 @@ impl LuminousEfficacy {
 /// # Errors
 ///
 /// Propagates solver errors from the cell model.
-pub fn conversion_efficiency(
-    cell: &PvCell,
-    lux: Lux,
-    source: LightSource,
-) -> Result<Ratio, PvError> {
+pub fn conversion_efficiency(cell: &PvCell, lux: Lux, source: LightSource) -> Result<Ratio, Error> {
     let incident = LuminousEfficacy::of(source).incident_power(lux, cell.model().area_cm2());
     if incident.value() <= 0.0 {
         return Ok(Ratio::ZERO);

@@ -41,7 +41,7 @@
 //! let mpp = cell.mpp(Lux::new(1000.0))?;
 //! assert!((voc.value() - 5.44).abs() < 0.05);
 //! assert!(mpp.voltage < voc);
-//! # Ok::<(), eh_pv::PvError>(())
+//! # Ok::<(), eh_units::Error>(())
 //! ```
 //!
 //! [Weddell et al., DATE 2011]: https://eprints.soton.ac.uk/271584/
@@ -53,7 +53,6 @@ pub mod array;
 mod cache;
 mod cell;
 mod curve;
-mod error;
 pub mod fit;
 pub mod focv;
 pub mod irradiance;
@@ -68,7 +67,6 @@ pub mod thermal;
 pub use cache::{CachedPvSurface, ConnectPoint, LuxCursor};
 pub use cell::PvCell;
 pub use curve::{CurvePoint, IvCurve};
-pub use error::PvError;
 pub use irradiance::{LightSource, LuminousEfficacy};
 pub use model::SingleDiodeModel;
 pub use mpp::MppPoint;

@@ -1,10 +1,9 @@
 //! Single-diode equivalent-circuit model with an illumination-proportional
 //! shunt ("photo-shunt"), the variant that fits amorphous-silicon cells.
 
-use eh_units::{thermal_voltage, Amps, Kelvin, Lux, Ohms, Volts, K_OVER_Q};
+use eh_units::{thermal_voltage, Amps, Error, Kelvin, Lux, Ohms, Volts, K_OVER_Q};
 
 use crate::cache::ConnectPoint;
-use crate::error::PvError;
 
 /// Single-diode PV model:
 ///
@@ -37,7 +36,7 @@ use crate::error::PvError;
 ///     .build()?;
 /// let isc = m.short_circuit_current(Lux::new(200.0), Kelvin::STC)?;
 /// assert!(isc.as_micro() > 40.0);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleDiodeModel {
@@ -152,25 +151,25 @@ impl SingleDiodeModelBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::InvalidParameter`] if any parameter is
+    /// Returns [`Error::InvalidParameter`] if any parameter is
     /// non-positive or non-finite where a positive value is required.
-    pub fn build(self) -> Result<SingleDiodeModel, PvError> {
-        fn positive(name: &'static str, v: f64) -> Result<f64, PvError> {
+    pub fn build(self) -> Result<SingleDiodeModel, Error> {
+        fn positive(name: &'static str, v: f64) -> Result<f64, Error> {
             if v.is_finite() && v > 0.0 {
                 Ok(v)
             } else {
-                Err(PvError::InvalidParameter { name, value: v })
+                Err(Error::InvalidParameter { name, value: v })
             }
         }
-        fn non_negative(name: &'static str, v: f64) -> Result<f64, PvError> {
+        fn non_negative(name: &'static str, v: f64) -> Result<f64, Error> {
             if v.is_finite() && v >= 0.0 {
                 Ok(v)
             } else {
-                Err(PvError::InvalidParameter { name, value: v })
+                Err(Error::InvalidParameter { name, value: v })
             }
         }
         if self.junctions == 0 {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "junctions",
                 value: 0.0,
             });
@@ -340,18 +339,18 @@ impl SingleDiodeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::OutOfRange`] for negative `v` and
-    /// [`PvError::SolveFailed`] if the iteration does not settle.
-    pub fn current_at(&self, v: Volts, lux: Lux, t: Kelvin) -> Result<Amps, PvError> {
+    /// Returns [`Error::InvalidParameter`] for negative `v` and
+    /// [`Error::SolveFailed`] if the iteration does not settle.
+    pub fn current_at(&self, v: Volts, lux: Lux, t: Kelvin) -> Result<Amps, Error> {
         if !v.is_finite() || v.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "terminal voltage",
+            return Err(Error::InvalidParameter {
+                name: "terminal voltage",
                 value: v.value(),
             });
         }
         if !lux.is_finite() || lux.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "illuminance",
+            return Err(Error::InvalidParameter {
+                name: "illuminance",
                 value: lux.value(),
             });
         }
@@ -398,19 +397,19 @@ impl SingleDiodeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::OutOfRange`] for negative illuminance or a
-    /// non-finite current, and [`PvError::SolveFailed`] if the
+    /// Returns [`Error::InvalidParameter`] for negative illuminance or a
+    /// non-finite current, and [`Error::SolveFailed`] if the
     /// iteration does not settle.
-    pub fn voltage_at_current(&self, i: Amps, lux: Lux, t: Kelvin) -> Result<Volts, PvError> {
+    pub fn voltage_at_current(&self, i: Amps, lux: Lux, t: Kelvin) -> Result<Volts, Error> {
         if !lux.is_finite() || lux.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "illuminance",
+            return Err(Error::InvalidParameter {
+                name: "illuminance",
                 value: lux.value(),
             });
         }
         if !i.is_finite() {
-            return Err(PvError::OutOfRange {
-                what: "current",
+            return Err(Error::InvalidParameter {
+                name: "current",
                 value: i.value(),
             });
         }
@@ -446,13 +445,13 @@ impl SingleDiodeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::OutOfRange`] for negative illuminance and
-    /// [`PvError::SolveFailed`] if the iteration does not settle. At
+    /// Returns [`Error::InvalidParameter`] for negative illuminance and
+    /// [`Error::SolveFailed`] if the iteration does not settle. At
     /// zero illuminance the open-circuit voltage is zero.
-    pub fn open_circuit_voltage(&self, lux: Lux, t: Kelvin) -> Result<Volts, PvError> {
+    pub fn open_circuit_voltage(&self, lux: Lux, t: Kelvin) -> Result<Volts, Error> {
         if !lux.is_finite() || lux.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "illuminance",
+            return Err(Error::InvalidParameter {
+                name: "illuminance",
                 value: lux.value(),
             });
         }
@@ -477,7 +476,7 @@ impl SingleDiodeModel {
     /// # Errors
     ///
     /// Propagates solver errors from [`SingleDiodeModel::current_at`].
-    pub fn short_circuit_current(&self, lux: Lux, t: Kelvin) -> Result<Amps, PvError> {
+    pub fn short_circuit_current(&self, lux: Lux, t: Kelvin) -> Result<Amps, Error> {
         self.current_at(Volts::ZERO, lux, t)
     }
 
@@ -493,12 +492,7 @@ impl SingleDiodeModel {
     /// Propagates solver errors from
     /// [`SingleDiodeModel::open_circuit_voltage`] and
     /// [`SingleDiodeModel::current_at`].
-    pub fn connect_point(
-        &self,
-        target: Volts,
-        lux: Lux,
-        t: Kelvin,
-    ) -> Result<ConnectPoint, PvError> {
+    pub fn connect_point(&self, target: Volts, lux: Lux, t: Kelvin) -> Result<ConnectPoint, Error> {
         let voc = self.open_circuit_voltage(lux, t)?;
         let v_op = target.min(voc);
         let current = if v_op.value() > 0.0 {
@@ -537,14 +531,14 @@ const NEWTON_STEP_CAP: usize = 64;
 ///
 /// # Errors
 ///
-/// [`PvError::SolveFailed`] for `what` if the iterates do not settle
+/// [`Error::SolveFailed`] for `what` if the iterates do not settle
 /// within [`NEWTON_STEP_CAP`] steps or leave the finite numbers.
 fn newton_from_right(
     start: f64,
     floor: f64,
     what: &'static str,
     residual: impl Fn(f64) -> (f64, f64),
-) -> Result<f64, PvError> {
+) -> Result<f64, Error> {
     let mut x = start;
     for _ in 0..NEWTON_STEP_CAP {
         let (r, slope) = residual(x);
@@ -557,7 +551,7 @@ fn newton_from_right(
         }
         x = next;
     }
-    Err(PvError::SolveFailed { what })
+    Err(Error::SolveFailed { what })
 }
 
 #[cfg(test)]
@@ -573,16 +567,16 @@ pub(crate) mod tests {
         v: Volts,
         lux: Lux,
         t: Kelvin,
-    ) -> Result<Amps, PvError> {
+    ) -> Result<Amps, Error> {
         if !v.is_finite() || v.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "terminal voltage",
+            return Err(Error::InvalidParameter {
+                name: "terminal voltage",
                 value: v.value(),
             });
         }
         if !lux.is_finite() || lux.value() < 0.0 {
-            return Err(PvError::OutOfRange {
-                what: "illuminance",
+            return Err(Error::InvalidParameter {
+                name: "illuminance",
                 value: lux.value(),
             });
         }
@@ -621,7 +615,7 @@ pub(crate) mod tests {
             lo *= 2.0;
             expand += 1;
             if expand > 80 {
-                return Err(PvError::SolveFailed { what: "current" });
+                return Err(Error::SolveFailed { what: "current" });
             }
         }
         // Bisect.
@@ -775,7 +769,7 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            PvError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "ideality",
                 ..
             }
@@ -786,7 +780,7 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            PvError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "saturation_current",
                 ..
             }
@@ -797,7 +791,7 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            PvError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "junctions",
                 ..
             }
@@ -808,7 +802,7 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            PvError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "series_resistance",
                 ..
             }

@@ -1,8 +1,7 @@
 //! Maximum power point solving.
 
-use eh_units::{Amps, Kelvin, Lux, Ratio, Volts, Watts};
+use eh_units::{Amps, Error, Kelvin, Lux, Ratio, Volts, Watts};
 
-use crate::error::PvError;
 use crate::model::SingleDiodeModel;
 
 /// A solved maximum power point of a cell at one operating condition.
@@ -16,7 +15,7 @@ use crate::model::SingleDiodeModel;
 /// // The paper quotes the AM-1815 MPP as 42 µA at 3.0 V at 200 lux.
 /// assert!((mpp.current.as_micro() - 42.0).abs() < 2.0);
 /// assert!((mpp.voltage.value() - 3.0).abs() < 0.2);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MppPoint {
@@ -62,11 +61,7 @@ impl MppPoint {
 /// # Errors
 ///
 /// Propagates solver failures from the underlying model.
-pub(crate) fn solve_mpp(
-    model: &SingleDiodeModel,
-    lux: Lux,
-    t: Kelvin,
-) -> Result<MppPoint, PvError> {
+pub(crate) fn solve_mpp(model: &SingleDiodeModel, lux: Lux, t: Kelvin) -> Result<MppPoint, Error> {
     let voc = model.open_circuit_voltage(lux, t)?;
     if voc.value() <= 0.0 {
         return Ok(MppPoint {
@@ -76,7 +71,7 @@ pub(crate) fn solve_mpp(
             open_circuit_voltage: Volts::ZERO,
         });
     }
-    let power_at = |v: f64| -> Result<f64, PvError> {
+    let power_at = |v: f64| -> Result<f64, Error> {
         let i = model.current_at(Volts::new(v), lux, t)?;
         Ok(v * i.value())
     };

@@ -21,7 +21,7 @@ use crate::model::SingleDiodeModel;
 /// let cell = sanyo_am1815();
 /// let voc = cell.open_circuit_voltage(Lux::new(200.0))?;
 /// assert!((voc.value() - 4.978).abs() < 0.1);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 pub fn sanyo_am1815() -> PvCell {
     PvCell::new(

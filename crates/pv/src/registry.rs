@@ -22,10 +22,9 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use eh_units::Kelvin;
+use eh_units::{Error, Kelvin};
 
 use crate::cache::CachedPvSurface;
-use crate::error::PvError;
 use crate::model::SingleDiodeModel;
 
 /// How many tables the registry keeps: about 6 MB at about 0.5 MB per
@@ -60,7 +59,7 @@ pub fn stats() -> Stats {
 pub(crate) fn surface(
     model: &SingleDiodeModel,
     temperature: Kelvin,
-) -> Result<Arc<CachedPvSurface>, PvError> {
+) -> Result<Arc<CachedPvSurface>, Error> {
     REGISTRY.surface(model, temperature)
 }
 
@@ -138,7 +137,7 @@ impl Registry {
         &self,
         model: &SingleDiodeModel,
         temperature: Kelvin,
-    ) -> Result<Arc<CachedPvSurface>, PvError> {
+    ) -> Result<Arc<CachedPvSurface>, Error> {
         let key = Key::new(model, temperature);
         let mut state = self.lock();
         loop {

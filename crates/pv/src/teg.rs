@@ -7,9 +7,8 @@
 //! `Voc = S·ΔT` with internal resistance `R`, so maximum power transfer
 //! occurs at exactly `Vmpp = Voc / 2` — i.e. `k = 0.5`.
 
-use eh_units::{Amps, Ohms, Ratio, Volts, Watts};
+use eh_units::{Amps, Error, Ohms, Ratio, Volts, Watts};
 
-use crate::error::PvError;
 use crate::mpp::MppPoint;
 
 /// A thermoelectric generator: Seebeck voltage source behind an internal
@@ -22,7 +21,7 @@ use crate::mpp::MppPoint;
 /// let teg = Teg::new(0.05, Ohms::new(5.0))?;
 /// let mpp = teg.mpp(20.0); // 20 K gradient
 /// assert!((mpp.focv_factor().value() - 0.5).abs() < 1e-12);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Teg {
@@ -36,17 +35,17 @@ impl Teg {
     ///
     /// # Errors
     ///
-    /// Returns [`PvError::InvalidParameter`] for non-positive or
+    /// Returns [`Error::InvalidParameter`] for non-positive or
     /// non-finite parameters.
-    pub fn new(seebeck_v_per_k: f64, internal_resistance: Ohms) -> Result<Self, PvError> {
+    pub fn new(seebeck_v_per_k: f64, internal_resistance: Ohms) -> Result<Self, Error> {
         if !(seebeck_v_per_k.is_finite() && seebeck_v_per_k > 0.0) {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "seebeck_v_per_k",
                 value: seebeck_v_per_k,
             });
         }
         if !(internal_resistance.value().is_finite() && internal_resistance.value() > 0.0) {
-            return Err(PvError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "internal_resistance",
                 value: internal_resistance.value(),
             });

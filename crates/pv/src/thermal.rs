@@ -8,10 +8,9 @@
 //! of the MPP voltage, which bounds the error of any fixed-reference
 //! technique over an operating temperature range.
 
-use eh_units::{Celsius, Lux, Ratio};
+use eh_units::{Celsius, Error, Lux, Ratio};
 
 use crate::cell::PvCell;
-use crate::error::PvError;
 
 /// `dVoc/dT` in volts per kelvin at the given operating point,
 /// estimated by a symmetric finite difference of ±5 K.
@@ -27,9 +26,9 @@ use crate::error::PvError;
 /// let c = thermal::voc_temperature_coefficient(&presets::sanyo_am1815(), Lux::new(1000.0))?;
 /// // a-Si stacks lose tens of millivolts per kelvin (8 junctions in series).
 /// assert!(c < 0.0 && c > -0.05);
-/// # Ok::<(), eh_pv::PvError>(())
+/// # Ok::<(), eh_units::Error>(())
 /// ```
-pub fn voc_temperature_coefficient(cell: &PvCell, lux: Lux) -> Result<f64, PvError> {
+pub fn voc_temperature_coefficient(cell: &PvCell, lux: Lux) -> Result<f64, Error> {
     let base = cell.temperature();
     let dt = 5.0;
     let hot = cell.clone().with_temperature(base + dt);
@@ -44,7 +43,7 @@ pub fn voc_temperature_coefficient(cell: &PvCell, lux: Lux) -> Result<f64, PvErr
 /// # Errors
 ///
 /// Propagates solver errors.
-pub fn vmpp_temperature_coefficient(cell: &PvCell, lux: Lux) -> Result<f64, PvError> {
+pub fn vmpp_temperature_coefficient(cell: &PvCell, lux: Lux) -> Result<f64, Error> {
     let base = cell.temperature();
     let dt = 5.0;
     let hot = cell.clone().with_temperature(base + dt);
@@ -67,9 +66,9 @@ pub fn fixed_reference_worst_capture(
     lux: Lux,
     tune_at: Celsius,
     span: &[Celsius],
-) -> Result<Ratio, PvError> {
+) -> Result<Ratio, Error> {
     if span.is_empty() {
-        return Err(PvError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "span",
             value: 0.0,
         });
@@ -100,9 +99,9 @@ pub fn focv_worst_capture(
     lux: Lux,
     k: f64,
     span: &[Celsius],
-) -> Result<Ratio, PvError> {
+) -> Result<Ratio, Error> {
     if span.is_empty() {
-        return Err(PvError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "span",
             value: 0.0,
         });

@@ -15,10 +15,9 @@
 use std::sync::{Arc, Mutex};
 
 use eh_campaign::{CampaignReport, CampaignRunner};
-use eh_fleet::{
-    FleetContext, FleetError, FleetReport, FleetRunner, Percentiles, Placement, TrackerKind,
-};
+use eh_fleet::{FleetContext, FleetReport, FleetRunner, Percentiles, Placement, TrackerKind};
 use eh_sim::Mergeable as _;
+use eh_units::Error;
 
 use crate::cache::LruCache;
 use crate::checkpoint::SpillStore;
@@ -205,9 +204,7 @@ impl ComputeEngine {
             ]);
             emit(&snapshot.to_canonical_string())?;
         }
-        let report = merged
-            .ok_or(ServeError::Fleet(FleetError::EmptyFleet))?
-            .with_fleet_counters();
+        let report = merged.ok_or(Error::EmptyFleet)?.with_fleet_counters();
         emit(&self.envelope(req, vec![("report", Self::summary(&report))]))?;
         self.spill.clear(&request_hex);
         Ok(())

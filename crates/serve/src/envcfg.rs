@@ -1,12 +1,8 @@
-//! Strict environment/CLI value parsing, shared by the service's
-//! `EH_SERVE_*` variables and the bench bins' `EH_WORKERS`/`--workers`
-//! overrides.
+//! Strict parsing of the service's `EH_SERVE_*` environment variables.
 //!
-//! An unparseable override used to be *silently ignored* by the bench
-//! helpers, so `EH_WORKERS=lots` degraded to the auto-sized default and
-//! a scaling study quietly measured the wrong configuration. Here a bad
-//! value is a hard, named error: the caller learns which knob, which
-//! value, and what was expected.
+//! A bad value is a hard, named error, never a silent fallback to the
+//! default: the caller learns which knob, which value, and what was
+//! expected.
 
 use std::error::Error;
 use std::fmt;
@@ -14,7 +10,7 @@ use std::fmt;
 /// A configuration value that failed strict parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
-    /// Where the value came from (`EH_WORKERS`, `--workers`, ...).
+    /// Where the value came from (`EH_SERVE_SIM_WORKERS`, ...).
     pub source: String,
     /// The rejected raw value.
     pub raw: String,

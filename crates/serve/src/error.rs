@@ -1,10 +1,6 @@
 //! Error type for the serving layer.
 
-use std::error::Error;
 use std::fmt;
-
-use eh_campaign::CampaignError;
-use eh_fleet::FleetError;
 
 /// Errors raised while accepting, validating, computing or persisting a
 /// what-if request.
@@ -14,10 +10,8 @@ pub enum ServeError {
     /// The request body was not well-formed JSON or violated the
     /// request schema; the message is safe to echo to the client.
     BadRequest(String),
-    /// The underlying fleet simulation failed.
-    Fleet(FleetError),
-    /// The underlying endurance campaign failed.
-    Campaign(CampaignError),
+    /// The underlying fleet simulation or endurance campaign failed.
+    Simulation(eh_units::Error),
     /// A socket / filesystem operation failed (message carries the
     /// `std::io` rendering — `io::Error` itself is not `Clone`, and
     /// single-flight followers share the leader's outcome).
@@ -36,8 +30,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            ServeError::Fleet(e) => write!(f, "fleet simulation: {e}"),
-            ServeError::Campaign(e) => write!(f, "endurance campaign: {e}"),
+            ServeError::Simulation(e) => write!(f, "simulation: {e}"),
             ServeError::Io(msg) => write!(f, "i/o: {msg}"),
             ServeError::Env(e) => write!(f, "configuration: {e}"),
             ServeError::Unsupported(what) => write!(f, "unsupported: {what}"),
@@ -46,17 +39,11 @@ impl fmt::Display for ServeError {
     }
 }
 
-impl Error for ServeError {}
+impl std::error::Error for ServeError {}
 
-impl From<FleetError> for ServeError {
-    fn from(e: FleetError) -> Self {
-        ServeError::Fleet(e)
-    }
-}
-
-impl From<CampaignError> for ServeError {
-    fn from(e: CampaignError) -> Self {
-        ServeError::Campaign(e)
+impl From<eh_units::Error> for ServeError {
+    fn from(e: eh_units::Error) -> Self {
+        ServeError::Simulation(e)
     }
 }
 
@@ -93,7 +80,9 @@ mod tests {
         assert_eq!(bad.status(), 400);
         assert!(bad.to_string().contains("nodes must be > 0"));
         assert_eq!(ServeError::Unsupported("x").status(), 422);
-        assert_eq!(ServeError::Fleet(FleetError::EmptyFleet).status(), 500);
+        let empty: ServeError = eh_units::Error::EmptyFleet.into();
+        assert_eq!(empty.status(), 500);
+        assert!(empty.to_string().contains("no node outcomes"));
         let io: ServeError = std::io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));
     }

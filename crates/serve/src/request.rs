@@ -774,6 +774,15 @@ mod tests {
             r#"{"placements":{"window":0,"interior":0,"outdoor":0}}"#
         )
         .is_err());
+        // Finite weights whose sum overflows used to put every node
+        // outdoors.
+        let err = parse(
+            Op::WhatIf,
+            r#"{"placements":{"window":1e308,"interior":1e308}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.status(), 400, "{err}");
+        assert!(err.to_string().contains("placement_weight_sum"), "{err}");
         assert!(parse(Op::WhatIf, "[]").is_err());
     }
 

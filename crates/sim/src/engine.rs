@@ -1,8 +1,7 @@
 //! The time-stepping engine: one loop, owned here, driven everywhere.
 
-use eh_units::Seconds;
+use eh_units::{Error, Seconds};
 
-use crate::error::SimError;
 use crate::light::Light;
 use crate::stepper::{StepInput, Stepper};
 
@@ -19,31 +18,29 @@ const SLIVER: f64 = 1e-6;
 ///
 /// # Errors
 ///
-/// Returns `SimError::InvalidParameter` (through the stepper's error
-/// type) for a non-positive or non-finite `dt`, or for a light source —
-/// constant or trace — with non-positive duration (a single-sample trace
-/// has zero duration and is rejected rather than silently simulating
-/// nothing); propagates any stepper error.
+/// Returns [`Error::InvalidParameter`] for a non-positive or non-finite
+/// `dt`, or for a light source — constant or trace — with non-positive
+/// duration (a single-sample trace has zero duration and is rejected
+/// rather than silently simulating nothing); propagates any stepper
+/// error.
 pub fn drive<S: Stepper>(
     stepper: &mut S,
     light: &Light<'_>,
     dt: Seconds,
-) -> Result<Seconds, S::Error> {
+) -> Result<Seconds, Error> {
     let dt = dt.value();
     if !(dt.is_finite() && dt > 0.0) {
-        return Err(SimError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "dt",
             value: dt,
-        }
-        .into());
+        });
     }
     let total = light.duration().value();
     if !(total.is_finite() && total > 0.0) {
-        return Err(SimError::InvalidParameter {
+        return Err(Error::InvalidParameter {
             name: "duration",
             value: total,
-        }
-        .into());
+        });
     }
 
     let slices = (total / dt - SLIVER).ceil().max(1.0) as u64;
@@ -74,9 +71,7 @@ mod tests {
     struct Slices(Vec<(f64, f64)>);
 
     impl Stepper for Slices {
-        type Error = SimError;
-
-        fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
+        fn step(&mut self, t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), Error> {
             self.0.push((t.value(), dt.value()));
             Ok(())
         }
@@ -128,7 +123,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                Err(SimError::InvalidParameter {
+                Err(Error::InvalidParameter {
                     name: "duration",
                     ..
                 })

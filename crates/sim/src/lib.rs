@@ -24,14 +24,12 @@
 //! rather than an external thread pool.
 
 mod engine;
-mod error;
 mod light;
 mod merge;
 mod stepper;
 mod sweep;
 
 pub use engine::drive;
-pub use error::SimError;
 pub use light::Light;
 pub use merge::Mergeable;
 pub use stepper::{StepInput, Stepper};

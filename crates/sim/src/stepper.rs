@@ -2,9 +2,7 @@
 //! implements so the engine in [`crate::engine`] can drive it.
 
 use eh_obs::Metrics;
-use eh_units::{Lux, Seconds};
-
-use crate::error::SimError;
+use eh_units::{Error, Lux, Seconds};
 
 /// Environment sample handed to a stepper for one step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,13 +28,13 @@ impl StepInput {
 /// advances the system across the whole slice. Anything that happens
 /// inside a slice, such as a PULSE, is the stepper's to segment.
 pub trait Stepper {
-    /// The stepper's own error type. Requiring `From<SimError>` lets the
-    /// engine surface driver-level failures (bad `dt`, bad window)
-    /// through the same channel as domain failures.
-    type Error: From<SimError>;
-
     /// Advances the system across the slice `[t, t + dt)`.
-    fn step(&mut self, t: Seconds, dt: Seconds, input: &StepInput) -> Result<(), Self::Error>;
+    ///
+    /// # Errors
+    ///
+    /// Whatever the system fails with; [`drive`](crate::drive) returns
+    /// it unchanged.
+    fn step(&mut self, t: Seconds, dt: Seconds, input: &StepInput) -> Result<(), Error>;
 
     /// The stepper's metric store, when observability is enabled.
     ///

@@ -4,7 +4,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::error::SimError;
+use eh_units::Error;
+
 use crate::merge::Mergeable;
 
 /// Chunks `items` into `(first_global_index, shard_items)` pairs of at
@@ -133,7 +134,7 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] when `shard_size` is zero.
+    /// Returns [`Error::InvalidParameter`] when `shard_size` is zero.
     /// A zero shard cannot make progress; it used to be silently clamped
     /// to 1, which hid the caller's bug *and* quietly changed the shard
     /// grouping that float-fold results (merged metrics) are identified
@@ -143,14 +144,14 @@ impl SweepRunner {
         items: Vec<T>,
         shard_size: usize,
         f: F,
-    ) -> Result<Option<R>, SimError>
+    ) -> Result<Option<R>, Error>
     where
         T: Send,
         R: Mergeable + Send,
         F: Fn(usize, Vec<T>) -> R + Sync,
     {
         if shard_size == 0 {
-            return Err(SimError::InvalidParameter {
+            return Err(Error::InvalidParameter {
                 name: "shard_size",
                 value: 0.0,
             });
@@ -184,7 +185,7 @@ impl SweepRunner {
         items: Vec<T>,
         shard_size: usize,
         f: F,
-    ) -> Result<Option<R>, SimError>
+    ) -> Result<Option<R>, Error>
     where
         T: Send,
         R: Mergeable + Send,
@@ -307,7 +308,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            SimError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "shard_size",
                 value: 0.0
             }
@@ -317,7 +318,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            SimError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "shard_size",
                 ..
             }
@@ -327,7 +328,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            SimError::InvalidParameter {
+            Error::InvalidParameter {
                 name: "shard_size",
                 ..
             }

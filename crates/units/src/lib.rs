@@ -7,6 +7,9 @@
 //! `Watts * Seconds = Joules`, `Volts / Ohms = Amps`, and so on — and
 //! format themselves with SI prefixes.
 //!
+//! Every library crate depends on this one, so it also holds [`Error`],
+//! the workspace's one error type.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,11 +28,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod error;
 mod format;
 mod ops;
 mod quantity;
 mod temperature;
 
+pub use error::Error;
 pub use format::format_si;
 pub use quantity::{
     Amps, Coulombs, Farads, Hertz, Joules, Lux, Ohms, Ratio, Seconds, Volts, Watts,

@@ -6,8 +6,8 @@ use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
 use pv_mppt_repro::env::{profiles, TimeSeries};
 use pv_mppt_repro::node::{NodeSimulation, SimConfig};
 use pv_mppt_repro::pv::presets;
-use pv_mppt_repro::sim::{drive, Light, SimError, StepInput, Stepper, SweepRunner};
-use pv_mppt_repro::units::{Lux, Seconds};
+use pv_mppt_repro::sim::{drive, Light, StepInput, Stepper, SweepRunner};
+use pv_mppt_repro::units::{Error, Lux, Seconds};
 
 #[test]
 fn profiles_are_seed_deterministic() {
@@ -141,8 +141,7 @@ fn drive_takes_whole_slices_on_any_grid() {
         last: f64,
     }
     impl Stepper for Slices {
-        type Error = SimError;
-        fn step(&mut self, _t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), SimError> {
+        fn step(&mut self, _t: Seconds, dt: Seconds, _input: &StepInput) -> Result<(), Error> {
             self.count += 1;
             self.last = dt.value();
             Ok(())
