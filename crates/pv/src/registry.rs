@@ -10,19 +10,19 @@
 //!
 //! - A key is the bits of every model parameter, the model's name (a
 //!   surface hands its model back) and the temperature's bits.
-//! - One caller builds a key while the other callers of that key wait
-//!   for its table. The lock is never held during a build.
-//! - Past [`CAPACITY`] tables the oldest is evicted. A cell that holds
-//!   an evicted table keeps answering from it; the next lookup of that
-//!   key builds it again.
+//! - The tables live in an [`eh_units::Memo`]: one caller builds a key
+//!   while the other callers of that key wait for its table, and the
+//!   lock is never held during a build.
+//! - Past [`CAPACITY`] tables the least recently used is evicted. A
+//!   cell that holds an evicted table keeps answering from it; the next
+//!   lookup of that key builds it again.
 //! - [`stats`] counts builds, hits, evictions and occupancy. The counts
 //!   depend on what the process did before, so they belong in service
 //!   metrics, never in a run's `eh_obs::Metrics`.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock};
 
-use eh_units::{Error, Kelvin};
+use eh_units::{Error, Kelvin, Memo};
 
 use crate::cache::CachedPvSurface;
 use crate::model::SingleDiodeModel;
@@ -63,10 +63,10 @@ pub(crate) fn surface(
     REGISTRY.surface(model, temperature)
 }
 
-static REGISTRY: Registry = Registry::new();
+static REGISTRY: LazyLock<Registry> = LazyLock::new(Registry::new);
 
 /// A table's identity, bit for bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
     name: String,
     parameters: [u64; SingleDiodeModel::PARAMETERS],
@@ -84,51 +84,20 @@ impl Key {
 }
 
 #[derive(Debug)]
-struct State {
-    /// Built tables, oldest first.
-    tables: VecDeque<(Key, Arc<CachedPvSurface>)>,
-    /// Keys whose table a caller is building now.
-    building: Vec<Key>,
-    builds: u64,
-    hits: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct Registry {
-    state: Mutex<State>,
-    /// Signalled whenever a build ends, successful or not.
-    built: Condvar,
-}
+struct Registry(Memo<Key, Arc<CachedPvSurface>, Error>);
 
 impl Registry {
-    const fn new() -> Self {
-        Self {
-            state: Mutex::new(State {
-                tables: VecDeque::new(),
-                building: Vec::new(),
-                builds: 0,
-                hits: 0,
-                evictions: 0,
-            }),
-            built: Condvar::new(),
-        }
-    }
-
-    /// Every update under the lock leaves `State` valid at every step
-    /// (a build runs outside it), so a guard poisoned by a panicking
-    /// caller still holds valid data.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn new() -> Self {
+        Self(Memo::new(CAPACITY))
     }
 
     fn stats(&self) -> Stats {
-        let state = self.lock();
+        let memo = self.0.stats();
         Stats {
-            builds: state.builds,
-            hits: state.hits,
-            evictions: state.evictions,
-            entries: state.tables.len(),
+            builds: memo.computed,
+            hits: memo.hits + memo.coalesced,
+            evictions: memo.evictions,
+            entries: memo.entries,
             capacity: CAPACITY,
         }
     }
@@ -138,55 +107,8 @@ impl Registry {
         model: &SingleDiodeModel,
         temperature: Kelvin,
     ) -> Result<Arc<CachedPvSurface>, Error> {
-        let key = Key::new(model, temperature);
-        let mut state = self.lock();
-        loop {
-            if let Some((_, table)) = state.tables.iter().find(|(k, _)| *k == key) {
-                let table = Arc::clone(table);
-                state.hits += 1;
-                return Ok(table);
-            }
-            if !state.building.contains(&key) {
-                break;
-            }
-            state = self
-                .built
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        state.building.push(key.clone());
-        drop(state);
-        // Ends the build on every path out, a failed or panicking build
-        // included, so that waiters never wait for a build that stopped.
-        let _building = Building {
-            registry: self,
-            key: &key,
-        };
-        let table = Arc::new(CachedPvSurface::build(model, temperature)?);
-        let mut state = self.lock();
-        state.builds += 1;
-        if state.tables.len() >= CAPACITY {
-            state.tables.pop_front();
-            state.evictions += 1;
-        }
-        state.tables.push_back((key.clone(), Arc::clone(&table)));
-        drop(state);
-        Ok(table)
-    }
-}
-
-/// A build in progress: dropping it clears the key's building mark and
-/// wakes the key's waiters, which then find the table or, if the build
-/// failed, build it themselves.
-struct Building<'a> {
-    registry: &'a Registry,
-    key: &'a Key,
-}
-
-impl Drop for Building<'_> {
-    fn drop(&mut self) {
-        self.registry.lock().building.retain(|k| k != self.key);
-        self.registry.built.notify_all();
+        let build = || CachedPvSurface::build(model, temperature).map(Arc::new);
+        self.0.get_or_compute(Key::new(model, temperature), build).0
     }
 }
 

@@ -16,7 +16,7 @@
 //! saving one is refused rather than silently dropped.
 
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use eh_fleet::{FleetReport, NodeOutcome, Placement};
 use eh_node::NodeReport;
@@ -253,11 +253,6 @@ impl SpillStore {
     pub fn clear(&self, request_hex: &str) {
         let _ = std::fs::remove_dir_all(self.campaign_dir(request_hex));
     }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
 }
 
 #[cfg(test)]
@@ -309,7 +304,7 @@ mod tests {
         }
         store.clear("abcd");
         assert!(store.load_shard("abcd", 0).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -333,7 +328,7 @@ mod tests {
         assert!(store.load_shard("eeee", 3).is_err());
         std::fs::write(&path, "not a checkpoint\n").unwrap();
         assert!(store.load_shard("eeee", 3).is_err());
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -356,7 +351,7 @@ mod tests {
         let unversioned = current.replacen(MAGIC, "eh-serve shard checkpoint", 1);
         std::fs::write(&path, unversioned).unwrap();
         assert!(store.load_shard("dddd", 2).is_err());
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]

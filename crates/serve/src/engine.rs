@@ -2,24 +2,24 @@
 //! three operations, and deterministic response rendering.
 //!
 //! A [`ComputeEngine`] owns the sized [`FleetRunner`], the **context
-//! cache** (spec hash → [`FleetContext`], so requests differing only
-//! in tracker/engine reuse one stamped population, its light traces and
-//! its surface pool; the pool's tables themselves are shared
-//! process-wide by [`eh_pv::registry`], so a context miss builds none
-//! it already has),
+//! cache** (spec hash → [`FleetContext`], an [`eh_units::Memo`], so
+//! requests differing only in tracker/engine reuse one stamped
+//! population, its light traces and its surface pool, and concurrent
+//! requests over one fleet prepare it once; the pool's tables
+//! themselves are shared process-wide by [`eh_pv::registry`], so a
+//! context miss builds none it already has),
 //! and the [`SpillStore`] for streaming campaigns. Responses
 //! are rendered through [`Json::to_canonical_string`], so a recomputed
 //! response is always byte-identical to its first rendering — the
 //! property the response cache's correctness tests pin down.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use eh_campaign::{CampaignReport, CampaignRunner};
 use eh_fleet::{FleetContext, FleetReport, FleetRunner, Percentiles, Placement, TrackerKind};
 use eh_sim::Mergeable as _;
-use eh_units::Error;
+use eh_units::{Error, Lookup, Memo};
 
-use crate::cache::LruCache;
 use crate::checkpoint::SpillStore;
 use crate::error::ServeError;
 use crate::hash::hex;
@@ -53,7 +53,7 @@ fn pct_json(p: Option<Percentiles>) -> Json {
 pub struct ComputeEngine {
     runner: FleetRunner,
     sim_workers: usize,
-    contexts: Mutex<LruCache<u64, Arc<FleetContext>>>,
+    contexts: Memo<u64, Arc<FleetContext>, ServeError>,
     spill: SpillStore,
     metrics: Arc<ServiceMetrics>,
 }
@@ -71,38 +71,28 @@ impl ComputeEngine {
         Self {
             runner: FleetRunner::new(sim_workers),
             sim_workers,
-            contexts: Mutex::new(LruCache::new(context_cache_capacity)),
+            contexts: Memo::new(context_cache_capacity),
             spill: SpillStore::new(spill_dir),
             metrics,
         }
     }
 
-    /// The spill store (exposed for tests and the shutdown path).
-    pub fn spill(&self) -> &SpillStore {
-        &self.spill
-    }
-
     /// The prepared context for a request's spec, deduplicated across
     /// requests by spec hash. Preparation runs outside the cache lock,
-    /// so a slow stamp never blocks hits on other specs; the rare
-    /// concurrent double-prepare is benign (both produce the identical
-    /// context, last insert wins).
+    /// so a slow stamp never blocks hits on other specs, and requests
+    /// over one spec that arrive during its preparation wait for it
+    /// (counted as hits).
     fn context(&self, req: &WhatIfRequest) -> Result<Arc<FleetContext>, ServeError> {
-        let key = req.spec_hash();
-        if let Some(ctx) = self.lock_contexts().get(&key) {
-            self.metrics.incr(names::CONTEXT_HITS);
-            return Ok(ctx);
-        }
-        self.metrics.incr(names::CONTEXT_MISSES);
-        let spec = req.to_spec()?;
-        let ctx = Arc::new(FleetContext::prepare(&spec)?);
-        self.metrics.with(|m| ctx.surface_pool().record_into(m));
-        self.lock_contexts().insert(key, Arc::clone(&ctx));
-        Ok(ctx)
-    }
-
-    fn lock_contexts(&self) -> std::sync::MutexGuard<'_, LruCache<u64, Arc<FleetContext>>> {
-        self.contexts.lock().expect("context cache lock poisoned")
+        let (ctx, lookup) = self.contexts.get_or_compute(req.spec_hash(), || {
+            let ctx = FleetContext::prepare(&req.to_spec()?)?;
+            self.metrics.with(|m| ctx.surface_pool().record_into(m));
+            Ok(Arc::new(ctx))
+        });
+        self.metrics.incr(match lookup {
+            Lookup::Computed { .. } => names::CONTEXT_MISSES,
+            Lookup::Hit | Lookup::Coalesced => names::CONTEXT_HITS,
+        });
+        ctx
     }
 
     fn account(&self, report: &FleetReport) {
@@ -213,7 +203,7 @@ impl ComputeEngine {
     /// One endurance campaign → the rendered response body. Campaigns
     /// prepare their own per-epoch contexts (epoch traces depend on the
     /// campaign calendar), so the what-if context cache is not involved;
-    /// the response cache and single-flight table still apply upstream.
+    /// the response cache still applies upstream.
     ///
     /// # Errors
     ///
@@ -386,6 +376,26 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_misses_on_one_spec_prepare_it_once() {
+        let (engine, metrics, dir) = engine();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for tracker in ["focv", "oracle"] {
+                let (engine, barrier) = (&engine, &barrier);
+                s.spawn(move || {
+                    let body = format!(r#"{{"nodes":40,"seed":5,"tracker":"{tracker}"}}"#);
+                    let req = request(Op::WhatIf, &body);
+                    barrier.wait();
+                    engine.whatif(&req).unwrap();
+                });
+            }
+        });
+        assert_eq!(metrics.counter(names::CONTEXT_MISSES), 1);
+        assert_eq!(metrics.counter(names::CONTEXT_HITS), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn compare_covers_every_tracker() {
         let (engine, _metrics, dir) = engine();
         let body = engine
@@ -477,7 +487,7 @@ mod tests {
         assert_eq!(lines, fresh, "resume must not change a single byte");
 
         // The completed campaign cleared its spill directory.
-        assert!(!engine.spill().campaign_dir(&hex(req.hash())).exists());
+        assert!(!engine.spill.campaign_dir(&hex(req.hash())).exists());
         let _ = std::fs::remove_dir_all(dir);
         let _ = std::fs::remove_dir_all(fresh_dir);
     }

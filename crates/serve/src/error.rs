@@ -1,6 +1,29 @@
-//! Error type for the serving layer.
+//! Error types for the serving layer.
 
 use std::fmt;
+
+/// A configuration value that failed strict parsing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// Where the value came from (`EH_SERVE_SIM_WORKERS`, ...).
+    pub source: String,
+    /// The rejected raw value.
+    pub raw: String,
+    /// What a valid value looks like.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid value {:?} for {}: expected {}",
+            self.raw, self.source, self.expected
+        )
+    }
+}
+
+impl std::error::Error for EnvError {}
 
 /// Errors raised while accepting, validating, computing or persisting a
 /// what-if request.
@@ -14,10 +37,10 @@ pub enum ServeError {
     Simulation(eh_units::Error),
     /// A socket / filesystem operation failed (message carries the
     /// `std::io` rendering — `io::Error` itself is not `Clone`, and
-    /// single-flight followers share the leader's outcome).
+    /// the response cache hands one outcome to every waiting request).
     Io(String),
     /// An environment/CLI configuration value failed strict parsing.
-    Env(crate::envcfg::EnvError),
+    Env(EnvError),
     /// The request combined features the service cannot honour (for
     /// example checkpointing a metrics-carrying campaign).
     Unsupported(&'static str),
@@ -53,8 +76,8 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-impl From<crate::envcfg::EnvError> for ServeError {
-    fn from(e: crate::envcfg::EnvError) -> Self {
+impl From<EnvError> for ServeError {
+    fn from(e: EnvError) -> Self {
         ServeError::Env(e)
     }
 }

@@ -8,15 +8,19 @@
 //!
 //! - requests are validated and re-serialized as **canonical JSON**
 //!   ([`json`]), so key order, whitespace and default spelling all
-//!   collapse onto one FNV-1a cache key ([`hash`]);
-//! - the **response cache** ([`cache::LruCache`]) serves repeats
-//!   byte-identically (`X-Cache: hit`);
-//! - concurrent identical misses coalesce onto one computation
-//!   ([`singleflight`], `X-Cache: coalesced`);
+//!   collapse onto one FNV-1a cache key;
+//! - the **response cache** serves repeats byte-identically
+//!   (`X-Cache: hit`), and concurrent identical misses coalesce onto
+//!   one computation (`X-Cache: coalesced`);
 //! - requests differing only in tracker/engine share one prepared
-//!   [`eh_fleet::FleetContext`] through the spec-hash context cache;
-//! - streaming campaigns checkpoint per shard ([`checkpoint`]) and
-//!   resume bit-identically after a crash.
+//!   [`eh_fleet::FleetContext`] through the spec-hash context cache,
+//!   and concurrent requests over one fleet prepare it once;
+//! - streaming campaigns checkpoint per shard and resume
+//!   bit-identically after a crash.
+//!
+//! Both caches, like the PV surface registry underneath them, are an
+//! [`eh_units::Memo`]: bounded, least recently used out, one
+//! computation per key however many requests ask for it at once.
 //!
 //! Endpoints: `GET /healthz`, `GET /metrics` (the [`eh_obs`]-backed
 //! live store), `POST /whatif`, `POST /compare` (all 11 trackers over
@@ -46,21 +50,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod checkpoint;
-pub mod engine;
-pub mod envcfg;
+mod checkpoint;
+mod engine;
 mod error;
-pub mod hash;
+mod hash;
 pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod request;
 mod server;
-pub mod singleflight;
 
-pub use engine::ComputeEngine;
-pub use error::ServeError;
+pub use error::{EnvError, ServeError};
 pub use json::Json;
 pub use metrics::ServiceMetrics;
 pub use request::{CampaignRequest, Op, TolerancePreset, WhatIfRequest};

@@ -10,7 +10,7 @@
 //!
 //! Two hashes exist per request. The full [`WhatIfRequest::hash`]
 //! covers every field including the operation, tracker, engine and
-//! shard size — it keys the response cache and single-flight table.
+//! shard size — it keys the response cache.
 //! The narrower [`WhatIfRequest::spec_hash`] covers only the fields
 //! that determine the stamped population and warmed surfaces — it keys
 //! the shared [`eh_fleet::FleetContext`] cache, so a `/compare` and a
@@ -142,28 +142,114 @@ fn bad(message: impl Into<String>) -> ServeError {
 /// would hold a worker for billions of slices per node-day.
 const MIN_DT_S: f64 = 0.1;
 
-/// Reads the `dt_s` member, `default` when it is absent.
-fn dt_field(body: &Json, default: f64) -> Result<f64, ServeError> {
-    let dt_s = match body.get("dt_s") {
-        None => default,
-        Some(v) => v.as_f64().ok_or_else(|| bad("dt_s must be a number"))?,
-    };
-    if dt_s.is_finite() && dt_s >= MIN_DT_S {
-        Ok(dt_s)
-    } else {
-        Err(bad(format!(
-            "dt_s must be a finite number of seconds, at least {MIN_DT_S}, got {dt_s}"
-        )))
-    }
-}
+/// A request body: a JSON object whose every member is a known field,
+/// read one member at a time, an omitted member taking its default.
+/// Both request kinds read their bodies through it, so a field they
+/// share is read, bounded and reported alike.
+struct Body<'a>(&'a Json);
 
-/// Parses an `engine` member, naming the known engines on a miss.
-fn parse_engine(v: &Json) -> Result<Engine, ServeError> {
-    let s = v.as_str().ok_or_else(|| bad("engine must be a string"))?;
-    Engine::parse(s).ok_or_else(|| {
-        let known: Vec<&str> = Engine::ALL.iter().map(|e| e.label()).collect();
-        bad(format!("unknown engine {s:?}; known: {}", known.join(", ")))
-    })
+impl<'a> Body<'a> {
+    /// Checks that `body` is an object whose every member is in `known`
+    /// (a typoed knob must not silently fall back to its default).
+    fn new(body: &'a Json, known: &[&str]) -> Result<Self, ServeError> {
+        let members = body
+            .as_obj()
+            .ok_or_else(|| bad("request body must be a JSON object"))?;
+        for (key, _) in members {
+            if !known.contains(&key.as_str()) {
+                return Err(bad(format!(
+                    "unknown field {key:?}; known fields: {}",
+                    known.join(", ")
+                )));
+            }
+        }
+        Ok(Self(body))
+    }
+
+    /// The member `name` read by `read`, `default` when it is absent;
+    /// a member `read` refuses is a 400 saying it must be `what`.
+    fn get<T>(
+        &self,
+        name: &str,
+        default: T,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+        what: &str,
+    ) -> Result<T, ServeError> {
+        match self.0.get(name) {
+            None => Ok(default),
+            Some(v) => read(v).ok_or_else(|| bad(format!("{name} must be {what}"))),
+        }
+    }
+
+    fn u64(&self, name: &str, default: u64) -> Result<u64, ServeError> {
+        self.get(name, default, Json::as_u64, "a non-negative integer")
+    }
+
+    fn f64(&self, name: &str, default: f64) -> Result<f64, ServeError> {
+        self.get(name, default, Json::as_f64, "a number")
+    }
+
+    fn bool(&self, name: &str, default: bool) -> Result<bool, ServeError> {
+        self.get(name, default, Json::as_bool, "a boolean")
+    }
+
+    /// An integer member bounded to `1..=max`, reported as sent.
+    fn count(&self, name: &str, default: u64, max: u64) -> Result<u64, ServeError> {
+        let n = self.u64(name, default)?;
+        if n == 0 || n > max {
+            return Err(bad(format!("{name} must be in 1..={max}, got {n}")));
+        }
+        Ok(n)
+    }
+
+    /// A string member parsed by `parse`, `default` when it is absent; a
+    /// spelling `parse` refuses is a 400 with `unknown`'s message.
+    fn parsed<T>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+        unknown: impl FnOnce(&str) -> String,
+    ) -> Result<T, ServeError> {
+        match self.get(name, None, |v| v.as_str().map(Some), "a string")? {
+            None => Ok(default),
+            Some(s) => parse(s).ok_or_else(|| bad(unknown(s))),
+        }
+    }
+
+    fn nodes(&self, default: u64, max_nodes: u32) -> Result<u32, ServeError> {
+        // Bounded by a u32, so the cast is exact.
+        Ok(self.count("nodes", default, u64::from(max_nodes))? as u32)
+    }
+
+    fn shard_size(&self) -> Result<usize, ServeError> {
+        Ok(self.count("shard_size", 32, 4096)? as usize)
+    }
+
+    fn tracker(&self, default: TrackerKind) -> Result<TrackerKind, ServeError> {
+        self.parsed("tracker", default, TrackerKind::parse, |s| {
+            format!("unknown tracker {s:?}")
+        })
+    }
+
+    /// The engine, naming the known engines on a miss.
+    fn engine(&self, default: Engine) -> Result<Engine, ServeError> {
+        self.parsed("engine", default, Engine::parse, |s| {
+            let known: Vec<&str> = Engine::ALL.iter().map(|e| e.label()).collect();
+            format!("unknown engine {s:?}; known: {}", known.join(", "))
+        })
+    }
+
+    fn dt_s(&self, default: f64) -> Result<f64, ServeError> {
+        let dt_s = self.f64("dt_s", default)?;
+        if dt_s.is_finite() && dt_s >= MIN_DT_S {
+            Ok(dt_s)
+        } else {
+            Err(bad(format!(
+                "dt_s must be a finite number of seconds, at least {MIN_DT_S}, got {dt_s}"
+            )))
+        }
+    }
 }
 
 impl WhatIfRequest {
@@ -177,78 +263,32 @@ impl WhatIfRequest {
     /// not silently fall back to its default), out-of-range values,
     /// and unknown tracker/engine/tolerance spellings.
     pub fn from_json(op: Op, body: &Json, max_nodes: u32) -> Result<Self, ServeError> {
-        let members = body
-            .as_obj()
-            .ok_or_else(|| bad("request body must be a JSON object"))?;
-        const KNOWN: [&str; 11] = [
-            "nodes",
-            "seed",
-            "tracker",
-            "engine",
-            "placements",
+        let fields = Body::new(
+            body,
+            &[
+                "nodes",
+                "seed",
+                "tracker",
+                "engine",
+                "placements",
+                "tolerances",
+                "dt_s",
+                "trace_decimate",
+                "pv_cache",
+                "obs",
+                "shard_size",
+            ],
+        )?;
+        let nodes = fields.nodes(DEFAULT_NODES, max_nodes)?;
+        let seed = fields.u64("seed", DEFAULT_SEED)?;
+        let tracker = fields.tracker(TrackerKind::Focv)?;
+        let engine = fields.engine(Engine::default())?;
+        let tolerances = fields.parsed(
             "tolerances",
-            "dt_s",
-            "trace_decimate",
-            "pv_cache",
-            "obs",
-            "shard_size",
-        ];
-        for (key, _) in members {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(bad(format!(
-                    "unknown field {key:?}; known fields: {}",
-                    KNOWN.join(", ")
-                )));
-            }
-        }
-
-        let u64_field = |name: &str, default: u64| -> Result<u64, ServeError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| bad(format!("{name} must be a non-negative integer"))),
-            }
-        };
-        let bool_field = |name: &str, default: bool| -> Result<bool, ServeError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| bad(format!("{name} must be a boolean"))),
-            }
-        };
-
-        let nodes = u64_field("nodes", DEFAULT_NODES)?;
-        if nodes == 0 || nodes > u64::from(max_nodes) {
-            return Err(bad(format!(
-                "nodes must be in 1..={max_nodes}, got {nodes}"
-            )));
-        }
-        let seed = u64_field("seed", DEFAULT_SEED)?;
-
-        let tracker = match body.get("tracker") {
-            None => TrackerKind::Focv,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| bad("tracker must be a string"))?;
-                TrackerKind::parse(s).ok_or_else(|| bad(format!("unknown tracker {s:?}")))?
-            }
-        };
-        let engine = match body.get("engine") {
-            None => Engine::default(),
-            Some(v) => parse_engine(v)?,
-        };
-        let tolerances = match body.get("tolerances") {
-            None => TolerancePreset::Production,
-            Some(v) => {
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| bad("tolerances must be a string preset"))?;
-                TolerancePreset::parse(s).ok_or_else(|| {
-                    bad(format!("unknown tolerances preset {s:?} (production|none)"))
-                })?
-            }
-        };
+            TolerancePreset::Production,
+            TolerancePreset::parse,
+            |s| format!("unknown tolerances preset {s:?} (production|none)"),
+        )?;
 
         let weights = match body.get("placements") {
             None => [0.25, 0.60, 0.15],
@@ -279,9 +319,9 @@ impl WhatIfRequest {
         PlacementMix::new(weights[0], weights[1], weights[2])
             .map_err(|e| bad(format!("invalid placements: {e}")))?;
 
-        let dt_s = dt_field(body, DEFAULT_DT_S)?;
+        let dt_s = fields.dt_s(DEFAULT_DT_S)?;
 
-        let trace_decimate = u64_field("trace_decimate", DEFAULT_TRACE_DECIMATE)?;
+        let trace_decimate = fields.u64("trace_decimate", DEFAULT_TRACE_DECIMATE)?;
         // A day profile spans both midnights; only a divisor of its
         // 86 400 s keeps the closing sample (see `FleetSpec`).
         if !86_400_u64.is_multiple_of(trace_decimate) {
@@ -289,16 +329,10 @@ impl WhatIfRequest {
                 "trace_decimate must divide 86400, got {trace_decimate}"
             )));
         }
-        let shard_size = u64_field("shard_size", 32)?;
-        if shard_size == 0 || shard_size > 4096 {
-            return Err(bad(format!(
-                "shard_size must be in 1..=4096, got {shard_size}"
-            )));
-        }
 
         let request = Self {
             op,
-            nodes: nodes as u32,
+            nodes,
             seed,
             tracker,
             engine,
@@ -306,9 +340,9 @@ impl WhatIfRequest {
             tolerances,
             dt_s,
             trace_decimate: trace_decimate as usize,
-            pv_cache: bool_field("pv_cache", true)?,
-            obs: bool_field("obs", false)?,
-            shard_size: shard_size as usize,
+            pv_cache: fields.bool("pv_cache", true)?,
+            obs: fields.bool("obs", false)?,
+            shard_size: fields.shard_size()?,
         };
         // Final structural check through the fleet layer's own
         // validation, so the service can never cache a spec the
@@ -368,8 +402,8 @@ impl WhatIfRequest {
         Json::Obj(members)
     }
 
-    /// The full request hash: response-cache and single-flight key,
-    /// spill-directory address.
+    /// The full request hash: response-cache key and spill-directory
+    /// address.
     pub fn hash(&self) -> u64 {
         fnv1a(self.canonical_json().as_bytes())
     }
@@ -399,9 +433,9 @@ impl WhatIfRequest {
 
 /// A validated endurance-campaign request: every field explicit,
 /// defaults filled from [`CampaignSpec::smoke`]'s setting. Campaigns
-/// share the service's response cache and single-flight table; the
-/// literal `"op":"campaign"` member in the canonical rendering keeps
-/// their hashes disjoint from every what-if key.
+/// share the service's response cache; the literal `"op":"campaign"`
+/// member in the canonical rendering keeps their hashes disjoint from
+/// every what-if key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRequest {
     /// Fleet size.
@@ -446,118 +480,52 @@ impl CampaignRequest {
     /// Rejects non-object bodies, unknown fields, out-of-range values,
     /// and unknown climate/load/tracker/engine spellings.
     pub fn from_json(body: &Json, max_nodes: u32) -> Result<Self, ServeError> {
-        let members = body
-            .as_obj()
-            .ok_or_else(|| bad("request body must be a JSON object"))?;
-        const KNOWN: [&str; 12] = [
-            "nodes",
-            "seed",
-            "days",
-            "epoch_days",
-            "latitude",
-            "climate",
-            "load",
-            "tracker",
-            "engine",
-            "drift",
-            "fault_probability",
-            "dt_s",
-        ];
-        // shard_size shares the what-if spelling.
-        for (key, _) in members {
-            if key != "shard_size" && !KNOWN.contains(&key.as_str()) {
-                return Err(bad(format!(
-                    "unknown field {key:?}; known fields: {}, shard_size",
-                    KNOWN.join(", ")
-                )));
-            }
-        }
-
-        let u64_field = |name: &str, default: u64| -> Result<u64, ServeError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| bad(format!("{name} must be a non-negative integer"))),
-            }
-        };
-        let f64_field = |name: &str, default: f64| -> Result<f64, ServeError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| bad(format!("{name} must be a number"))),
-            }
-        };
-
+        let fields = Body::new(
+            body,
+            &[
+                "nodes",
+                "seed",
+                "days",
+                "epoch_days",
+                "latitude",
+                "climate",
+                "load",
+                "tracker",
+                "engine",
+                "drift",
+                "fault_probability",
+                "dt_s",
+                "shard_size",
+            ],
+        )?;
         let smoke = CampaignSpec::smoke(DEFAULT_SEED);
-        let nodes = u64_field("nodes", u64::from(smoke.nodes))?;
-        if nodes == 0 || nodes > u64::from(max_nodes) {
-            return Err(bad(format!(
-                "nodes must be in 1..={max_nodes}, got {nodes}"
-            )));
-        }
-        let days = u64_field("days", u64::from(smoke.days))?;
-        if days == 0 || days > MAX_CAMPAIGN_DAYS {
-            return Err(bad(format!(
-                "days must be in 1..={MAX_CAMPAIGN_DAYS}, got {days}"
-            )));
-        }
-        let epoch_days = u64_field("epoch_days", u64::from(smoke.epoch_days))?;
-
-        let climate = match body.get("climate") {
-            None => smoke.climate,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| bad("climate must be a string"))?;
-                Climate::parse(s)
-                    .ok_or_else(|| bad(format!("unknown climate {s:?} (temperate|monsoon|arid)")))?
-            }
-        };
-        let load = match body.get("load") {
-            None => smoke.load,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| bad("load must be a string"))?;
-                LoadClass::parse(s)
-                    .ok_or_else(|| bad(format!("unknown load {s:?} (sensor|radio|motor)")))?
-            }
-        };
-        let tracker = match body.get("tracker") {
-            None => smoke.tracker,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| bad("tracker must be a string"))?;
-                TrackerKind::parse(s).ok_or_else(|| bad(format!("unknown tracker {s:?}")))?
-            }
-        };
-        let engine = match body.get("engine") {
-            None => smoke.engine,
-            Some(v) => parse_engine(v)?,
-        };
-        let drift = match body.get("drift") {
-            None => true,
-            Some(v) => v.as_bool().ok_or_else(|| bad("drift must be a boolean"))?,
-        };
-
-        let shard_size = u64_field("shard_size", 32)?;
-        if shard_size == 0 || shard_size > 4096 {
-            return Err(bad(format!(
-                "shard_size must be in 1..=4096, got {shard_size}"
-            )));
-        }
+        let nodes = fields.nodes(u64::from(smoke.nodes), max_nodes)?;
+        // Bounded by MAX_CAMPAIGN_DAYS, and the epoch by the campaign,
+        // so both casts are exact.
+        let days = fields.count("days", u64::from(smoke.days), MAX_CAMPAIGN_DAYS)? as u32;
+        let epoch_days =
+            fields.count("epoch_days", u64::from(smoke.epoch_days), u64::from(days))? as u32;
+        let climate = fields.parsed("climate", smoke.climate, Climate::parse, |s| {
+            format!("unknown climate {s:?} (temperate|monsoon|arid)")
+        })?;
+        let load = fields.parsed("load", smoke.load, LoadClass::parse, |s| {
+            format!("unknown load {s:?} (sensor|radio|motor)")
+        })?;
 
         let request = Self {
-            nodes: nodes as u32,
-            seed: u64_field("seed", DEFAULT_SEED)?,
-            days: days as u32,
-            epoch_days: epoch_days.min(u64::from(u32::MAX)) as u32,
-            latitude_deg: f64_field("latitude", smoke.latitude_deg)?,
+            nodes,
+            seed: fields.u64("seed", DEFAULT_SEED)?,
+            days,
+            epoch_days,
+            latitude_deg: fields.f64("latitude", smoke.latitude_deg)?,
             climate,
             load,
-            tracker,
-            engine,
-            drift,
-            fault_probability: f64_field("fault_probability", smoke.faults.probability)?,
-            dt_s: dt_field(body, smoke.dt.value())?,
-            shard_size: shard_size as usize,
+            tracker: fields.tracker(smoke.tracker)?,
+            engine: fields.engine(smoke.engine)?,
+            drift: fields.bool("drift", true)?,
+            fault_probability: fields.f64("fault_probability", smoke.faults.probability)?,
+            dt_s: fields.dt_s(smoke.dt.value())?,
+            shard_size: fields.shard_size()?,
         };
         // Validate through the campaign layer's own rules (epoch fit,
         // dt-divides-day, latitude, fault probability), surfaced as a
@@ -606,7 +574,7 @@ impl CampaignRequest {
         .to_canonical_string()
     }
 
-    /// The response-cache / single-flight key.
+    /// The response-cache key.
     pub fn hash(&self) -> u64 {
         fnv1a(self.canonical_json().as_bytes())
     }
@@ -880,6 +848,10 @@ mod tests {
         }
         assert!(parse_campaign(r#"{"shard_size":0}"#).is_err());
         assert!(parse_campaign("[]").is_err());
+        // An epoch past u32 is refused with the value the client sent.
+        let err = parse_campaign(r#"{"epoch_days":5000000000}"#).unwrap_err();
+        assert_eq!(err.status(), 400, "{err}");
+        assert!(err.to_string().contains("5000000000"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The HTTP service: bounded accept queue, worker pool, response
-//! cache, single-flight coalescing, routing, graceful shutdown.
+//! The HTTP service: configuration, bounded accept queue, worker pool,
+//! response cache, routing, graceful shutdown.
 //!
 //! Connections are accepted onto a bounded queue (overflow is shed
 //! with `503` immediately, so a stampede degrades loudly instead of
 //! stacking latency) and drained by a fixed worker pool. The what-if
-//! endpoints run behind two layers of deduplication: the **response
-//! cache** (canonical request hash → rendered body, `X-Cache: hit`)
-//! and the **single-flight table** (concurrent identical misses share
-//! one computation, `X-Cache: coalesced`); both are correct because
-//! the fleet pipeline is deterministic — a cached or coalesced body is
-//! byte-identical to the body a fresh computation would render.
+//! and campaign endpoints run behind the **response cache**, an
+//! [`eh_units::Memo`] from canonical request hash to rendered body: a
+//! stored body is a hit (`X-Cache: hit`), and concurrent identical
+//! misses share one computation (`X-Cache: coalesced`). Both are
+//! correct because the fleet pipeline is deterministic — a cached or
+//! coalesced body is byte-identical to the body a fresh computation
+//! would render.
 //!
 //! Shutdown (`POST /admin/shutdown`, or [`Server::shutdown`]) stops
 //! accepting, lets the workers drain every queued connection, and only
@@ -24,16 +25,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::cache::LruCache;
+use eh_units::{Lookup, Memo};
+
 use crate::engine::ComputeEngine;
-use crate::envcfg;
-use crate::error::ServeError;
+use crate::error::{EnvError, ServeError};
 use crate::hash::hex;
 use crate::http::{self, ChunkedWriter, HttpRequest};
 use crate::json::Json;
 use crate::metrics::{names, ServiceMetrics};
 use crate::request::{CampaignRequest, Op, WhatIfRequest};
-use crate::singleflight::{FlightRole, SingleFlight};
 
 /// Service configuration. Every field has a sensible local default;
 /// [`ServeConfig::from_env`] overrides them from `EH_SERVE_*`
@@ -93,25 +93,23 @@ impl ServeConfig {
         if let Ok(addr) = std::env::var("EH_SERVE_ADDR") {
             cfg.addr = addr;
         }
-        if let Some(v) = envcfg::from_env("EH_SERVE_HTTP_WORKERS", envcfg::positive_usize)? {
+        if let Some(v) = positive_env("EH_SERVE_HTTP_WORKERS")? {
             cfg.http_workers = v;
         }
-        if let Some(v) = envcfg::from_env("EH_SERVE_SIM_WORKERS", envcfg::positive_usize)? {
+        if let Some(v) = positive_env("EH_SERVE_SIM_WORKERS")? {
             cfg.sim_workers = v;
         }
-        if let Some(v) = envcfg::from_env("EH_SERVE_QUEUE_CAPACITY", envcfg::positive_usize)? {
+        if let Some(v) = positive_env("EH_SERVE_QUEUE_CAPACITY")? {
             cfg.queue_capacity = v;
         }
-        if let Some(v) = envcfg::from_env("EH_SERVE_CACHE_CAPACITY", envcfg::positive_usize)? {
+        if let Some(v) = positive_env("EH_SERVE_CACHE_CAPACITY")? {
             cfg.response_cache_capacity = v;
         }
-        if let Some(v) =
-            envcfg::from_env("EH_SERVE_CONTEXT_CACHE_CAPACITY", envcfg::positive_usize)?
-        {
+        if let Some(v) = positive_env("EH_SERVE_CONTEXT_CACHE_CAPACITY")? {
             cfg.context_cache_capacity = v;
         }
-        if let Some(v) = envcfg::from_env("EH_SERVE_MAX_NODES", envcfg::positive_usize)? {
-            cfg.max_nodes = u32::try_from(v).map_err(|_| envcfg::EnvError {
+        if let Some(v) = positive_env("EH_SERVE_MAX_NODES")? {
+            cfg.max_nodes = u32::try_from(v).map_err(|_| EnvError {
                 source: "EH_SERVE_MAX_NODES".to_owned(),
                 raw: v.to_string(),
                 expected: "a positive integer fitting u32",
@@ -124,13 +122,35 @@ impl ServeConfig {
     }
 }
 
+/// Reads the environment variable `name` as a positive integer, `None`
+/// when it is unset.
+fn positive_env(name: &str) -> Result<Option<usize>, EnvError> {
+    std::env::var(name)
+        .ok()
+        .map(|raw| positive_usize(name, &raw))
+        .transpose()
+}
+
+/// Parses `raw`, the value of `source`, as a strictly positive integer.
+/// Empty, non-numeric and zero values are an error naming `source`.
+fn positive_usize(source: &str, raw: &str) -> Result<usize, EnvError> {
+    raw.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| EnvError {
+            source: source.to_owned(),
+            raw: raw.to_owned(),
+            expected: "a positive integer",
+        })
+}
+
 struct ServerState {
     config: ServeConfig,
     addr: SocketAddr,
     metrics: Arc<ServiceMetrics>,
     engine: ComputeEngine,
-    responses: Mutex<LruCache<u64, String>>,
-    flights: SingleFlight<u64, Result<String, ServeError>>,
+    responses: Memo<u64, String, ServeError>,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -166,8 +186,7 @@ impl Server {
             addr,
             metrics,
             engine,
-            responses: Mutex::new(LruCache::new(response_cache_capacity)),
-            flights: SingleFlight::new(),
+            responses: Memo::new(response_cache_capacity),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -385,9 +404,9 @@ fn parse_request_body(
     WhatIfRequest::from_json(op, &json, state.config.max_nodes)
 }
 
-/// The `/whatif` and `/compare` path: response cache, then
-/// single-flight, then compute; `X-Cache` reports which layer served
-/// the bytes while the bodies stay byte-identical across all three.
+/// The `/whatif` and `/compare` path through the response cache;
+/// `X-Cache` reports how the bytes were served (hit, coalesced or
+/// miss), while the bodies stay byte-identical across all three.
 fn cached_op(state: &ServerState, stream: &mut TcpStream, op: Op, body: &[u8]) {
     let req = match parse_request_body(state, op, body) {
         Ok(r) => r,
@@ -404,7 +423,7 @@ fn cached_op(state: &ServerState, stream: &mut TcpStream, op: Op, body: &[u8]) {
     });
 }
 
-/// The `/campaign` path: same cache/single-flight layers as the what-if
+/// The `/campaign` path: the same response cache as the what-if
 /// endpoints — valid because a campaign report is as deterministic as a
 /// fleet report — keyed by the campaign request's own canonical hash
 /// (its `"op":"campaign"` member keeps the key spaces disjoint).
@@ -424,64 +443,42 @@ fn campaign_op(state: &ServerState, stream: &mut TcpStream, body: &[u8]) {
     serve_cached(state, stream, key, || state.engine.campaign(&req));
 }
 
-/// Serves one cacheable request: response cache, then single-flight,
-/// then `compute`; leaders populate the cache, followers reuse the
-/// leader's bytes.
+/// Serves one cacheable request from the response cache: a stored
+/// body, another request's body for the same key, or `compute`'s.
 fn serve_cached(
     state: &ServerState,
     stream: &mut TcpStream,
     key: u64,
     compute: impl FnOnce() -> Result<String, ServeError>,
 ) {
-    let request_hash = hex(key);
-
-    if let Some(cached) = state
-        .responses
-        .lock()
-        .expect("response cache lock poisoned")
-        .get(&key)
-    {
-        state.metrics.incr(names::CACHE_HITS);
-        respond(
+    let (result, lookup) = state.responses.get_or_compute(key, compute);
+    let cache_status = match lookup {
+        Lookup::Hit => {
+            state.metrics.incr(names::CACHE_HITS);
+            "hit"
+        }
+        Lookup::Coalesced => {
+            state.metrics.incr(names::CACHE_MISSES);
+            state.metrics.incr(names::SF_COALESCED);
+            "coalesced"
+        }
+        Lookup::Computed { evicted } => {
+            state.metrics.incr(names::CACHE_MISSES);
+            state.metrics.incr(names::SF_LEADER);
+            if evicted {
+                state.metrics.incr(names::CACHE_EVICTIONS);
+            }
+            "miss"
+        }
+    };
+    match result {
+        Ok(response) => respond(
             state,
             stream,
             200,
-            &[("x-cache", "hit"), ("x-request-hash", &request_hash)],
-            &cached,
-        );
-        return;
-    }
-    state.metrics.incr(names::CACHE_MISSES);
-
-    let (result, role) = state.flights.join(key, compute);
-    match result {
-        Ok(response) => {
-            let cache_status = match role {
-                FlightRole::Leader => {
-                    state.metrics.incr(names::SF_LEADER);
-                    let evicted = state
-                        .responses
-                        .lock()
-                        .expect("response cache lock poisoned")
-                        .insert(key, response.clone());
-                    if evicted {
-                        state.metrics.incr(names::CACHE_EVICTIONS);
-                    }
-                    "miss"
-                }
-                FlightRole::Follower => {
-                    state.metrics.incr(names::SF_COALESCED);
-                    "coalesced"
-                }
-            };
-            respond(
-                state,
-                stream,
-                200,
-                &[("x-cache", cache_status), ("x-request-hash", &request_hash)],
-                &response,
-            );
-        }
+            &[("x-cache", cache_status), ("x-request-hash", &hex(key))],
+            &response,
+        ),
         Err(e) => respond(state, stream, e.status(), &[], &error_body(&e.to_string())),
     }
 }
@@ -554,6 +551,26 @@ mod tests {
         assert_eq!(cfg.addr, defaults.addr);
         assert_eq!(cfg.queue_capacity, defaults.queue_capacity);
         assert_eq!(cfg.max_nodes, defaults.max_nodes);
+    }
+
+    #[test]
+    fn positive_usize_accepts_and_rejects() {
+        assert_eq!(positive_usize("EH_WORKERS", "4"), Ok(4));
+        assert_eq!(positive_usize("EH_WORKERS", " 16 "), Ok(16));
+        for bad in ["0", "-1", "lots", "", "4.5"] {
+            let err = positive_usize("EH_WORKERS", bad).unwrap_err();
+            assert_eq!(err.source, "EH_WORKERS");
+            assert_eq!(err.raw, bad);
+            let msg = err.to_string();
+            assert!(msg.contains("EH_WORKERS"), "{msg}");
+            assert!(msg.contains("positive integer"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn positive_env_distinguishes_absent_from_invalid() {
+        // Absent: Ok(None), never an error.
+        assert_eq!(positive_env("EH_SERVE_TEST_UNSET_VAR"), Ok(None));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! format themselves with SI prefixes.
 //!
 //! Every library crate depends on this one, so it also holds [`Error`],
-//! the workspace's one error type.
+//! the workspace's one error type, and [`Memo`], the one bounded,
+//! single-flight cache behind the PV surface registry and the
+//! service's response and context caches.
 //!
 //! # Examples
 //!
@@ -30,12 +32,14 @@
 
 mod error;
 mod format;
+mod memo;
 mod ops;
 mod quantity;
 mod temperature;
 
 pub use error::Error;
 pub use format::format_si;
+pub use memo::{Lookup, Memo, MemoStats};
 pub use quantity::{
     Amps, Coulombs, Farads, Hertz, Joules, Lux, Ohms, Ratio, Seconds, Volts, Watts,
 };
