@@ -149,12 +149,6 @@ impl FleetContext {
         &self.population
     }
 
-    /// The warmed PV-surface pool, for cache accounting (warmed and
-    /// occupancy counters) by callers that reuse contexts across runs.
-    pub fn surface_pool(&self) -> &SurfacePool {
-        &self.pool
-    }
-
     /// Simulates one shard of nodes and folds their reports in fleet
     /// order — the public per-shard entry point long-running callers
     /// (the serving layer's streaming and checkpoint/resume paths, the

@@ -9,10 +9,8 @@
 //! `(model, temperature)` per process and bounds how many it keeps, so
 //! a 10 000-node fleet — or a service preparing a context per request —
 //! pays for at most three table builds per process, not one per node or
-//! per context. Occupancy is exported into an [`eh_obs::Metrics`] via
-//! [`SurfacePool::record_into`].
+//! per context; the registry's own counters account for them.
 
-use eh_obs::Metrics;
 use eh_pv::PvCell;
 
 use crate::spec::Placement;
@@ -72,15 +70,6 @@ impl SurfacePool {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Exports the pool's accounting into a metric store: the
-    /// `fleet.surface_pool.warmed` counter and the
-    /// `fleet.surface_pool.entries` gauge. Call once per warmed pool
-    /// (counters add).
-    pub fn record_into(&self, metrics: &mut Metrics) {
-        metrics.add_counter("fleet.surface_pool.warmed", self.entries.len() as u64);
-        metrics.set_gauge("fleet.surface_pool.entries", self.entries.len() as f64);
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +111,5 @@ mod tests {
             SurfacePool::warm(&presets::sanyo_am1815(), [Placement::Outdoor], false).unwrap();
         assert!(!pool.is_empty());
         assert!(!pool.cell(Placement::Outdoor).unwrap().cache_enabled());
-    }
-
-    #[test]
-    fn accounting_exports_into_a_recorder() {
-        let pool = SurfacePool::warm(&presets::sanyo_am1815(), Placement::ALL, false).unwrap();
-        let mut m = Metrics::new();
-        pool.record_into(&mut m);
-        assert_eq!(m.counter("fleet.surface_pool.warmed"), 3);
-        assert_eq!(m.gauge("fleet.surface_pool.entries"), Some(3.0));
     }
 }

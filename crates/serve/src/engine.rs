@@ -1,24 +1,24 @@
-//! The compute side of the service: shared prepared contexts, the
-//! three operations, and deterministic response rendering.
+//! The compute side of the service: the three fleet operations, the
+//! campaign operation, and deterministic response rendering.
 //!
-//! A [`ComputeEngine`] owns the sized [`FleetRunner`], the **context
-//! cache** (spec hash → [`FleetContext`], an [`eh_units::Memo`], so
-//! requests differing only in tracker/engine reuse one stamped
-//! population, its light traces and its surface pool, and concurrent
-//! requests over one fleet prepare it once; the pool's tables
-//! themselves are shared process-wide by [`eh_pv::registry`], so a
-//! context miss builds none it already has),
-//! and the [`SpillStore`] for streaming campaigns. Responses
-//! are rendered through [`Json::to_canonical_string`], so a recomputed
-//! response is always byte-identical to its first rendering — the
-//! property the response cache's correctness tests pin down.
+//! A [`ComputeEngine`] owns the sized [`FleetRunner`] and the
+//! [`SpillStore`] for streaming campaigns. Each computation prepares
+//! its own [`FleetContext`] (`/compare` prepares once for all eleven
+//! trackers) and drops it when its response is rendered; the warmed PV
+//! surface tables behind it are shared process-wide by
+//! [`eh_pv::registry`], so a prepare builds none the process already
+//! has. Repeated requests are the response cache's to answer, upstream
+//! in the server. Responses are rendered through
+//! [`Json::to_canonical_string`], so a recomputed response is always
+//! byte-identical to its first rendering — the property the response
+//! cache's correctness tests pin down.
 
 use std::sync::Arc;
 
 use eh_campaign::{CampaignReport, CampaignRunner};
 use eh_fleet::{FleetContext, FleetReport, FleetRunner, Percentiles, Placement, TrackerKind};
 use eh_sim::Mergeable as _;
-use eh_units::{Error, Lookup, Memo};
+use eh_units::Error;
 
 use crate::checkpoint::SpillStore;
 use crate::error::ServeError;
@@ -53,46 +53,32 @@ fn pct_json(p: Option<Percentiles>) -> Json {
 pub struct ComputeEngine {
     runner: FleetRunner,
     sim_workers: usize,
-    contexts: Memo<u64, Arc<FleetContext>, ServeError>,
     spill: SpillStore,
     metrics: Arc<ServiceMetrics>,
 }
 
 impl ComputeEngine {
-    /// An engine with `sim_workers` simulation threads, a context
-    /// cache of `context_cache_capacity` prepared fleets, and spills
-    /// under `spill_dir`.
+    /// An engine with `sim_workers` simulation threads and spills under
+    /// `spill_dir`.
     pub fn new(
         sim_workers: usize,
-        context_cache_capacity: usize,
         spill_dir: impl Into<std::path::PathBuf>,
         metrics: Arc<ServiceMetrics>,
     ) -> Self {
         Self {
             runner: FleetRunner::new(sim_workers),
             sim_workers,
-            contexts: Memo::new(context_cache_capacity),
             spill: SpillStore::new(spill_dir),
             metrics,
         }
     }
 
-    /// The prepared context for a request's spec, deduplicated across
-    /// requests by spec hash. Preparation runs outside the cache lock,
-    /// so a slow stamp never blocks hits on other specs, and requests
-    /// over one spec that arrive during its preparation wait for it
-    /// (counted as hits).
-    fn context(&self, req: &WhatIfRequest) -> Result<Arc<FleetContext>, ServeError> {
-        let (ctx, lookup) = self.contexts.get_or_compute(req.spec_hash(), || {
-            let ctx = FleetContext::prepare(&req.to_spec()?)?;
-            self.metrics.with(|m| ctx.surface_pool().record_into(m));
-            Ok(Arc::new(ctx))
-        });
-        self.metrics.incr(match lookup {
-            Lookup::Computed { .. } => names::CONTEXT_MISSES,
-            Lookup::Hit | Lookup::Coalesced => names::CONTEXT_HITS,
-        });
-        ctx
+    /// Prepares the fleet a request describes, counted in
+    /// [`names::CONTEXT_MISSES`].
+    fn context(&self, req: &WhatIfRequest) -> Result<FleetContext, ServeError> {
+        let ctx = FleetContext::prepare(&req.to_spec()?)?;
+        self.metrics.incr(names::CONTEXT_MISSES);
+        Ok(ctx)
     }
 
     fn account(&self, report: &FleetReport) {
@@ -202,8 +188,7 @@ impl ComputeEngine {
 
     /// One endurance campaign → the rendered response body. Campaigns
     /// prepare their own per-epoch contexts (epoch traces depend on the
-    /// campaign calendar), so the what-if context cache is not involved;
-    /// the response cache still applies upstream.
+    /// campaign calendar); the response cache still applies upstream.
     ///
     /// # Errors
     ///
@@ -330,7 +315,7 @@ mod tests {
         let metrics = Arc::new(ServiceMetrics::new());
         let dir = scratch_dir();
         (
-            ComputeEngine::new(2, 4, &dir, Arc::clone(&metrics)),
+            ComputeEngine::new(2, &dir, Arc::clone(&metrics)),
             metrics,
             dir,
         )
@@ -341,14 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn whatif_is_deterministic_and_reuses_the_context() {
+    fn whatif_is_deterministic_and_prepares_each_computation() {
         let (engine, metrics, dir) = engine();
         let req = request(Op::WhatIf, r#"{"nodes":12}"#);
         let first = engine.whatif(&req).unwrap();
         let second = engine.whatif(&req).unwrap();
         assert_eq!(first, second, "recompute must be byte-identical");
-        assert_eq!(metrics.counter(names::CONTEXT_MISSES), 1);
-        assert_eq!(metrics.counter(names::CONTEXT_HITS), 1);
+        assert_eq!(metrics.counter(names::CONTEXT_MISSES), 2);
         assert_eq!(metrics.counter(names::SIM_NODES), 24);
         let parsed = Json::parse(&first).unwrap();
         assert_eq!(
@@ -356,42 +340,6 @@ mod tests {
             Some(hex(req.hash()).as_str())
         );
         assert!(parsed.get("report").unwrap().get("net_j").is_some());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn tracker_variants_share_one_prepared_context() {
-        let (engine, metrics, dir) = engine();
-        engine
-            .whatif(&request(Op::WhatIf, r#"{"nodes":8,"tracker":"focv"}"#))
-            .unwrap();
-        engine
-            .whatif(&request(Op::WhatIf, r#"{"nodes":8,"tracker":"oracle"}"#))
-            .unwrap();
-        assert_eq!(metrics.counter(names::CONTEXT_MISSES), 1);
-        assert_eq!(metrics.counter(names::CONTEXT_HITS), 1);
-        // The surface-pool accounting rode in with the one prepare.
-        assert!(metrics.counter("fleet.surface_pool.warmed") > 0);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn concurrent_misses_on_one_spec_prepare_it_once() {
-        let (engine, metrics, dir) = engine();
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            for tracker in ["focv", "oracle"] {
-                let (engine, barrier) = (&engine, &barrier);
-                s.spawn(move || {
-                    let body = format!(r#"{{"nodes":40,"seed":5,"tracker":"{tracker}"}}"#);
-                    let req = request(Op::WhatIf, &body);
-                    barrier.wait();
-                    engine.whatif(&req).unwrap();
-                });
-            }
-        });
-        assert_eq!(metrics.counter(names::CONTEXT_MISSES), 1);
-        assert_eq!(metrics.counter(names::CONTEXT_HITS), 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 

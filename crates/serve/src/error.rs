@@ -2,12 +2,14 @@
 
 use std::fmt;
 
-/// A configuration value that failed strict parsing.
+/// A configuration variable that failed strict parsing: a value that
+/// does not parse or is not UTF-8, or an `EH_SERVE_*` name the service
+/// does not read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
     /// Where the value came from (`EH_SERVE_SIM_WORKERS`, ...).
     pub source: String,
-    /// The rejected raw value.
+    /// The rejected raw value, lossily decoded when it is not UTF-8.
     pub raw: String,
     /// What a valid value looks like.
     pub expected: &'static str,

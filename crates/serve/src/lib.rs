@@ -12,14 +12,14 @@
 //! - the **response cache** serves repeats byte-identically
 //!   (`X-Cache: hit`), and concurrent identical misses coalesce onto
 //!   one computation (`X-Cache: coalesced`);
-//! - requests differing only in tracker/engine share one prepared
-//!   [`eh_fleet::FleetContext`] through the spec-hash context cache,
-//!   and concurrent requests over one fleet prepare it once;
+//! - each computation prepares its own [`eh_fleet::FleetContext`]
+//!   (`/compare` one for all eleven trackers), whose PV surface tables
+//!   come from the process-wide [`eh_pv::registry`];
 //! - streaming campaigns checkpoint per shard and resume
 //!   bit-identically after a crash.
 //!
-//! Both caches, like the PV surface registry underneath them, are an
-//! [`eh_units::Memo`]: bounded, least recently used out, one
+//! The response cache, like the PV surface registry underneath it, is
+//! an [`eh_units::Memo`]: bounded, least recently used out, one
 //! computation per key however many requests ask for it at once.
 //!
 //! Endpoints: `GET /healthz`, `GET /metrics` (the [`eh_obs`]-backed

@@ -32,11 +32,10 @@ pub mod names {
     pub const CACHE_MISSES: &str = "serve.cache.misses";
     /// Response-cache evictions.
     pub const CACHE_EVICTIONS: &str = "serve.cache.evictions";
-    /// Context-cache hits (a stamped population and its light traces
-    /// reused).
-    pub const CONTEXT_HITS: &str = "serve.context_cache.hits";
-    /// Context-cache misses (a population was stamped and its traces
-    /// synthesized).
+    /// Fleets prepared (a population stamped and its light traces
+    /// synthesized), one per `/whatif`, `/compare` or `/whatif/stream`
+    /// computation. The string keeps its context-cache name because the
+    /// benchmark reads it as `serve.context_misses`.
     pub const CONTEXT_MISSES: &str = "serve.context_cache.misses";
     /// Requests that led a single-flight computation.
     pub const SF_LEADER: &str = "serve.singleflight.leader";
@@ -106,7 +105,7 @@ impl ServiceMetrics {
     }
 
     /// Runs `f` against the underlying store (for multi-field updates
-    /// such as [`eh_fleet::SurfacePool::record_into`]).
+    /// such as [`eh_campaign::CampaignReport::record_into`]).
     pub fn with<T>(&self, f: impl FnOnce(&mut Metrics) -> T) -> T {
         f(&mut self.lock())
     }

@@ -8,13 +8,9 @@
 //! number spelling, and explicitly-spelled defaults all collapse onto
 //! one key.
 //!
-//! Two hashes exist per request. The full [`WhatIfRequest::hash`]
-//! covers every field including the operation, tracker, engine and
-//! shard size — it keys the response cache.
-//! The narrower [`WhatIfRequest::spec_hash`] covers only the fields
-//! that determine the stamped population and warmed surfaces — it keys
-//! the shared [`eh_fleet::FleetContext`] cache, so a `/compare` and a
-//! `/whatif` over the same fleet reuse one prepared context.
+//! [`WhatIfRequest::hash`] covers every field including the operation,
+//! tracker, engine and shard size; it keys the response cache and
+//! addresses a stream's spill directory.
 //!
 //! **Shard grouping is part of cache identity.** Percentiles are
 //! sharding-independent, but when `obs` is enabled the merged metric
@@ -354,17 +350,7 @@ impl WhatIfRequest {
     /// The canonical JSON rendering of the validated request: every
     /// field explicit, keys sorted, shortest-round-trip numbers.
     pub fn canonical_json(&self) -> String {
-        self.render(true).to_canonical_string()
-    }
-
-    /// Canonical JSON of only the spec-determining fields (no op,
-    /// tracker, engine or shard size).
-    pub fn spec_canonical_json(&self) -> String {
-        self.render(false).to_canonical_string()
-    }
-
-    fn render(&self, full: bool) -> Json {
-        let mut members = vec![
+        Json::Obj(vec![
             ("dt_s".to_owned(), Json::Num(self.dt_s)),
             ("nodes".to_owned(), Json::Num(f64::from(self.nodes))),
             ("obs".to_owned(), Json::Bool(self.obs)),
@@ -386,32 +372,24 @@ impl WhatIfRequest {
                 "trace_decimate".to_owned(),
                 Json::Num(self.trace_decimate as f64),
             ),
-        ];
-        if full {
-            members.push(("op".to_owned(), Json::Str(self.op.label().to_owned())));
-            members.push((
+            ("op".to_owned(), Json::Str(self.op.label().to_owned())),
+            (
                 "tracker".to_owned(),
                 Json::Str(self.tracker.label().to_owned()),
-            ));
-            members.push((
+            ),
+            (
                 "engine".to_owned(),
                 Json::Str(self.engine.label().to_owned()),
-            ));
-            members.push(("shard_size".to_owned(), Json::Num(self.shard_size as f64)));
-        }
-        Json::Obj(members)
+            ),
+            ("shard_size".to_owned(), Json::Num(self.shard_size as f64)),
+        ])
+        .to_canonical_string()
     }
 
-    /// The full request hash: response-cache key and spill-directory
+    /// The request hash: response-cache key and spill-directory
     /// address.
     pub fn hash(&self) -> u64 {
         fnv1a(self.canonical_json().as_bytes())
-    }
-
-    /// The spec hash: context-cache key (population and light-trace
-    /// reuse).
-    pub fn spec_hash(&self) -> u64 {
-        fnv1a(self.spec_canonical_json().as_bytes())
     }
 
     /// Materializes the fleet spec this request describes.
@@ -692,18 +670,6 @@ mod tests {
         assert_ne!(
             base.hash(),
             parse(Op::WhatIf, r#"{"shard_size":16}"#).unwrap().hash()
-        );
-        // ... but none of those change the spec hash.
-        for body in [r#"{"tracker":"oracle"}"#, r#"{"engine":"per-node"}"#] {
-            assert_eq!(
-                base.spec_hash(),
-                parse(Op::Compare, body).unwrap().spec_hash()
-            );
-        }
-        // Spec fields do change the spec hash.
-        assert_ne!(
-            base.spec_hash(),
-            parse(Op::WhatIf, r#"{"seed":7}"#).unwrap().spec_hash()
         );
     }
 

@@ -18,6 +18,7 @@
 //! syncs each shard file as it completes.
 
 use std::collections::VecDeque;
+use std::ffi::OsString;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,9 +38,9 @@ use crate::request::{CampaignRequest, Op, WhatIfRequest};
 
 /// Service configuration. Every field has a sensible local default;
 /// [`ServeConfig::from_env`] overrides them from `EH_SERVE_*`
-/// variables with strict parsing (a typoed value is a startup error,
-/// never a silent default).
-#[derive(Debug, Clone)]
+/// variables with strict parsing (a typoed name or value is a startup
+/// error, never a silent default).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
@@ -49,15 +50,20 @@ pub struct ServeConfig {
     pub sim_workers: usize,
     /// Bounded connection-queue capacity; overflow sheds with 503.
     pub queue_capacity: usize,
-    /// Response-cache entries (canonical hash → body).
-    pub response_cache_capacity: usize,
-    /// Context-cache entries (spec hash → prepared fleet).
-    pub context_cache_capacity: usize,
     /// Largest fleet a request may ask for.
     pub max_nodes: u32,
     /// Directory for streaming-campaign checkpoints.
     pub spill_dir: PathBuf,
 }
+
+/// Rendered bodies the response cache keeps (canonical hash → body).
+const RESPONSE_CACHE_CAPACITY: usize = 256;
+
+/// What an `EH_SERVE_*` name must be: one [`ServeConfig::from_env`]
+/// reads.
+const KNOWN_VARIABLES: &str = "a variable eh-serve reads (EH_SERVE_ADDR, \
+    EH_SERVE_HTTP_WORKERS, EH_SERVE_SIM_WORKERS, EH_SERVE_QUEUE_CAPACITY, \
+    EH_SERVE_MAX_NODES or EH_SERVE_SPILL_DIR)";
 
 impl ServeConfig {
     /// Local defaults: loopback ephemeral port, a small worker pool,
@@ -71,8 +77,6 @@ impl ServeConfig {
             http_workers: 4,
             sim_workers: cores.min(8),
             queue_capacity: 64,
-            response_cache_capacity: 256,
-            context_cache_capacity: 8,
             max_nodes: 10_000,
             spill_dir: std::env::temp_dir().join("eh-serve-spill"),
         }
@@ -80,55 +84,55 @@ impl ServeConfig {
 
     /// The defaults overridden by `EH_SERVE_ADDR`,
     /// `EH_SERVE_HTTP_WORKERS`, `EH_SERVE_SIM_WORKERS`,
-    /// `EH_SERVE_QUEUE_CAPACITY`, `EH_SERVE_CACHE_CAPACITY`,
-    /// `EH_SERVE_CONTEXT_CACHE_CAPACITY`, `EH_SERVE_MAX_NODES` and
+    /// `EH_SERVE_QUEUE_CAPACITY`, `EH_SERVE_MAX_NODES` and
     /// `EH_SERVE_SPILL_DIR`.
     ///
     /// # Errors
     ///
-    /// A present-but-unparseable variable is a hard [`ServeError::Env`]
-    /// naming the variable, the value and the expectation.
+    /// A hard [`ServeError::Env`] naming the variable, the value and the
+    /// expectation: for any other `EH_SERVE_*` name, for a value that
+    /// does not parse, and for a value that is not UTF-8 (except the
+    /// spill directory's, which may be any path).
     pub fn from_env() -> Result<Self, ServeError> {
+        Self::from_vars(std::env::vars_os()).map_err(ServeError::from)
+    }
+
+    /// The defaults overridden by the `EH_SERVE_*` members of `vars`;
+    /// every other variable is ignored. See [`ServeConfig::from_env`].
+    fn from_vars(vars: impl IntoIterator<Item = (OsString, OsString)>) -> Result<Self, EnvError> {
         let mut cfg = Self::default_local();
-        if let Ok(addr) = std::env::var("EH_SERVE_ADDR") {
-            cfg.addr = addr;
-        }
-        if let Some(v) = positive_env("EH_SERVE_HTTP_WORKERS")? {
-            cfg.http_workers = v;
-        }
-        if let Some(v) = positive_env("EH_SERVE_SIM_WORKERS")? {
-            cfg.sim_workers = v;
-        }
-        if let Some(v) = positive_env("EH_SERVE_QUEUE_CAPACITY")? {
-            cfg.queue_capacity = v;
-        }
-        if let Some(v) = positive_env("EH_SERVE_CACHE_CAPACITY")? {
-            cfg.response_cache_capacity = v;
-        }
-        if let Some(v) = positive_env("EH_SERVE_CONTEXT_CACHE_CAPACITY")? {
-            cfg.context_cache_capacity = v;
-        }
-        if let Some(v) = positive_env("EH_SERVE_MAX_NODES")? {
-            cfg.max_nodes = u32::try_from(v).map_err(|_| EnvError {
-                source: "EH_SERVE_MAX_NODES".to_owned(),
-                raw: v.to_string(),
-                expected: "a positive integer fitting u32",
-            })?;
-        }
-        if let Ok(dir) = std::env::var("EH_SERVE_SPILL_DIR") {
-            cfg.spill_dir = PathBuf::from(dir);
+        for (name, value) in vars {
+            let name = name.to_string_lossy();
+            if !name.starts_with("EH_SERVE_") {
+                continue;
+            }
+            let error = |expected| EnvError {
+                source: name.clone().into_owned(),
+                raw: value.to_string_lossy().into_owned(),
+                expected,
+            };
+            let positive = || {
+                let raw = value.to_str().ok_or_else(|| error("a positive integer"))?;
+                positive_usize(&name, raw)
+            };
+            match &*name {
+                "EH_SERVE_ADDR" => {
+                    let addr = value.to_str().ok_or_else(|| error("a socket address"))?;
+                    cfg.addr = addr.to_owned();
+                }
+                "EH_SERVE_HTTP_WORKERS" => cfg.http_workers = positive()?,
+                "EH_SERVE_SIM_WORKERS" => cfg.sim_workers = positive()?,
+                "EH_SERVE_QUEUE_CAPACITY" => cfg.queue_capacity = positive()?,
+                "EH_SERVE_MAX_NODES" => {
+                    cfg.max_nodes = u32::try_from(positive()?)
+                        .map_err(|_| error("a positive integer fitting u32"))?;
+                }
+                "EH_SERVE_SPILL_DIR" => cfg.spill_dir = PathBuf::from(&value),
+                _ => return Err(error(KNOWN_VARIABLES)),
+            }
         }
         Ok(cfg)
     }
-}
-
-/// Reads the environment variable `name` as a positive integer, `None`
-/// when it is unset.
-fn positive_env(name: &str) -> Result<Option<usize>, EnvError> {
-    std::env::var(name)
-        .ok()
-        .map(|raw| positive_usize(name, &raw))
-        .transpose()
 }
 
 /// Parses `raw`, the value of `source`, as a strictly positive integer.
@@ -174,19 +178,14 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServiceMetrics::new());
-        let engine = ComputeEngine::new(
-            config.sim_workers,
-            config.context_cache_capacity,
-            &config.spill_dir,
-            Arc::clone(&metrics),
-        );
-        let response_cache_capacity = config.response_cache_capacity;
+        let engine =
+            ComputeEngine::new(config.sim_workers, &config.spill_dir, Arc::clone(&metrics));
         let state = Arc::new(ServerState {
             config,
             addr,
             metrics,
             engine,
-            responses: Memo::new(response_cache_capacity),
+            responses: Memo::new(RESPONSE_CACHE_CAPACITY),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -542,15 +541,61 @@ mod tests {
         assert_eq!(cfg.addr, "127.0.0.1:0");
     }
 
+    /// `from_vars` over `(name, value)` pairs of text.
+    fn config(vars: &[(&str, &str)]) -> Result<ServeConfig, EnvError> {
+        ServeConfig::from_vars(vars.iter().map(|&(k, v)| (k.into(), v.into())))
+    }
+
     #[test]
-    fn from_env_without_overrides_matches_defaults() {
-        // The test environment does not set EH_SERVE_*; from_env must
-        // then reproduce the defaults (addr and capacities).
-        let cfg = ServeConfig::from_env().unwrap();
+    fn an_environment_without_eh_serve_names_gives_the_defaults() {
         let defaults = ServeConfig::default_local();
-        assert_eq!(cfg.addr, defaults.addr);
-        assert_eq!(cfg.queue_capacity, defaults.queue_capacity);
-        assert_eq!(cfg.max_nodes, defaults.max_nodes);
+        assert_eq!(config(&[]), Ok(defaults.clone()));
+        assert_eq!(config(&[("PATH", "/usr/bin:/bin")]), Ok(defaults));
+    }
+
+    #[test]
+    fn every_known_variable_is_applied() {
+        let cfg = config(&[
+            ("EH_SERVE_ADDR", "127.0.0.1:9000"),
+            ("EH_SERVE_HTTP_WORKERS", "3"),
+            ("EH_SERVE_SIM_WORKERS", "5"),
+            ("EH_SERVE_QUEUE_CAPACITY", "7"),
+            ("EH_SERVE_MAX_NODES", "11"),
+            ("EH_SERVE_SPILL_DIR", "spill"),
+        ])
+        .unwrap();
+        let expected = ServeConfig {
+            addr: "127.0.0.1:9000".to_owned(),
+            http_workers: 3,
+            sim_workers: 5,
+            queue_capacity: 7,
+            max_nodes: 11,
+            spill_dir: PathBuf::from("spill"),
+        };
+        assert_eq!(cfg, expected);
+    }
+
+    #[test]
+    fn unknown_eh_serve_names_are_refused() {
+        for (name, value) in [
+            ("EH_SERVE_CACHE_CAPACITY", "8"),
+            ("EH_SERVE_CONTEXT_CACHE_CAPACITY", "8"),
+            ("EH_SERVE_HTTP_WORKER", "2"),
+        ] {
+            let err = config(&[(name, value)]).unwrap_err();
+            assert_eq!((err.source.as_str(), err.raw.as_str()), (name, value));
+            let msg = err.to_string();
+            for known in [
+                "EH_SERVE_ADDR",
+                "EH_SERVE_HTTP_WORKERS",
+                "EH_SERVE_SIM_WORKERS",
+                "EH_SERVE_QUEUE_CAPACITY",
+                "EH_SERVE_MAX_NODES",
+                "EH_SERVE_SPILL_DIR",
+            ] {
+                assert!(msg.contains(known), "{msg}");
+            }
+        }
     }
 
     #[test]
@@ -567,10 +612,20 @@ mod tests {
         }
     }
 
+    #[cfg(unix)]
     #[test]
-    fn positive_env_distinguishes_absent_from_invalid() {
-        // Absent: Ok(None), never an error.
-        assert_eq!(positive_env("EH_SERVE_TEST_UNSET_VAR"), Ok(None));
+    fn non_utf8_values_are_refused_except_the_spill_dir() {
+        use std::os::unix::ffi::{OsStrExt as _, OsStringExt as _};
+        let var = |name: &str, value: &[u8]| {
+            ServeConfig::from_vars([(name.into(), OsString::from_vec(value.to_vec()))])
+        };
+        for name in ["EH_SERVE_HTTP_WORKERS", "EH_SERVE_ADDR"] {
+            let err = var(name, b"\xff").unwrap_err();
+            assert_eq!((err.source.as_str(), err.raw.as_str()), (name, "\u{fffd}"));
+            assert!(err.to_string().contains(name));
+        }
+        let cfg = var("EH_SERVE_SPILL_DIR", b"spill-\xff").unwrap();
+        assert_eq!(cfg.spill_dir.as_os_str().as_bytes(), b"spill-\xff");
     }
 
     #[test]

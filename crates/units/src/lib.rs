@@ -10,7 +10,7 @@
 //! Every library crate depends on this one, so it also holds [`Error`],
 //! the workspace's one error type, and [`Memo`], the one bounded,
 //! single-flight cache behind the PV surface registry and the
-//! service's response and context caches.
+//! service's response cache.
 //!
 //! # Examples
 //!

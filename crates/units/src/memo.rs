@@ -2,8 +2,8 @@
 //!
 //! The workspace reuses results wherever a computation is a pure
 //! function of its key: the PV crate's surface registry and the
-//! service's response and context caches. Each needs the same thing,
-//! so [`Memo`] is their one implementation:
+//! service's response cache. Both need the same thing, so [`Memo`] is
+//! their one implementation:
 //!
 //! - A stored value is a hit, and the hit refreshes its recency.
 //! - For a missing key, the first caller computes the value outside the
