@@ -8,14 +8,12 @@
 //! hoists that setup so repeated runs (tracker comparisons, benchmarks,
 //! campaign epochs) pay it once.
 
-use std::num::NonZeroUsize;
-
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::week::{self, DayKind};
 use eh_env::TimeSeries;
 use eh_node::{NodeSimulation, SimConfig};
 use eh_pv::PvCell;
-use eh_sim::Mergeable as _;
+use eh_sim::{Mergeable as _, SweepRunner};
 use eh_units::{Error, Lux, Volts};
 
 use crate::compare::TrackerKind;
@@ -42,9 +40,9 @@ pub struct FleetContext {
 impl FleetContext {
     /// Prepares the shared inputs for `spec`: validates it, stamps the
     /// population, synthesizes and decimates one base trace per day
-    /// kind in use (the kinds side by side, one scoped thread each while
-    /// the host has cores for them), and warms one PV surface per
-    /// placement temperature.
+    /// kind in use (the kinds side by side on a [`SweepRunner`] sized
+    /// to the host), and warms one PV surface per placement
+    /// temperature.
     ///
     /// # Errors
     ///
@@ -243,12 +241,11 @@ impl FleetContext {
 }
 
 /// One decimated base day per distinct day kind of `in_use`, in order of
-/// first use. The kinds synthesize side by side: the calling thread
-/// builds the first, and each later kind gets a scoped thread of its
-/// own while [`std::thread::available_parallelism`] allows (a 1-core
-/// host builds them all in turn). Each day is a pure function of its
-/// kind, the seed and the decimation, so the traces are the same bits
-/// on any host; a panicking day resumes its panic here.
+/// first use, built side by side by [`SweepRunner::auto`] (the calling
+/// thread builds one of them; a 1-core host builds them all in turn).
+/// Each day is a pure function of its kind, the seed and the
+/// decimation, so the traces are the same bits on any host; a panicking
+/// day resumes its panic here.
 fn synthesize_days(spec: &FleetSpec, in_use: &[Placement]) -> Vec<Result<TimeSeries, Error>> {
     let mut kinds: Vec<DayKind> = Vec::new();
     for p in in_use {
@@ -257,22 +254,7 @@ fn synthesize_days(spec: &FleetSpec, in_use: &[Placement]) -> Vec<Result<TimeSer
         }
     }
     let (seed, decimate) = (spec.seed, spec.trace_decimate);
-    let day = move |kind| week::day(kind, seed).decimate(decimate);
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let helpers = kinds.len().min(cores).saturating_sub(1);
-    let (own, spawned) = kinds.split_at(kinds.len() - helpers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spawned
-            .iter()
-            .map(|&kind| scope.spawn(move || day(kind)))
-            .collect();
-        let mut days: Vec<_> = own.iter().map(|&kind| day(kind)).collect();
-        days.extend(handles.into_iter().map(|h| {
-            h.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        }));
-        days
-    })
+    SweepRunner::auto().run(kinds, |_, kind| week::day(kind, seed).decimate(decimate))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!    identical at any worker count.
 //! 2. **One concrete store, called directly.** [`Metrics`] is the only
 //!    sink: every record site takes `&mut Metrics` and calls its
-//!    inherent methods (`add_counter`, `set_gauge`, `observe`, `charge`,
+//!    inherent methods (`add_counter`, `set_gauge`, `charge`,
 //!    `record_span_stats`). Hot paths hold an `Option<Box<Metrics>>`, so
 //!    with observability off a record site is one `if let Some(m)`, and
 //!    per-step loops accumulate in locals and flush once per run.
@@ -31,10 +31,8 @@
 //! invariant the node layer enforces at the end of every observed run.
 
 mod export;
-mod histogram;
 mod ledger;
 mod metrics;
 
-pub use histogram::Histogram;
 pub use ledger::{EnergyBucket, EnergyLedger};
 pub use metrics::{Metrics, SpanStats};

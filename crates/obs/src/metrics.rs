@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use eh_units::{Joules, Seconds};
 
-use crate::histogram::Histogram;
 use crate::ledger::{EnergyBucket, EnergyLedger};
 
 /// Aggregated statistics for one span name.
@@ -28,9 +27,9 @@ impl SpanStats {
     }
 }
 
-/// The deterministic metric store: counters, gauges, fixed-bucket
-/// histograms, span stats and the run's [`EnergyLedger`], all keyed by
-/// `&'static str` in ordered maps.
+/// The deterministic metric store: counters, gauges, span stats and
+/// the run's [`EnergyLedger`], all keyed by `&'static str` in ordered
+/// maps.
 ///
 /// A `Metrics` only ever holds **simulated** quantities, so two runs of
 /// the same scenario produce equal stores regardless of worker count —
@@ -41,7 +40,6 @@ impl SpanStats {
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<&'static str, SpanStats>,
     ledger: EnergyLedger,
 }
@@ -60,11 +58,6 @@ impl Metrics {
     /// The value of a gauge, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if anything was ever observed into it.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// The aggregated stats of a span name, if any span finished.
@@ -87,11 +80,6 @@ impl Metrics {
         self.gauges.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (*k, v))
-    }
-
     /// Iterates span stats in name order.
     pub fn spans(&self) -> impl Iterator<Item = (&'static str, &SpanStats)> + '_ {
         self.spans.iter().map(|(k, v)| (*k, v))
@@ -101,28 +89,19 @@ impl Metrics {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.histograms.is_empty()
             && self.spans.is_empty()
             && self.ledger.is_empty()
     }
 
-    /// Absorbs another store: counters, histograms, spans and the ledger
-    /// add; gauges take the other store's value (last write wins, and in
-    /// a merge fold the "other" is always the later shard).
+    /// Absorbs another store: counters, spans and the ledger add; gauges
+    /// take the other store's value (last write wins, and in a merge
+    /// fold the "other" is always the later shard).
     pub fn merge_from(&mut self, other: Metrics) {
         for (name, v) in other.counters {
             *self.counters.entry(name).or_insert(0) += v;
         }
         for (name, v) in other.gauges {
             self.gauges.insert(name, v);
-        }
-        for (name, h) in other.histograms {
-            match self.histograms.entry(name) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(h),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h);
-                }
-            }
         }
         for (name, s) in other.spans {
             let mine = self.spans.entry(name).or_default();
@@ -143,23 +122,6 @@ impl Metrics {
     pub fn set_gauge(&mut self, name: &'static str, value: f64) {
         if value.is_finite() {
             self.gauges.insert(name, value);
-        }
-    }
-
-    /// Records `value` into the named fixed-bucket histogram, creating
-    /// it over `bounds` on first use. Returns whether the value was
-    /// binned (`false` for non-finite values or invalid bounds).
-    pub fn observe(&mut self, name: &'static str, bounds: &[f64], value: f64) -> bool {
-        match self.histograms.entry(name) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().record(value),
-            std::collections::btree_map::Entry::Vacant(e) => match Histogram::new(bounds) {
-                Ok(mut h) => {
-                    let binned = h.record(value);
-                    e.insert(h);
-                    binned
-                }
-                Err(_) => false,
-            },
         }
     }
 
@@ -204,7 +166,6 @@ mod tests {
         let mut m = Metrics::new();
         m.add_counter("steps", 3);
         m.set_gauge("rail_v", 3.3);
-        m.observe("dwell", &[0.01, 0.1], 0.039);
         m.record_span_stats("pulse", 1, Seconds::from_milli(39.0).value(), 1e-6);
         m.charge(EnergyBucket::Astable, Joules::new(0.5));
         m
@@ -217,7 +178,6 @@ mod tests {
         assert_eq!(m.counter("steps"), 3);
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.gauge("rail_v"), Some(3.3));
-        assert_eq!(m.histogram("dwell").unwrap().total_count(), 1);
         let s = m.span_stats("pulse").unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(s.sim_time(), Seconds::from_milli(39.0));
@@ -235,22 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn invalid_histogram_bounds_do_not_create_an_entry() {
-        let mut m = Metrics::new();
-        assert!(!m.observe("h", &[], 1.0));
-        assert!(!m.observe("h", &[2.0, 1.0], 1.0));
-        assert!(m.histogram("h").is_none());
-    }
-
-    #[test]
-    fn merge_adds_counters_histograms_spans_and_ledger() {
+    fn merge_adds_counters_spans_and_ledger() {
         let mut a = sample();
         let mut b = sample();
         b.set_gauge("rail_v", 2.2);
         a.merge_from(b);
         assert_eq!(a.counter("steps"), 6);
         assert_eq!(a.gauge("rail_v"), Some(2.2), "gauge: last shard wins");
-        assert_eq!(a.histogram("dwell").unwrap().total_count(), 2);
         assert_eq!(a.span_stats("pulse").unwrap().count, 2);
         assert_eq!(a.ledger().total(), Joules::new(1.0));
     }

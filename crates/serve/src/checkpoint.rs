@@ -1,19 +1,20 @@
-//! Checkpoint/resume for endurance campaigns.
+//! Checkpoint/resume for streamed what-if requests.
 //!
-//! The streaming endpoint folds a fleet shard by shard; a long
-//! campaign that dies mid-run should not re-pay the shards it already
-//! finished. Each completed shard's [`FleetReport`] is spilled to disk
-//! under the request's canonical hash, and a restarted campaign for
-//! the same request reloads those shards instead of recomputing them.
+//! The streaming endpoint (`/whatif/stream`) folds a fleet shard by
+//! shard; a long request that dies mid-run should not re-pay the shards
+//! it already finished. Each completed shard's [`FleetReport`] is
+//! spilled to disk under the request's canonical hash, and a restarted
+//! request with the same hash reloads those shards instead of
+//! recomputing them.
 //! Because the fleet pipeline is deterministic, a reloaded shard is
 //! **bit-identical** to a recomputed one — resume changes cost, never
 //! answers — provided the serialization round-trips `f64`s exactly,
 //! which is why every float is stored as the hex of its IEEE-754 bit
 //! pattern rather than a decimal rendering.
 //!
-//! Obs-carrying campaigns (`"obs": true`) are not checkpointable: a
-//! metric store's histograms and spans have no spill encoding here, so
-//! saving one is refused rather than silently dropped.
+//! Obs-carrying requests (`"obs": true`) are not checkpointable: a
+//! metric store has no spill encoding here, so saving one is refused
+//! rather than silently dropped.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -34,6 +35,12 @@ const MAGIC_NAME: &str = "eh-serve shard checkpoint v";
 /// way, so a resume treats it as absent: the shard is recomputed and
 /// its spill overwritten.
 const MAGIC: &str = "eh-serve shard checkpoint v2";
+
+/// Why an obs-carrying request cannot stream: the stream spills every
+/// shard, and a metric store has no spill encoding. The service answers
+/// it as a 422 before any shard runs.
+pub(crate) const OBS_REFUSAL: &str =
+    "streaming obs requests (metric stores have no spill encoding)";
 
 /// A directory of spilled shard checkpoints, one subdirectory per
 /// request hash.
@@ -85,12 +92,12 @@ impl SpillStore {
     }
 
     /// The spill directory of one request hash.
-    pub fn campaign_dir(&self, request_hex: &str) -> PathBuf {
+    pub fn request_dir(&self, request_hex: &str) -> PathBuf {
         self.root.join(request_hex)
     }
 
     fn shard_path(&self, request_hex: &str, shard_index: usize) -> PathBuf {
-        self.campaign_dir(request_hex)
+        self.request_dir(request_hex)
             .join(format!("shard-{shard_index:06}.ckpt"))
     }
 
@@ -109,11 +116,9 @@ impl SpillStore {
         report: &FleetReport,
     ) -> Result<(), ServeError> {
         if report.metrics.is_some() {
-            return Err(ServeError::Unsupported(
-                "checkpointing obs-carrying campaigns (metric stores have no spill encoding)",
-            ));
+            return Err(ServeError::Unsupported(OBS_REFUSAL));
         }
-        let dir = self.campaign_dir(request_hex);
+        let dir = self.request_dir(request_hex);
         std::fs::create_dir_all(&dir)?;
 
         let mut text = String::new();
@@ -248,10 +253,10 @@ impl SpillStore {
         })
     }
 
-    /// Removes a finished campaign's spill directory (best-effort: a
+    /// Removes a finished request's spill directory (best-effort: a
     /// missing directory is fine).
     pub fn clear(&self, request_hex: &str) {
-        let _ = std::fs::remove_dir_all(self.campaign_dir(request_hex));
+        let _ = std::fs::remove_dir_all(self.request_dir(request_hex));
     }
 }
 
@@ -321,7 +326,7 @@ mod tests {
         let store = SpillStore::new(scratch_dir());
         let report = shard_report(false);
         store.save_shard("eeee", 3, &report).unwrap();
-        let path = store.campaign_dir("eeee").join("shard-000003.ckpt");
+        let path = store.request_dir("eeee").join("shard-000003.ckpt");
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.truncate(text.len() - 20);
         std::fs::write(&path, text).unwrap();
@@ -336,7 +341,7 @@ mod tests {
         let store = SpillStore::new(scratch_dir());
         let report = shard_report(false);
         store.save_shard("dddd", 2, &report).unwrap();
-        let path = store.campaign_dir("dddd").join("shard-000002.ckpt");
+        let path = store.request_dir("dddd").join("shard-000002.ckpt");
         let current = std::fs::read_to_string(&path).unwrap();
         // A shard spilled by the previous stepper: same request hash,
         // well-formed, but a v1 header.

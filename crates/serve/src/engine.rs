@@ -2,7 +2,7 @@
 //! campaign operation, and deterministic response rendering.
 //!
 //! A [`ComputeEngine`] owns the sized [`FleetRunner`] and the
-//! [`SpillStore`] for streaming campaigns. Each computation prepares
+//! [`SpillStore`] for streamed what-ifs. Each computation prepares
 //! its own [`FleetContext`] (`/compare` prepares once for all eleven
 //! trackers) and drops it when its response is rendered; the warmed PV
 //! surface tables behind it are shared process-wide by
@@ -20,7 +20,7 @@ use eh_fleet::{FleetContext, FleetReport, FleetRunner, Percentiles, Placement, T
 use eh_sim::Mergeable as _;
 use eh_units::Error;
 
-use crate::checkpoint::SpillStore;
+use crate::checkpoint::{SpillStore, OBS_REFUSAL};
 use crate::error::ServeError;
 use crate::hash::hex;
 use crate::json::Json;
@@ -125,7 +125,7 @@ impl ComputeEngine {
     /// called with one JSON line per completed shard (a running
     /// snapshot) and finally with the full response body. Completed
     /// shards spill to the checkpoint store as they finish, and a
-    /// restarted campaign for the same request hash reloads them
+    /// restarted request with the same hash reloads them
     /// instead of recomputing; the spill directory is cleared after
     /// the final line is emitted.
     ///
@@ -144,9 +144,7 @@ impl ComputeEngine {
         emit: &mut dyn FnMut(&str) -> Result<(), ServeError>,
     ) -> Result<(), ServeError> {
         if req.obs {
-            return Err(ServeError::Unsupported(
-                "streaming obs campaigns (checkpoints cannot spill metric stores)",
-            ));
+            return Err(ServeError::Unsupported(OBS_REFUSAL));
         }
         let ctx = self.context(req)?;
         let request_hex = hex(req.hash());
@@ -399,7 +397,7 @@ mod tests {
         let (engine, metrics, dir) = engine();
         let req = request(Op::Stream, r#"{"nodes":12,"shard_size":4}"#);
 
-        // Die after the second shard, as an abandoned campaign would.
+        // Die after the second shard, as an abandoned request would.
         let mut emitted = 0;
         let died = engine.stream(&req, &mut |_line| {
             emitted += 1;
@@ -412,7 +410,7 @@ mod tests {
         assert!(died.is_err());
         assert_eq!(metrics.counter(names::CHECKPOINT_SAVED), 2);
 
-        // The restarted campaign reloads the finished shards...
+        // The restarted request reloads the finished shards...
         let mut lines = Vec::new();
         engine
             .stream(&req, &mut |line| {
@@ -434,8 +432,8 @@ mod tests {
             .unwrap();
         assert_eq!(lines, fresh, "resume must not change a single byte");
 
-        // The completed campaign cleared its spill directory.
-        assert!(!engine.spill.campaign_dir(&hex(req.hash())).exists());
+        // The completed request cleared its spill directory.
+        assert!(!engine.spill.request_dir(&hex(req.hash())).exists());
         let _ = std::fs::remove_dir_all(dir);
         let _ = std::fs::remove_dir_all(fresh_dir);
     }

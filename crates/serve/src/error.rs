@@ -44,7 +44,8 @@ pub enum ServeError {
     /// An environment/CLI configuration value failed strict parsing.
     Env(EnvError),
     /// The request combined features the service cannot honour (for
-    /// example checkpointing a metrics-carrying campaign).
+    /// example streaming, and so checkpointing, an obs-carrying
+    /// what-if).
     Unsupported(&'static str),
     /// A checkpoint file existed but failed validation and was
     /// discarded; the path is reported for the operator.

@@ -15,8 +15,8 @@
 //! - each computation prepares its own [`eh_fleet::FleetContext`]
 //!   (`/compare` one for all eleven trackers), whose PV surface tables
 //!   come from the process-wide [`eh_pv::registry`];
-//! - streaming campaigns checkpoint per shard and resume
-//!   bit-identically after a crash.
+//! - streamed what-ifs (`/whatif/stream`) checkpoint per shard and
+//!   resume bit-identically after a crash.
 //!
 //! The response cache, like the PV surface registry underneath it, is
 //! an [`eh_units::Memo`]: bounded, least recently used out, one

@@ -116,8 +116,10 @@ pub struct WhatIfRequest {
     pub pv_cache: bool,
     /// Whether per-node deterministic metrics are collected and folded.
     pub obs: bool,
-    /// Nodes per shard for the streaming path (and hashed for every
-    /// op — see the module docs on shard grouping).
+    /// Nodes per shard: every op runs its fleet in shards of this size
+    /// (the streaming path also emits and spills one line per shard),
+    /// so it is hashed for every op — see the module docs on shard
+    /// grouping.
     pub shard_size: usize,
 }
 

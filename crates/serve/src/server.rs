@@ -28,6 +28,7 @@ use std::time::Duration;
 
 use eh_units::{Lookup, Memo};
 
+use crate::checkpoint::OBS_REFUSAL;
 use crate::engine::ComputeEngine;
 use crate::error::{EnvError, ServeError};
 use crate::hash::hex;
@@ -52,7 +53,7 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Largest fleet a request may ask for.
     pub max_nodes: u32,
-    /// Directory for streaming-campaign checkpoints.
+    /// Directory for `/whatif/stream` shard checkpoints.
     pub spill_dir: PathBuf,
 }
 
@@ -484,7 +485,7 @@ fn serve_cached(
 
 /// The `/whatif/stream` path: chunked newline-delimited JSON, one line
 /// per completed shard plus the final response body. Not cached or
-/// coalesced — each campaign owns its checkpoint lifecycle.
+/// coalesced — each streamed request owns its checkpoint lifecycle.
 fn stream_op(state: &ServerState, stream: &mut TcpStream, body: &[u8]) {
     let req = match parse_request_body(state, Op::Stream, body) {
         Ok(r) => r,
@@ -496,9 +497,7 @@ fn stream_op(state: &ServerState, stream: &mut TcpStream, body: &[u8]) {
     if req.obs {
         // Refuse before committing to a 200 chunked response; the
         // engine enforces the same rule as defense in depth.
-        let e = ServeError::Unsupported(
-            "streaming obs campaigns (checkpoints cannot spill metric stores)",
-        );
+        let e = ServeError::Unsupported(OBS_REFUSAL);
         respond(state, stream, e.status(), &[], &error_body(&e.to_string()));
         return;
     }

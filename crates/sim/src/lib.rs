@@ -9,9 +9,9 @@
 //! - [`Light`] unifies constant-level and trace-driven illumination;
 //! - [`drive`] is the time-stepping engine: fixed slices on the `dt`
 //!   grid, the last one ending at the light's end;
-//! - [`SweepRunner`] fans independent jobs across scoped threads with
-//!   stable, input-order collection, so sweeps are bit-for-bit
-//!   deterministic regardless of worker count;
+//! - [`SweepRunner`] fans independent jobs across the calling thread
+//!   and scoped helpers with stable, input-order collection, so sweeps
+//!   are bit-for-bit deterministic regardless of worker count;
 //! - [`Mergeable`] + [`SweepRunner::run_shards`] are the sharded
 //!   map-reduce used by fleet-scale aggregation: the worker closure
 //!   receives a whole contiguous shard (so shard-wide setup is paid

@@ -42,11 +42,11 @@ impl<T> Mergeable for Vec<T> {
     }
 }
 
-/// Metric stores merge by absorbing the later shard: counters,
-/// histograms, spans and the energy ledger add; gauges take the later
-/// shard's value. Because a store only ever holds simulated quantities,
-/// folding shard stores in shard-index order yields the same aggregate
-/// at any worker count.
+/// Metric stores merge by absorbing the later shard: counters, spans
+/// and the energy ledger add; gauges take the later shard's value.
+/// Because a store only ever holds simulated quantities, folding shard
+/// stores in shard-index order yields the same aggregate at any worker
+/// count.
 impl Mergeable for eh_obs::Metrics {
     fn merge(&mut self, other: Self) {
         self.merge_from(other);

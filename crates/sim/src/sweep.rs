@@ -27,7 +27,8 @@ fn chunk_shards<T>(items: Vec<T>, shard_size: usize) -> Vec<(usize, Vec<T>)> {
     shards
 }
 
-/// Fans a batch of independent jobs across `std::thread::scope` workers.
+/// Fans a batch of independent jobs across the calling thread and
+/// `std::thread::scope` helpers.
 ///
 /// Results are collected by input index, so the output order — and
 /// therefore every downstream report — is bit-for-bit identical whether
@@ -60,6 +61,11 @@ impl SweepRunner {
     /// Applies `f` to every item, in parallel, returning results in
     /// input order. `f` receives each item's input index alongside the
     /// item so labelling never depends on completion order.
+    ///
+    /// The calling thread is one of the workers: it claims jobs beside
+    /// `min(workers, n) - 1` scoped threads, so a one-worker runner (or
+    /// a one-item batch) spawns nothing. A panicking job resumes its
+    /// panic on the caller.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -67,52 +73,39 @@ impl SweepRunner {
         F: Fn(usize, T) -> R + Sync,
     {
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n);
-        if workers == 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-        }
-
         let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let cursor = AtomicUsize::new(0);
+        let claim = || {
+            let mut produced = Vec::new();
+            loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
+                }
+                let item = jobs[idx]
+                    .lock()
+                    .expect("job mutex poisoned")
+                    .take()
+                    .expect("each job is claimed exactly once");
+                produced.push((idx, f(idx, item)));
+            }
+            produced
+        };
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
 
         thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut produced = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n {
-                                break;
-                            }
-                            let item = jobs[idx]
-                                .lock()
-                                .expect("job mutex poisoned")
-                                .take()
-                                .expect("each job is claimed exactly once");
-                            produced.push((idx, f(idx, item)));
-                        }
-                        produced
-                    })
-                })
+            let helpers: Vec<_> = (1..self.workers.min(n))
+                .map(|_| scope.spawn(claim))
                 .collect();
-            for handle in handles {
+            let mut produced = claim();
+            for handle in helpers {
                 match handle.join() {
-                    Ok(produced) => {
-                        for (idx, result) in produced {
-                            slots[idx] = Some(result);
-                        }
-                    }
+                    Ok(more) => produced.extend(more),
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
+            }
+            for (idx, result) in produced {
+                slots[idx] = Some(result);
             }
         });
 
@@ -220,6 +213,34 @@ mod tests {
             let expect: Vec<usize> = (0..100).map(|x| x * x).collect();
             assert_eq!(out, expect, "workers={workers}");
         }
+    }
+
+    /// Two jobs on two workers run at once, and one of them on the
+    /// calling thread: each waits at a two-party barrier that only the
+    /// other can release. The sweep runs on a thread of the test's own,
+    /// so a runner that serializes the jobs fails on the timeout instead
+    /// of hanging the suite.
+    #[test]
+    fn the_caller_runs_jobs_beside_its_helpers() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sweep = thread::spawn(move || {
+            let caller = thread::current().id();
+            let barrier = std::sync::Barrier::new(2);
+            let on_caller = SweepRunner::new(2).run(vec![(), ()], |_, ()| {
+                barrier.wait();
+                thread::current().id() == caller
+            });
+            let _ = tx.send(on_caller);
+        });
+        let on_caller = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the two jobs never met at the barrier");
+        sweep.join().expect("the sweep thread ends after sending");
+        assert_eq!(
+            on_caller.iter().filter(|&&c| c).count(),
+            1,
+            "exactly one job runs on the calling thread: {on_caller:?}"
+        );
     }
 
     #[test]

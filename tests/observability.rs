@@ -87,6 +87,5 @@ fn recorder_api_stand_alone() {
     let mut metrics = Metrics::default();
     metrics.add_counter("events", 2);
     metrics.charge(EnergyBucket::Load, Joules::new(1.5));
-    assert!(metrics.observe("dwell_s", &[0.0, 1.0, 10.0], 0.3));
     assert_eq!(metrics.counter("events"), 2);
 }
