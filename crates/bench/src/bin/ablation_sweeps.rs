@@ -18,7 +18,7 @@ use eh_analog::sample_hold::{SampleHold, SampleHoldConfig};
 use eh_bench::{banner, fmt, render_table};
 use eh_core::baselines::FocvSampleHold;
 use eh_env::{profiles, sampling_error, TimeSeries};
-use eh_node::{NodeSimulation, SimConfig};
+use eh_node::NodeSimulation;
 use eh_pv::{presets, PvCell};
 use eh_sim::{drive, Light, StepInput, Stepper, SweepRunner};
 use eh_units::{Amps, Error, Farads, Lux, Ohms, Seconds, Volts, Watts};
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Seconds::from_milli(39.0),
             Volts::new(3.3) * Amps::from_micro(8.0),
         )?;
-        let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
+        let mut sim = NodeSimulation::default_for(cached_cell.clone())?;
         let report = sim.run(&mut tracker, &mobile, Seconds::new(5.0))?;
         Ok(vec![
             fmt(period_s, 0),
@@ -130,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Volts::new(3.3) * Amps::from_micro(8.0),
             )?;
             let trace = profiles::constant(Lux::new(1000.0), Seconds::from_minutes(30.0));
-            let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
+            let mut sim = NodeSimulation::default_for(cached_cell.clone())?;
             let report = sim.run(&mut tracker, &trace, Seconds::new(1.0))?;
             let mpp = cell.mpp(Lux::new(1000.0))?;
             let ideal = mpp.power.value() * trace.duration().value();
@@ -244,7 +244,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Seconds::from_milli(39.0),
                 Watts::new(3.3 * overhead_ua * 1e-6),
             )?;
-            let mut sim = NodeSimulation::new(SimConfig::default_for(cached_cell.clone())?)?;
+            let mut sim = NodeSimulation::default_for(cached_cell.clone())?;
             let report = sim.run(&mut tracker, &trace, Seconds::new(1.0))?;
             Ok(vec![
                 fmt(overhead_ua, 0),

@@ -34,7 +34,7 @@ use eh_bench::{banner, fmt, smoke_mode};
 use eh_core::baselines::FocvSampleHold;
 use eh_core::{FocvMpptSystem, RunReport, SystemConfig};
 use eh_env::profiles;
-use eh_node::{NodeReport, NodeSimulation, SimConfig};
+use eh_node::{NodeReport, NodeSimulation};
 use eh_pv::{presets, registry, CachedPvSurface, PvCell};
 use eh_units::{Celsius, Lux, Seconds, Volts};
 
@@ -90,8 +90,7 @@ fn node_run(
     } else {
         presets::sanyo_am1815()
     };
-    let cfg = SimConfig::default_for(cell)?;
-    let mut sim = NodeSimulation::new(cfg)?;
+    let mut sim = NodeSimulation::default_for(cell)?;
     let mut tracker = FocvSampleHold::paper_prototype()?;
     Ok(sim.run(&mut tracker, &trace, Seconds::new(decimate as f64))?)
 }

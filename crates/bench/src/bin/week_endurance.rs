@@ -12,7 +12,7 @@ use eh_bench::{banner, fmt, render_table};
 use eh_core::baselines::{FixedVoltage, FocvSampleHold};
 use eh_core::MpptController;
 use eh_env::week;
-use eh_node::{Battery, ConcreteStore, DutyCycledLoad, NodeSimulation, SimConfig, Supercapacitor};
+use eh_node::{Battery, ConcreteStore, DutyCycledLoad, NodeSimulation, Supercapacitor};
 use eh_pv::{presets, PvCell};
 use eh_sim::SweepRunner;
 use eh_units::{Error, Farads, Joules, Seconds, Volts};
@@ -37,10 +37,9 @@ fn run(
         Tracker::Focv => Box::new(FocvSampleHold::paper_prototype()?),
         Tracker::Fixed => Box::new(FixedVoltage::indoor_tuned()?),
     };
-    let cfg = SimConfig::default_for(cell.clone())?
+    let mut sim = NodeSimulation::default_for(cell.clone())?
         .with_store(store)
         .with_load(DutyCycledLoad::typical_sensor_node()?);
-    let mut sim = NodeSimulation::new(cfg)?;
     let report = sim.run(tracker.as_mut(), trace, Seconds::new(10.0))?;
     Ok(vec![
         report.tracker.clone(),
@@ -124,11 +123,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Observation is passive — the physics is bit-identical to the
     // uninstrumented row above (eh-node tests assert this).
     let mut tracker = FocvSampleHold::paper_prototype()?;
-    let cfg = SimConfig::default_for(cell.clone())?
+    let report = NodeSimulation::default_for(cell.clone())?
         .with_store(sc())
         .with_load(DutyCycledLoad::typical_sensor_node()?)
-        .with_obs(true);
-    let report = NodeSimulation::new(cfg)?.run(&mut tracker, &trace, Seconds::new(10.0))?;
+        .with_obs(true)
+        .run(&mut tracker, &trace, Seconds::new(10.0))?;
     let metrics = report
         .metrics
         .expect("obs-enabled run carries a metric store");

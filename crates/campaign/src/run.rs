@@ -27,7 +27,7 @@
 //!   ([`eh_env::weather::WeatherModel`]).
 
 use eh_env::TracePerturbation;
-use eh_fleet::{FleetContext, FleetSpec, NodeSpec, Placement, SurfacePool};
+use eh_fleet::{FleetContext, FleetRunner, FleetSpec, NodeSpec, Placement, SurfacePool};
 use eh_node::StoreSpec;
 use eh_sim::SweepRunner;
 use eh_units::{Error, Farads, Joules, Volts};
@@ -40,9 +40,6 @@ use crate::spec::CampaignSpec;
 /// Salt XORed into the campaign seed for the weather stream (distinct
 /// from the population stream and [`crate::schedule::SCHEDULE_SALT`]).
 pub const WEATHER_SALT: u64 = 0x517C_C1B7_2722_0A95;
-
-/// Default nodes per shard, matching [`eh_fleet::FleetRunner`].
-const DEFAULT_SHARD_SIZE: usize = 32;
 
 /// The prepared, immutable inputs of a campaign: the base fleet spec,
 /// the drawn population and schedules, and one environment-injected
@@ -292,7 +289,7 @@ impl CampaignRunner {
     pub fn new(workers: usize) -> Self {
         Self {
             runner: SweepRunner::new(workers),
-            shard_size: DEFAULT_SHARD_SIZE,
+            shard_size: FleetRunner::DEFAULT_SHARD_SIZE,
         }
     }
 

@@ -11,7 +11,7 @@
 use eh_converter::{ColdStart, InputRegulatedConverter};
 use eh_env::week::{self, DayKind};
 use eh_env::TimeSeries;
-use eh_node::{NodeSimulation, SimConfig};
+use eh_node::NodeSimulation;
 use eh_pv::PvCell;
 use eh_sim::{Mergeable as _, SweepRunner};
 use eh_units::{Error, Lux, Volts};
@@ -219,15 +219,15 @@ impl FleetContext {
         let cold_start_ok = self.cold_start_ok(node.placement, Lux::new(trace.max()))?;
         let cell = self.cell(node.placement).clone();
         let mut tracker = kind.build(&node, &cell)?;
-        let config = SimConfig {
+        let report = NodeSimulation {
             cell,
             converter: InputRegulatedConverter::paper_prototype()?,
             measurement_dwell: node.pulse_width,
             load: spec.load.clone(),
             store: node.store.unwrap_or(spec.store).build()?,
             obs: spec.obs,
-        };
-        let report = NodeSimulation::new(config)?.run(tracker.as_mut(), &trace, spec.dt)?;
+        }
+        .run(tracker.as_mut(), &trace, spec.dt)?;
         Ok(FleetReport::single(
             &spec.name,
             NodeOutcome {

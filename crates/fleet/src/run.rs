@@ -127,9 +127,11 @@ impl FleetRunner {
         self.run_tracker(spec, TrackerKind::Focv)
     }
 
-    /// Runs the same seeded population under an arbitrary tracker kind
-    /// — the building block of
-    /// [`compare_trackers_over_fleet`](crate::compare_trackers_over_fleet).
+    /// Runs the same seeded population under an arbitrary tracker kind,
+    /// preparing the spec's context for this one run.
+    /// [`compare_trackers_over_fleet`](crate::compare_trackers_over_fleet)
+    /// instead prepares once and runs every kind through
+    /// [`FleetRunner::run_engine_prepared`].
     ///
     /// # Errors
     ///

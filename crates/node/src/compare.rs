@@ -7,7 +7,7 @@ use eh_pv::PvCell;
 use eh_units::{Error, Seconds};
 
 use crate::report::NodeReport;
-use crate::sim::{NodeSimulation, SimConfig};
+use crate::sim::NodeSimulation;
 
 /// One tracker's outcome on a shared scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +34,7 @@ pub fn compare_trackers(
     trackers: &mut [&mut dyn MpptController],
 ) -> Result<Vec<TrackerComparison>, Error> {
     let mut oracle = Oracle::new(cell.clone());
-    let oracle_report =
-        NodeSimulation::new(SimConfig::default_for(cell.clone())?)?.run(&mut oracle, trace, dt)?;
+    let oracle_report = NodeSimulation::default_for(cell.clone())?.run(&mut oracle, trace, dt)?;
     let oracle_gross = oracle_report.gross_energy;
 
     let mut out = Vec::with_capacity(trackers.len() + 1);
@@ -50,8 +49,7 @@ pub fn compare_trackers(
     });
 
     for tracker in trackers.iter_mut() {
-        let mut sim = NodeSimulation::new(SimConfig::default_for(cell.clone())?)?;
-        let report = sim.run(*tracker, trace, dt)?;
+        let report = NodeSimulation::default_for(cell.clone())?.run(*tracker, trace, dt)?;
         out.push(TrackerComparison {
             name: report.tracker.clone(),
             summary: HarvestSummary::new(report.gross_energy, report.overhead_energy, oracle_gross),

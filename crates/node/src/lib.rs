@@ -5,6 +5,9 @@
 //! loop around the other crates: a PV cell under a 24-hour light trace,
 //! an MPPT tracker (the proposed technique or any baseline), the
 //! switching converter, an energy store and a duty-cycled node load.
+//! [`NodeSimulation`] holds those parts and runs one tracker over a
+//! trace on the one node stepper, booking every flow straight into the
+//! [`NodeReport`] it returns.
 //!
 //! The headline experiment it supports is the paper's comparison against
 //! the state of the art: run every tracker over the same mixed
@@ -17,12 +20,12 @@
 //! ```
 //! use eh_core::baselines::{FocvSampleHold, Oracle};
 //! use eh_env::profiles;
-//! use eh_node::{NodeSimulation, SimConfig};
+//! use eh_node::NodeSimulation;
 //! use eh_pv::presets;
 //! use eh_units::Seconds;
 //!
 //! let trace = profiles::office_desk_mixed(7).decimate(60)?; // 1-min grid
-//! let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815())?)?;
+//! let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())?;
 //! let report = sim.run(
 //!     &mut FocvSampleHold::paper_prototype()?,
 //!     &trace,
@@ -35,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accumulator;
 mod compare;
 mod load;
 mod report;
@@ -46,5 +48,5 @@ mod storage;
 pub use compare::{compare_trackers, TrackerComparison};
 pub use load::{DutyCycledLoad, LoadPhase};
 pub use report::NodeReport;
-pub use sim::{NodeSimulation, SimConfig};
-pub use storage::{Battery, ConcreteStore, EnergyStore, IdealStore, StoreSpec, Supercapacitor};
+pub use sim::NodeSimulation;
+pub use storage::{Battery, ConcreteStore, IdealStore, StoreSpec, Supercapacitor};

@@ -1,10 +1,7 @@
 //! Run reports.
 
 use eh_obs::Metrics;
-use eh_units::{Error, Joules, Ratio, Seconds};
-
-use crate::accumulator::Accumulator;
-use crate::sim::ObsLocals;
+use eh_units::{Joules, Ratio, Seconds};
 
 /// Result of a closed-loop node run with one tracker.
 ///
@@ -15,7 +12,10 @@ use crate::sim::ObsLocals;
 /// [`NodeReport::load_served`] is what the store actually delivered.
 /// On the reference two-year campaign a full store refused 91.9 % of
 /// the gross.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`crate::NodeSimulation::run`] books every field as its slices
+/// settle, starting from the empty [`Default`] report.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeReport {
     /// Tracker name.
     pub tracker: String,
@@ -43,62 +43,12 @@ pub struct NodeReport {
     pub measurements: u64,
     /// Number of control decisions the tracker took.
     pub decisions: u64,
-    /// The run's metric store, when [`crate::SimConfig::obs`] was
+    /// The run's metric store, when [`crate::NodeSimulation::obs`] was
     /// enabled; `None` for uninstrumented runs.
     pub metrics: Option<Metrics>,
 }
 
 impl NodeReport {
-    /// Assembles a finished run's report from its ledgers.
-    ///
-    /// With observability on, `metrics` already holds the drive loop's
-    /// statistics; this flushes the per-step `obs` locals into it, adds
-    /// the run's counters (`tracker.ops` is `decisions ×
-    /// ops_per_decision`), and checks conservation: the per-bucket
-    /// ledger (overhead split by phase, converter losses, load served,
-    /// compute) must re-sum to the lump closed-loop accumulators. The
-    /// two group the same per-step additions differently, so this
-    /// catches a forgotten or double-charged bucket, not just rounding.
-    ///
-    /// # Errors
-    ///
-    /// Returns the ledger's conservation error when the two sums differ
-    /// by more than 1e-9 relative.
-    pub(crate) fn assemble(
-        tracker: String,
-        duration: Seconds,
-        acc: &Accumulator,
-        final_store_energy: Joules,
-        ops_per_decision: u64,
-        obs: &ObsLocals,
-        mut metrics: Option<Metrics>,
-    ) -> Result<Self, Error> {
-        if let Some(m) = metrics.as_mut() {
-            // The ledger is incomplete until the locals land.
-            obs.flush(m);
-            m.add_counter("node.measurements", acc.measurements);
-            m.add_counter("tracker.decisions", acc.decisions);
-            m.add_counter("tracker.ops", acc.decisions * ops_per_decision);
-            let closed_loop =
-                acc.overhead_energy + acc.loss_energy + acc.load_served + acc.compute_energy;
-            m.ledger().check_conservation(closed_loop, 1e-9)?;
-        }
-        Ok(Self {
-            tracker,
-            duration,
-            gross_energy: acc.gross_energy,
-            overhead_energy: acc.overhead_energy,
-            load_demand: acc.load_demand,
-            load_served: acc.load_served,
-            final_store_energy,
-            loss_energy: acc.loss_energy,
-            compute_energy: acc.compute_energy,
-            measurements: acc.measurements,
-            decisions: acc.decisions,
-            metrics,
-        })
-    }
-
     /// `gross − overhead − compute`: the tracker's net contribution.
     pub fn net_energy(&self) -> Joules {
         Joules::new(
@@ -132,12 +82,7 @@ mod tests {
             overhead_energy: Joules::new(overhead),
             load_demand: Joules::new(demand),
             load_served: Joules::new(served),
-            final_store_energy: Joules::ZERO,
-            loss_energy: Joules::ZERO,
-            compute_energy: Joules::ZERO,
-            measurements: 0,
-            decisions: 0,
-            metrics: None,
+            ..NodeReport::default()
         }
     }
 

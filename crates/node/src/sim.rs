@@ -8,83 +8,9 @@ use eh_pv::{CachedPvSurface, ConnectPoint, LuxCursor, PvCell};
 use eh_sim::{drive, Light, StepInput, Stepper};
 use eh_units::{Amps, Error, Joules, Lux, Seconds, Volts, Watts};
 
-use crate::accumulator::Accumulator;
 use crate::load::DutyCycledLoad;
 use crate::report::NodeReport;
-use crate::storage::{ConcreteStore, EnergyStore, IdealStore};
-
-/// Configuration of a closed-loop run.
-pub struct SimConfig {
-    /// The PV module.
-    pub cell: PvCell,
-    /// The power stage.
-    pub converter: InputRegulatedConverter,
-    /// How long an open-circuit measurement interrupts harvesting (the
-    /// paper's PULSE width, 39 ms).
-    pub measurement_dwell: Seconds,
-    /// Optional node load drawing from the store.
-    pub load: Option<DutyCycledLoad>,
-    /// The energy store.
-    pub store: ConcreteStore,
-    /// Whether to collect deterministic metrics (counters, spans, the
-    /// per-bucket energy ledger) into the report's
-    /// [`eh_obs::Metrics`]. Off by default: uninstrumented runs pay
-    /// only a branch per step.
-    pub obs: bool,
-}
-
-impl SimConfig {
-    /// A default configuration for a cell: paper-prototype converter,
-    /// 39 ms dwell, ideal store, no load.
-    ///
-    /// # Errors
-    ///
-    /// Propagates converter construction failures instead of panicking,
-    /// so library callers can handle them.
-    pub fn default_for(cell: PvCell) -> Result<Self, Error> {
-        Ok(Self {
-            cell,
-            converter: InputRegulatedConverter::paper_prototype()?,
-            measurement_dwell: Seconds::from_milli(39.0),
-            load: None,
-            store: ConcreteStore::Ideal(IdealStore::new()),
-            obs: false,
-        })
-    }
-
-    /// Replaces the store (builder style).
-    #[must_use]
-    pub fn with_store(mut self, store: ConcreteStore) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Adds a node load (builder style).
-    #[must_use]
-    pub fn with_load(mut self, load: DutyCycledLoad) -> Self {
-        self.load = Some(load);
-        self
-    }
-
-    /// Enables or disables metric collection (builder style).
-    #[must_use]
-    pub fn with_obs(mut self, enabled: bool) -> Self {
-        self.obs = enabled;
-        self
-    }
-}
-
-impl std::fmt::Debug for SimConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimConfig")
-            .field("cell", &self.cell.name())
-            .field("measurement_dwell", &self.measurement_dwell)
-            .field("has_load", &self.load.is_some())
-            .field("store", &self.store.stored_energy())
-            .field("obs", &self.obs)
-            .finish()
-    }
-}
+use crate::storage::{ConcreteStore, IdealStore};
 
 /// Per-step observability accumulated in plain locals and flushed once
 /// per run into the node's [`Metrics`].
@@ -99,7 +25,7 @@ impl std::fmt::Debug for SimConfig {
 /// skipped so no map entry appears that per-step recording would not
 /// have created.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ObsLocals {
+struct ObsLocals {
     transfer_steps: u64,
     switching_j: f64,
     astable_j: f64,
@@ -187,34 +113,62 @@ impl ObsLocals {
 /// against a light trace.
 #[derive(Debug)]
 pub struct NodeSimulation {
-    config: SimConfig,
+    /// The PV module.
+    pub cell: PvCell,
+    /// The power stage.
+    pub converter: InputRegulatedConverter,
+    /// How long an open-circuit measurement interrupts harvesting (the
+    /// paper's PULSE width, 39 ms).
+    pub measurement_dwell: Seconds,
+    /// Optional node load drawing from the store.
+    pub load: Option<DutyCycledLoad>,
+    /// The energy store.
+    pub store: ConcreteStore,
+    /// Whether to collect deterministic metrics (counters, spans, the
+    /// per-bucket energy ledger) into the report's
+    /// [`eh_obs::Metrics`]. Off by default: uninstrumented runs pay
+    /// only a branch per step.
+    pub obs: bool,
 }
 
 impl NodeSimulation {
-    /// Creates the engine.
+    /// A default simulation of a cell: paper-prototype converter, 39 ms
+    /// dwell, ideal store, no load.
     ///
     /// # Errors
     ///
-    /// Rejects a non-positive measurement dwell.
-    pub fn new(config: SimConfig) -> Result<Self, Error> {
-        if !(config.measurement_dwell.value().is_finite() && config.measurement_dwell.value() > 0.0)
-        {
-            return Err(Error::InvalidParameter {
-                name: "measurement_dwell",
-                value: config.measurement_dwell.value(),
-            });
-        }
-        if config.cell.cache_enabled() {
-            // Build the surface now so run timing is pure lookups (a
-            // no-op when a warmed cell was cloned into this config).
-            config.cell.cached()?;
-        }
-        Ok(Self { config })
+    /// Propagates converter construction failures instead of panicking,
+    /// so library callers can handle them.
+    pub fn default_for(cell: PvCell) -> Result<Self, Error> {
+        Ok(Self {
+            cell,
+            converter: InputRegulatedConverter::paper_prototype()?,
+            measurement_dwell: Seconds::from_milli(39.0),
+            load: None,
+            store: ConcreteStore::Ideal(IdealStore::new()),
+            obs: false,
+        })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
+    /// Replaces the store (builder style).
+    #[must_use]
+    pub fn with_store(mut self, store: ConcreteStore) -> Self {
+        self.store = store;
+        self
+    }
+
+    /// Adds a node load (builder style).
+    #[must_use]
+    pub fn with_load(mut self, load: DutyCycledLoad) -> Self {
+        self.load = Some(load);
+        self
+    }
+
+    /// Enables or disables metric collection (builder style).
+    #[must_use]
+    pub fn with_obs(mut self, enabled: bool) -> Self {
+        self.obs = enabled;
+        self
     }
 
     /// Runs `tracker` over `trace` with nominal step `dt` and returns the
@@ -227,75 +181,102 @@ impl NodeSimulation {
     /// second engine step, and harvesting stops for the dwell only.
     ///
     /// The tracker's overhead power is read once per run, as the
-    /// [`MpptController::overhead_power`] contract allows.
+    /// [`MpptController::overhead_power`] contract allows. A cached
+    /// cell's surface is resolved once per run, before the first step.
     ///
     /// The store carries over from run to run, while the load's cycle
     /// position restarts at 0 with each run's clock.
     ///
+    /// With observability on, the report's metric store also holds the
+    /// run's counters (`tracker.ops` is `decisions × ops_per_decision`),
+    /// and the run checks conservation: the per-bucket ledger (overhead
+    /// split by phase, converter losses, load served, compute) must
+    /// re-sum to the report's lump totals. The two group the same
+    /// per-step additions differently, so this catches a forgotten or
+    /// double-charged bucket, not just rounding.
+    ///
     /// # Errors
     ///
-    /// Rejects a non-positive `dt`; propagates PV solver failures.
+    /// Rejects a non-positive measurement dwell before the first step
+    /// and a non-positive `dt`; propagates PV solver failures, and the
+    /// ledger's conservation error when the two sums differ by more
+    /// than 1e-9 relative.
     pub fn run(
         &mut self,
         tracker: &mut dyn MpptController,
         trace: &TimeSeries,
         dt: Seconds,
     ) -> Result<NodeReport, Error> {
+        let dwell = self.measurement_dwell;
+        if !(dwell.value().is_finite() && dwell.value() > 0.0) {
+            return Err(Error::InvalidParameter {
+                name: "measurement_dwell",
+                value: dwell.value(),
+            });
+        }
         let light = Light::trace(trace);
         let has_sensor = tracker.requires_light_sensor();
         let compute_cost = tracker.compute_cost();
-        let metrics = self.config.obs.then(Metrics::new);
-        let config = &self.config;
-        let surface = if config.cell.cache_enabled() {
-            Some(config.cell.cached()?)
+        let surface = if self.cell.cache_enabled() {
+            Some(self.cell.cached()?)
         } else {
             None
         };
         let mut stepper = NodeStepper {
-            cell: &config.cell,
+            cell: &self.cell,
             surface,
             cursor: LuxCursor::new(),
-            converter: &config.converter,
-            dwell: config.measurement_dwell,
-            load: config.load.as_ref(),
+            converter: &self.converter,
+            dwell,
+            load: self.load.as_ref(),
             load_pos: 0.0,
             // The stepper owns a copy of the store for the run, so the
-            // hot loop touches it by value; the copy goes back into the
-            // config afterwards, on the error path too.
-            store: config.store.clone(),
+            // hot loop touches it by value; the copy comes back here
+            // afterwards, on the error path too.
+            store: self.store.clone(),
             overhead: tracker.overhead_power(),
+            report: NodeReport {
+                tracker: tracker.name().to_owned(),
+                duration: trace.duration(),
+                metrics: self.obs.then(Metrics::new),
+                ..NodeReport::default()
+            },
             tracker: &mut *tracker,
             has_sensor,
             compute_per_decision: compute_cost.energy_per_decision(),
-            acc: Accumulator::new(),
             last_voltage: Volts::ZERO,
             last_current: Amps::ZERO,
             last_power: Watts::ZERO,
             last_voc: None,
             last_isc: None,
             obs: ObsLocals::default(),
-            metrics,
         };
         let driven = drive(&mut stepper, &light, dt);
         let NodeStepper {
             store,
-            acc,
+            mut report,
             obs,
-            metrics,
             ..
         } = stepper;
-        let final_store = store.stored_energy();
-        self.config.store = store;
+        report.final_store_energy = store.stored_energy();
+        self.store = store;
         driven?;
-        NodeReport::assemble(
-            tracker.name().to_owned(),
-            trace.duration(),
-            &acc,
-            final_store,
-            compute_cost.ops_per_decision,
-            &obs,
-            metrics,
-        )
+        if let Some(m) = report.metrics.as_mut() {
+            // The ledger is incomplete until the locals land.
+            obs.flush(m);
+            m.add_counter("node.measurements", report.measurements);
+            m.add_counter("tracker.decisions", report.decisions);
+            m.add_counter(
+                "tracker.ops",
+                report.decisions * compute_cost.ops_per_decision,
+            );
+            let closed_loop = report.overhead_energy
+                + report.loss_energy
+                + report.load_served
+                + report.compute_energy;
+            m.ledger().check_conservation(closed_loop, 1e-9)?;
+        }
+        Ok(report)
     }
 }
 
@@ -325,14 +306,15 @@ struct NodeStepper<'a> {
     overhead: Watts,
     has_sensor: bool,
     compute_per_decision: Joules,
-    acc: Accumulator,
+    /// The report the run returns, booked as the slices settle; its
+    /// metric store, when obs is on, is the drive loop's recorder.
+    report: NodeReport,
     last_voltage: Volts,
     last_current: Amps,
     last_power: Watts,
     last_voc: Option<Volts>,
     last_isc: Option<Amps>,
     obs: ObsLocals,
-    metrics: Option<Metrics>,
 }
 
 impl NodeStepper<'_> {
@@ -385,7 +367,7 @@ impl NodeStepper<'_> {
             isc_measurement: self.last_isc.take(),
             ambient_lux: self.has_sensor.then_some(lux),
         };
-        self.acc.count_decision();
+        self.report.decisions += 1;
         self.tracker.step(&obs, dt)
     }
 
@@ -406,7 +388,7 @@ impl NodeStepper<'_> {
             self.last_current = Amps::ZERO;
         }
         self.last_power = Watts::ZERO;
-        self.acc.count_measurement();
+        self.report.measurements += 1;
         Ok(())
     }
 
@@ -421,9 +403,9 @@ impl NodeStepper<'_> {
                 let v_op = point.v_op;
                 let i = i.max(Amps::ZERO);
                 let harvest = self.converter.harvest(v_op, i, dt);
-                self.acc.add_harvest(harvest.output_energy);
-                self.acc.add_loss(harvest.losses * dt);
-                if self.metrics.is_some() {
+                self.report.gross_energy += harvest.output_energy;
+                self.report.loss_energy += harvest.losses * dt;
+                if self.report.metrics.is_some() {
                     self.obs.observe_harvest(&harvest, dt);
                 }
                 self.store.deposit(harvest.output_energy);
@@ -469,14 +451,14 @@ impl Stepper for NodeStepper<'_> {
         // The slice settles once. Tracker overhead comes out of the
         // store, harvested or not.
         let oh = self.overhead * planned;
-        self.acc.add_overhead(oh);
+        self.report.overhead_energy += oh;
         self.store.withdraw(oh);
 
         // Control-law compute energy, charged at the tracker's declared
         // ops × energy/op per decision. Zero (and a guaranteed store
         // no-op) for analog trackers.
         let compute = self.compute_per_decision * decisions;
-        self.acc.add_compute(compute);
+        self.report.compute_energy += compute;
         self.store.withdraw(compute);
 
         // Node load.
@@ -484,7 +466,8 @@ impl Stepper for NodeStepper<'_> {
         if let Some(load) = self.load {
             let demand = load.energy_over(&mut self.load_pos, planned);
             served = self.store.withdraw(demand);
-            self.acc.add_load(demand, served);
+            self.report.load_demand += demand;
+            self.report.load_served += served;
         }
 
         self.store.leak(planned);
@@ -496,7 +479,7 @@ impl Stepper for NodeStepper<'_> {
         // the consumer. Conversion losses were already accrued by
         // `observe_harvest`; the load bucket takes what the store
         // actually delivered.
-        if self.metrics.is_some() {
+        if self.report.metrics.is_some() {
             let mut astable = oh;
             if pulses > 0 {
                 let sample_hold = self.overhead * measured;
@@ -513,14 +496,14 @@ impl Stepper for NodeStepper<'_> {
     }
 
     fn recorder(&mut self) -> Option<&mut Metrics> {
-        self.metrics.as_mut()
+        self.report.metrics.as_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::Supercapacitor;
+    use crate::storage::{StoreSpec, Supercapacitor};
     use eh_core::baselines::{FocvSampleHold, Oracle, PerturbObserve};
     use eh_env::profiles;
     use eh_pv::presets;
@@ -532,15 +515,24 @@ mod tests {
 
     #[test]
     fn validation() {
-        let mut cfg = SimConfig::default_for(presets::sanyo_am1815()).unwrap();
-        cfg.measurement_dwell = Seconds::ZERO;
-        assert!(NodeSimulation::new(cfg).is_err());
+        // A zero dwell is refused before the first step: no slice draws
+        // the load from, or leaks, the deployed store.
+        let deployed = StoreSpec::supercapacitor_022f_at(4.0).build().unwrap();
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())
+            .unwrap()
+            .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
+            .with_store(deployed.clone());
+        sim.measurement_dwell = Seconds::ZERO;
+        let mut tracker = FocvSampleHold::paper_prototype().unwrap();
+        let err = sim.run(&mut tracker, &minute_trace(), Seconds::new(1.0));
+        let name = "measurement_dwell";
+        assert_eq!(err, Err(Error::InvalidParameter { name, value: 0.0 }));
+        assert_eq!(sim.store, deployed, "no step may run on a zero dwell");
     }
 
     #[test]
     fn focv_harvests_at_constant_light() {
-        let mut sim =
-            NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap()).unwrap();
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).unwrap();
         let mut tracker = FocvSampleHold::paper_prototype().unwrap();
         let report = sim
             .run(&mut tracker, &minute_trace(), Seconds::new(1.0))
@@ -562,9 +554,7 @@ mod tests {
     fn oracle_beats_focv_gross_but_not_by_much() {
         let trace = minute_trace();
         let run = |tracker: &mut dyn MpptController| {
-            let mut sim =
-                NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
-                    .unwrap();
+            let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).unwrap();
             sim.run(tracker, &trace, Seconds::new(1.0)).unwrap()
         };
         let focv = run(&mut FocvSampleHold::paper_prototype().unwrap());
@@ -581,8 +571,7 @@ mod tests {
     fn perturb_observe_net_negative_indoors() {
         // The paper's core claim: a 2 mW hill climber eats more than an
         // indoor cell produces.
-        let mut sim =
-            NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap()).unwrap();
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).unwrap();
         let mut tracker = PerturbObserve::literature_default().unwrap();
         let report = sim
             .run(&mut tracker, &minute_trace(), Seconds::new(1.0))
@@ -596,13 +585,12 @@ mod tests {
 
     #[test]
     fn load_served_from_harvest() {
-        let cfg = SimConfig::default_for(presets::sanyo_am1815())
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())
             .unwrap()
             .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
             .with_store(ConcreteStore::Supercapacitor(
                 Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8)).unwrap(),
             ));
-        let mut sim = NodeSimulation::new(cfg).unwrap();
         let mut tracker = FocvSampleHold::paper_prototype().unwrap();
         let report = sim
             .run(&mut tracker, &minute_trace(), Seconds::new(1.0))
@@ -619,8 +607,8 @@ mod tests {
 
     #[test]
     fn the_store_carries_over_to_the_next_run() {
-        let cfg = |store: ConcreteStore| {
-            SimConfig::default_for(presets::sanyo_am1815())
+        let node = |store: ConcreteStore| {
+            NodeSimulation::default_for(presets::sanyo_am1815())
                 .unwrap()
                 .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
                 .with_store(store)
@@ -633,25 +621,23 @@ mod tests {
             Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8)).unwrap(),
         );
         let floor = deployed.stored_energy();
-        let mut sim = NodeSimulation::new(cfg(deployed)).unwrap();
+        let mut sim = node(deployed);
         let first = run(&mut sim, &minute_trace());
         assert!(first.final_store_energy > floor, "the first run charges");
-        assert_eq!(sim.config().store.stored_energy(), first.final_store_energy);
+        assert_eq!(sim.store.stored_energy(), first.final_store_energy);
 
         // The second run starts from the first run's store, exactly as a
         // fresh simulation handed that store does.
         let dusk = profiles::constant(Lux::new(50.0), Seconds::from_minutes(30.0));
-        let carried = sim.config().store.clone();
+        let carried = sim.store.clone();
         let second = run(&mut sim, &dusk);
-        let mut fresh = NodeSimulation::new(cfg(carried)).unwrap();
-        assert_eq!(run(&mut fresh, &dusk), second);
+        assert_eq!(run(&mut node(carried), &dusk), second);
     }
 
     #[test]
     fn dark_trace_harvests_nothing() {
         let trace = profiles::constant(Lux::ZERO, Seconds::from_minutes(5.0));
-        let mut sim =
-            NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap()).unwrap();
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).unwrap();
         let mut tracker = FocvSampleHold::paper_prototype().unwrap();
         let report = sim.run(&mut tracker, &trace, Seconds::new(1.0)).unwrap();
         assert_eq!(report.gross_energy, Joules::ZERO);
@@ -661,21 +647,20 @@ mod tests {
 
     #[test]
     fn metrics_opt_in_and_ledger_conserves() {
-        let cfg = SimConfig::default_for(presets::sanyo_am1815())
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())
             .unwrap()
             .with_load(DutyCycledLoad::typical_sensor_node().unwrap())
             .with_store(ConcreteStore::Supercapacitor(
                 Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8)).unwrap(),
             ))
             .with_obs(true);
-        let mut sim = NodeSimulation::new(cfg).unwrap();
         let mut tracker = FocvSampleHold::paper_prototype().unwrap();
         let report = sim
             .run(&mut tracker, &minute_trace(), Seconds::new(1.0))
             .unwrap();
         let m = report.metrics.as_ref().expect("obs enabled");
 
-        // The bucket split re-sums to the lump accumulators (run()
+        // The bucket split re-sums to the report's lump totals (run()
         // already enforces this; re-check against the report's fields).
         let closed = report.overhead_energy + report.loss_energy + report.load_served;
         assert!(m.ledger().relative_error(closed) < 1e-9);
@@ -696,8 +681,7 @@ mod tests {
         assert!(m.counter("converter.transfer_steps") > 0);
 
         // Uninstrumented runs carry no store.
-        let mut plain =
-            NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap()).unwrap();
+        let mut plain = NodeSimulation::default_for(presets::sanyo_am1815()).unwrap();
         let mut tracker = FocvSampleHold::paper_prototype().unwrap();
         let r = plain
             .run(&mut tracker, &minute_trace(), Seconds::new(1.0))
@@ -708,10 +692,9 @@ mod tests {
     #[test]
     fn metrics_do_not_change_the_report() {
         let run = |obs: bool| {
-            let cfg = SimConfig::default_for(presets::sanyo_am1815())
+            let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())
                 .unwrap()
                 .with_obs(obs);
-            let mut sim = NodeSimulation::new(cfg).unwrap();
             let mut tracker = FocvSampleHold::paper_prototype().unwrap();
             let mut r = sim
                 .run(&mut tracker, &minute_trace(), Seconds::new(1.0))
@@ -724,14 +707,13 @@ mod tests {
 
     #[test]
     fn cached_run_matches_exact_report() {
-        // The cell owns the cache policy: under the default config a
+        // The cell owns the cache policy: under the default simulation a
         // warmed cell's run reads its surface, so it differs from the
         // exact run, but by no more than the cache's documented error
         // bound: same measurement count, energies within a fraction of
         // a percent.
         let run = |cell: PvCell| {
-            let cfg = SimConfig::default_for(cell).unwrap();
-            let mut sim = NodeSimulation::new(cfg).unwrap();
+            let mut sim = NodeSimulation::default_for(cell).unwrap();
             let mut tracker = FocvSampleHold::paper_prototype().unwrap();
             sim.run(&mut tracker, &minute_trace(), Seconds::new(1.0))
                 .unwrap()

@@ -1,25 +1,10 @@
-//! Energy stores: supercapacitor and an idealised accumulator.
+//! Energy stores: supercapacitor, battery and an idealised accumulator.
+//!
+//! Each store has the same five inherent methods (`deposit`,
+//! `withdraw`, `leak`, `stored_energy`, `state_of_charge`), and
+//! [`ConcreteStore`]'s closed match is the one dispatch over them.
 
 use eh_units::{Amps, Error, Farads, Joules, Ratio, Seconds, Volts};
-
-/// Something that can absorb and supply harvested energy.
-pub trait EnergyStore {
-    /// Deposits energy; returns the amount actually absorbed (a full
-    /// store absorbs less).
-    fn deposit(&mut self, energy: Joules) -> Joules;
-
-    /// Withdraws up to `energy`; returns the amount actually supplied.
-    fn withdraw(&mut self, energy: Joules) -> Joules;
-
-    /// Applies self-discharge over `dt`.
-    fn leak(&mut self, dt: Seconds);
-
-    /// Usable energy currently stored.
-    fn stored_energy(&self) -> Joules;
-
-    /// Fill level in `[0, 1]` where meaningful.
-    fn state_of_charge(&self) -> Ratio;
-}
 
 /// A supercapacitor store: energy lives in `½CV²` between a minimum
 /// usable voltage and a maximum rated voltage, with a constant leakage
@@ -27,7 +12,7 @@ pub trait EnergyStore {
 ///
 /// The state is carried as stored energy `E = ½CV²`, not as terminal
 /// voltage, so deposits and withdrawals are adds and clamps with no
-/// energy→voltage `sqrt` round trip. Only [`EnergyStore::leak`] (a
+/// energy→voltage `sqrt` round trip. Only [`leak`](Self::leak) (a
 /// constant current, so linear in voltage) and the
 /// [`voltage`](Self::voltage) observation pay a `sqrt`, with `√(2/C)`
 /// and `1/C` hoisted to construction. The property tests in
@@ -35,7 +20,7 @@ pub trait EnergyStore {
 /// `½CV²` / `I·t/C` voltage-domain closed forms.
 ///
 /// ```
-/// use eh_node::{EnergyStore, Supercapacitor};
+/// use eh_node::Supercapacitor;
 /// use eh_units::{Farads, Joules, Volts};
 ///
 /// let mut sc = Supercapacitor::new(Farads::new(0.1), Volts::new(5.0), Volts::new(1.8))?;
@@ -146,11 +131,11 @@ impl Supercapacitor {
     fn energy_at(c: f64, v: Volts) -> f64 {
         0.5 * c * v.value().powi(2)
     }
-}
 
-impl EnergyStore for Supercapacitor {
+    /// Deposits energy; returns the amount actually absorbed (a full
+    /// store absorbs less).
     #[inline]
-    fn deposit(&mut self, energy: Joules) -> Joules {
+    pub fn deposit(&mut self, energy: Joules) -> Joules {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
@@ -159,8 +144,10 @@ impl EnergyStore for Supercapacitor {
         Joules::new(absorbed)
     }
 
+    /// Withdraws up to `energy`, never below `v_min`; returns the
+    /// amount actually supplied.
     #[inline]
-    fn withdraw(&mut self, energy: Joules) -> Joules {
+    pub fn withdraw(&mut self, energy: Joules) -> Joules {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
@@ -169,8 +156,9 @@ impl EnergyStore for Supercapacitor {
         Joules::new(supplied)
     }
 
+    /// Drains the leakage current over `dt`.
     #[inline]
-    fn leak(&mut self, dt: Seconds) {
+    pub fn leak(&mut self, dt: Seconds) {
         if dt.value() <= 0.0 {
             return;
         }
@@ -182,12 +170,14 @@ impl EnergyStore for Supercapacitor {
         self.energy = 0.5 * self.capacitance.value() * after * after;
     }
 
+    /// Usable energy currently stored, above `v_min`.
     #[inline]
-    fn stored_energy(&self) -> Joules {
+    pub fn stored_energy(&self) -> Joules {
         Joules::new((self.energy - self.e_floor).max(0.0))
     }
 
-    fn state_of_charge(&self) -> Ratio {
+    /// Fill level of the usable window, in `[0, 1]`.
+    pub fn state_of_charge(&self) -> Ratio {
         let usable = self.usable_capacity().value();
         if usable <= 0.0 {
             return Ratio::ZERO;
@@ -201,7 +191,7 @@ impl EnergyStore for Supercapacitor {
 /// relative self-discharge.
 ///
 /// ```
-/// use eh_node::{Battery, EnergyStore};
+/// use eh_node::Battery;
 /// use eh_units::Joules;
 ///
 /// let mut b = Battery::new(Joules::new(100.0), 0.9, 0.05)?;
@@ -267,11 +257,11 @@ impl Battery {
     pub fn capacity(&self) -> Joules {
         self.capacity
     }
-}
 
-impl EnergyStore for Battery {
+    /// Deposits energy less the coulombic loss; returns the amount
+    /// actually absorbed (a full battery absorbs less).
     #[inline]
-    fn deposit(&mut self, energy: Joules) -> Joules {
+    pub fn deposit(&mut self, energy: Joules) -> Joules {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
@@ -281,8 +271,9 @@ impl EnergyStore for Battery {
         Joules::new(absorbed)
     }
 
+    /// Withdraws up to `energy`; returns the amount actually supplied.
     #[inline]
-    fn withdraw(&mut self, energy: Joules) -> Joules {
+    pub fn withdraw(&mut self, energy: Joules) -> Joules {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
@@ -291,8 +282,9 @@ impl EnergyStore for Battery {
         Joules::new(supplied)
     }
 
+    /// Applies the monthly self-discharge, compounded over `dt`.
     #[inline]
-    fn leak(&mut self, dt: Seconds) {
+    pub fn leak(&mut self, dt: Seconds) {
         if dt.value() <= 0.0 || self.self_discharge_per_month <= 0.0 {
             return;
         }
@@ -301,11 +293,13 @@ impl EnergyStore for Battery {
         self.level *= keep;
     }
 
-    fn stored_energy(&self) -> Joules {
+    /// Energy currently stored.
+    pub fn stored_energy(&self) -> Joules {
         Joules::new(self.level)
     }
 
-    fn state_of_charge(&self) -> Ratio {
+    /// Fill level of the capacity, in `[0, 1]`.
+    pub fn state_of_charge(&self) -> Ratio {
         Ratio::new((self.level / self.capacity.value()).clamp(0.0, 1.0))
     }
 }
@@ -323,11 +317,11 @@ impl IdealStore {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl EnergyStore for IdealStore {
+    /// Deposits `energy` in full; returns it (zero for a non-positive
+    /// amount).
     #[inline]
-    fn deposit(&mut self, energy: Joules) -> Joules {
+    pub fn deposit(&mut self, energy: Joules) -> Joules {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
@@ -335,8 +329,9 @@ impl EnergyStore for IdealStore {
         energy
     }
 
+    /// Withdraws up to `energy`; returns the amount actually supplied.
     #[inline]
-    fn withdraw(&mut self, energy: Joules) -> Joules {
+    pub fn withdraw(&mut self, energy: Joules) -> Joules {
         if energy.value() <= 0.0 {
             return Joules::ZERO;
         }
@@ -345,15 +340,18 @@ impl EnergyStore for IdealStore {
         Joules::new(supplied)
     }
 
+    /// Does nothing: an ideal store does not leak.
     #[inline]
-    fn leak(&mut self, _dt: Seconds) {}
+    pub fn leak(&mut self, _dt: Seconds) {}
 
+    /// Energy currently stored.
     #[inline]
-    fn stored_energy(&self) -> Joules {
+    pub fn stored_energy(&self) -> Joules {
         Joules::new(self.energy.max(0.0))
     }
 
-    fn state_of_charge(&self) -> Ratio {
+    /// Always 1: an ideal store has no capacity to fill.
+    pub fn state_of_charge(&self) -> Ratio {
         Ratio::ONE
     }
 }
@@ -365,7 +363,7 @@ impl EnergyStore for IdealStore {
 /// [`StoreSpec::build`] a fresh instance wherever one is needed.
 ///
 /// ```
-/// use eh_node::{EnergyStore, StoreSpec};
+/// use eh_node::StoreSpec;
 ///
 /// let spec = StoreSpec::supercapacitor_022f_at(4.0);
 /// let a = spec.build()?;
@@ -460,9 +458,10 @@ pub enum ConcreteStore {
     Battery(Battery),
 }
 
-impl EnergyStore for ConcreteStore {
+impl ConcreteStore {
+    /// Deposits into the wrapped store; returns the amount absorbed.
     #[inline]
-    fn deposit(&mut self, energy: Joules) -> Joules {
+    pub fn deposit(&mut self, energy: Joules) -> Joules {
         match self {
             ConcreteStore::Ideal(s) => s.deposit(energy),
             ConcreteStore::Supercapacitor(s) => s.deposit(energy),
@@ -470,8 +469,10 @@ impl EnergyStore for ConcreteStore {
         }
     }
 
+    /// Withdraws up to `energy` from the wrapped store; returns the
+    /// amount supplied.
     #[inline]
-    fn withdraw(&mut self, energy: Joules) -> Joules {
+    pub fn withdraw(&mut self, energy: Joules) -> Joules {
         match self {
             ConcreteStore::Ideal(s) => s.withdraw(energy),
             ConcreteStore::Supercapacitor(s) => s.withdraw(energy),
@@ -479,8 +480,9 @@ impl EnergyStore for ConcreteStore {
         }
     }
 
+    /// Applies the wrapped store's self-discharge over `dt`.
     #[inline]
-    fn leak(&mut self, dt: Seconds) {
+    pub fn leak(&mut self, dt: Seconds) {
         match self {
             ConcreteStore::Ideal(s) => s.leak(dt),
             ConcreteStore::Supercapacitor(s) => s.leak(dt),
@@ -488,8 +490,9 @@ impl EnergyStore for ConcreteStore {
         }
     }
 
+    /// The wrapped store's usable energy.
     #[inline]
-    fn stored_energy(&self) -> Joules {
+    pub fn stored_energy(&self) -> Joules {
         match self {
             ConcreteStore::Ideal(s) => s.stored_energy(),
             ConcreteStore::Supercapacitor(s) => s.stored_energy(),
@@ -497,8 +500,9 @@ impl EnergyStore for ConcreteStore {
         }
     }
 
+    /// The wrapped store's fill level, in `[0, 1]`.
     #[inline]
-    fn state_of_charge(&self) -> Ratio {
+    pub fn state_of_charge(&self) -> Ratio {
         match self {
             ConcreteStore::Ideal(s) => s.state_of_charge(),
             ConcreteStore::Supercapacitor(s) => s.state_of_charge(),

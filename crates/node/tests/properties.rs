@@ -2,7 +2,7 @@
 
 use eh_core::baselines::{FocvSampleHold, Oracle};
 use eh_env::profiles;
-use eh_node::{DutyCycledLoad, EnergyStore, IdealStore, NodeSimulation, SimConfig, Supercapacitor};
+use eh_node::{DutyCycledLoad, IdealStore, NodeSimulation, Supercapacitor};
 use eh_pv::presets;
 use eh_units::{Farads, Joules, Lux, Seconds, Volts};
 use proptest::prelude::*;
@@ -108,8 +108,7 @@ proptest! {
     #[test]
     fn report_sanity(lux in 0.0..20_000.0f64, minutes in 2.0..30.0f64) {
         let trace = profiles::constant(Lux::new(lux), Seconds::from_minutes(minutes));
-        let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
-            .expect("valid config");
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).expect("valid config");
         let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
         let report = sim.run(&mut tracker, &trace, Seconds::new(1.0)).expect("run succeeds");
         prop_assert!(report.gross_energy.value() >= 0.0);
@@ -125,7 +124,7 @@ proptest! {
     fn oracle_dominates(lux in 100.0..10_000.0f64) {
         let trace = profiles::constant(Lux::new(lux), Seconds::from_minutes(10.0));
         let run = |tracker: &mut dyn eh_core::MpptController| {
-            NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
+            NodeSimulation::default_for(presets::sanyo_am1815())
                 .expect("valid config")
                 .run(tracker, &trace, Seconds::new(1.0))
                 .expect("run succeeds")
@@ -141,7 +140,7 @@ proptest! {
     fn gross_monotone_in_light(lux in 100.0..5_000.0f64, factor in 1.2..4.0f64) {
         let run = |l: f64| {
             let trace = profiles::constant(Lux::new(l), Seconds::from_minutes(10.0));
-            NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
+            NodeSimulation::default_for(presets::sanyo_am1815())
                 .expect("valid config")
                 .run(
                     &mut FocvSampleHold::paper_prototype().expect("valid tracker"),

@@ -287,26 +287,19 @@ impl<'a> ChunkedWriter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use proptest::prelude::*;
+    use std::net::{Shutdown, TcpListener, TcpStream};
 
-    /// Round-trips raw request bytes through a real socket pair into
-    /// `read_request`.
+    /// Writes `raw` on a fresh loopback connection and shuts down its
+    /// write half before `read_request` starts, so a short request ends
+    /// at end-of-stream instead of waiting out [`REQUEST_DEADLINE`].
     fn parse_raw(raw: &[u8]) -> Result<HttpRequest, HttpParseError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(&raw).unwrap();
-            c.flush().unwrap();
-            // Keep the socket open briefly so the reader sees the full
-            // request rather than an early close.
-            c
-        });
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(raw).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
         let (mut stream, _) = listener.accept().unwrap();
-        let parsed = read_request(&mut stream);
-        drop(writer.join().unwrap());
-        parsed
+        read_request(&mut stream)
     }
 
     #[test]
@@ -355,6 +348,42 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert_eq!(parse_raw(huge.as_bytes()).unwrap_err().status, 413);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_or_stall(
+            raw in proptest::collection::vec(0..256u32, 0..2048),
+            slack in 0..5usize,
+        ) {
+            let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            let ascii: Vec<u8> = bytes.iter().map(|b| b & 0x7f).collect();
+            let (line, end) = (b"POST /whatif HTTP/1.1\r\n".as_slice(), b"\r\n\r\n".as_slice());
+            let declared = (bytes.len() + slack).saturating_sub(2);
+            let length = format!("Content-Length: {declared}\r\n\r\n");
+            // The bytes alone, and as a whole head raw and in 7 bits;
+            // then after a valid request line: as they are, as 7-bit
+            // header lines (one of them a Content-Length value), and as
+            // a body declared two bytes short of to two bytes past its
+            // length.
+            for raw in [
+                bytes.clone(),
+                [&bytes, end].concat(),
+                [&ascii, end].concat(),
+                [line, &bytes].concat(),
+                [line, &ascii, end].concat(),
+                [line, b"Content-Length: ", &ascii, end].concat(),
+                [line, length.as_bytes(), &bytes].concat(),
+            ] {
+                // Either a request or a status for malformed bytes.
+                if let Err(e) = parse_raw(&raw) {
+                    let shown = String::from_utf8_lossy(&raw);
+                    prop_assert!([400, 413, 505].contains(&e.status), "{e:?} for {shown:?}");
+                }
+            }
+        }
     }
 
     #[test]

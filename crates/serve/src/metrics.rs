@@ -22,6 +22,10 @@ pub mod names {
     pub const HTTP_OK: &str = "serve.http.ok";
     /// Requests answered with 4xx.
     pub const HTTP_CLIENT_ERROR: &str = "serve.http.client_error";
+    /// Requests answered with 408 because their read outlasted
+    /// [`crate::http::REQUEST_DEADLINE`] (also counted as client
+    /// errors). The counter appears with its first expiry.
+    pub const HTTP_DEADLINE_EXPIRED: &str = "serve.http.deadline_expired";
     /// Requests answered with 5xx (including 503 sheds).
     pub const HTTP_SERVER_ERROR: &str = "serve.http.server_error";
     /// Connections shed with 503 because the queue was full.

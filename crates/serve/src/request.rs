@@ -20,7 +20,7 @@
 //! treated as an execution detail.
 
 use eh_campaign::{CampaignSpec, Climate, DriftRates, FaultPlan, LoadClass};
-use eh_fleet::{Engine, FleetSpec, PlacementMix, Tolerances, TrackerKind};
+use eh_fleet::{Engine, FleetRunner, FleetSpec, PlacementMix, Tolerances, TrackerKind};
 use eh_units::Seconds;
 
 use crate::error::ServeError;
@@ -221,7 +221,8 @@ impl<'a> Body<'a> {
     }
 
     fn shard_size(&self) -> Result<usize, ServeError> {
-        Ok(self.count("shard_size", 32, 4096)? as usize)
+        let default = FleetRunner::DEFAULT_SHARD_SIZE as u64;
+        Ok(self.count("shard_size", default, 4096)? as usize)
     }
 
     fn tracker(&self, default: TrackerKind) -> Result<TrackerKind, ServeError> {

@@ -353,6 +353,9 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
     let request = match http::read_request(stream) {
         Ok(r) => r,
         Err(e) => {
+            if e.status == 408 {
+                state.metrics.incr(names::HTTP_DEADLINE_EXPIRED);
+            }
             state.metrics.count_status(e.status);
             let _ = http::write_response(stream, e.status, &[], error_body(&e.message).as_bytes());
             return;

@@ -1,8 +1,10 @@
 //! Property tests for the request canonicalization layer: the cache
 //! key must be a function of request *meaning*, never of spelling.
+//! Fuzz properties over the JSON parser and the request validators:
+//! no input panics them, and a request body they refuse is a 400.
 
 use eh_fleet::{Engine, TrackerKind};
-use eh_serve::{Json, Op, WhatIfRequest};
+use eh_serve::{CampaignRequest, Json, Op, WhatIfRequest};
 use proptest::prelude::*;
 
 /// A small whitespace alphabet indexed by two drawn bits per slot.
@@ -139,5 +141,128 @@ proptest! {
         ));
         prop_assert_eq!(implicit.hash(), explicit.hash());
         prop_assert_eq!(implicit.canonical_json(), explicit.canonical_json());
+    }
+}
+
+/// Parses `text`, which must not panic; a value it parses renders
+/// canonically to text that parses back to the same value. The
+/// canonical form is injective up to member order, so that holds when
+/// the reparsed value renders to the same text. Returns whether `text`
+/// parsed.
+fn parse_round_trips(text: &str) -> bool {
+    let Ok(value) = Json::parse(text) else {
+        return false;
+    };
+    let canonical = value.to_canonical_string();
+    let again = Json::parse(&canonical).map(|v| v.to_canonical_string());
+    assert_eq!(again, Ok(canonical), "{text:?}");
+    true
+}
+
+/// Scalars that are JSON: numbers at the edges of the `f64` range,
+/// escapes, a surrogate pair and raw multi-byte text.
+const JSON_SCALARS: &str = r#"0 -0 -0.0 1.5e-7 12345678901234567890 1e308 -2.5E+3 4.9e-324
+    true false null "" "a\"b\\" "\u00e9\n\t\/" "\ud83d\ude00" "é😀""#;
+/// Scalar-like tokens that are not JSON: an out-of-range number, a
+/// leading zero, a bare dot, a broken literal, lone surrogates and an
+/// unknown escape.
+const NOT_JSON: &str = r#"1e999 01 1. nul "\ud83d" "\udc00" "\x""#;
+/// Distinct object keys, escapes among them.
+const KEYS: &str = r#""a" "b" "" "\u0041" "é" "k\"""#;
+/// Structural characters, whitespace and a raw control character.
+const PUNCTUATION: &str = "{}[],: \n\"\\\u{1}";
+
+/// Appends to `out` a document spelled from `draws`, nested at most
+/// seven deep, with distinct keys in each object and one scalar in
+/// eight not JSON. Returns whether the whole text is JSON.
+fn document(draws: &mut impl Iterator<Item = usize>, depth: usize, out: &mut String) -> bool {
+    let kind = draws.next().unwrap_or(0);
+    if depth > 6 || kind % 4 < 2 {
+        let json = kind % 32 >= 4;
+        let words: Vec<&str> = if json { JSON_SCALARS } else { NOT_JSON }
+            .split_whitespace()
+            .collect();
+        out.push_str(words[kind / 32 % words.len()]);
+        return json;
+    }
+    let (object, len, first_key) = (kind % 4 == 3, draws.next().unwrap_or(0) % 4, kind / 4);
+    let keys: Vec<&str> = KEYS.split_whitespace().collect();
+    out.push(if object { '{' } else { '[' });
+    let mut json = true;
+    for i in 0..len {
+        if i > 0 {
+            out.push(',');
+        }
+        if object {
+            out.push_str(keys[(first_key + i) % keys.len()]);
+            out.push(':');
+        }
+        json &= document(draws, depth + 1, out);
+    }
+    out.push(if object { '}' } else { ']' });
+    json
+}
+
+/// An object over `keys` (space-separated) spelled from `picks`: each
+/// pick names a key, the first use of a key wins, and its value may
+/// have any type and lie in range or out.
+fn request_body(keys: &str, picks: &[usize]) -> Json {
+    const VALUES: &str = r#"0 1 -1 0.05 0.5 7 8 32 45.5 -91 600 3600 86400 4096 4097 3650 1e300
+        9007199254740993 true false null "" [] {} "focv" "oracle" "vectorized" "per-node"
+        "production" "arid" "radio" "bogus" {"window":1} {"window":0,"interior":0}
+        {"outdoor":-1,"sun":2} {"window":1e308,"interior":1e308}"#;
+    let keys: Vec<&str> = keys.split_whitespace().collect();
+    let values: Vec<&str> = VALUES.split_whitespace().collect();
+    let mut members: Vec<String> = Vec::new();
+    for &pick in picks {
+        let key = format!("\"{}\":", keys[pick % keys.len()]);
+        if !members.iter().any(|m| m.starts_with(&key)) {
+            members.push(key + values[pick / keys.len() % values.len()]);
+        }
+    }
+    Json::parse(&format!("{{{}}}", members.join(","))).expect("request bodies are JSON")
+}
+
+proptest! {
+    #[test]
+    fn json_parse_survives_arbitrary_bytes(raw in proptest::collection::vec(0..256u32, 0..2048)) {
+        let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+        parse_round_trips(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn token_strings_never_panic_and_documents_round_trip(
+        draws in proptest::collection::vec(0..1024usize, 0..96),
+    ) {
+        let mut text = String::new();
+        let json = document(&mut draws.iter().copied(), 0, &mut text);
+        prop_assert!(parse_round_trips(&text) || !json, "JSON refused: {text:?}");
+        // The same draws as a soup of every token.
+        let words = [JSON_SCALARS, NOT_JSON, KEYS].map(str::split_whitespace).into_iter().flatten();
+        let tokens: Vec<String> =
+            words.map(str::to_owned).chain(PUNCTUATION.chars().map(String::from)).collect();
+        parse_round_trips(&draws.iter().map(|&i| tokens[i % tokens.len()].as_str()).collect::<String>());
+    }
+
+    #[test]
+    fn request_validators_answer_ok_or_400(picks in proptest::collection::vec(0..100_000usize, 0..16)) {
+        let whatif = request_body(
+            "nodes seed tracker engine placements tolerances dt_s trace_decimate pv_cache obs \
+             shard_size",
+            &picks,
+        );
+        for op in [Op::WhatIf, Op::Compare, Op::Stream] {
+            if let Err(e) = WhatIfRequest::from_json(op, &whatif, 10_000) {
+                prop_assert_eq!(e.status(), 400, "{} for {}", e, whatif.to_canonical_string());
+            }
+        }
+        let campaign = request_body(
+            "nodes seed days epoch_days latitude climate load tracker engine drift \
+             fault_probability dt_s shard_size",
+            &picks,
+        );
+        if let Err(e) = CampaignRequest::from_json(&campaign, 10_000) {
+            prop_assert_eq!(e.status(), 400, "{} for {}", e, campaign.to_canonical_string());
+        }
     }
 }

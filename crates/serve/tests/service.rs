@@ -404,6 +404,7 @@ fn idle_client_cannot_hold_the_only_worker() {
         "idle client got: {timed_out}"
     );
     assert_eq!(server.metrics().counter(names::HTTP_CLIENT_ERROR), 1);
+    assert_eq!(server.metrics().counter(names::HTTP_DEADLINE_EXPIRED), 1);
     server.shutdown();
 }
 

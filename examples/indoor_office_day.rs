@@ -10,9 +10,7 @@
 
 use pv_mppt_repro::core::baselines::FocvSampleHold;
 use pv_mppt_repro::env::profiles;
-use pv_mppt_repro::node::{
-    ConcreteStore, DutyCycledLoad, NodeSimulation, SimConfig, Supercapacitor,
-};
+use pv_mppt_repro::node::{ConcreteStore, DutyCycledLoad, NodeSimulation, Supercapacitor};
 use pv_mppt_repro::pv::presets;
 use pv_mppt_repro::units::{Farads, Seconds, Volts};
 
@@ -22,11 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Deployed with a charged store so the node survives the first night.
     let store = Supercapacitor::new(Farads::new(0.22), Volts::new(5.0), Volts::new(1.8))?
         .with_initial_voltage(Volts::new(4.0));
-    let config = SimConfig::default_for(presets::sanyo_am1815())?
+    let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())?
         .with_store(ConcreteStore::Supercapacitor(store))
         .with_load(DutyCycledLoad::typical_sensor_node()?);
-
-    let mut sim = NodeSimulation::new(config)?;
     let mut tracker = FocvSampleHold::paper_prototype()?;
     let report = sim.run(&mut tracker, &day, Seconds::new(5.0))?;
 

@@ -9,7 +9,7 @@ use pv_mppt_repro::fleet::{
     compare_trackers_over_fleet_with, Engine, FleetContext, FleetReport, FleetRunner, FleetSpec,
     NodeSpec, Placement, SurfacePool, Tolerances, TrackerKind,
 };
-use pv_mppt_repro::node::{NodeSimulation, SimConfig};
+use pv_mppt_repro::node::NodeSimulation;
 use pv_mppt_repro::pv::presets;
 use pv_mppt_repro::serve::{Json, Op, WhatIfRequest};
 use pv_mppt_repro::units::{Amps, Lux, Seconds, Volts};
@@ -180,8 +180,7 @@ fn fractional_isc_holds_its_target_through_a_dark_hour() {
         let mut tracker = FractionalIsc::literature_default().expect("valid tracker");
         let start = tracker.target();
         assert_eq!(start, Volts::new(2.5));
-        let config = SimConfig::default_for(cell).expect("valid config");
-        let report = NodeSimulation::new(config)
+        let report = NodeSimulation::default_for(cell)
             .expect("valid sim")
             .run(&mut tracker, &hour, Seconds::new(1.0))
             .expect("dark hour runs");

@@ -4,7 +4,7 @@
 use pv_mppt_repro::core::baselines::FocvSampleHold;
 use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
 use pv_mppt_repro::env::{profiles, TimeSeries};
-use pv_mppt_repro::node::{NodeSimulation, SimConfig};
+use pv_mppt_repro::node::NodeSimulation;
 use pv_mppt_repro::pv::presets;
 use pv_mppt_repro::sim::{drive, Light, StepInput, Stepper, SweepRunner};
 use pv_mppt_repro::units::{Error, Lux, Seconds};
@@ -58,8 +58,7 @@ fn node_simulation_runs_identically() {
         .decimate(60)
         .expect("decimate succeeds");
     let run = || {
-        let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
-            .expect("valid config");
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).expect("valid config");
         let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
         sim.run(&mut tracker, &trace, Seconds::new(60.0))
             .expect("run succeeds")
@@ -106,8 +105,7 @@ fn cached_sweep_identical_at_any_worker_count() {
     cell.cached().expect("surface builds");
     let intensities: Vec<f64> = (1..=8).map(|i| 200.0 * i as f64).collect();
     let job = move |_: usize, lux: f64| {
-        let cfg = SimConfig::default_for(cell.clone()).expect("valid config");
-        let mut sim = NodeSimulation::new(cfg).expect("valid sim");
+        let mut sim = NodeSimulation::default_for(cell.clone()).expect("valid config");
         let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
         let trace = profiles::constant(Lux::new(lux), Seconds::from_minutes(10.0));
         let report = sim
@@ -163,8 +161,7 @@ fn drive_takes_whole_slices_on_any_grid() {
     let trace =
         TimeSeries::new(Seconds::ZERO, Seconds::new(1800.0), vec![1000.0; 2]).expect("valid trace");
     let decisions = |dt: f64| {
-        let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
-            .expect("valid config");
+        let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).expect("valid config");
         let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
         let report = sim
             .run(&mut tracker, &trace, Seconds::new(dt))

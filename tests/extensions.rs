@@ -4,7 +4,7 @@
 
 use pv_mppt_repro::core::baselines::FocvSampleHold;
 use pv_mppt_repro::core::MpptController;
-use pv_mppt_repro::node::{sizing, DutyCycledLoad, NodeSimulation, SimConfig};
+use pv_mppt_repro::node::{sizing, DutyCycledLoad, NodeSimulation};
 use pv_mppt_repro::pv::array::{ParallelBank, SeriesString, StringElement};
 use pv_mppt_repro::pv::spectrum::{effective_illuminance, spectral_factor, CellTechnology};
 use pv_mppt_repro::pv::{presets, thermal, LightSource};
@@ -95,10 +95,9 @@ fn sizing_matches_simulation() {
     // Simulate the same 8 h of darkness and measure the overhead+load
     // energy the engine actually books.
     let trace = pv_mppt_repro::env::profiles::constant(Lux::ZERO, Seconds::from_hours(hours));
-    let cfg = SimConfig::default_for(presets::sanyo_am1815())
-        .unwrap()
+    let mut sim = NodeSimulation::default_for(presets::sanyo_am1815())
+        .expect("valid sim")
         .with_load(load);
-    let mut sim = NodeSimulation::new(cfg).expect("valid sim");
     let mut t = FocvSampleHold::paper_prototype().expect("valid tracker");
     let report = sim
         .run(&mut t, &trace, Seconds::new(10.0))

@@ -5,7 +5,7 @@
 //! (`crates/fleet/tests/properties.rs`).
 
 use pv_mppt_repro::core::{FocvMpptSystem, SystemConfig};
-use pv_mppt_repro::node::{DutyCycledLoad, NodeSimulation, SimConfig};
+use pv_mppt_repro::node::{DutyCycledLoad, NodeSimulation};
 use pv_mppt_repro::obs::{EnergyBucket, Metrics};
 use pv_mppt_repro::pv::presets;
 use pv_mppt_repro::units::{Joules, Lux, Seconds};
@@ -41,11 +41,10 @@ fn node_ledger_conserves_and_exports() {
     let trace = pv_mppt_repro::env::profiles::office_desk_mixed(7)
         .decimate(60)
         .expect("decimates");
-    let cfg = SimConfig::default_for(cell)
-        .expect("valid config")
+    let mut sim = NodeSimulation::default_for(cell)
+        .expect("valid sim")
         .with_load(DutyCycledLoad::typical_sensor_node().expect("valid load"))
         .with_obs(true);
-    let mut sim = NodeSimulation::new(cfg).expect("valid sim");
     let mut tracker =
         pv_mppt_repro::core::baselines::FocvSampleHold::paper_prototype().expect("paper constants");
     let report = sim

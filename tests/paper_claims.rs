@@ -4,7 +4,7 @@
 use pv_mppt_repro::core::baselines::{FocvSampleHold, PerturbObserve};
 use pv_mppt_repro::core::{FocvMpptSystem, MpptController, SystemConfig};
 use pv_mppt_repro::env::{profiles, sampling_error, TimeSeries};
-use pv_mppt_repro::node::{compare_trackers, NodeSimulation, SimConfig};
+use pv_mppt_repro::node::{compare_trackers, NodeSimulation};
 use pv_mppt_repro::pv::{focv, presets, PvCell};
 use pv_mppt_repro::units::{Lux, Ratio, Seconds, Volts};
 
@@ -181,8 +181,7 @@ fn full_day_closed_loop_smoke() {
     let day = profiles::office_desk_mixed(99)
         .decimate(30)
         .expect("decimate succeeds");
-    let mut sim = NodeSimulation::new(SimConfig::default_for(presets::sanyo_am1815()).unwrap())
-        .expect("valid config");
+    let mut sim = NodeSimulation::default_for(presets::sanyo_am1815()).expect("valid config");
     let mut tracker = FocvSampleHold::paper_prototype().expect("valid tracker");
     let report = sim
         .run(&mut tracker, &day, Seconds::new(30.0))
